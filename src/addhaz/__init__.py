@@ -6,14 +6,11 @@ from .data_model import (
     BetaPrior,
     FitResult,
     GammaProcessPrior,
-    Observation,
     SurvivalDataset,
     TimeGrid,
     grid_from_quantiles,
-    interval_index,
-    validate_dataset,
 )
-from .lin_ying import LYEstimate, LYStatistics, compute_statistics, ly_solve, risk_set_mean
+from .lin_ying import LYEstimate, LYStatistics, compute_statistics, ly_solve
 from .hybrid_beta import (
     HpdInterval,
     PseudoPosterior,
@@ -23,28 +20,18 @@ from .hybrid_beta import (
     sigma_hat,
     significance_flag,
 )
-from .poly_coeffs import (
-    PolyCoefficients,
-    poly_eval_log,
-    poly_from_factors,
-    poly_init,
-    poly_multiply_in,
-)
+from .poly_coeffs import PolyCoefficients, poly_eval_log, poly_from_factors
 from .baseline_posterior import (
     IntervalSummary,
     event_offsets_by_interval,
-    increment_mean,
     increment_posterior,
-    increment_variance,
     interval_summaries,
-    remark2_check,
 )
 from .simulate import (
     PiecewiseConstantHazard,
     SimConfig,
     SimReport,
     draw_event_time,
-    draw_observation,
     run_baseline_experiment,
     run_beta_experiment,
 )
@@ -63,7 +50,6 @@ __all__ = [
     "IntervalSummary",
     "LYEstimate",
     "LYStatistics",
-    "Observation",
     "PiecewiseConstantHazard",
     "PolyCoefficients",
     "PseudoPosterior",
@@ -74,31 +60,22 @@ __all__ = [
     "beta_mode",
     "compute_statistics",
     "draw_event_time",
-    "draw_observation",
     "errors",
     "event_offsets_by_interval",
     "fit",
     "grid_from_quantiles",
     "hpd_interval",
-    "increment_mean",
     "increment_posterior",
-    "increment_variance",
-    "interval_index",
     "interval_summaries",
     "ly_solve",
     "poly_eval_log",
     "poly_from_factors",
-    "poly_init",
-    "poly_multiply_in",
     "pseudo_posterior",
     "read_dataset_csv",
     "read_transformed_cohort_csv",
-    "remark2_check",
-    "risk_set_mean",
     "run_baseline_experiment",
     "run_beta_experiment",
     "sigma_hat",
     "significance_flag",
-    "validate_dataset",
     "write_dataset_csv",
 ]

@@ -12,7 +12,8 @@ finite mixture of Gamma distributions:
     weight    k:   proportional to d_k w_j^-k c_j^-k Gamma(k + c alpha_j)
 
 where d_k are the likelihood polynomial's coefficients.  All weight algebra
-is done in the log domain.
+is done in the log domain; a zero coefficient (log d_k = -inf) gives its
+component weight zero.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
     "interval_summaries",
     "event_offsets_by_interval",
     "increment_posterior",
-    "increment_mean",
-    "increment_variance",
-    "remark2_check",
 ]
 
 
@@ -121,7 +119,14 @@ def event_offsets_by_interval(
     return factors
 
 
-def _posterior_pieces(summary, poly, prior):
+def increment_posterior(
+    summary: IntervalSummary, poly: PolyCoefficients, prior: GammaProcessPrior
+) -> BaselineIncrementPosterior:
+    """Gamma-mixture posterior of the cumulative increment over one interval.
+
+    The polynomial must be the product of (a + beta'z_i) over the uncensored
+    observations inside the interval (the constant 1 when there are none).
+    """
     j = summary.interval
     if not 1 <= j <= prior.m:
         raise DimensionMismatch(
@@ -129,9 +134,10 @@ def _posterior_pieces(summary, poly, prior):
         )
     alpha_j = float(prior.increments()[j - 1])
     c = prior.c
-    c_rate = summary.exposure / summary.width + c
+    rate = summary.exposure / summary.width + c
     degree = poly.degree
-    if alpha_j == 0.0 and poly.signs[0] != 0:
+    nonzero = poly.log_abs > -math.inf
+    if alpha_j == 0.0 and nonzero[0]:
         # a positive constant coefficient leaves a 1/a factor near 0,
         # which does not integrate; degree 0 is the no-events case
         if degree == 0:
@@ -143,82 +149,23 @@ def _posterior_pieces(summary, poly, prior):
             "constant likelihood coefficient"
         )
     shapes = np.arange(degree + 1) + c * alpha_j
-    log_scale = math.log(summary.width) + math.log(c_rate)
+    log_scale = math.log(summary.width) + math.log(rate)
     with np.errstate(invalid="ignore"):
         log_w = poly.log_abs - np.arange(degree + 1) * log_scale + gammaln(shapes)
-    log_w = np.where(poly.signs > 0, log_w, -math.inf)
+    log_w = np.where(nonzero, log_w, -math.inf)
     top = np.max(log_w)
     if top == -math.inf or not np.isfinite(top):
         raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
-    log_norm = top + math.log(np.sum(np.exp(log_w - top)))
-    log_w = log_w - log_norm
-    return log_w, shapes, c_rate
+    log_w = log_w - (top + math.log(np.sum(np.exp(log_w - top))))
 
-
-def _mixture_moments(log_w, shapes, rate):
     w = np.exp(log_w)
     shape_mean = float(np.dot(w, shapes))
     shape_var = float(np.dot(w, (shapes - shape_mean) ** 2))
-    mean = shape_mean / rate
-    variance = (shape_var + shape_mean) / rate**2
-    return mean, variance
-
-
-def increment_posterior(
-    summary: IntervalSummary, poly: PolyCoefficients, prior: GammaProcessPrior
-) -> BaselineIncrementPosterior:
-    """Gamma-mixture posterior of the cumulative increment over one interval.
-
-    The polynomial must be the product of (a + beta'z_i) over the uncensored
-    observations inside the interval (the constant 1 when there are none).
-    """
-    log_w, shapes, rate = _posterior_pieces(summary, poly, prior)
-    mean, variance = _mixture_moments(log_w, shapes, rate)
     return BaselineIncrementPosterior(
-        interval=summary.interval,
+        interval=j,
         log_weights=tuple(float(v) for v in log_w),
         shape_offsets=tuple(float(v) for v in shapes),
         rate=float(rate),
-        mean=mean,
-        variance=variance,
+        mean=shape_mean / rate,
+        variance=(shape_var + shape_mean) / rate**2,
     )
-
-
-def increment_mean(posterior: BaselineIncrementPosterior) -> float:
-    """Posterior mean: sum_k w_k (k + c alpha_j) / c_j."""
-    log_w = np.asarray(posterior.log_weights)
-    shapes = np.asarray(posterior.shape_offsets)
-    mean, _ = _mixture_moments(log_w, shapes, posterior.rate)
-    return mean
-
-
-def increment_variance(posterior: BaselineIncrementPosterior) -> float:
-    """Posterior variance from the standard Gamma second moment."""
-    log_w = np.asarray(posterior.log_weights)
-    shapes = np.asarray(posterior.shape_offsets)
-    _, variance = _mixture_moments(log_w, shapes, posterior.rate)
-    return variance
-
-
-def remark2_check(
-    summary: IntervalSummary,
-    poly: PolyCoefficients,
-    prior_a: GammaProcessPrior,
-    prior_b: GammaProcessPrior,
-) -> bool:
-    """True when two priors sharing a vanishing c give matching means.
-
-    Both priors must share the same confidence weight c <= 1e-8; they may
-    differ arbitrarily in their shape functions.  The comparison is relative
-    at 1e-6.
-    """
-    if prior_a.c != prior_b.c:
-        raise ValueError("priors must share the same confidence weight c")
-    if prior_a.c > 1e-8:
-        raise ValueError("the vanishing-confidence check requires c <= 1e-8")
-    mean_a = increment_posterior(summary, poly, prior_a).mean
-    mean_b = increment_posterior(summary, poly, prior_b).mean
-    scale = max(abs(mean_a), abs(mean_b))
-    if scale == 0.0:
-        return True
-    return abs(mean_a - mean_b) < 1e-6 * scale

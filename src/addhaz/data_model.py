@@ -10,9 +10,8 @@ whose intervals are the left-open, right-closed cells (s_{j-1}, s_j].
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,26 +25,14 @@ from .errors import (
 )
 
 __all__ = [
-    "Observation",
     "SurvivalDataset",
     "TimeGrid",
     "BetaPrior",
     "GammaProcessPrior",
     "BaselineIncrementPosterior",
     "FitResult",
-    "validate_dataset",
     "grid_from_quantiles",
-    "interval_index",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One right-censored subject: follow-up time, event flag, covariates."""
-
-    time: float
-    event: bool
-    covariates: tuple[float, ...]
 
 
 class SurvivalDataset:
@@ -109,45 +96,11 @@ class SurvivalDataset:
     def n_events(self) -> int:
         return int(np.count_nonzero(self.events))
 
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(float(t), bool(e), tuple(float(v) for v in z))
-            for t, e, z in zip(self.times, self.events, self.covariates)
-        )
-
     def __len__(self) -> int:
         return self.n
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurvivalDataset(n={self.n}, k={self.k}, events={self.n_events})"
-
-
-def validate_dataset(
-    records: Iterable[tuple], *, allow_signed: bool = False
-) -> SurvivalDataset:
-    """Build a SurvivalDataset from (time, event, covariates) records.
-
-    Checks finiteness, nonnegativity of times and covariates, consistent
-    covariate dimension, and that at least one event is present.
-    """
-    times, events, rows = [], [], []
-    for rec in records:
-        try:
-            t, e, z = rec
-        except (TypeError, ValueError):
-            raise DimensionMismatch(
-                "each record must be a (time, event, covariates) triple"
-            ) from None
-        times.append(float(t))
-        events.append(bool(e))
-        rows.append(tuple(float(v) for v in z))
-    if not rows:
-        raise NoEvents("empty dataset")
-    k = len(rows[0])
-    if any(len(r) != k for r in rows):
-        raise DimensionMismatch("covariate rows disagree on dimension")
-    return SurvivalDataset(times, events, rows, allow_signed=allow_signed)
 
 
 @dataclass(frozen=True)
@@ -227,18 +180,6 @@ def grid_from_quantiles(
     if not cuts:
         raise DegenerateGrid("quantiles collapsed; no usable cut below t_final")
     return TimeGrid(tuple(cuts), t_final)
-
-
-def interval_index(grid: TimeGrid, t: float) -> int:
-    """1-based index j of the interval (s_{j-1}, s_j] containing t.
-
-    t = 0 is assigned to interval 1; a t equal to a boundary belongs to the
-    interval ending there.  Times outside [0, t_final] raise OutOfRange.
-    """
-    t = float(t)
-    if not math.isfinite(t) or t < 0 or t > grid.t_final:
-        raise OutOfRange(f"time {t!r} outside [0, {grid.t_final}]")
-    return bisect_left(grid.boundaries, t) + 1 if t > 0 else 1
 
 
 def _check_spd(matrix: np.ndarray, what: str) -> None:

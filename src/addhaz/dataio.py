@@ -47,39 +47,61 @@ def _parse_float(text: str, row: int, col: str) -> float:
     return value
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
-
-
-def read_dataset_csv(path, *, allow_signed: bool = False):
-    """Load a dataset file; returns (SurvivalDataset, covariate names)."""
-    header, rows = _read_rows(path)
+def _plain_layout(path, header):
     if len(header) < 3 or header[0].lower() != "time" or header[1].lower() != "event":
         raise DatasetFormatError(
             f"{path}: header must be time,event,<covariate columns>"
         )
-    names = header[2:]
-    times, events, covs = [], [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
-        times.append(_parse_float(row[0], i, "time"))
-        flag = row[1].strip()
-        if flag not in ("0", "1"):
-            raise DatasetFormatError(f"row {i}: event must be 0 or 1, got {flag!r}")
-        events.append(flag == "1")
-        covs.append([_parse_float(v, i, names[j]) for j, v in enumerate(row[2:])])
-    if not rows:
+    return 0, 1, range(2, len(header)), tuple(header[2:])
+
+
+def _cohort_layout(path, header):
+    lowered = [h.lower() for h in header]
+    try:
+        t_col, e_col, *cols = [
+            lowered.index(c) for c in ("time", "event", "afe", "yfe", "exp")
+        ]
+    except ValueError:
+        raise DatasetFormatError(
+            f"{path}: cohort files need columns time, event, AFE, YFE, EXP"
+        ) from None
+    return t_col, e_col, cols, COHORT_COLUMNS
+
+
+def _read_table(path, layout):
+    """Parse every non-blank data row of a dataset file.
+
+    ``layout(path, header)`` checks the header and returns the positions of
+    the time and event columns, the value columns, and the value names.
+    Every row must have exactly as many fields as the header.  Returns the
+    value names, times, event flags and one list of values per row.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatasetFormatError(f"{path}: empty file") from None
+        t_col, e_col, cols, names = layout(path, header)
+        times, events, values = [], [], []
+        for i, row in enumerate(filter(None, reader), start=2):
+            if len(row) != len(header):
+                raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
+            times.append(_parse_float(row[t_col], i, "time"))
+            flag = row[e_col].strip()
+            if flag not in ("0", "1"):
+                raise DatasetFormatError(f"row {i}: event must be 0 or 1, got {flag!r}")
+            events.append(flag == "1")
+            values.append([_parse_float(row[c], i, name) for c, name in zip(cols, names)])
+    if not times:
         raise DatasetFormatError(f"{path}: no data rows")
-    ds = SurvivalDataset(times, events, covs, allow_signed=allow_signed)
-    return ds, tuple(names)
+    return names, times, events, values
+
+
+def read_dataset_csv(path, *, allow_signed: bool = False):
+    """Load a dataset file; returns (SurvivalDataset, covariate names)."""
+    names, times, events, covs = _read_table(path, _plain_layout)
+    return SurvivalDataset(times, events, covs, allow_signed=allow_signed), names
 
 
 def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:
@@ -96,6 +118,22 @@ def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:
             writer.writerow([repr(float(t)), "1" if e else "0"] + [repr(float(v)) for v in z])
 
 
+def _cohort_covariates(raw: np.ndarray) -> list[list[float]]:
+    """The four standard transforms of the (n, 3) AFE, YFE, EXP columns."""
+    afe, yfe, exposure = raw.T
+    bad = np.flatnonzero((afe <= 10.0) | (exposure < 0.0))
+    if bad.size:
+        i = int(bad[0])
+        what = "AFE must exceed 10" if afe[i] <= 10.0 else "EXP must be >= 0"
+        raise DatasetFormatError(f"row {i + 2}: {what}")
+    decade = (yfe - 1915.0) / 10.0
+    # math.log, not np.log: the vectorized log may differ in the last ulp
+    return [
+        [math.log(a - 10.0), d, -(d * d), math.log(e + 1.0)]
+        for a, d, e in zip(afe.tolist(), decade.tolist(), exposure.tolist())
+    ]
+
+
 def read_transformed_cohort_csv(path):
     """Load a raw cohort file (time, event, AFE, YFE, EXP) and transform it.
 
@@ -103,41 +141,6 @@ def read_transformed_cohort_csv(path):
     transformed covariates; the dataset is built with signed covariates
     allowed, since the third transform is always <= 0.
     """
-    header, rows = _read_rows(path)
-    lowered = [h.lower() for h in header]
-    required = ["time", "event"] + [c.lower() for c in COHORT_COLUMNS]
-    try:
-        positions = [lowered.index(c) for c in required]
-    except ValueError:
-        raise DatasetFormatError(
-            f"{path}: cohort files need columns time, event, AFE, YFE, EXP"
-        ) from None
-    times, events, covs = [], [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) < len(header):
-            raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
-        times.append(_parse_float(row[positions[0]], i, "time"))
-        flag = row[positions[1]].strip()
-        if flag not in ("0", "1"):
-            raise DatasetFormatError(f"row {i}: event must be 0 or 1, got {flag!r}")
-        events.append(flag == "1")
-        afe = _parse_float(row[positions[2]], i, "AFE")
-        yfe = _parse_float(row[positions[3]], i, "YFE")
-        exposure = _parse_float(row[positions[4]], i, "EXP")
-        if afe <= 10.0:
-            raise DatasetFormatError(f"row {i}: AFE must exceed 10")
-        if exposure < 0.0:
-            raise DatasetFormatError(f"row {i}: EXP must be >= 0")
-        decade = (yfe - 1915.0) / 10.0
-        covs.append(
-            [
-                math.log(afe - 10.0),
-                decade,
-                -(decade * decade),
-                math.log(exposure + 1.0),
-            ]
-        )
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    ds = SurvivalDataset(times, events, covs, allow_signed=True)
-    return ds, COHORT_COVARIATE_NAMES
+    _, times, events, raw = _read_table(path, _cohort_layout)
+    covs = _cohort_covariates(np.asarray(raw))
+    return SurvivalDataset(times, events, covs, allow_signed=True), COHORT_COVARIATE_NAMES

@@ -23,21 +23,11 @@ from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import compute_statistics, ly_solve
 from .poly_coeffs import poly_from_factors
 
-__all__ = ["fit", "default_grid", "default_gamma_prior"]
+__all__ = ["fit"]
 
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 DEFAULT_OMEGA = 1000.0
 DEFAULT_GAMMA_C = 1.0
-
-
-def default_grid(ds: SurvivalDataset) -> TimeGrid:
-    """Quantile grid at the default probabilities, closed at the last time."""
-    return grid_from_quantiles(ds, DEFAULT_QUANTILES, float(np.max(ds.times)))
-
-
-def default_gamma_prior(grid: TimeGrid, c: float = DEFAULT_GAMMA_C) -> GammaProcessPrior:
-    """Unit-rate prior guess: shape function alpha(t) = t at the boundaries."""
-    return GammaProcessPrior(grid.boundaries, c)
 
 
 def fit(
@@ -71,7 +61,8 @@ def fit(
         if grid is None:
             grid = grid_from_quantiles(ds, quantile_probs, float(np.max(ds.times)))
         if gamma_prior is None:
-            gamma_prior = default_gamma_prior(grid)
+            # unit-rate prior guess: shape function alpha(t) = t
+            gamma_prior = GammaProcessPrior(grid.boundaries, DEFAULT_GAMMA_C)
         summaries = interval_summaries(ds, grid)
         offsets = event_offsets_by_interval(ds, grid, beta_hat)
         baseline = tuple(

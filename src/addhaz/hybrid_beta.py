@@ -44,14 +44,10 @@ class PseudoPosterior:
 
     mean: np.ndarray
     cov: np.ndarray
-    truncated_at_zero: bool = True
 
     @property
     def k(self) -> int:
         return self.mean.size
-
-    def marginal_sd(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ n^-1 V2^-1 V3 V2^-1 with
 
 z_bar is a step function that changes value only as u crosses an observed
 time, so the V2 integrals are sums over inter-observation segments and are
-computed exactly (no quadrature).  V3 restricted to event terms is the
-martingale-based variance; summing over all observations instead (the
-``v3_all_observations`` switch) inflates the sandwich by roughly the inverse
-of the event fraction and is provided for comparison only.
+computed exactly (no quadrature).  V3 sums over event terms only: the
+martingale-based variance.
 """
 
 from __future__ import annotations
@@ -27,12 +25,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data_model import SurvivalDataset
-from .errors import EmptyRiskSet, SingularDesign
+from .errors import SingularDesign
 
 __all__ = [
     "LYStatistics",
     "LYEstimate",
-    "risk_set_mean",
     "compute_statistics",
     "ly_solve",
 ]
@@ -59,17 +56,7 @@ class LYEstimate:
     d: np.ndarray
 
 
-def risk_set_mean(ds: SurvivalDataset, u: float) -> np.ndarray:
-    """Covariate mean over subjects still at risk at time u (t_i >= u)."""
-    mask = ds.times >= float(u)
-    if not np.any(mask):
-        raise EmptyRiskSet(f"no subject at risk at time {u!r}")
-    return ds.covariates[mask].mean(axis=0)
-
-
-def compute_statistics(
-    ds: SurvivalDataset, *, v3_all_observations: bool = False
-) -> LYStatistics:
+def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     """Exact V1, V2, V3 via suffix sums over the sorted observation times."""
     n = ds.n
     order = np.argsort(ds.times, kind="stable")
@@ -94,11 +81,9 @@ def compute_statistics(
     scatter = sum_zz - counts[:, None, None] * (zbar[:, :, None] * zbar[:, None, :])
     v2 = np.tensordot(lengths, scatter, axes=(0, 0)) / n
 
-    centered = z - zbar[inv]
-    events_sorted = ds.events[order]
-    v1 = centered[events_sorted].sum(axis=0) / n
-    rows = centered if v3_all_observations else centered[events_sorted]
-    v3 = rows.T @ rows / n
+    resid = (z - zbar[inv])[ds.events[order]]  # event rows, centered
+    v1 = resid.sum(axis=0) / n
+    v3 = resid.T @ resid / n
 
     v2 = (v2 + v2.T) / 2.0
     v3 = (v3 + v3.T) / 2.0

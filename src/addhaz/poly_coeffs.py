@@ -5,10 +5,9 @@ local baseline level a:
 
     prod_{i=1}^{N} (a + b_i) = sum_{k=0}^{N} d_k a^k,   b_i = beta'z_i >= 0.
 
-Coefficients grow combinatorially, so they are held as log magnitudes with
-an explicit sign channel; a zero coefficient is the pair (-inf, 0).  With
-nonnegative b_i every coefficient stays nonnegative, so multiplying in one
-more factor only needs log-add-exp:
+Coefficients grow combinatorially, so they are held as log values.  With
+nonnegative b_i every coefficient is nonnegative, so a zero coefficient is
+simply -inf and multiplying in one more factor only needs log-add-exp:
 
     d_0   <- d_0 * b
     d_k   <- d_{k-1} + d_k * b     (1 <= k <= N)
@@ -23,31 +22,21 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "PolyCoefficients",
-    "poly_init",
-    "poly_multiply_in",
-    "poly_eval_log",
-    "poly_from_factors",
-]
+__all__ = ["PolyCoefficients", "poly_eval_log", "poly_from_factors"]
 
 
 @dataclass(frozen=True)
 class PolyCoefficients:
-    """Coefficients d_0..d_degree as (log|d_k|, sign_k) pairs."""
+    """Coefficients d_0..d_degree as log d_k (-inf for a zero coefficient)."""
 
     log_abs: np.ndarray
-    signs: np.ndarray
 
     def __post_init__(self):
         log_abs = np.asarray(self.log_abs, dtype=float)
-        signs = np.asarray(self.signs, dtype=np.int8)
-        if log_abs.ndim != 1 or signs.shape != log_abs.shape or log_abs.size == 0:
-            raise ValueError("log_abs and signs must be matching 1-d arrays")
+        if log_abs.ndim != 1 or log_abs.size == 0:
+            raise ValueError("log_abs must be a non-empty 1-d array")
         log_abs.setflags(write=False)
-        signs.setflags(write=False)
         object.__setattr__(self, "log_abs", log_abs)
-        object.__setattr__(self, "signs", signs)
 
     @property
     def degree(self) -> int:
@@ -55,37 +44,24 @@ class PolyCoefficients:
 
     def coefficients(self) -> np.ndarray:
         """Plain-float coefficients; overflows to inf for extreme magnitudes."""
-        return self.signs * np.exp(self.log_abs)
-
-
-def poly_init() -> PolyCoefficients:
-    """The empty product: the constant polynomial 1."""
-    return PolyCoefficients(np.zeros(1), np.ones(1, dtype=np.int8))
-
-
-def poly_multiply_in(poly: PolyCoefficients, b: float) -> PolyCoefficients:
-    """Multiply the stored polynomial by one factor (a + b) with b >= 0."""
-    b = float(b)
-    if not (b >= 0.0) or math.isinf(b):
-        raise ValueError("factor offset b must be finite and >= 0")
-    log_b = math.log(b) if b > 0.0 else -math.inf
-    old = poly.log_abs
-    deg = poly.degree
-    new = np.empty(deg + 2)
-    new[0] = old[0] + log_b
-    # shifted copy contributes d_{k-1}; scaled copy contributes d_k * b
-    new[1 : deg + 1] = np.logaddexp(old[:deg], old[1:] + log_b)
-    new[deg + 1] = old[deg]
-    signs = np.where(new > -math.inf, 1, 0).astype(np.int8)
-    return PolyCoefficients(new, signs)
+        return np.exp(self.log_abs)
 
 
 def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
-    """Fold poly_multiply_in over a sequence of factor offsets."""
-    poly = poly_init()
-    for b in offsets:
-        poly = poly_multiply_in(poly, b)
-    return poly
+    """Multiply out prod_i (a + b_i); every offset b_i must be finite and >= 0."""
+    b = np.fromiter(offsets, dtype=float)
+    if not np.all((b >= 0.0) & (b < math.inf)):
+        raise ValueError("factor offsets must be finite and >= 0")
+    # in-place recursion: after deg factors, buf[:deg + 1] holds log d_0..d_deg
+    buf = np.zeros(b.size + 1)
+    for deg, offset in enumerate(b.tolist()):
+        # math.log, not np.log: the vectorized log may differ in the last ulp
+        log_b = math.log(offset) if offset > 0.0 else -math.inf
+        buf[deg + 1] = buf[deg]
+        # shifted copy contributes d_{k-1}; scaled copy contributes d_k * b
+        buf[1 : deg + 1] = np.logaddexp(buf[:deg], buf[1 : deg + 1] + log_b)
+        buf[0] += log_b
+    return PolyCoefficients(buf)
 
 
 def poly_eval_log(poly: PolyCoefficients, a: float) -> float:

@@ -23,7 +23,6 @@ from scipy.stats import norm
 from .data_model import (
     BetaPrior,
     GammaProcessPrior,
-    Observation,
     SurvivalDataset,
     TimeGrid,
     grid_from_quantiles,
@@ -49,12 +48,9 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "draw_event_time",
-    "draw_observation",
     "run_beta_experiment",
     "run_baseline_experiment",
 ]
-
-_COVARIATE_LAWS = ("chi-squared-1",)
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,13 @@ class PiecewiseConstantHazard:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Generator settings for one study."""
+    """Generator settings for one study; covariates are chi-squared(1)."""
 
     n: int
     replicates: int
     beta_true: tuple[float, ...]
     baseline: PiecewiseConstantHazard = PiecewiseConstantHazard((1.0,))
     censor_rate: float = 0.5
-    covariate_law: str = "chi-squared-1"
     seed: int = 0
 
     def __post_init__(self):
@@ -104,8 +99,6 @@ class SimConfig:
             raise NonNegativityViolation("true coefficients must be finite, >= 0")
         if not (float(self.censor_rate) >= 0):
             raise NonNegativityViolation("censor_rate must be >= 0")
-        if self.covariate_law not in _COVARIATE_LAWS:
-            raise ValueError(f"unknown covariate law {self.covariate_law!r}")
         if int(self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "beta_true", beta)
@@ -155,13 +148,9 @@ def draw_event_time(
     return float(_draw_event_times(np.array([offset]), baseline, rng)[0])
 
 
-def _draw_covariates(cfg: SimConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    # chi-squared(1) as the square of a standard normal draw
-    return rng.standard_normal((size, cfg.k)) ** 2
-
-
 def _draw_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
-    z = _draw_covariates(cfg, rng, cfg.n)
+    # chi-squared(1) covariates as squares of standard normal draws
+    z = rng.standard_normal((cfg.n, cfg.k)) ** 2
     offsets = z @ np.asarray(cfg.beta_true)
     event_times = _draw_event_times(offsets, cfg.baseline, rng)
     if cfg.censor_rate > 0:
@@ -173,122 +162,59 @@ def _draw_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     return SurvivalDataset(times, events, z)
 
 
-def draw_observation(cfg: SimConfig, rng: np.random.Generator) -> Observation:
-    """One (time, event, covariates) triplet under the configured laws."""
-    z = _draw_covariates(cfg, rng, 1)[0]
-    event_time = _draw_event_times(
-        np.array([float(z @ np.asarray(cfg.beta_true))]), cfg.baseline, rng
-    )[0]
-    censor_time = (
-        rng.exponential(scale=1.0 / cfg.censor_rate) if cfg.censor_rate > 0 else np.inf
-    )
-    time = min(event_time, censor_time)
-    return Observation(float(time), bool(event_time <= censor_time), tuple(z))
-
-
 def _replicate_rng(cfg: SimConfig, replicate: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, replicate])
 
 
+def _label(value) -> str:
+    return value if isinstance(value, str) else f"{value:.6g}"
+
+
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated study output.
+    """Aggregated study output as one labelled cell table.
 
-    Coefficient studies fill the cell_* blocks (axes: prior mean grid, prior
-    variance grid, covariate index): cell_means holds the Monte Carlo mean
-    of the truncated point estimate, cell_sds the Monte Carlo mean of the
-    width-based sd proxy, cell_mc_sds the empirical sd of the estimate.
-    The ly_* triples describe the flat-path reference estimate.  Baseline
-    studies fill baseline_means / baseline_sds / baseline_post_sds with axes
-    (confidence weight grid, interval index).
+    ``columns`` names the CSV columns; each entry of ``rows`` is a pair
+    (labels, values) of plain Python str/int/float cells.  A coefficient
+    study labels its cells (mu, omega, component) with values (mean
+    estimate, mean sd proxy, Monte Carlo sd of the estimate), plus one
+    ("reference", "flat", component) row per covariate for the flat-path
+    estimate.  A baseline study labels its cells (c, interval) with values
+    (mean increment, Monte Carlo sd of it, mean posterior sd).
     """
 
-    kind: str
     n: int
     replicates: int
     dropped: int
     seed: int
-    mu_grid: tuple[float, ...] = ()
-    omega_grid: tuple[float, ...] = ()
-    cell_means: np.ndarray | None = None
-    cell_sds: np.ndarray | None = None
-    cell_mc_sds: np.ndarray | None = None
-    ly_mean: np.ndarray | None = None
-    ly_sd: np.ndarray | None = None
-    ly_mc_sd: np.ndarray | None = None
-    c_grid: tuple[float, ...] = ()
-    baseline_means: np.ndarray | None = None
-    baseline_sds: np.ndarray | None = None
-    baseline_post_sds: np.ndarray | None = None
+    columns: tuple[str, ...]
+    rows: tuple[tuple[tuple, tuple], ...]
 
     def to_csv_text(self) -> str:
         """Full-precision CSV, one row per report cell."""
-        lines = []
-        if self.kind == "beta":
+        lines = [",".join(self.columns)]
+        for labels, values in self.rows:
             lines.append(
-                "mu,omega,component,mean_estimate,mean_sigma_hat,mc_sd_estimate"
+                ",".join(v if isinstance(v, str) else repr(v) for v in labels + values)
             )
-            for i, mu in enumerate(self.mu_grid):
-                for j, om in enumerate(self.omega_grid):
-                    for comp in range(self.cell_means.shape[2]):
-                        lines.append(
-                            f"{mu!r},{om!r},{comp + 1},"
-                            f"{float(self.cell_means[i, j, comp])!r},"
-                            f"{float(self.cell_sds[i, j, comp])!r},"
-                            f"{float(self.cell_mc_sds[i, j, comp])!r}"
-                        )
-            for comp in range(self.ly_mean.size):
-                lines.append(
-                    f"reference,flat,{comp + 1},{float(self.ly_mean[comp])!r},"
-                    f"{float(self.ly_sd[comp])!r},{float(self.ly_mc_sd[comp])!r}"
-                )
-        else:
-            lines.append("c,interval,mean_increment,mc_sd_increment,mean_posterior_sd")
-            for i, c in enumerate(self.c_grid):
-                for j in range(self.baseline_means.shape[1]):
-                    lines.append(
-                        f"{c!r},{j + 1},{float(self.baseline_means[i, j])!r},"
-                        f"{float(self.baseline_sds[i, j])!r},"
-                        f"{float(self.baseline_post_sds[i, j])!r}"
-                    )
         return "\n".join(lines) + "\n"
 
     def to_table_text(self) -> str:
-        """Aligned text table, 6 significant digits."""
-        if self.kind == "beta":
-            comp = 0
-            header = ["mu \\ omega"] + [f"{om:.6g}" for om in self.omega_grid]
-            rows = [header]
-            for i, mu in enumerate(self.mu_grid):
-                row = [f"{mu:.6g}"]
-                for j in range(len(self.omega_grid)):
-                    row.append(
-                        f"{self.cell_means[i, j, comp]:.6g}"
-                        f" ({self.cell_sds[i, j, comp]:.6g})"
-                    )
-                rows.append(row)
-            rows.append(
-                ["flat ref"]
-                + [f"{self.ly_mean[comp]:.6g} ({self.ly_sd[comp]:.6g})"]
-                + [""] * (len(self.omega_grid) - 1)
-            )
-        else:
-            header = ["c \\ interval"] + [
-                str(j + 1) for j in range(self.baseline_means.shape[1])
-            ]
-            rows = [header]
-            for i, c in enumerate(self.c_grid):
-                row = [f"{c:.6g}"]
-                for j in range(self.baseline_means.shape[1]):
-                    row.append(
-                        f"{self.baseline_means[i, j]:.6g}"
-                        f" ({self.baseline_sds[i, j]:.6g})"
-                    )
-                rows.append(row)
-        widths = [
-            max(len(r[col]) for r in rows if col < len(r))
-            for col in range(max(len(r) for r in rows))
-        ]
+        """Aligned text table, 6 significant digits.
+
+        The first label runs down, the second across, and each cell reads
+        "mean (sd)" from the first two values; the first row seen for a
+        pair of labels wins, so a coefficient study shows component 1.
+        """
+        down, across, cells = {}, {}, {}
+        for labels, values in self.rows:
+            down.setdefault(labels[0])
+            across.setdefault(labels[1])
+            cells.setdefault(labels[:2], f"{values[0]:.6g} ({values[1]:.6g})")
+        rows = [[f"{self.columns[0]} \\ {self.columns[1]}"] + [_label(b) for b in across]]
+        for a in down:
+            rows.append([_label(a)] + [cells.get((a, b), "") for b in across])
+        widths = [max(len(r[col]) for r in rows) for col in range(len(rows[0]))]
         out = []
         for r in rows:
             out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -335,15 +261,13 @@ def run_beta_experiment(
     if any(om <= 0 for om in omega_grid):
         raise NonNegativityViolation("prior variances must be > 0")
     m_all, d_all, dropped = _collect_ly_replicates(cfg)
-    kept = m_all.shape[0]
     k = cfg.k
     d_inv = np.linalg.inv(d_all)  # (kept, k, k); SPD by construction
     d_inv_m = np.einsum("rij,rj->ri", d_inv, m_all)
     ses = np.sqrt(np.diagonal(d_all, axis1=1, axis2=2))
 
-    cell_means = np.empty((len(mu_grid), len(omega_grid), k))
-    cell_sds = np.empty_like(cell_means)
-    cell_mc_sds = np.empty_like(cell_means)
+    # per cell and component: mean estimate, mean sd proxy, Monte Carlo sd
+    stats = np.empty((len(mu_grid), len(omega_grid), k, 3))
     eye = np.eye(k)
     z_cov = float(norm.ppf(0.5 + coverage / 2.0))
     for j, om in enumerate(omega_grid):
@@ -355,25 +279,31 @@ def run_beta_experiment(
             rhs = d_inv_m + c_inv @ np.full(k, mu)
             post_mean = np.einsum("rij,rj->ri", post_cov, rhs)
             estimates = np.maximum(post_mean, 0.0)
-            cell_means[i, j] = estimates.mean(axis=0)
-            cell_mc_sds[i, j] = estimates.std(axis=0, ddof=1)
+            stats[i, j, :, 0] = estimates.mean(axis=0)
+            stats[i, j, :, 2] = estimates.std(axis=0, ddof=1)
             for comp in range(k):
                 lo, up = _hpd_bulk(post_mean[:, comp], post_sd[:, comp], coverage)
-                cell_sds[i, j, comp] = float(np.mean((up - lo) / (2.0 * z_cov)))
+                stats[i, j, comp, 1] = np.mean((up - lo) / (2.0 * z_cov))
+    reference = np.stack(
+        [m_all.mean(axis=0), ses.mean(axis=0), m_all.std(axis=0, ddof=1)], axis=1
+    )
+    rows = [
+        ((mu, om, comp + 1), tuple(stats[i, j, comp].tolist()))
+        for i, mu in enumerate(mu_grid)
+        for j, om in enumerate(omega_grid)
+        for comp in range(k)
+    ]
+    rows += [
+        (("reference", "flat", comp + 1), tuple(reference[comp].tolist()))
+        for comp in range(k)
+    ]
     return SimReport(
-        kind="beta",
         n=cfg.n,
         replicates=cfg.replicates,
         dropped=dropped,
         seed=cfg.seed,
-        mu_grid=mu_grid,
-        omega_grid=omega_grid,
-        cell_means=cell_means,
-        cell_sds=cell_sds,
-        cell_mc_sds=cell_mc_sds,
-        ly_mean=m_all.mean(axis=0),
-        ly_sd=ses.mean(axis=0),
-        ly_mc_sd=m_all.std(axis=0, ddof=1),
+        columns=("mu", "omega", "component", "mean_estimate", "mean_sigma_hat", "mc_sd_estimate"),
+        rows=tuple(rows),
     )
 
 
@@ -462,15 +392,19 @@ def run_baseline_experiment(
             f"{dropped} of {cfg.replicates} replicates dropped"
         )
     means = means[keep]
-    post_vars = post_vars[keep]
+    stats = np.stack(
+        [means.mean(axis=0), means.std(axis=0, ddof=1), np.sqrt(post_vars[keep]).mean(axis=0)],
+        axis=-1,
+    )
     return SimReport(
-        kind="baseline",
         n=cfg.n,
         replicates=cfg.replicates,
         dropped=dropped,
         seed=cfg.seed,
-        c_grid=c_grid,
-        baseline_means=means.mean(axis=0),
-        baseline_sds=means.std(axis=0, ddof=1),
-        baseline_post_sds=np.sqrt(post_vars).mean(axis=0),
+        columns=("c", "interval", "mean_increment", "mc_sd_increment", "mean_posterior_sd"),
+        rows=tuple(
+            ((c, j + 1), tuple(stats[ic, j].tolist()))
+            for ic, c in enumerate(c_grid)
+            for j in range(n_intervals)
+        ),
     )

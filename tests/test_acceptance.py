@@ -23,7 +23,6 @@ from addhaz.baseline_posterior import (
     event_offsets_by_interval,
     increment_posterior,
     interval_summaries,
-    remark2_check,
 )
 from addhaz.data_model import BetaPrior, GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.hybrid_beta import (
@@ -54,8 +53,7 @@ def test_criterion_01_flat_prior_cell_at_n500():
     cfg = SimConfig(n=500, replicates=1000, beta_true=(0.5,), seed=MC_SEED)
     report = run_beta_experiment(cfg, (0.5,), (1000.0,))
     elapsed = time.perf_counter() - start
-    mean = float(report.cell_means[0, 0, 0])
-    sd = float(report.cell_sds[0, 0, 0])
+    mean, sd, _ = dict(report.rows)[(0.5, 1000.0, 1)]
     assert elapsed < 120.0
     assert 0.51 - 0.02 < mean < 0.51 + 0.02
     assert 0.104 - 0.015 < sd < 0.104 + 0.015
@@ -67,7 +65,7 @@ def test_criterion_02_strong_prior_pulls_estimate():
     # mean to 3.99 +- 0.05
     cfg = SimConfig(n=100, replicates=1000, beta_true=(0.5,), seed=0)
     report = run_beta_experiment(cfg, (10.0,), (0.1,))
-    mean = float(report.cell_means[0, 0, 0])
+    mean = dict(report.rows)[(10.0, 0.1, 1)][0]
     assert 3.99 - 0.05 < mean < 3.99 + 0.05
     print(f"CRITERION 2: PASS (mean {mean:.4f})")
 
@@ -81,7 +79,7 @@ def test_criterion_03_baseline_increment_recovery_at_n500():
     report = run_baseline_experiment(
         cfg, (0.1,), (5.0, 1.0, 0.3, 0.01), grid=grid
     )
-    first = float(report.baseline_means[0, 0])
+    first = dict(report.rows)[(0.1, 1)][0]
     assert 0.126 - 0.01 < first < 0.126 + 0.01
     print(f"CRITERION 3: PASS (interval-1 mean {first:.4f})")
 
@@ -258,7 +256,7 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
         mean_a = increment_posterior(summary, poly, prior_a).mean
         mean_b = increment_posterior(summary, poly, prior_b).mean
         assert mean_a == pytest.approx(mean_b, rel=1e-6)
-        assert remark2_check(summary, poly, prior_a, prior_b)
+        assert abs(mean_a - mean_b) < 1e-6 * max(abs(mean_a), abs(mean_b))
     print("CRITERION 8: PASS")
 
 

@@ -1,7 +1,9 @@
 """End-to-end command line checks: outputs, config precedence, exit codes."""
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,14 @@ def write_dataset(path, n=60, seed=9, k=2):
     ds = _draw_dataset(cfg, _replicate_rng(cfg, 0))
     dataio.write_dataset_csv(ds, path)
     return ds
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def read_cells(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
 
 
 def error_record(err):
@@ -176,6 +186,40 @@ def test_cohort_transform_loading(tmp_path, capsys):
     low.write_text("time,event,AFE,YFE,EXP\n1.0,1,9,1925,1\n")
     code, _, err = run(capsys, ["fit", "--input", str(low), "--cohort-transform"])
     assert code == 21
+
+
+def test_cohort_row_with_extra_field_rejected(tmp_path, capsys):
+    # a cohort row longer than the header is malformed, as in plain files
+    extra = tmp_path / "extra.csv"
+    extra.write_text("time,event,AFE,YFE,EXP\n1.0,1,20,1925,1\n2.0,1,30,1935,0,7\n")
+    code, _, err = run(capsys, ["fit", "--input", str(extra), "--cohort-transform"])
+    assert code == 21
+    record = error_record(err)
+    assert record["error"] == "DatasetFormatError"
+    assert record["message"].startswith("row 3:")
+
+
+@pytest.mark.parametrize("preset", ["table1", "table2", "table3", "table4"])
+def test_preset_cells_match_golden_file(tmp_path, capsys, preset):
+    # tests/data/<preset>_cells.csv holds cells.csv from --seed 7
+    # --replicates 20; numeric cells compare at rtol 1e-12 so that other
+    # BLAS builds still pass
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--preset", preset, "--seed", "7", "--replicates", "20"]
+    code, _, err = run(capsys, argv + ["--out", str(out_dir)])
+    assert code == 0 and err == ""
+    got = read_cells(out_dir / "cells.csv")
+    want = read_cells(GOLDEN / f"{preset}_cells.csv")
+    assert got[0] == want[0]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for a, b in zip(got_row, want_row):
+            try:
+                expected = float(b)
+            except ValueError:
+                assert a == b
+                continue
+            assert float(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_hpd_command_json(capsys):

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from addhaz import dataio
+from addhaz.baseline_posterior import interval_summaries
 from addhaz.data_model import (
     BetaPrior,
     FitResult,
     GammaProcessPrior,
-    Observation,
     SurvivalDataset,
     TimeGrid,
     grid_from_quantiles,
-    interval_index,
-    validate_dataset,
 )
 from addhaz.errors import (
     DegenerateGrid,
@@ -25,12 +23,17 @@ from addhaz.errors import (
     OutOfRange,
     SingularCovariance,
 )
+from oracles import validate_dataset
 
 
 def test_minimal_valid_dataset():
     ds = validate_dataset([(1.0, True, [0.5])])
     assert ds.n == 1 and ds.k == 1 and ds.n_events == 1
-    assert ds.observations == (Observation(1.0, True, (0.5,)),)
+    assert (ds.times.tolist(), ds.events.tolist(), ds.covariates.tolist()) == (
+        [1.0],
+        [True],
+        [[0.5]],
+    )
 
 
 def test_negative_covariate_rejected():
@@ -56,6 +59,10 @@ def test_all_censored_rejected():
 def test_ragged_covariates_rejected():
     with pytest.raises(DimensionMismatch):
         validate_dataset([(1.0, True, [0.5, 1.0]), (2.0, True, [0.3])])
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0, 2.0], [True, True], [[0.5]])
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0], [True], [0.5])
 
 
 def test_nonfinite_values_rejected():
@@ -145,23 +152,31 @@ def test_time_grid_validation():
         TimeGrid((), 0.0)
 
 
+def interval_of(grid, t):
+    """1-based interval that interval_summaries counts a lone time in, or
+    None when it counts it inside no interval."""
+    ds = SurvivalDataset([t], [True], [[1.0]])
+    inside = [s.n_inside for s in interval_summaries(ds, grid)]
+    return inside.index(1) + 1 if 1 in inside else None
+
+
 def test_interval_index_conventions():
     grid = TimeGrid((1.0, 2.0), 3.0)
-    assert interval_index(grid, 1.5) == 2
-    assert interval_index(grid, 1.0) == 1  # boundary goes left
-    assert interval_index(grid, 2.0) == 2
-    assert interval_index(grid, 0.0) == 1
-    assert interval_index(grid, 3.0) == 3
-    with pytest.raises(OutOfRange):
-        interval_index(grid, 3.5)
-    with pytest.raises(OutOfRange):
-        interval_index(grid, -0.1)
+    assert interval_of(grid, 1.5) == 2
+    assert interval_of(grid, 1.0) == 1  # boundary goes left
+    assert interval_of(grid, 2.0) == 2
+    assert interval_of(grid, 0.0) == 1
+    assert interval_of(grid, 3.0) == 3
+    # beyond t_final a time stays at risk but falls inside no interval
+    assert interval_of(grid, 3.5) is None
+    with pytest.raises(NonNegativityViolation):
+        interval_of(grid, -0.1)
 
 
 def test_interval_index_monotone():
     grid = TimeGrid((0.5, 1.1, 2.0), 4.0)
     ts = np.linspace(0.0, 4.0, 101)
-    idx = [interval_index(grid, t) for t in ts]
+    idx = [interval_of(grid, t) for t in ts]
     assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 

@@ -64,7 +64,6 @@ def test_equal_precision_average():
     pp = pseudo_posterior(scalar_estimate(1.0, 1.0), BetaPrior.isotropic(0.0, 1.0, 1))
     np.testing.assert_allclose(pp.mean, [0.5])
     np.testing.assert_allclose(pp.cov, [[0.5]])
-    assert pp.truncated_at_zero
 
 
 def test_diagonal_combination_and_density_maximum():

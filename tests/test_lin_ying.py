@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from addhaz.data_model import SurvivalDataset
-from addhaz.errors import EmptyRiskSet, SingularDesign
-from addhaz.lin_ying import (
-    LYStatistics,
-    compute_statistics,
-    ly_solve,
-    risk_set_mean,
-)
+from addhaz.errors import SingularDesign
+from addhaz.lin_ying import LYStatistics, compute_statistics, ly_solve
 
 
 def brute_force_statistics(ds, events_only_v3=True):
@@ -76,22 +71,30 @@ def random_dataset(rng, n, k, censor=0.3):
 
 
 def test_risk_set_mean_single_point():
+    # a lone subject is its own risk set, so every residual vanishes
     ds = SurvivalDataset([2.0], [True], [[3.0]])
-    np.testing.assert_allclose(risk_set_mean(ds, 1.0), [3.0])
+    stats = compute_statistics(ds)
+    for v in (stats.v1, stats.v2, stats.v3):
+        np.testing.assert_array_equal(v, 0.0)
 
 
 def test_risk_set_mean_two_points():
+    # risk-set means: 2 on (0, 1] and 3 on (1, 2]; a subject whose time
+    # equals u stays in the risk set, so z_bar(1) = 2 and z_bar(2) = 3
     ds = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [3.0]])
-    np.testing.assert_allclose(risk_set_mean(ds, 1.5), [3.0])
-    np.testing.assert_allclose(risk_set_mean(ds, 0.5), [2.0])
-    # a subject whose time equals u stays in the risk set
-    np.testing.assert_allclose(risk_set_mean(ds, 2.0), [3.0])
+    stats = compute_statistics(ds)
+    np.testing.assert_allclose(stats.v1, [((1.0 - 2.0) + (3.0 - 3.0)) / 2])
+    np.testing.assert_allclose(stats.v2, [[(1.0 + 1.0 + 0.0) / 2]])
+    np.testing.assert_allclose(stats.v3, [[((1.0 - 2.0) ** 2 + 0.0) / 2]])
 
 
 def test_risk_set_empty_beyond_largest_time():
-    ds = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [3.0]])
-    with pytest.raises(EmptyRiskSet):
-        risk_set_mean(ds, 2.5)
+    # past the last time nobody is at risk, and a lone last survivor adds
+    # nothing, so pushing the largest time out leaves the statistics alone
+    near = compute_statistics(SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [3.0]]))
+    far = compute_statistics(SurvivalDataset([1.0, 9.0], [True, True], [[1.0], [3.0]]))
+    for a, b in ((near.v1, far.v1), (near.v2, far.v2), (near.v3, far.v3)):
+        np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
 def test_identical_covariates_zero_statistics():
@@ -206,18 +209,19 @@ def test_sandwich_matrix_symmetric_psd():
 
 
 def test_v3_variants_coincide_without_censoring():
+    # with every subject an event, the events-only V3 is the all-rows sum
     rng = np.random.default_rng(10)
     ds = random_dataset(rng, 25, 2, censor=0.0)
     a = compute_statistics(ds)
-    b = compute_statistics(ds, v3_all_observations=True)
-    np.testing.assert_allclose(a.v3, b.v3, rtol=1e-14)
+    _, _, v3_all = brute_force_statistics(ds, events_only_v3=False)
+    np.testing.assert_allclose(a.v3, v3_all, rtol=1e-12)
 
 
 def test_v3_variants_differ_under_censoring():
     rng = np.random.default_rng(12)
     ds = random_dataset(rng, 40, 1, censor=0.5)
     a = compute_statistics(ds)
-    b = compute_statistics(ds, v3_all_observations=True)
-    v1, v2, v3_all = brute_force_statistics(ds, events_only_v3=False)
-    assert not np.allclose(a.v3, b.v3)
-    np.testing.assert_allclose(b.v3, v3_all, rtol=1e-10)
+    _, _, v3_events = brute_force_statistics(ds)
+    _, _, v3_all = brute_force_statistics(ds, events_only_v3=False)
+    assert not np.allclose(a.v3, v3_all)
+    np.testing.assert_allclose(a.v3, v3_events, rtol=1e-10)

@@ -14,7 +14,8 @@ from addhaz.simulate import (
     PiecewiseConstantHazard,
     SimConfig,
     draw_event_time,
-    draw_observation,
+    _draw_dataset,
+    _replicate_rng,
     run_baseline_experiment,
     run_beta_experiment,
 )
@@ -85,18 +86,14 @@ def test_event_time_input_validation():
 
 
 def test_zero_censor_rate_keeps_every_event():
-    cfg = config(censor_rate=0.0)
-    rng = np.random.default_rng(1)
-    obs = [draw_observation(cfg, rng) for _ in range(200)]
-    assert all(o.event for o in obs)
+    ds = _draw_dataset(config(n=200, censor_rate=0.0), np.random.default_rng(1))
+    assert ds.events.all()
 
 
 def test_censoring_fraction_frozen_regression():
     # regression value from this generator's first large run; the event
     # fraction at the standard setup is ~0.728
     cfg = config(n=100_000, replicates=1, seed=123)
-    from addhaz.simulate import _draw_dataset, _replicate_rng
-
     ds = _draw_dataset(cfg, _replicate_rng(cfg, 0))
     assert ds.events.mean() == pytest.approx(0.728200, abs=1e-6)
     # stability across a different seed, looser band
@@ -109,7 +106,7 @@ def test_seeded_runs_are_bit_identical():
     a = run_beta_experiment(cfg, (0.0, 0.5), (0.1, 1000.0))
     b = run_beta_experiment(cfg, (0.0, 0.5), (0.1, 1000.0))
     assert a.to_csv_text() == b.to_csv_text()
-    np.testing.assert_array_equal(a.cell_means, b.cell_means)
+    assert a.rows == b.rows
 
     grid = TimeGrid((0.125, 0.3, 0.6), 1.15)
     c = run_baseline_experiment(cfg, (1.0,), (5.0, 1.0, 0.3, 0.01), grid=grid)
@@ -128,8 +125,9 @@ def test_replicates_use_independent_substreams():
     # means differ (different replicate counts) but determinism of the
     # shared prefix shows through rerunning the small config
     c = run_beta_experiment(cfg_small, (0.5,), (1e6,))
-    np.testing.assert_array_equal(a.ly_mean, c.ly_mean)
-    assert not np.array_equal(a.ly_mean, b.ly_mean)
+    ref = ("reference", "flat", 1)
+    assert dict(a.rows)[ref] == dict(c.rows)[ref]
+    assert dict(a.rows)[ref] != dict(b.rows)[ref]
 
 
 def test_flat_prior_cells_match_reference_column():
@@ -137,28 +135,33 @@ def test_flat_prior_cells_match_reference_column():
     report = run_beta_experiment(cfg, (0.0, 10.0), (1e6,))
     # with omega = 1e6 the prior mean is irrelevant and every cell
     # reproduces the unpenalized estimates
-    for i in range(2):
-        assert abs(report.cell_means[i, 0, 0] - report.ly_mean[0]) < 1e-4
-        assert abs(report.cell_mc_sds[i, 0, 0] - report.ly_mc_sd[0]) < 1e-4
+    cells = dict(report.rows)
+    ly_mean, _, ly_mc_sd = cells[("reference", "flat", 1)]
+    for mu in (0.0, 10.0):
+        mean, _, mc_sd = cells[(mu, 1e6, 1)]
+        assert abs(mean - ly_mean) < 1e-4
+        assert abs(mc_sd - ly_mc_sd) < 1e-4
 
 
 def test_beta_study_grid_shapes_and_csv():
     cfg = config(replicates=5, n=60)
     report = run_beta_experiment(cfg, (0.0, 0.5, 1.0), (0.1, 1.0))
-    assert report.cell_means.shape == (3, 2, 1)
-    assert report.cell_sds.shape == (3, 2, 1)
-    assert report.kind == "beta"
+    assert [labels for labels, _ in report.rows] == [
+        (mu, om, 1) for mu in (0.0, 0.5, 1.0) for om in (0.1, 1.0)
+    ] + [("reference", "flat", 1)]
+    assert all(len(values) == 3 for _, values in report.rows)
+    assert report.columns[0] == "mu"
     csv = report.to_csv_text()
     assert csv.count("\n") == 3 * 2 + 1 + 1  # cells + reference row + header
     table = report.to_table_text()
     assert "mu \\ omega" in table
     # every numeric field must be plain digits that float() accepts, and the
-    # mean column must round-trip the array value exactly
+    # mean column must round-trip the stored value exactly
     rows = [line.split(",") for line in csv.strip().splitlines()[1:]]
     for row in rows[:-1]:
         assert all(float(field) is not None for field in row)
-    assert float(rows[0][3]) == report.cell_means[0, 0, 0]
-    assert float(rows[-1][3]) == report.ly_mean[0]
+    assert float(rows[0][3]) == report.rows[0][1][0]
+    assert float(rows[-1][3]) == report.rows[-1][1][0]
 
 
 def test_baseline_study_prior_to_data_ordering():
@@ -167,17 +170,18 @@ def test_baseline_study_prior_to_data_ordering():
     report = run_baseline_experiment(
         cfg, (10.0, 1.0, 0.1), (5.0, 1.0, 0.3, 0.01), grid=grid
     )
-    first = report.baseline_means[:, 0]
+    cells = dict(report.rows)
+    first = [cells[(c, 1)][0] for c in (10.0, 1.0, 0.1)]
     # interval 1: prior shape 5 vs true increment 0.125; the estimate must
     # march from prior-dominated down toward the data value as c shrinks
     assert first[0] > first[1] > first[2]
-    assert report.baseline_means.shape == (3, 4)
-    assert np.all(report.baseline_sds >= 0)
+    assert list(cells) == [(c, j) for c in (10.0, 1.0, 0.1) for j in (1, 2, 3, 4)]
+    assert all(sd >= 0 for _, sd, _ in cells.values())
     rows = [line.split(",") for line in report.to_csv_text().strip().splitlines()[1:]]
     assert len(rows) == 3 * 4
     for row in rows:
         assert all(float(field) is not None for field in row)
-    assert float(rows[0][2]) == report.baseline_means[0, 0]
+    assert float(rows[0][2]) == cells[(10.0, 1)][0]
 
 
 def test_baseline_sd_grows_with_interval_index():
@@ -189,15 +193,17 @@ def test_baseline_sd_grows_with_interval_index():
     report = run_baseline_experiment(
         cfg, (10.0, 1.0, 0.1), (5.0, 1.0, 0.3, 0.01), grid=grid
     )
-    for row in report.baseline_sds:
-        assert all(a < b for a, b in zip(row, row[1:]))
+    cells = dict(report.rows)
+    for c in (10.0, 1.0, 0.1):
+        sds = [cells[(c, j)][1] for j in (1, 2, 3, 4)]
+        assert all(a < b for a, b in zip(sds, sds[1:]))
 
 
 def test_baseline_quantile_grid_path():
     cfg = config(n=120, replicates=12, seed=4)
     report = run_baseline_experiment(cfg, (1.0,), (5.0, 1.0, 0.3, 0.01))
-    assert report.baseline_means.shape == (1, 4)
-    assert np.all(report.baseline_means > 0)
+    assert [labels for labels, _ in report.rows] == [(1.0, j) for j in (1, 2, 3, 4)]
+    assert all(values[0] > 0 for _, values in report.rows)
 
 
 def test_excessive_drops_abort():
@@ -215,8 +221,6 @@ def test_config_validation():
         config(beta_true=(-0.5,))
     with pytest.raises(NonNegativityViolation):
         config(censor_rate=-1.0)
-    with pytest.raises(ValueError):
-        config(covariate_law="uniform")
     with pytest.raises(ValueError):
         config(seed=-3)
 
