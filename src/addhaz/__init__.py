@@ -24,7 +24,9 @@ from .poly_coeffs import PolyCoefficients, poly_eval_log, poly_from_factors
 from .baseline_posterior import (
     IntervalSummary,
     event_offsets_by_interval,
+    increment_moments,
     increment_posterior,
+    increment_posteriors,
     interval_summaries,
 )
 from .simulate import (
@@ -65,7 +67,9 @@ __all__ = [
     "fit",
     "grid_from_quantiles",
     "hpd_interval",
+    "increment_moments",
     "increment_posterior",
+    "increment_posteriors",
     "interval_summaries",
     "ly_solve",
     "poly_eval_log",

@@ -50,9 +50,14 @@ class SurvivalDataset:
     __slots__ = ("times", "events", "covariates")
 
     def __init__(self, times, events, covariates, *, allow_signed=False):
-        times = np.asarray(times, dtype=float)
-        events = np.asarray(events, dtype=bool)
-        covariates = np.asarray(covariates, dtype=float)
+        try:
+            times = np.asarray(times, dtype=float)
+            events = np.asarray(events, dtype=bool)
+            covariates = np.asarray(covariates, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows, non-numeric cells
+            raise DimensionMismatch(
+                f"times, events and covariates must be rectangular numeric arrays: {exc}"
+            ) from None
         if covariates.ndim != 2:
             raise DimensionMismatch("covariates must form a 2-d array")
         n = times.shape[0]
@@ -286,7 +291,10 @@ class BaselineIncrementPosterior:
 
     The posterior of the increment over interval j is a finite mixture whose
     component k is Gamma(shape_offsets[k], rate) with normalized mixing
-    weights exp(log_weights).
+    weights exp(log_weights).  Empty log_weights and shape_offsets mean the
+    mixture was not built: the interval had more events than
+    baseline_posterior.EXACT_MAX_FACTORS, and mean and variance come from
+    quadrature of the same posterior density.
     """
 
     interval: int

@@ -8,7 +8,7 @@ import numpy as np
 
 from .baseline_posterior import (
     event_offsets_by_interval,
-    increment_posterior,
+    increment_posteriors,
     interval_summaries,
 )
 from .data_model import (
@@ -21,7 +21,6 @@ from .data_model import (
 )
 from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import compute_statistics, ly_solve
-from .poly_coeffs import poly_from_factors
 
 __all__ = ["fit"]
 
@@ -65,10 +64,7 @@ def fit(
             gamma_prior = GammaProcessPrior(grid.boundaries, DEFAULT_GAMMA_C)
         summaries = interval_summaries(ds, grid)
         offsets = event_offsets_by_interval(ds, grid, beta_hat)
-        baseline = tuple(
-            increment_posterior(summaries[j], poly_from_factors(offsets[j]), gamma_prior)
-            for j in range(grid.m)
-        )
+        (baseline,) = increment_posteriors(summaries, offsets, [gamma_prior])
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

@@ -29,7 +29,7 @@ from .data_model import (
 )
 from .baseline_posterior import (
     event_offsets_by_interval,
-    increment_posterior,
+    increment_posteriors,
     interval_summaries,
 )
 from .errors import (
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .hybrid_beta import _hpd_bulk, beta_mode, pseudo_posterior
 from .lin_ying import compute_statistics, ly_solve
-from .poly_coeffs import poly_from_factors
 
 __all__ = [
     "PiecewiseConstantHazard",
@@ -376,16 +375,16 @@ def run_baseline_experiment(
             continue
         summaries = interval_summaries(ds, rep_grid)
         offsets = event_offsets_by_interval(ds, rep_grid, bhat)
-        polys = [poly_from_factors(offsets[j]) for j in range(n_intervals)]
         trailing = [0.0] * (rep_grid.m - n_intervals)
-        for ic, c in enumerate(c_grid):
-            prior = GammaProcessPrior.from_increments(
-                list(alpha_increments) + trailing, c
-            )
-            for j in range(n_intervals):
-                post = increment_posterior(summaries[j], polys[j], prior)
-                means[r, ic, j] = post.mean
-                post_vars[r, ic, j] = post.variance
+        priors = [
+            GammaProcessPrior.from_increments(list(alpha_increments) + trailing, c)
+            for c in c_grid
+        ]
+        posts = increment_posteriors(
+            summaries[:n_intervals], offsets[:n_intervals], priors
+        )
+        means[r] = [[post.mean for post in row] for row in posts]
+        post_vars[r] = [[post.variance for post in row] for row in posts]
         keep[r] = True
     if dropped > 0.01 * cfg.replicates:
         raise ExcessiveReplicateDrops(

@@ -65,6 +65,16 @@ def test_ragged_covariates_rejected():
         SurvivalDataset([1.0], [True], [0.5])
 
 
+def test_ragged_rows_raise_typed_error():
+    # numpy itself raises a bare ValueError for inhomogeneous rows
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0, 2.0], [True, True], [[0.5, 1.0], [0.3]])
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0, [2.0, 3.0]], [True, True], [[0.5], [0.3]])
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0, 2.0], [True, [True, False]], [[0.5], [0.3]])
+
+
 def test_nonfinite_values_rejected():
     with pytest.raises(OutOfRange):
         validate_dataset([(math.inf, True, [0.5])])
