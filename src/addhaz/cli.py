@@ -37,7 +37,7 @@ from .errors import (
     SingularCovariance,
     SingularDesign,
 )
-from .hybrid_beta import HpdInterval, sigma_hat, significance_flag, _hpd_bulk
+from .hybrid_beta import PseudoPosterior, hpd_interval, sigma_hat, significance_flag
 from .simulate import PiecewiseConstantHazard, SimConfig, run_baseline_experiment, run_beta_experiment
 
 EXIT_CODES = {
@@ -147,12 +147,7 @@ def _resolve_grid(args, config, ds):
 def _resolve_beta_prior(args, config, k: int) -> BetaPrior:
     mu = _setting(args, config, "prior_mu", _float_list, (1.0,))
     omega = _setting(args, config, "prior_omega", float, fitting.DEFAULT_OMEGA)
-    mu = tuple(mu)
-    if len(mu) == 1:
-        mu = mu * k
-    if len(mu) != k:
-        raise DimensionMismatch(f"--prior-mu needs 1 or {k} entries")
-    return BetaPrior.isotropic(np.asarray(mu), omega)
+    return BetaPrior.isotropic(mu[0] if len(mu) == 1 else mu, omega, k)
 
 
 def _resolve_gamma_prior(args, config, grid: TimeGrid) -> GammaProcessPrior:
@@ -307,8 +302,10 @@ def _run_hpd(args, config) -> int:
     if mean is None or sd is None:
         raise DatasetFormatError("--mean and --sd are required")
     coverage = _setting(args, config, "coverage", float, 0.95)
-    lower, upper = _hpd_bulk(np.array([mean]), np.array([sd]), coverage)
-    interval = HpdInterval(float(lower[0]), float(upper[0]), coverage)
+    if not sd > 0:
+        raise SingularCovariance("--sd must be > 0")
+    marginal = PseudoPosterior(mean=np.array([mean]), cov=np.array([[sd * sd]]))
+    interval = hpd_interval(marginal, 0, coverage)
     record = {
         "lower": interval.lower,
         "upper": interval.upper,

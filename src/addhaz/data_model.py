@@ -210,6 +210,8 @@ class BetaPrior:
         cov = np.asarray(self.cov, dtype=float)
         if mu.ndim != 1 or cov.shape != (mu.size, mu.size):
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
+        if not np.all(np.isfinite(mu)):
+            raise OutOfRange("prior mean must be finite")
         _check_spd(cov, "prior covariance")
         object.__setattr__(self, "mu", tuple(float(v) for v in mu))
         object.__setattr__(self, "cov", tuple(tuple(float(v) for v in row) for row in cov))
@@ -234,7 +236,7 @@ class BetaPrior:
         else:
             mu_vec = np.asarray(mu, dtype=float)
             if k is not None and mu_vec.size != k:
-                raise DimensionMismatch("mu length disagrees with k")
+                raise DimensionMismatch(f"prior mean has {mu_vec.size} entries, expected 1 or {k}")
         omega = float(omega)
         if omega <= 0:
             raise SingularCovariance("omega must be > 0")

@@ -29,7 +29,7 @@ class DegenerateGrid(AddhazError):
 
 
 class OutOfRange(AddhazError):
-    """A time falls outside the grid's support [0, t_final]."""
+    """A time, covariate or prior mean is non-finite, or a time exceeds t_final."""
 
 
 class EmptyRiskSet(AddhazError):

@@ -8,18 +8,17 @@ summary, giving the pseudo-posterior
 
 restricted to the nonnegative orthant.  Point estimates, per-component
 highest-density intervals on [0, inf), a symmetric-width standard deviation
-proxy, and a positivity flag are derived from it.
+proxy, and a positivity flag are derived from it.  Each function also takes
+a batch: m of shape (r, k) with d of shape (r, k, k) gives r posteriors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
-from scipy.stats import norm
+from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data_model import BetaPrior
 from .errors import DimensionMismatch, InvalidCoverage, SingularCovariance
@@ -35,51 +34,58 @@ __all__ = [
     "significance_flag",
 ]
 
-_BISECT_STEPS = 90  # halves the bracket to ~1e-27 of its width; beyond float64
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
 class PseudoPosterior:
-    """Gaussian pseudo-posterior, understood as truncated to beta >= 0."""
+    """Gaussian pseudo-posterior truncated to beta >= 0; mean (..., k), cov (..., k, k)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     @property
     def k(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
 class HpdInterval:
-    """Shortest interval of given coverage for one truncated marginal."""
+    """Shortest interval of given coverage for one truncated marginal (arrays for a batch)."""
 
-    lower: float
-    upper: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
     coverage: float
 
 
 def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of each symmetric positive definite matrix in a stack."""
+    if not np.all(np.isfinite(matrix)):
+        raise SingularCovariance(f"{what} has non-finite entries")
     try:
-        factor = cho_factor(matrix, lower=True)
-    except (np.linalg.LinAlgError, ValueError):
+        factor_inv = np.linalg.inv(np.linalg.cholesky(matrix))
+    except np.linalg.LinAlgError:
         raise SingularCovariance(f"{what} is not positive definite") from None
-    return cho_solve(factor, np.eye(matrix.shape[0]))
+    return np.swapaxes(factor_inv, -1, -2) @ factor_inv
 
 
 def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
-    """Precision-weighted combination of the estimate and the prior."""
+    """Precision-weighted combination of the estimate and the prior.
+
+    ``estimate.m`` may be (k,) or a batch (r, k) with ``estimate.d`` of
+    shape (r, k, k); the result carries the same leading axis.
+    """
     m = np.asarray(estimate.m, dtype=float)
     d = np.asarray(estimate.d, dtype=float)
-    if prior.k != m.size:
-        raise DimensionMismatch(
-            f"prior dimension {prior.k} does not match estimate dimension {m.size}"
-        )
+    k = m.shape[-1]
+    if prior.k != k:
+        raise DimensionMismatch(f"prior dimension {prior.k} does not match estimate dimension {k}")
     d_inv = _spd_inverse(d, "sandwich covariance")
     c_inv = _spd_inverse(prior.cov_array(), "prior covariance")
     cov = _spd_inverse(d_inv + c_inv, "posterior precision")
-    cov = (cov + cov.T) / 2.0
-    mean = cov @ (d_inv @ m + c_inv @ prior.mu_array())
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    rhs = d_inv @ m[..., None] + (c_inv @ prior.mu_array())[:, None]
+    mean = (cov @ rhs)[..., 0]
     return PseudoPosterior(mean=mean, cov=cov)
 
 
@@ -87,55 +93,48 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
     """Mode of the truncated pseudo-posterior.
 
     The default clamps each component of the Gaussian mean at zero.  With
-    ``orthant_qp=True`` the mode is instead the exact constrained maximizer
-    of the Gaussian density over the nonnegative orthant, which differs from
-    the clamp when components are correlated and some are negative.
+    ``orthant_qp=True`` (one posterior, not a batch) the mode is instead the
+    exact constrained maximizer of the Gaussian density over the orthant,
+    which differs from the clamp when components are correlated and some are
+    negative.
     """
     if not orthant_qp:
         return np.maximum(pp.mean, 0.0)
     # maximizing the density is minimizing ||R beta - R mean||^2 over beta >= 0
-    # with R'R = cov^-1; R is the Cholesky factor of the precision, transposed
-    precision = _spd_inverse(pp.cov, "posterior covariance")
-    r = np.linalg.cholesky(precision).T
+    # with R'R = cov^-1, which R = L^-1 satisfies for cov = L L'
+    r = np.linalg.inv(np.linalg.cholesky(pp.cov))
     solution, _ = nnls(r, r @ pp.mean)
     return solution
 
 
 def _hpd_bulk(mean, sd, coverage: float):
-    """Vectorized HPD of N(mean, sd^2) truncated to [0, inf).
+    """Closed-form HPD of N(mean, sd^2) truncated to [0, inf), elementwise.
 
-    The superlevel set of the truncated density at any level is the interval
-    [max(0, mean - r), mean + r] for some half-width r >= max(0, -mean), and
-    its probability mass grows monotonically with r, so bisection on r is
-    bisection on the density level.  Returns (lower, upper) arrays.
+    With a = mean / sd it is [mean - r, mean + r], r = -sd ndtri((1 - coverage
+    Phi(a)) / 2), if that lower end is positive, else [0, sd x] where
+    Phi(a - x) = (1 - coverage) Phi(a).  The ndtri_exp start for x cancels as
+    a -> -inf, so it is clipped to a bracket of the root and polished by two
+    Newton steps on g(x) = log Phi(a - x) - log((1 - coverage) Phi(a)), which
+    is concave and decreasing.  Inputs must be valid; returns 1-d arrays.
     """
-    mean = np.asarray(mean, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    if np.any(sd <= 0) or not np.all(np.isfinite(sd)) or not np.all(np.isfinite(mean)):
-        raise SingularCovariance("marginal sd must be finite and > 0")
-    if not (0.0 < coverage < 1.0):
-        raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
-    # mass on [max(0, mean-r), mean+r] in untruncated units, then renormalized
-    total = norm.cdf(mean / sd)  # P(X >= 0)
-    target = coverage * total
-
-    def mass(r):
-        return norm.cdf(r / sd) - norm.cdf(np.maximum(-r, -mean) / sd)
-
-    lo = np.maximum(0.0, -mean)
-    hi = lo + sd * (norm.ppf((1.0 + coverage) / 2.0) + 1.0)
-    for _ in range(64):
-        short = mass(hi) < target
-        if not np.any(short):
-            break
-        hi = np.where(short, lo + 2.0 * (hi - lo), hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = mass(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    r = 0.5 * (lo + hi)
-    return np.maximum(0.0, mean - r), mean + r
+    mean, sd = np.atleast_1d(mean, sd)
+    a = mean / sd
+    r = -sd * ndtri((1.0 - coverage * ndtr(a)) / 2.0)
+    lower, upper = mean - r, mean + r
+    pinned = lower <= 0.0
+    a = a[pinned]
+    log_tail = np.log1p(-coverage)
+    # g(x) <= a x - x^2 / 2 - log_tail for x >= 0, so its positive root bounds x
+    x_hi = -log_tail / (np.hypot(a / 2.0, np.sqrt(-log_tail / 2.0)) - a / 2.0)
+    x = np.clip(a - ndtri_exp(log_tail + log_ndtr(a)), 0.0, x_hi)
+    scale_at_zero = erfcx(-a / np.sqrt(2.0))
+    for _ in range(2):  # Phi(y) = erfcx(-y / sqrt 2) exp(-y^2 / 2) / 2
+        scale = erfcx((x - a) / np.sqrt(2.0))
+        g = np.log(scale / scale_at_zero) + a * x - x * x / 2.0 - log_tail
+        x = x + g * scale / np.sqrt(2.0 / np.pi)  # g'(x) = -sqrt(2/pi) / scale
+    lower[pinned] = 0.0
+    upper[pinned] = sd[pinned] * x
+    return lower, upper
 
 
 def hpd_interval(pp: PseudoPosterior, component: int, coverage: float) -> HpdInterval:
@@ -143,17 +142,27 @@ def hpd_interval(pp: PseudoPosterior, component: int, coverage: float) -> HpdInt
 
     The marginal used is the Gaussian marginal of the given component,
     truncated to [0, inf); either the interval starts at 0, or the density
-    is equal at both endpoints.
+    is equal at both endpoints.  The marginal variance must be a finite
+    normal float and mean / sd finite.
     """
     if not 0 <= component < pp.k:
         raise DimensionMismatch(f"component {component} out of range for k={pp.k}")
-    mu = pp.mean[component]
-    sd = math.sqrt(pp.cov[component, component])
-    lower, upper = _hpd_bulk(np.array([mu]), np.array([sd]), coverage)
-    return HpdInterval(lower=float(lower[0]), upper=float(upper[0]), coverage=coverage)
+    if not (0.0 < coverage < 1.0):
+        raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
+    mean = pp.mean[..., component]
+    var = pp.cov[..., component, component]
+    if not np.all((var >= _FLOAT.tiny) & (var <= _FLOAT.max)):
+        raise SingularCovariance("marginal variance must be a normal float (sd in ~[1.5e-154, 1.3e154])")
+    sd = np.sqrt(var)
+    if not np.all(np.abs(mean) / _FLOAT.max < sd):
+        raise SingularCovariance("marginal mean must be finite with |mean| / sd finite")
+    lower, upper = _hpd_bulk(mean, sd, coverage)
+    if mean.ndim == 0:
+        return HpdInterval(lower=float(lower[0]), upper=float(upper[0]), coverage=coverage)
+    return HpdInterval(lower=lower, upper=upper, coverage=coverage)
 
 
-def sigma_hat(interval: HpdInterval, coverage: float | None = None) -> float:
+def sigma_hat(interval: HpdInterval, coverage: float | None = None) -> float | np.ndarray:
     """Standard deviation recovered from the interval width as if symmetric.
 
     For coverage 1 - alpha this is (upper - lower) / (2 z_{1-alpha/2}); it
@@ -162,10 +171,10 @@ def sigma_hat(interval: HpdInterval, coverage: float | None = None) -> float:
     level = interval.coverage if coverage is None else float(coverage)
     if not (0.0 < level < 1.0):
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {level!r}")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     return (interval.upper - interval.lower) / (2.0 * z)
 
 
-def significance_flag(interval: HpdInterval) -> bool:
+def significance_flag(interval: HpdInterval) -> bool | np.ndarray:
     """True when the interval excludes zero (lower endpoint > 0)."""
     return interval.lower > 0.0

@@ -61,7 +61,8 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     n = ds.n
     order = np.argsort(ds.times, kind="stable")
     t = ds.times[order]
-    z = ds.covariates[order]
+    # V1-V3 are translation-invariant; centering stops V2's difference cancelling
+    z = ds.covariates[order] - ds.covariates.mean(axis=0)
 
     # distinct times u_1 < ... < u_K; obs i sits at distinct index inv[i]
     u, first, inv = np.unique(t, return_index=True, return_inverse=True)

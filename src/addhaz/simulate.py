@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .data_model import (
     BetaPrior,
@@ -39,8 +38,8 @@ from .errors import (
     NonNegativityViolation,
     SingularDesign,
 )
-from .hybrid_beta import _hpd_bulk, beta_mode, pseudo_posterior
-from .lin_ying import compute_statistics, ly_solve
+from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
+from .lin_ying import LYEstimate, compute_statistics, ly_solve
 
 __all__ = [
     "PiecewiseConstantHazard",
@@ -237,7 +236,7 @@ def _collect_ly_replicates(cfg: SimConfig):
         raise ExcessiveReplicateDrops(
             f"{dropped} of {cfg.replicates} replicates dropped"
         )
-    return np.asarray(kept_m), np.asarray(kept_d), dropped
+    return LYEstimate(np.asarray(kept_m), np.asarray(kept_d)), dropped
 
 
 def run_beta_experiment(
@@ -259,32 +258,23 @@ def run_beta_experiment(
         raise DimensionMismatch("prior grids must not be empty")
     if any(om <= 0 for om in omega_grid):
         raise NonNegativityViolation("prior variances must be > 0")
-    m_all, d_all, dropped = _collect_ly_replicates(cfg)
     k = cfg.k
-    d_inv = np.linalg.inv(d_all)  # (kept, k, k); SPD by construction
-    d_inv_m = np.einsum("rij,rj->ri", d_inv, m_all)
-    ses = np.sqrt(np.diagonal(d_all, axis1=1, axis2=2))
+    priors = [[BetaPrior.isotropic(mu, om, k) for om in omega_grid] for mu in mu_grid]
+    estimate, dropped = _collect_ly_replicates(cfg)
+    ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
 
     # per cell and component: mean estimate, mean sd proxy, Monte Carlo sd
     stats = np.empty((len(mu_grid), len(omega_grid), k, 3))
-    eye = np.eye(k)
-    z_cov = float(norm.ppf(0.5 + coverage / 2.0))
-    for j, om in enumerate(omega_grid):
-        c_inv = eye / om
-        precision = d_inv + c_inv
-        post_cov = np.linalg.inv(precision)
-        post_sd = np.sqrt(np.diagonal(post_cov, axis1=1, axis2=2))
-        for i, mu in enumerate(mu_grid):
-            rhs = d_inv_m + c_inv @ np.full(k, mu)
-            post_mean = np.einsum("rij,rj->ri", post_cov, rhs)
-            estimates = np.maximum(post_mean, 0.0)
+    for i, row in enumerate(priors):
+        for j, prior in enumerate(row):
+            pp = pseudo_posterior(estimate, prior)
+            estimates = beta_mode(pp)
             stats[i, j, :, 0] = estimates.mean(axis=0)
             stats[i, j, :, 2] = estimates.std(axis=0, ddof=1)
             for comp in range(k):
-                lo, up = _hpd_bulk(post_mean[:, comp], post_sd[:, comp], coverage)
-                stats[i, j, comp, 1] = np.mean((up - lo) / (2.0 * z_cov))
+                stats[i, j, comp, 1] = np.mean(sigma_hat(hpd_interval(pp, comp, coverage)))
     reference = np.stack(
-        [m_all.mean(axis=0), ses.mean(axis=0), m_all.std(axis=0, ddof=1)], axis=1
+        [estimate.m.mean(axis=0), ses.mean(axis=0), estimate.m.std(axis=0, ddof=1)], axis=1
     )
     rows = [
         ((mu, om, comp + 1), tuple(stats[i, j, comp].tolist()))

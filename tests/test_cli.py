@@ -240,6 +240,42 @@ def test_hpd_command_json(capsys):
     assert record["significant"] is True
 
 
+def test_hpd_command_far_below_zero(capsys):
+    # the upper ends are mpmath roots of Phi(a - x) = 0.05 Phi(a), a = mean/sd
+    for mean, sd, upper in ((-3, 0.05, 0.00249471399081488), (-2.11, 0.153, 0.0328110180537996)):
+        code, out, err = run(capsys, ["hpd", "--mean", str(mean), "--sd", str(sd)])
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["lower"] == 0.0
+        assert record["upper"] == pytest.approx(upper, rel=1e-12)
+        assert record["significant"] is False
+
+
+@pytest.mark.parametrize("sd", ["1e-200", "1e200", "0", "-1", "nan"])
+def test_hpd_command_rejects_sd_outside_normal_range(capsys, sd):
+    # sd^2 must be a finite normal float, so sd must lie in ~[1.5e-154, 1.3e154]
+    code, out, err = run(capsys, ["hpd", "--mean", "1", "--sd", sd])
+    assert code == 17 and out == ""
+    assert error_record(err)["error"] == "SingularCovariance"
+
+
+def test_nonfinite_prior_mean_rejected(tmp_path, capsys):
+    csv_path = tmp_path / "ds.csv"
+    write_dataset(csv_path)
+    fit = ["fit", "--input", str(csv_path), "--skip-baseline", "--prior-mu"]
+    for argv in (
+        fit + ["nan", "--orthant-qp"],
+        fit + ["nan"],
+        fit + ["0.5,inf"],
+        ["simulate", "--n", "30", "--replicates", "3", "--mu-grid", "0.5,nan", "--omega-grid", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 14 and out == ""
+        record = error_record(err)
+        assert record["error"] == "OutOfRange"
+        assert "prior mean" in record["message"]
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# settings\nmean = 1.0\nsd = 2.0\ncoverage = 0.8\n")

@@ -200,6 +200,14 @@ def test_beta_prior_isotropic_and_spd_check():
         BetaPrior(mu=(0.0, 0.0), cov=((1.0, 2.0), (2.0, 1.0)))  # not SPD
 
 
+def test_beta_prior_rejects_nonfinite_mean():
+    for mu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfRange, match="prior mean"):
+            BetaPrior(mu=(0.5, mu), cov=((1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(OutOfRange, match="prior mean"):
+            BetaPrior.isotropic(mu, 1.0, 2)
+
+
 def test_gamma_prior_increments_roundtrip():
     prior = GammaProcessPrior(alpha_at_cuts=(5.0, 6.0, 6.3, 6.31), c=1.0)
     np.testing.assert_allclose(prior.increments(), [5.0, 1.0, 0.3, 0.01])

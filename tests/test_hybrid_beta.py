@@ -2,11 +2,13 @@
 
 The HPD oracle is a coarse-to-fine grid search over candidate intervals of
 the truncated normal marginal: among all intervals holding the requested
-mass, it returns the shortest, refined down to 1e-5 endpoint steps.  The
-combination formula is cross-checked by numerically maximizing the exact
-log-density with scipy.
+mass, it returns the shortest, refined down to 1e-5 endpoint steps.  A
+second oracle solves the HPD mass equations in mpmath by bracketed root
+search, for 1e-12 checks far into the tails.  The combination formula is
+cross-checked by numerically maximizing the exact log-density with scipy.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize
@@ -16,6 +18,7 @@ from addhaz.data_model import BetaPrior, SurvivalDataset
 from addhaz.errors import InvalidCoverage, SingularCovariance
 from addhaz.hybrid_beta import (
     HpdInterval,
+    PseudoPosterior,
     beta_mode,
     hpd_interval,
     pseudo_posterior,
@@ -54,6 +57,32 @@ def hpd_grid_oracle(mean, sd, coverage, step=1e-5):
         lo_grid = np.concatenate(([0.0], lo_grid))
         _, lo, hi = shortest(lo_grid, coverage)
     return lo, hi
+
+
+def hpd_mpmath_oracle(mean, sd, coverage):
+    """HPD endpoints of N(mean, sd^2) on [0, inf) by bracketed root search.
+
+    With a = mean / sd and P = Phi(a), the symmetric interval mean +- sd rho
+    solves 2 Phi(rho) - 1 = coverage P; when mean - sd rho <= 0 the interval
+    is [0, sd x] with log Phi(a - x) = log((1 - coverage) P) instead.
+    Precision grows with |a| so that a - x keeps the digits of x.
+    """
+    mean, sd, coverage = mp.mpf(mean), mp.mpf(sd), mp.mpf(coverage)
+    a = mean / sd
+    with mp.workdps(40 + 2 * int(mp.log10(1 + abs(a)))):
+        p = mp.ncdf(a)
+
+        def root(f, hi):
+            while f(hi) * f(0) > 0:
+                hi *= 2
+            return mp.findroot(f, (mp.mpf(0), hi), solver="anderson")
+
+        rho = root(lambda r: 2 * mp.ncdf(r) - 1 - coverage * p, mp.mpf(1))
+        if a - rho > 0:
+            return float(mean - sd * rho), float(mean + sd * rho)
+        log_target = mp.log(1 - coverage) + mp.log(p)
+        x = root(lambda x: mp.log(mp.ncdf(a - x)) - log_target, 1 / (1 + abs(a)))
+        return 0.0, float(sd * x)
 
 
 def scalar_estimate(m, d):
@@ -251,3 +280,74 @@ def test_singular_inputs_rejected():
     est = LYEstimate(m=np.array([1.0, 1.0]), d=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularCovariance):
         pseudo_posterior(est, BetaPrior.isotropic(0.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("coverage", [0.5, 0.9, 0.95, 0.99])
+def test_hpd_matches_mpmath_oracle_across_tails(coverage):
+    # mean/sd over [-1e4, 1e4] plus a few points far below 0, in one batch
+    ratios = np.concatenate(
+        [-np.logspace(-3, 4, 40), [0.0], np.logspace(-3, 4, 40), [-1e5, -3e5, -1e6]]
+    )
+    sd = np.full_like(ratios, 0.37)
+    mean = ratios * sd
+    pp = PseudoPosterior(mean=mean[:, None], cov=(sd**2)[:, None, None])
+    iv = hpd_interval(pp, 0, coverage)
+    for i in range(ratios.size):
+        lo, hi = hpd_mpmath_oracle(mean[i], np.sqrt(pp.cov[i, 0, 0]), coverage)
+        assert iv.lower[i] == pytest.approx(lo, rel=1e-12, abs=0.0)
+        assert iv.upper[i] == pytest.approx(hi, rel=1e-12, abs=0.0)
+
+
+def test_hpd_far_below_zero_is_an_exponential_tail():
+    # for mean/sd -> -inf the marginal tends to an exponential law with rate
+    # |mean| / sd^2, whose HPD is [0, -log(1 - coverage) sd^2 / |mean|]
+    for mean in (-1e8, -1e50, -1e200, -1e300):
+        pp = PseudoPosterior(mean=np.array([mean]), cov=np.array([[1.0]]))
+        iv = hpd_interval(pp, 0, 0.95)
+        assert iv.lower == 0.0
+        assert iv.upper == pytest.approx(-np.log(0.05) / -mean, rel=1e-13)
+
+
+def test_batched_posterior_and_hpd_equal_a_loop():
+    rng = np.random.default_rng(4)
+    r, k = 30, 3
+    m = rng.normal(0.2, 0.5, size=(r, k))
+    roots = rng.normal(size=(r, k, k)) * 0.3
+    d = roots @ np.swapaxes(roots, 1, 2) + 0.05 * np.eye(k)
+    prior = BetaPrior(mu=(0.5, 0.0, 1.0), cov=((2.0, 0.3, 0.0), (0.3, 1.0, 0.1), (0.0, 0.1, 0.5)))
+    batch = pseudo_posterior(LYEstimate(m, d), prior)
+    assert batch.mean.shape == (r, k) and batch.cov.shape == (r, k, k)
+    assert batch.k == k
+    for comp in range(k):
+        ivs = hpd_interval(batch, comp, 0.9)
+        sig = sigma_hat(ivs)
+        flag = significance_flag(ivs)
+        for i in range(r):
+            one = pseudo_posterior(LYEstimate(m[i], d[i]), prior)
+            np.testing.assert_allclose(batch.mean[i], one.mean, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(batch.cov[i], one.cov, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(beta_mode(batch)[i], beta_mode(one), rtol=1e-14, atol=1e-15)
+            iv = hpd_interval(one, comp, 0.9)
+            assert isinstance(iv.lower, float) and isinstance(iv.upper, float)
+            assert ivs.lower[i] == pytest.approx(iv.lower, rel=1e-14, abs=1e-15)
+            assert ivs.upper[i] == pytest.approx(iv.upper, rel=1e-14, abs=1e-15)
+            assert sig[i] == pytest.approx(sigma_hat(iv), rel=1e-13, abs=1e-15)
+            assert flag[i] == significance_flag(iv)
+
+
+@pytest.mark.parametrize(
+    "mean, var",
+    [
+        (1.0, 0.0),
+        (1.0, 1e-310),  # subnormal: sd^2 is not a normal float
+        (1.0, np.inf),
+        (1.0, np.nan),
+        (np.nan, 1.0),
+        (-np.inf, 1.0),
+        (-1e300, 1e-100),  # mean / sd overflows
+    ],
+)
+def test_hpd_rejects_degenerate_marginals(mean, var):
+    pp = PseudoPosterior(mean=np.array([mean]), cov=np.array([[var]]))
+    with pytest.raises(SingularCovariance):
+        hpd_interval(pp, 0, 0.95)

@@ -225,3 +225,20 @@ def test_v3_variants_differ_under_censoring():
     _, _, v3_all = brute_force_statistics(ds, events_only_v3=False)
     assert not np.allclose(a.v3, v3_all)
     np.testing.assert_allclose(a.v3, v3_events, rtol=1e-10)
+
+
+def test_solution_invariant_under_covariate_translation():
+    # V1, V2 and V3 depend on covariates only through deviations from the
+    # risk-set mean, so shifting every covariate by a constant changes nothing
+    rng = np.random.default_rng(11)
+    n = 2000
+    z = rng.uniform(0.0, 2.0, size=(n, 2))
+    event_times = rng.exponential(1.0 / (0.5 + z @ np.array([0.4, 0.3])))
+    censor_times = rng.exponential(2.0, size=n)
+    times = np.minimum(event_times, censor_times)
+    events = event_times <= censor_times
+    base = ly_solve(compute_statistics(SurvivalDataset(times, events, z)))
+    for shift in (1e4, 1e6):
+        moved = ly_solve(compute_statistics(SurvivalDataset(times, events, z + shift)))
+        np.testing.assert_allclose(moved.m, base.m, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(moved.d, base.d, rtol=1e-8, atol=0.0)
