@@ -180,10 +180,15 @@ def increment_posterior(
     nonzero = poly.log_abs > -math.inf
     if shape0 == 0.0 and nonzero[0]:
         raise _improper(j, degree)
-    shapes = np.arange(degree + 1) + shape0
+    k = np.arange(degree + 1)
+    shapes = k + shape0
     log_scale = math.log(summary.width) + math.log(rate)
-    with np.errstate(invalid="ignore"):
-        log_w = poly.log_abs - np.arange(degree + 1) * log_scale + gammaln(shapes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
+        # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
+        # leaves too few absolute digits for the weights at large s0
+        log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
+        log_w = poly.log_abs - k * log_scale + log_rising[: degree + 1]
     log_w = np.where(nonzero, log_w, -math.inf)
     top = np.max(log_w)
     if top == -math.inf or not np.isfinite(top):

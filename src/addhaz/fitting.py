@@ -19,6 +19,7 @@ from .data_model import (
     TimeGrid,
     grid_from_quantiles,
 )
+from .errors import DimensionMismatch
 from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import compute_statistics, ly_solve
 
@@ -62,6 +63,8 @@ def fit(
         if gamma_prior is None:
             # unit-rate prior guess: shape function alpha(t) = t
             gamma_prior = GammaProcessPrior(grid.boundaries, DEFAULT_GAMMA_C)
+        elif gamma_prior.m != grid.m:
+            raise DimensionMismatch(f"gamma prior needs one value per grid boundary ({grid.m})")
         summaries = interval_summaries(ds, grid)
         offsets = event_offsets_by_interval(ds, grid, beta_hat)
         (baseline,) = increment_posteriors(summaries, offsets, [gamma_prior])

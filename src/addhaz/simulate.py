@@ -38,6 +38,7 @@ from .errors import (
     NonNegativityViolation,
     SingularDesign,
 )
+from .fitting import DEFAULT_QUANTILES
 from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import LYEstimate, compute_statistics, ly_solve
 
@@ -219,6 +220,12 @@ class SimReport:
         return "\n".join(out) + "\n"
 
 
+def _check_replicates(cfg: SimConfig) -> None:
+    # a Monte Carlo sd needs two replicates; SimConfig itself allows one
+    if cfg.replicates < 2:
+        raise DimensionMismatch("a study needs at least 2 replicates")
+
+
 def _collect_ly_replicates(cfg: SimConfig):
     """Per-replicate estimating-equation solutions and sandwich matrices."""
     kept_m, kept_d, dropped = [], [], 0
@@ -252,6 +259,7 @@ def run_beta_experiment(
     only through the prior.  Replicates with a singular design are dropped;
     more than 1% of drops aborts the study.
     """
+    _check_replicates(cfg)
     mu_grid = tuple(float(v) for v in mu_grid)
     omega_grid = tuple(float(v) for v in omega_grid)
     if not mu_grid or not omega_grid:
@@ -302,9 +310,6 @@ def run_baseline_experiment(
     alpha_increments,
     *,
     grid: TimeGrid | None = None,
-    quantile_probs=(0.2, 0.4, 0.6, 0.8),
-    beta_prior: BetaPrior | None = None,
-    fixed_beta=None,
 ) -> SimReport:
     """Estimate cumulative-hazard increments over replicated datasets.
 
@@ -312,12 +317,13 @@ def run_baseline_experiment(
     interval has one true increment across the whole study and estimation
     is truncated at the grid's t_F (observations beyond it only add
     exposure).  Otherwise each replicate builds its own grid from the
-    stated quantiles of its uncensored times, with the final boundary at
-    its largest observed time.  Coefficients are fitted per replicate on
-    the flat-prior path unless ``fixed_beta`` pins them.  The report holds
+    ``fitting.DEFAULT_QUANTILES`` of its uncensored times, with the final
+    boundary at its largest observed time.  Coefficients are fitted per
+    replicate under the nearly flat prior N(0.5, 1e8 I).  The report holds
     the posterior mean of each of the first len(alpha_increments)
     increments for every confidence weight in c_grid.
     """
+    _check_replicates(cfg)
     c_grid = tuple(float(v) for v in c_grid)
     alpha_increments = tuple(float(a) for a in alpha_increments)
     if not c_grid or any(c <= 0 for c in c_grid):
@@ -330,14 +336,11 @@ def run_baseline_experiment(
             raise DimensionMismatch(
                 "fixed grid has fewer intervals than reported increments"
             )
-    elif len(quantile_probs) < n_intervals:
+    elif len(DEFAULT_QUANTILES) < n_intervals:
         raise DimensionMismatch(
             "need at least as many quantile cuts as reported intervals"
         )
-    if beta_prior is None and fixed_beta is None:
-        beta_prior = BetaPrior.isotropic(0.5, 1e8, cfg.k)
-    if fixed_beta is not None:
-        fixed_beta = np.asarray(fixed_beta, dtype=float)
+    beta_prior = BetaPrior.isotropic(0.5, 1e8, cfg.k)
 
     means = np.empty((cfg.replicates, len(c_grid), n_intervals))
     post_vars = np.empty_like(means)
@@ -347,14 +350,11 @@ def run_baseline_experiment(
         rng = _replicate_rng(cfg, r)
         ds = _draw_dataset(cfg, rng)
         try:
-            if fixed_beta is None:
-                est = ly_solve(compute_statistics(ds))
-                bhat = beta_mode(pseudo_posterior(est, beta_prior))
-            else:
-                bhat = fixed_beta
+            est = ly_solve(compute_statistics(ds))
+            bhat = beta_mode(pseudo_posterior(est, beta_prior))
             if grid is None:
                 rep_grid = grid_from_quantiles(
-                    ds, quantile_probs, t_final=float(np.max(ds.times))
+                    ds, DEFAULT_QUANTILES, t_final=float(np.max(ds.times))
                 )
                 if len(rep_grid.cuts) < n_intervals:
                     raise DegenerateGrid("quantile cuts collapsed")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from addhaz import dataio
 from addhaz.cli import main
 from addhaz.data_model import FitResult
+from addhaz.errors import AddhazError
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
 
 
@@ -304,6 +306,52 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 21
     assert error_record(err)["error"] == "DatasetFormatError"
 
+    # bad values and unknown keys name file:line and the key, as one record
+    for cmd, line in (
+        ("hpd", "sd = abc"),
+        ("simulate", "mu-grid = 0.5,x"),
+        ("hpd", "coverge = 0.5"),
+        ("fit", "orthant-qp = treu"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# line 1\n{line}\n")
+        code, out, err = run(capsys, [cmd, "--config", str(bad)])
+        assert code == 21 and out == ""
+        assert len(err.splitlines()) == 1
+        record = error_record(err)
+        assert record["error"] == "DatasetFormatError"
+        assert f"{bad}:2" in record["message"]
+        assert line.split(" = ")[0] in record["message"]
+
+    # a key of another subcommand only is ignored, so one file serves both
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("mean = 1.0\nsd = 2.0\nseed = 3\nprior-mu = 0.5\n")
+    code, shared_out, _ = run(capsys, ["hpd", "--config", str(shared)])
+    assert code == 0
+    assert shared_out == run(capsys, ["hpd", "--mean", "1", "--sd", "2"])[1]
+
+    # a switch set in the file acts like the flag; the exact constrained
+    # mode differs from the clamp when one prior mean component is negative
+    fit = ["fit", "--input", str(csv_path), "--skip-baseline", "--prior-mu", "-1,1",
+           "--prior-omega", "0.01"]
+    code, clamp, _ = run(capsys, fit)
+    assert code == 0
+    code, exact, _ = run(capsys, fit + ["--orthant-qp"])
+    assert code == 0 and exact != clamp
+    switch = tmp_path / "switch.cfg"
+    for word, want in (("true", exact), ("Yes", exact), ("off", clamp)):
+        switch.write_text(f"orthant-qp = {word}\n")
+        assert run(capsys, fit + ["--config", str(switch)]) == (0, want, "")
+
+    # a preset named in the file writes the same cells as flags
+    study = tmp_path / "study.cfg"
+    study.write_text("preset = table4\nseed = 7\nreplicates = 20\n")
+    run(capsys, ["simulate", "--config", str(study), "--out", str(tmp_path / "by_file")])
+    run(capsys, ["simulate", "--preset", "table4", "--seed", "7", "--replicates", "20",
+                 "--out", str(tmp_path / "by_flags")])
+    by_file = (tmp_path / "by_file" / "cells.csv").read_bytes()
+    assert by_file == (tmp_path / "by_flags" / "cells.csv").read_bytes()
+
 
 def test_simulate_beta_study(tmp_path, capsys):
     out_dir = tmp_path / "study"
@@ -348,7 +396,7 @@ def test_simulate_preset_baseline(capsys):
     assert len(lines[0].split()) == 3 + 4  # four intervals
 
 
-def test_simulate_seed_from_environment(capsys, monkeypatch):
+def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
     argv = ["simulate", "--n", "30", "--replicates", "4", "--mu-grid", "0.5",
             "--omega-grid", "1.0"]
     monkeypatch.setenv("ADDHAZ_SEED", "7")
@@ -363,6 +411,31 @@ def test_simulate_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("ADDHAZ_SEED", "7")
     _, out_both, _ = run(capsys, argv + ["--seed", "8"])
     assert out_both == out_other
+
+    # a config-file seed beats the environment, and a flag beats both
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 8\n")
+    assert run(capsys, argv + ["--config", str(cfg)])[1] == out_other
+    assert run(capsys, argv + ["--config", str(cfg), "--seed", "7"])[1] == out_env
+
+
+def test_negative_values_with_an_exponent(tmp_path, capsys):
+    # argparse alone takes "-1e-3" for an option and exits 2
+    _, joined, _ = run(capsys, ["hpd", "--mean=-1e-3", "--sd", "1"])
+    assert run(capsys, ["hpd", "--mean", "-1e-3", "--sd", "1"]) == (0, joined, "")
+    code, out, _ = run(capsys, ["hpd", "--mean", "-1e300", "--sd", "1"])
+    assert code == 0 and json.loads(out)["lower"] == 0.0
+    csv_path = tmp_path / "ds.csv"
+    write_dataset(csv_path)
+    code, _, err = run(capsys, ["fit", "--input", str(csv_path), "--prior-mu", "-1e-3"])
+    assert code == 0 and err == ""
+
+
+def test_simulate_needs_two_replicates(capsys):
+    argv = ["simulate", "--n", "30", "--replicates", "1", "--mu-grid", "0.5", "--omega-grid", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 11 and out == ""
+    assert error_record(err)["error"] == "DimensionMismatch"
 
 
 def test_simulate_requires_a_study_kind(capsys):
@@ -466,3 +539,11 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, ["fit", "--input", str(tmp_path / "absent.csv")])
     assert code == 2
     assert error_record(err)["exit_code"] == 2
+
+
+def test_error_classes_carry_the_readme_exit_codes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\d+) \| (\w+) \|$", readme, re.M)
+    classes = {cls.__name__: cls.exit_code for cls in AddhazError.__subclasses__()}
+    assert len(classes) == 12
+    assert classes == {name: int(code) for code, name in rows}

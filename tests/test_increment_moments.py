@@ -132,6 +132,19 @@ def test_quadrature_keeps_precision_at_large_prior_shape(n, alpha):
     assert quad.variance == pytest.approx(variance, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 17, 200, 1000])
+def test_mixture_keeps_precision_at_large_confidence(n):
+    # the mixture weights carry Gamma(k + c alpha); at c alpha up to 5e11
+    # their normalization must not eat the digits that set the variance
+    b = np.random.default_rng(n).uniform(0.1, 4.0, n)
+    poly = poly_from_factors(b)
+    summary = IntervalSummary(1, n, 0, 1.0, 1.0)
+    for c in (1e-2, 1.0, 1e3, 1e6, 1e9, 1e12):
+        prior = GammaProcessPrior((0.5,), c)
+        exact = increment_posterior(summary, poly, prior)
+        assert_same_moments(increment_moments(summary, b, prior), exact)
+
+
 def test_quadrature_temporaries_stay_small():
     # a full (nodes x factors) array would take about 10 MB here
     b = np.random.default_rng(8).chisquare(1, 20_000)

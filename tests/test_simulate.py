@@ -237,3 +237,13 @@ def test_empty_grids_rejected():
         run_baseline_experiment(
             cfg, (1.0,), (5.0, 1.0, 0.3), grid=TimeGrid((0.5,), 1.0)
         )
+
+
+def test_studies_need_two_replicates():
+    # one replicate has no Monte Carlo sd; the generator itself still allows it
+    cfg = config(n=30, replicates=1)
+    assert _draw_dataset(cfg, _replicate_rng(cfg, 0)).n == 30
+    with pytest.raises(DimensionMismatch):
+        run_beta_experiment(cfg, (0.5,), (1.0,))
+    with pytest.raises(DimensionMismatch):
+        run_baseline_experiment(cfg, (1.0,), (5.0,), grid=TimeGrid((0.5,), 1.0))
