@@ -13,7 +13,10 @@ n^-1 V2^-1 V3 V2^-1 with
 
 z_bar is a step function that changes value only as u crosses an observed
 time, so the V2 integrals are sums over inter-observation segments and are
-computed exactly (no quadrature).  V3 sums over event terms only: the
+computed exactly (no quadrature).  The segments up to t_i add up to t_i,
+so n V2 = Z' diag(t) Z - W'W, two products in O(nk) memory, where segment s
+has length L_s, c_s subjects at risk with covariate sum S_z(s), and
+W_s = sqrt(L_s / c_s) S_z(s).  V3 sums over event terms only: the
 martingale-based variance.
 """
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data_model import SurvivalDataset
 from .errors import SingularDesign
@@ -69,18 +71,15 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
 
     # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
     z_rev_cum = np.cumsum(z[::-1], axis=0)[::-1]
-    zz = z[:, :, None] * z[:, None, :]
-    zz_rev_cum = np.cumsum(zz[::-1], axis=0)[::-1]
     counts = n - first
 
     sum_z = z_rev_cum[first]          # (K, k)
-    sum_zz = zz_rev_cum[first]        # (K, k, k)
     zbar = sum_z / counts[:, None]    # (K, k)
 
     # V2: segment (u_{s-1}, u_s] has length L_s and constant risk-set mean
     lengths = np.diff(np.concatenate(([0.0], u)))
-    scatter = sum_zz - counts[:, None, None] * (zbar[:, :, None] * zbar[:, None, :])
-    v2 = np.tensordot(lengths, scatter, axes=(0, 0)) / n
+    w = np.sqrt(lengths / counts)[:, None] * sum_z
+    v2 = ((z.T * t) @ z - w.T @ w) / n
 
     resid = (z - zbar[inv])[ds.events[order]]  # event rows, centered
     v1 = resid.sum(axis=0) / n
@@ -94,21 +93,17 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
 def ly_solve(stats: LYStatistics) -> LYEstimate:
     """Solve V2 m = V1 and form d = n^-1 V2^-1 V3 V2^-1.
 
-    Uses a Cholesky factorization of V2; raises SingularDesign when the
-    smallest eigenvalue of V2 falls below 1e-12 of the largest.
+    One symmetric eigendecomposition of V2 gives both the singularity test
+    and V2^-1; raises SingularDesign when the smallest eigenvalue of V2
+    falls below 1e-12 of the largest.
     """
-    v2 = stats.v2
-    eigs = np.linalg.eigvalsh(v2)
+    eigs, vecs = np.linalg.eigh(stats.v2)
     if eigs[-1] <= 0 or eigs[0] < _SINGULAR_RTOL * eigs[-1]:
         raise SingularDesign(
             "integrated design matrix V2 is singular or near-singular"
         )
-    try:
-        factor = cho_factor(v2, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularDesign(str(exc)) from None
-    m = cho_solve(factor, stats.v1)
-    inner = cho_solve(factor, stats.v3)
-    d = cho_solve(factor, inner.T).T / stats.n
+    v2_inv = (vecs / eigs) @ vecs.T
+    m = v2_inv @ stats.v1
+    d = v2_inv @ stats.v3 @ v2_inv / stats.n
     d = (d + d.T) / 2.0
     return LYEstimate(m=m, d=d)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -91,6 +92,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.n, Integral) and isinstance(self.replicates, Integral)):
+            raise DimensionMismatch("n and replicates must be integers")
         if self.n < 2 or self.replicates < 1:
             raise DimensionMismatch("need n >= 2 and at least one replicate")
         beta = tuple(float(b) for b in self.beta_true)
@@ -98,8 +101,8 @@ class SimConfig:
             raise NonNegativityViolation("true coefficients must be finite, >= 0")
         if not (float(self.censor_rate) >= 0):
             raise NonNegativityViolation("censor_rate must be >= 0")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise NonNegativityViolation("seed must be a nonnegative integer")
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "censor_rate", float(self.censor_rate))
         object.__setattr__(self, "seed", int(self.seed))
@@ -226,24 +229,29 @@ def _check_replicates(cfg: SimConfig) -> None:
         raise DimensionMismatch("a study needs at least 2 replicates")
 
 
-def _collect_ly_replicates(cfg: SimConfig):
-    """Per-replicate estimating-equation solutions and sandwich matrices."""
-    kept_m, kept_d, dropped = [], [], 0
+def _replicates(cfg: SimConfig):
+    """Yield (dataset, estimating-equation solution) for each replicate.
+
+    Replicate r draws from its own (seed, r) stream; the solution is None
+    where V2 is singular, and the study drops that replicate.
+    """
     for r in range(cfg.replicates):
-        rng = _replicate_rng(cfg, r)
-        ds = _draw_dataset(cfg, rng)
+        ds = _draw_dataset(cfg, _replicate_rng(cfg, r))
         try:
-            est = ly_solve(compute_statistics(ds))
+            estimate = ly_solve(compute_statistics(ds))
         except SingularDesign:
-            dropped += 1
-            continue
-        kept_m.append(est.m)
-        kept_d.append(est.d)
+            estimate = None
+        yield ds, estimate
+
+
+def _check_drops(cfg: SimConfig, kept: int) -> int:
+    """The number of dropped replicates; more than 1% aborts the study."""
+    dropped = cfg.replicates - kept
     if dropped > 0.01 * cfg.replicates:
         raise ExcessiveReplicateDrops(
             f"{dropped} of {cfg.replicates} replicates dropped"
         )
-    return LYEstimate(np.asarray(kept_m), np.asarray(kept_d)), dropped
+    return dropped
 
 
 def run_beta_experiment(
@@ -268,7 +276,9 @@ def run_beta_experiment(
         raise NonNegativityViolation("prior variances must be > 0")
     k = cfg.k
     priors = [[BetaPrior.isotropic(mu, om, k) for om in omega_grid] for mu in mu_grid]
-    estimate, dropped = _collect_ly_replicates(cfg)
+    kept = [est for _, est in _replicates(cfg) if est is not None]
+    dropped = _check_drops(cfg, len(kept))
+    estimate = LYEstimate(np.array([e.m for e in kept]), np.array([e.d for e in kept]))
     ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
 
     # per cell and component: mean estimate, mean sd proxy, Monte Carlo sd
@@ -344,25 +354,21 @@ def run_baseline_experiment(
 
     means = np.empty((cfg.replicates, len(c_grid), n_intervals))
     post_vars = np.empty_like(means)
-    keep = np.zeros(cfg.replicates, dtype=bool)
-    dropped = 0
-    for r in range(cfg.replicates):
-        rng = _replicate_rng(cfg, r)
-        ds = _draw_dataset(cfg, rng)
-        try:
-            est = ly_solve(compute_statistics(ds))
-            bhat = beta_mode(pseudo_posterior(est, beta_prior))
-            if grid is None:
+    kept = 0
+    for ds, est in _replicates(cfg):
+        if est is None:
+            continue
+        bhat = beta_mode(pseudo_posterior(est, beta_prior))
+        rep_grid = grid
+        if grid is None:
+            try:
                 rep_grid = grid_from_quantiles(
                     ds, DEFAULT_QUANTILES, t_final=float(np.max(ds.times))
                 )
-                if len(rep_grid.cuts) < n_intervals:
-                    raise DegenerateGrid("quantile cuts collapsed")
-            else:
-                rep_grid = grid
-        except (SingularDesign, DegenerateGrid):
-            dropped += 1
-            continue
+            except DegenerateGrid:
+                continue
+            if len(rep_grid.cuts) < n_intervals:  # quantile cuts collapsed
+                continue
         summaries = interval_summaries(ds, rep_grid)
         offsets = event_offsets_by_interval(ds, rep_grid, bhat)
         trailing = [0.0] * (rep_grid.m - n_intervals)
@@ -373,16 +379,13 @@ def run_baseline_experiment(
         posts = increment_posteriors(
             summaries[:n_intervals], offsets[:n_intervals], priors
         )
-        means[r] = [[post.mean for post in row] for row in posts]
-        post_vars[r] = [[post.variance for post in row] for row in posts]
-        keep[r] = True
-    if dropped > 0.01 * cfg.replicates:
-        raise ExcessiveReplicateDrops(
-            f"{dropped} of {cfg.replicates} replicates dropped"
-        )
-    means = means[keep]
+        means[kept] = [[post.mean for post in row] for row in posts]
+        post_vars[kept] = [[post.variance for post in row] for row in posts]
+        kept += 1
+    dropped = _check_drops(cfg, kept)
+    means, post_vars = means[:kept], post_vars[:kept]
     stats = np.stack(
-        [means.mean(axis=0), means.std(axis=0, ddof=1), np.sqrt(post_vars[keep]).mean(axis=0)],
+        [means.mean(axis=0), means.std(axis=0, ddof=1), np.sqrt(post_vars).mean(axis=0)],
         axis=-1,
     )
     return SimReport(

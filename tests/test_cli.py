@@ -438,6 +438,18 @@ def test_simulate_needs_two_replicates(capsys):
     assert error_record(err)["error"] == "DimensionMismatch"
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    argv = ["simulate", "--n", "30", "--replicates", "2", "--mu-grid", "0.5", "--omega-grid", "1"]
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    for extra in (["--seed", "-1"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 10 and out == ""
+        record = error_record(err)
+        assert record["error"] == "NonNegativityViolation"
+        assert "seed" in record["message"]
+
+
 def test_simulate_requires_a_study_kind(capsys):
     code, _, err = run(capsys, ["simulate", "--n", "30", "--replicates", "2"])
     assert code == 21

@@ -6,6 +6,9 @@ trapezoid quadrature for the time integral in V2.  Both are deliberately
 naive and share no code with the vectorized implementation.
 """
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,14 +122,18 @@ def test_three_point_dataset_against_both_oracles():
 
 def test_random_datasets_against_brute_force():
     rng = np.random.default_rng(20260819)
-    for trial in range(25):
+    for trial in range(31):
         n = int(rng.integers(3, 51))
         k = int(rng.integers(1, 4))
         ds = random_dataset(rng, n, k)
-        if rng.random() < 0.3:  # exercise tied observation times
-            times = ds.times.copy()
+        times = ds.times.copy()
+        if trial >= 30:  # every event at one time, censored rows around it
+            times[ds.events] = times[0]
+        elif trial >= 25:  # a coarse grid ties most rows
+            times = np.round(times)
+        elif rng.random() < 0.3:  # exercise tied observation times
             times[1] = times[0]
-            ds = SurvivalDataset(times, ds.events, ds.covariates)
+        ds = SurvivalDataset(times, ds.events, ds.covariates)
         stats = compute_statistics(ds)
         v1, v2, v3 = brute_force_statistics(ds)
         np.testing.assert_allclose(stats.v1, v1, rtol=1e-10, atol=1e-14)
@@ -178,9 +185,15 @@ def test_covariate_scaling_equivariance():
     ds = random_dataset(rng, 40, 2)
     scale = np.array([2.0, 0.25])
     scaled = SurvivalDataset(ds.times, ds.events, ds.covariates * scale)
-    m = ly_solve(compute_statistics(ds)).m
+    est = ly_solve(compute_statistics(ds))
     m_scaled = ly_solve(compute_statistics(scaled)).m
-    np.testing.assert_allclose(m_scaled, m / scale, rtol=1e-10)
+    np.testing.assert_allclose(m_scaled, est.m / scale, rtol=1e-10)
+    # stretching time by tau scales V2 by tau and leaves V1, V3 alone
+    tau = 3.7
+    stretched = SurvivalDataset(ds.times * tau, ds.events, ds.covariates)
+    stretched = ly_solve(compute_statistics(stretched))
+    np.testing.assert_allclose(stretched.m, est.m / tau, rtol=1e-10)
+    np.testing.assert_allclose(stretched.d, est.d / tau**2, rtol=1e-10)
 
 
 def test_estimating_equation_residual_vanishes():
@@ -242,3 +255,54 @@ def test_solution_invariant_under_covariate_translation():
         moved = ly_solve(compute_statistics(SurvivalDataset(times, events, z + shift)))
         np.testing.assert_allclose(moved.m, base.m, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(moved.d, base.d, rtol=1e-8, atol=0.0)
+
+
+def test_statistics_memory_is_linear_in_rows():
+    # V2 comes from two (n, k) products; one (n, k, k) buffer alone would
+    # exceed the bound, since k = 20 > 16
+    rng = np.random.default_rng(13)
+    n, k = 20_000, 20
+    ds = random_dataset(rng, n, k)
+    tracemalloc.start()
+    try:
+        compute_statistics(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * k * 8
+
+
+def test_solve_matches_high_precision_oracle_near_singularity():
+    # V2 with condition number 1e10, inside the 1e-12 eigenvalue-ratio
+    # threshold; the oracle solves the same float matrices in 50 digits
+    rng = np.random.default_rng(14)
+    k, n = 4, 250
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+
+    def spd(eigs):
+        v = (q * eigs) @ q.T
+        return (v + v.T) / 2.0
+
+    v2 = spd(np.logspace(0.0, -10.0, k))
+    a = rng.standard_normal((k, k))
+    stats = LYStatistics(v1=rng.standard_normal(k), v2=v2, v3=a @ a.T, n=n)
+    est = ly_solve(stats)
+
+    with mpmath.workdps(50):
+        v2_inv = mpmath.inverse(mpmath.matrix(stats.v2.tolist()))
+        m_ref = v2_inv * mpmath.matrix(stats.v1.tolist())
+        d_ref = v2_inv * mpmath.matrix(stats.v3.tolist()) * v2_inv / n
+        m_ref = np.array(m_ref.tolist(), dtype=float).ravel()
+        d_ref = np.array(d_ref.tolist(), dtype=float)
+    np.testing.assert_allclose(est.m, m_ref, rtol=1e-4, atol=0.0)
+    np.testing.assert_allclose(est.d, d_ref, rtol=1e-4, atol=0.0)
+
+    # an eigenvalue ratio just below 1e-12 is singular, just above is not
+    for ratio, singular in ((0.9e-12, True), (1.1e-12, False)):
+        v2 = spd(np.array([1.0, 0.5, 0.1, ratio]))
+        near = LYStatistics(v1=stats.v1, v2=v2, v3=stats.v3, n=n)
+        if singular:
+            with pytest.raises(SingularDesign):
+                ly_solve(near)
+        else:
+            assert np.all(np.isfinite(ly_solve(near).m))

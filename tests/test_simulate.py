@@ -212,6 +212,11 @@ def test_excessive_drops_abort():
     cfg = config(n=2, replicates=10, censor_rate=0.0)
     with pytest.raises(ExcessiveReplicateDrops):
         run_baseline_experiment(cfg, (1.0,), (5.0, 1.0, 0.3, 0.01))
+    # with two covariates, n=2 leaves V2 of rank 1: every replicate's
+    # design is singular, so the coefficient study drops all ten
+    cfg = config(n=2, replicates=10, beta_true=(0.5, 0.5), censor_rate=0.0)
+    with pytest.raises(ExcessiveReplicateDrops, match="10 of 10"):
+        run_beta_experiment(cfg, (0.5,), (1.0,))
 
 
 def test_config_validation():
@@ -221,8 +226,13 @@ def test_config_validation():
         config(beta_true=(-0.5,))
     with pytest.raises(NonNegativityViolation):
         config(censor_rate=-1.0)
-    with pytest.raises(ValueError):
-        config(seed=-3)
+    for bad in (dict(n=30.5), dict(replicates=2.5), dict(n="30")):
+        with pytest.raises(DimensionMismatch):
+            config(**bad)
+    for seed in (-3, 1.5, np.float64(2.0)):
+        with pytest.raises(NonNegativityViolation):
+            config(seed=seed)
+    assert config(n=np.int64(30), seed=np.int64(4)).seed == 4
 
 
 def test_empty_grids_rejected():
