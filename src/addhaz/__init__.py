@@ -20,7 +20,7 @@ from .hybrid_beta import (
     sigma_hat,
     significance_flag,
 )
-from .poly_coeffs import PolyCoefficients, poly_eval_log, poly_from_factors
+from .poly_coeffs import PolyCoefficients, poly_from_factors
 from .baseline_posterior import (
     IntervalSummary,
     event_offsets_by_interval,
@@ -33,7 +33,6 @@ from .simulate import (
     PiecewiseConstantHazard,
     SimConfig,
     SimReport,
-    draw_event_time,
     run_baseline_experiment,
     run_beta_experiment,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "TimeGrid",
     "beta_mode",
     "compute_statistics",
-    "draw_event_time",
     "errors",
     "event_offsets_by_interval",
     "fit",
@@ -72,7 +70,6 @@ __all__ = [
     "increment_posteriors",
     "interval_summaries",
     "ly_solve",
-    "poly_eval_log",
     "poly_from_factors",
     "pseudo_posterior",
     "read_dataset_csv",

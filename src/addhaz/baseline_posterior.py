@@ -151,9 +151,8 @@ def _interval_prior(summary: IntervalSummary, prior: GammaProcessPrior):
         raise DimensionMismatch(
             f"interval {j} outside the prior's {prior.m} increments"
         )
-    alpha_j = float(prior.increments()[j - 1])
     c = prior.c
-    return j, c * alpha_j, summary.exposure / summary.width + c
+    return j, c * float(prior.increments[j - 1]), summary.exposure / summary.width + c
 
 
 def _improper(j: int, n_factors: int) -> ImproperPosterior:
@@ -200,8 +199,8 @@ def increment_posterior(
     shape_var = float(np.dot(w, (shapes - shape_mean) ** 2))
     return BaselineIncrementPosterior(
         interval=j,
-        log_weights=tuple(float(v) for v in log_w),
-        shape_offsets=tuple(float(v) for v in shapes),
+        log_weights=tuple(log_w.tolist()),
+        shape_offsets=tuple(shapes.tolist()),
         rate=float(rate),
         mean=shape_mean / rate,
         variance=(shape_var + shape_mean) / rate**2,

@@ -103,7 +103,7 @@ def _run_fit(args, *, baseline_only: bool) -> int:
         else:
             grid = TimeGrid(args.grid_cuts, t_final)
         at_cuts = grid.boundaries if args.alpha_at_cuts is None else args.alpha_at_cuts
-        gamma_prior = GammaProcessPrior(at_cuts, args.gamma_c)
+        gamma_prior = GammaProcessPrior.from_shape(at_cuts, args.gamma_c)
     mu = args.prior_mu
     result = fitting.fit(
         ds,

@@ -198,33 +198,37 @@ def _check_spd(matrix: np.ndarray, what: str) -> None:
         raise SingularCovariance(f"{what} must be positive definite") from None
 
 
-@dataclass(frozen=True)
-class BetaPrior:
-    """Gaussian prior for the regression coefficients: N(mu, cov)."""
+def _frozen_array(values) -> np.ndarray:
+    # a copy, so freezing it leaves the caller's array writable
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
-    mu: tuple[float, ...]
-    cov: tuple[tuple[float, ...], ...]
+
+@dataclass(frozen=True, eq=False)
+class BetaPrior:
+    """Gaussian prior for the regression coefficients: N(mu, cov).
+
+    ``mu`` is a read-only (k,) float array and ``cov`` a read-only (k, k)
+    symmetric positive definite one.
+    """
+
+    mu: np.ndarray
+    cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mu, cov = _frozen_array(self.mu), _frozen_array(self.cov)
         if mu.ndim != 1 or cov.shape != (mu.size, mu.size):
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
         if not np.all(np.isfinite(mu)):
             raise OutOfRange("prior mean must be finite")
         _check_spd(cov, "prior covariance")
-        object.__setattr__(self, "mu", tuple(float(v) for v in mu))
-        object.__setattr__(self, "cov", tuple(tuple(float(v) for v in row) for row in cov))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def k(self) -> int:
-        return len(self.mu)
-
-    def mu_array(self) -> np.ndarray:
-        return np.asarray(self.mu, dtype=float)
-
-    def cov_array(self) -> np.ndarray:
-        return np.asarray(self.cov, dtype=float)
+        return self.mu.size
 
     @classmethod
     def isotropic(cls, mu, omega: float, k: int | None = None) -> "BetaPrior":
@@ -240,51 +244,47 @@ class BetaPrior:
         omega = float(omega)
         if omega <= 0:
             raise SingularCovariance("omega must be > 0")
-        return cls(tuple(mu_vec), tuple(map(tuple, omega * np.eye(mu_vec.size))))
+        return cls(mu_vec, omega * np.eye(mu_vec.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaProcessPrior:
     """Independent-increments gamma prior for the cumulative baseline hazard.
 
     The increment over interval j has shape c * alpha_j and rate adjusted by
-    the interval's exposure, where alpha_j = alpha(s_j) - alpha(s_{j-1}) is
-    the increment of the nondecreasing shape function evaluated at the grid
-    boundaries (``alpha_at_cuts``, aligned with TimeGrid.boundaries).
+    the interval's exposure.  ``increments`` is the read-only (m,) array of
+    the alpha_j >= 0, one per grid interval; ``from_shape`` builds it from a
+    shape function evaluated at the grid boundaries.
     """
 
-    alpha_at_cuts: tuple[float, ...]
+    increments: np.ndarray
     c: float
 
     def __post_init__(self):
-        alpha = [float(a) for a in self.alpha_at_cuts]
-        if not alpha:
-            raise DimensionMismatch("alpha_at_cuts must not be empty")
-        if alpha[0] < 0:
-            raise NonNegativityViolation("alpha must be >= 0")
-        for a, b in zip(alpha, alpha[1:]):
-            if b < a:
-                raise NonNegativityViolation("alpha must be nondecreasing")
+        inc = _frozen_array(self.increments)
+        if inc.ndim != 1 or inc.size == 0:
+            raise DimensionMismatch("prior increments must form a non-empty 1-d array")
+        if not np.all(np.isfinite(inc)):
+            raise OutOfRange("prior increments must be finite")
+        if np.any(inc < 0):
+            raise NonNegativityViolation("prior increments must be >= 0 (alpha nondecreasing)")
         c = float(self.c)
         if not (c > 0) or not math.isfinite(c):
             raise NonNegativityViolation("confidence parameter c must be > 0")
-        object.__setattr__(self, "alpha_at_cuts", tuple(alpha))
+        object.__setattr__(self, "increments", inc)
         object.__setattr__(self, "c", c)
 
     @property
     def m(self) -> int:
-        return len(self.alpha_at_cuts)
-
-    def increments(self) -> np.ndarray:
-        """alpha_j for j = 1..m (difference from the previous boundary, s_0 = 0
-        carrying alpha(0) = 0)."""
-        a = np.asarray(self.alpha_at_cuts, dtype=float)
-        return np.diff(np.concatenate(([0.0], a)))
+        return self.increments.size
 
     @classmethod
-    def from_increments(cls, increments, c: float) -> "GammaProcessPrior":
-        inc = np.asarray(increments, dtype=float)
-        return cls(tuple(np.cumsum(inc)), c)
+    def from_shape(cls, alpha_at_cuts, c: float) -> "GammaProcessPrior":
+        """Prior whose alpha_j = alpha(s_j) - alpha(s_{j-1}), from the shape
+        function alpha at the boundaries s_1..s_m, with alpha(0) = 0."""
+        # inf - inf and overflow leave non-finite increments, rejected above
+        with np.errstate(invalid="ignore", over="ignore"):
+            return cls(np.diff(np.asarray(alpha_at_cuts, dtype=float), prepend=0.0), c)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .baseline_posterior import (
@@ -37,7 +35,6 @@ def fit(
     beta_prior: BetaPrior | None = None,
     gamma_prior: GammaProcessPrior | None = None,
     coverage: float = 0.95,
-    quantile_probs: Sequence[float] = DEFAULT_QUANTILES,
     orthant_qp: bool = False,
     skip_baseline: bool = False,
 ) -> FitResult:
@@ -59,12 +56,12 @@ def fit(
     baseline = ()
     if not skip_baseline:
         if grid is None:
-            grid = grid_from_quantiles(ds, quantile_probs, float(np.max(ds.times)))
+            grid = grid_from_quantiles(ds, DEFAULT_QUANTILES, float(np.max(ds.times)))
         if gamma_prior is None:
             # unit-rate prior guess: shape function alpha(t) = t
-            gamma_prior = GammaProcessPrior(grid.boundaries, DEFAULT_GAMMA_C)
+            gamma_prior = GammaProcessPrior.from_shape(grid.boundaries, DEFAULT_GAMMA_C)
         elif gamma_prior.m != grid.m:
-            raise DimensionMismatch(f"gamma prior needs one value per grid boundary ({grid.m})")
+            raise DimensionMismatch(f"gamma prior needs one increment per grid interval ({grid.m})")
         summaries = interval_summaries(ds, grid)
         offsets = event_offsets_by_interval(ds, grid, beta_hat)
         (baseline,) = increment_posteriors(summaries, offsets, [gamma_prior])

@@ -81,10 +81,10 @@ def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
     if prior.k != k:
         raise DimensionMismatch(f"prior dimension {prior.k} does not match estimate dimension {k}")
     d_inv = _spd_inverse(d, "sandwich covariance")
-    c_inv = _spd_inverse(prior.cov_array(), "prior covariance")
+    c_inv = _spd_inverse(prior.cov, "prior covariance")
     cov = _spd_inverse(d_inv + c_inv, "posterior precision")
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
-    rhs = d_inv @ m[..., None] + (c_inv @ prior.mu_array())[:, None]
+    rhs = d_inv @ m[..., None] + (c_inv @ prior.mu)[:, None]
     mean = (cov @ rhs)[..., 0]
     return PseudoPosterior(mean=mean, cov=cov)
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["PolyCoefficients", "poly_eval_log", "poly_from_factors"]
+__all__ = ["PolyCoefficients", "poly_from_factors"]
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class PolyCoefficients:
     def degree(self) -> int:
         return self.log_abs.size - 1
 
-    def coefficients(self) -> np.ndarray:
-        """Plain-float coefficients; overflows to inf for extreme magnitudes."""
-        return np.exp(self.log_abs)
-
 
 def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
     """Multiply out prod_i (a + b_i); every offset b_i must be finite and >= 0."""
@@ -62,17 +58,3 @@ def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
         buf[1 : deg + 1] = np.logaddexp(buf[:deg], buf[1 : deg + 1] + log_b)
         buf[0] += log_b
     return PolyCoefficients(buf)
-
-
-def poly_eval_log(poly: PolyCoefficients, a: float) -> float:
-    """log of sum_k d_k a^k for a >= 0, or -inf when the value is 0."""
-    a = float(a)
-    if not (a >= 0.0):
-        raise ValueError("evaluation point a must be >= 0")
-    if a == 0.0:
-        return float(poly.log_abs[0])
-    terms = poly.log_abs + np.arange(poly.log_abs.size) * math.log(a)
-    top = np.max(terms)
-    if top == -math.inf:
-        return -math.inf
-    return float(top + math.log(np.sum(np.exp(terms - top))))

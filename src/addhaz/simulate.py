@@ -47,7 +47,6 @@ __all__ = [
     "PiecewiseConstantHazard",
     "SimConfig",
     "SimReport",
-    "draw_event_time",
     "run_beta_experiment",
     "run_baseline_experiment",
 ]
@@ -134,20 +133,6 @@ def _draw_event_times(
         done |= land
         remaining = np.where(done, remaining, remaining - cap)
     return t
-
-
-def draw_event_time(
-    z, beta, baseline: PiecewiseConstantHazard, rng: np.random.Generator
-) -> float:
-    """One event time for covariates z under coefficients beta."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if z.shape != beta.shape:
-        raise DimensionMismatch("z and beta dimensions disagree")
-    if np.any(z < 0) or np.any(beta < 0):
-        raise NonNegativityViolation("z and beta must be >= 0")
-    offset = float(z @ beta)
-    return float(_draw_event_times(np.array([offset]), baseline, rng)[0])
 
 
 def _draw_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
@@ -335,12 +320,10 @@ def run_baseline_experiment(
     """
     _check_replicates(cfg)
     c_grid = tuple(float(v) for v in c_grid)
-    alpha_increments = tuple(float(a) for a in alpha_increments)
-    if not c_grid or any(c <= 0 for c in c_grid):
+    if not c_grid:
         raise NonNegativityViolation("confidence weights must be > 0")
-    if any(a < 0 for a in alpha_increments):
-        raise NonNegativityViolation("prior shape increments must be >= 0")
-    n_intervals = len(alpha_increments)
+    priors = [GammaProcessPrior(alpha_increments, c) for c in c_grid]
+    n_intervals = priors[0].m
     if grid is not None:
         if grid.m < n_intervals:
             raise DimensionMismatch(
@@ -371,11 +354,6 @@ def run_baseline_experiment(
                 continue
         summaries = interval_summaries(ds, rep_grid)
         offsets = event_offsets_by_interval(ds, rep_grid, bhat)
-        trailing = [0.0] * (rep_grid.m - n_intervals)
-        priors = [
-            GammaProcessPrior.from_increments(list(alpha_increments) + trailing, c)
-            for c in c_grid
-        ]
         posts = increment_posteriors(
             summaries[:n_intervals], offsets[:n_intervals], priors
         )

@@ -270,7 +270,7 @@ def test_informative_confidence_separates_prior_shapes():
 
 def test_improper_posterior_cases():
     summary = make_summary(exposure=2.0, width=1.0)
-    prior = GammaProcessPrior.from_increments([0.0], c=1.0)
+    prior = GammaProcessPrior([0.0], c=1.0)
     with pytest.raises(ImproperPosterior):
         increment_posterior(summary, poly_from_factors([]), prior)  # no events, alpha=0
     with pytest.raises(ImproperPosterior):
@@ -294,7 +294,7 @@ def test_full_pipeline_matches_quadrature():
     ds = SurvivalDataset(times, events, z)
     grid = TimeGrid((0.8, 1.8), 3.0)
     beta = np.array([0.4, 0.9])
-    prior = GammaProcessPrior.from_increments([1.5, 0.7, 0.2], c=2.0)
+    prior = GammaProcessPrior([1.5, 0.7, 0.2], c=2.0)
     summaries = interval_summaries(ds, grid)
     offset_lists = event_offsets_by_interval(ds, grid, beta)
     for j in range(3):
@@ -303,7 +303,7 @@ def test_full_pipeline_matches_quadrature():
         )
         mean_q, var_q = quadrature_moments(
             list(offset_lists[j]),
-            prior.increments()[j],
+            prior.increments[j],
             prior.c,
             summaries[j].exposure,
             summaries[j].width,

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from addhaz import dataio
+from addhaz.baseline_posterior import EXACT_MAX_FACTORS
 from addhaz.cli import main
-from addhaz.data_model import FitResult
+from addhaz.data_model import FitResult, SurvivalDataset
 from addhaz.errors import AddhazError
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
 
@@ -276,6 +277,30 @@ def test_nonfinite_prior_mean_rejected(tmp_path, capsys):
         record = error_record(err)
         assert record["error"] == "OutOfRange"
         assert "prior mean" in record["message"]
+
+
+def test_nonfinite_prior_shape_rejected(tmp_path, capsys):
+    # 3000 events with cuts 0.2, 0.5 put about 1500 in the last interval,
+    # past EXACT_MAX_FACTORS, so fit would take the quadrature path there;
+    # the n = 50 study stays on the exact mixture path
+    rng = np.random.default_rng(31)
+    times = rng.uniform(0.01, 1.0, 3000)
+    assert np.count_nonzero(times > 0.5) > EXACT_MAX_FACTORS
+    ds = SurvivalDataset(times, np.ones(3000, dtype=bool), rng.uniform(0.0, 2.0, (3000, 2)))
+    csv_path = tmp_path / "ds.csv"
+    dataio.write_dataset_csv(ds, csv_path)
+    fit = ["fit", "--input", str(csv_path), "--grid-cuts", "0.2,0.5", "--alpha-at-cuts"]
+    for argv in (
+        fit + ["0.2,0.5,nan"],
+        fit + ["0.2,inf,inf"],
+        ["simulate", "--n", "50", "--replicates", "3", "--c-grid", "1",
+         "--alpha-increments", "0.5,nan", "--grid-cuts", "0.3", "--t-final", "1.0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 14 and out == ""
+        record = error_record(err)
+        assert record["error"] == "OutOfRange"
+        assert "finite" in record["message"]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

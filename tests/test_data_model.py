@@ -192,8 +192,8 @@ def test_interval_index_monotone():
 
 def test_beta_prior_isotropic_and_spd_check():
     prior = BetaPrior.isotropic(0.5, 2.0, 3)
-    assert prior.mu == (0.5, 0.5, 0.5)
-    np.testing.assert_allclose(np.asarray(prior.cov), 2.0 * np.eye(3))
+    np.testing.assert_array_equal(prior.mu, [0.5, 0.5, 0.5])
+    np.testing.assert_allclose(prior.cov, 2.0 * np.eye(3))
     with pytest.raises(SingularCovariance):
         BetaPrior.isotropic(0.5, -1.0, 2)
     with pytest.raises(SingularCovariance):
@@ -209,20 +209,56 @@ def test_beta_prior_rejects_nonfinite_mean():
 
 
 def test_gamma_prior_increments_roundtrip():
-    prior = GammaProcessPrior(alpha_at_cuts=(5.0, 6.0, 6.3, 6.31), c=1.0)
-    np.testing.assert_allclose(prior.increments(), [5.0, 1.0, 0.3, 0.01])
-    rebuilt = GammaProcessPrior.from_increments([5.0, 1.0, 0.3, 0.01], 1.0)
-    np.testing.assert_allclose(rebuilt.alpha_at_cuts, prior.alpha_at_cuts)
+    prior = GammaProcessPrior.from_shape((5.0, 6.0, 6.3, 6.31), c=1.0)
+    np.testing.assert_allclose(prior.increments, [5.0, 1.0, 0.3, 0.01])
+    rebuilt = GammaProcessPrior.from_shape(np.cumsum([5.0, 1.0, 0.3, 0.01]), 1.0)
+    np.testing.assert_allclose(rebuilt.increments, prior.increments)
     assert prior.m == 4
+    # increments given directly are held as given, with no round trip
+    direct = GammaProcessPrior((5.0, 1.0, 0.3, 0.01), c=1.0)
+    assert direct.increments.tolist() == [5.0, 1.0, 0.3, 0.01]
+    # alpha(t) = t at the boundaries gives the interval widths bit for bit
+    grid = TimeGrid((0.125, 0.3, 0.6), 1.15)
+    assert GammaProcessPrior.from_shape(grid.boundaries, 1.0).increments.tolist() == (
+        grid.widths().tolist()
+    )
+
+
+def test_priors_hold_read_only_copies():
+    mu, cov, inc = np.zeros(2), np.eye(2), np.array([1.0, 2.0])
+    beta = BetaPrior(mu, cov)
+    gamma = GammaProcessPrior(inc, c=1.0)
+    assert beta.mu.shape == (2,) and beta.cov.shape == (2, 2) and beta.k == 2
+    for held in (beta.mu, beta.cov, gamma.increments):
+        assert held.dtype == float
+        with pytest.raises(ValueError):
+            held[0] = 9.0
+    mu[0] = cov[0, 0] = inc[0] = 3.0  # the caller's arrays stay writable
+    assert beta.mu[0] == 0.0 and beta.cov[0, 0] == 1.0 and gamma.increments[0] == 1.0
 
 
 def test_gamma_prior_validation():
     with pytest.raises(NonNegativityViolation):
-        GammaProcessPrior(alpha_at_cuts=(1.0, 0.5), c=1.0)  # decreasing
+        GammaProcessPrior.from_shape((1.0, 0.5), c=1.0)  # decreasing
     with pytest.raises(NonNegativityViolation):
-        GammaProcessPrior(alpha_at_cuts=(1.0, 2.0), c=0.0)
+        GammaProcessPrior((1.0, 2.0), c=0.0)
     with pytest.raises(NonNegativityViolation):
-        GammaProcessPrior(alpha_at_cuts=(-1.0, 2.0), c=1.0)
+        GammaProcessPrior.from_shape((-1.0, 2.0), c=1.0)
+    with pytest.raises(NonNegativityViolation):
+        GammaProcessPrior((0.5, -0.1), c=1.0)
+    for empty in ((), [[]]):
+        with pytest.raises(DimensionMismatch):
+            GammaProcessPrior(empty, c=1.0)
+
+
+def test_gamma_prior_rejects_nonfinite_shape():
+    # inf - inf and overflowing differences must not warn on the way
+    for shape in ((0.2, 0.5, np.nan), (0.2, np.inf, np.inf), (0.2, np.inf), (-1e308, 1e308)):
+        with pytest.raises(OutOfRange, match="finite"):
+            GammaProcessPrior.from_shape(shape, c=1.0)
+    for inc in ((0.5, np.nan), (np.inf,)):
+        with pytest.raises(OutOfRange, match="finite"):
+            GammaProcessPrior(inc, c=1.0)
 
 
 def test_csv_round_trip_is_identity(tmp_path):

@@ -73,7 +73,7 @@ def test_quadrature_matches_exact_mixture(n, kind):
 def test_improper_cases_match_exact_path():
     rng = np.random.default_rng(3)
     summary = IntervalSummary(1, 0, 0, 2.0, 1.0)
-    zero_shape = GammaProcessPrior.from_increments([0.0], c=1.0)
+    zero_shape = GammaProcessPrior([0.0], c=1.0)
     # alpha_j = 0 with every offset > 0 (or no offsets) does not integrate
     for b in ([], [1.0, 2.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(ImproperPosterior):
@@ -177,7 +177,7 @@ def test_fit_routes_large_intervals_to_quadrature():
     assert large.log_weights == () and large.shape_offsets == ()
     assert len(small.log_weights) == len(small.shape_offsets) == n_small + 1
 
-    prior = GammaProcessPrior(grid.boundaries, 1.0)  # fit's default prior
+    prior = GammaProcessPrior.from_shape(grid.boundaries, 1.0)  # fit's default prior
     summaries = interval_summaries(ds, grid)
     offsets = event_offsets_by_interval(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from addhaz import simulate
 from addhaz.data_model import TimeGrid
 from addhaz.errors import (
     DimensionMismatch,
@@ -13,12 +14,13 @@ from addhaz.errors import (
 from addhaz.simulate import (
     PiecewiseConstantHazard,
     SimConfig,
-    draw_event_time,
     _draw_dataset,
     _replicate_rng,
     run_baseline_experiment,
     run_beta_experiment,
 )
+
+from oracles import draw_event_time
 
 UNIT_HAZARD = PiecewiseConstantHazard((1.0,))
 
@@ -182,6 +184,26 @@ def test_baseline_study_prior_to_data_ordering():
     for row in rows:
         assert all(float(field) is not None for field in row)
     assert float(rows[0][2]) == cells[(10.0, 1)][0]
+
+
+def test_baseline_study_hands_over_the_requested_increments(monkeypatch):
+    # the priors reach the posterior holding the increments as given, with
+    # no cumsum/diff round trip and no padding past the reported intervals
+    seen = []
+    original = simulate.increment_posteriors
+
+    def spy(summaries, offsets, priors):
+        seen.append(priors)
+        return original(summaries, offsets, priors)
+
+    monkeypatch.setattr(simulate, "increment_posteriors", spy)
+    grid = TimeGrid((0.125, 0.3, 0.6, 0.9), 1.15)
+    cfg = config(n=60, replicates=3, seed=2)
+    simulate.run_baseline_experiment(cfg, (10.0, 0.1), (5.0, 1.0, 0.3, 0.01), grid=grid)
+    assert len(seen) == 3 and all(priors is seen[0] for priors in seen)
+    assert [p.c for p in seen[0]] == [10.0, 0.1]
+    for prior in seen[0]:
+        assert prior.increments.tolist() == [5.0, 1.0, 0.3, 0.01]
 
 
 def test_baseline_sd_grows_with_interval_index():
