@@ -189,13 +189,13 @@ def _run_hpd(args) -> int:
     if not sd > 0:
         raise SingularCovariance("--sd must be > 0")
     marginal = PseudoPosterior(mean=np.array([mean]), cov=np.array([[sd * sd]]))
-    interval = hpd_interval(marginal, 0, args.coverage)
+    interval = hpd_interval(marginal, args.coverage)
     record = {
-        "lower": interval.lower,
-        "upper": interval.upper,
+        "lower": interval.lower.item(),
+        "upper": interval.upper.item(),
         "coverage": args.coverage,
-        "sigma_hat": sigma_hat(interval),
-        "significant": significance_flag(interval),
+        "sigma_hat": sigma_hat(interval).item(),
+        "significant": significance_flag(interval).item(),
     }
     sys.stdout.write(json.dumps(record) + "\n")
     return 0

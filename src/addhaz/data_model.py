@@ -50,10 +50,10 @@ class SurvivalDataset:
     __slots__ = ("times", "events", "covariates")
 
     def __init__(self, times, events, covariates, *, allow_signed=False):
-        try:
-            times = np.asarray(times, dtype=float)
-            events = np.asarray(events, dtype=bool)
-            covariates = np.asarray(covariates, dtype=float)
+        try:  # copies, so freezing them leaves the caller's arrays writable
+            times = np.array(times, dtype=float)
+            events = np.array(events, dtype=bool)
+            covariates = np.array(covariates, dtype=float)
         except (TypeError, ValueError) as exc:  # ragged rows, non-numeric cells
             raise DimensionMismatch(
                 f"times, events and covariates must be rectangular numeric arrays: {exc}"

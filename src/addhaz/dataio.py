@@ -74,7 +74,8 @@ def _read_table(path, layout):
     ``layout(path, header)`` checks the header and returns the positions of
     the time and event columns, the value columns, and the value names.
     Every row must have exactly as many fields as the header.  Returns the
-    value names, times, event flags and one list of values per row.
+    value names, times, event flags, one list of values per row and each
+    row's line number in the file, which errors name as "row N".
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -83,8 +84,12 @@ def _read_table(path, layout):
         except StopIteration:
             raise DatasetFormatError(f"{path}: empty file") from None
         t_col, e_col, cols, names = layout(path, header)
-        times, events, values = [], [], []
-        for i, row in enumerate(filter(None, reader), start=2):
+        times, events, values, lines = [], [], [], []
+        for row in reader:
+            if not row:  # blank line
+                continue
+            i = reader.line_num
+            lines.append(i)
             if len(row) != len(header):
                 raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
             times.append(_parse_float(row[t_col], i, "time"))
@@ -95,12 +100,12 @@ def _read_table(path, layout):
             values.append([_parse_float(row[c], i, name) for c, name in zip(cols, names)])
     if not times:
         raise DatasetFormatError(f"{path}: no data rows")
-    return names, times, events, values
+    return names, times, events, values, lines
 
 
 def read_dataset_csv(path, *, allow_signed: bool = False):
     """Load a dataset file; returns (SurvivalDataset, covariate names)."""
-    names, times, events, covs = _read_table(path, _plain_layout)
+    names, times, events, covs, _ = _read_table(path, _plain_layout)
     return SurvivalDataset(times, events, covs, allow_signed=allow_signed), names
 
 
@@ -118,14 +123,15 @@ def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:
             writer.writerow([repr(float(t)), "1" if e else "0"] + [repr(float(v)) for v in z])
 
 
-def _cohort_covariates(raw: np.ndarray) -> list[list[float]]:
-    """The four standard transforms of the (n, 3) AFE, YFE, EXP columns."""
+def _cohort_covariates(raw: np.ndarray, lines) -> list[list[float]]:
+    """The four standard transforms of the (n, 3) AFE, YFE, EXP columns;
+    ``lines`` holds each row's file line for the error message."""
     afe, yfe, exposure = raw.T
     bad = np.flatnonzero((afe <= 10.0) | (exposure < 0.0))
     if bad.size:
         i = int(bad[0])
         what = "AFE must exceed 10" if afe[i] <= 10.0 else "EXP must be >= 0"
-        raise DatasetFormatError(f"row {i + 2}: {what}")
+        raise DatasetFormatError(f"row {lines[i]}: {what}")
     decade = (yfe - 1915.0) / 10.0
     # math.log, not np.log: the vectorized log may differ in the last ulp
     return [
@@ -141,6 +147,6 @@ def read_transformed_cohort_csv(path):
     transformed covariates; the dataset is built with signed covariates
     allowed, since the third transform is always <= 0.
     """
-    _, times, events, raw = _read_table(path, _cohort_layout)
-    covs = _cohort_covariates(np.asarray(raw))
+    _, times, events, raw, lines = _read_table(path, _cohort_layout)
+    covs = _cohort_covariates(np.asarray(raw), lines)
     return SurvivalDataset(times, events, covs, allow_signed=True), COHORT_COVARIATE_NAMES

@@ -39,11 +39,6 @@ class OutOfRange(AddhazError):
     exit_code = 14
 
 
-class EmptyRiskSet(AddhazError):
-    """No subject remains at risk at the requested time."""
-    exit_code = 15
-
-
 class SingularDesign(AddhazError):
     """The integrated design matrix is numerically singular."""
     exit_code = 16

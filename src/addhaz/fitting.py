@@ -50,8 +50,7 @@ def fit(
     estimate = ly_solve(compute_statistics(ds))
     posterior = pseudo_posterior(estimate, beta_prior)
     beta_hat = beta_mode(posterior, orthant_qp=orthant_qp)
-    intervals = [hpd_interval(posterior, comp, coverage) for comp in range(ds.k)]
-    sigmas = tuple(sigma_hat(iv) for iv in intervals)
+    interval = hpd_interval(posterior, coverage)
 
     baseline = ()
     if not skip_baseline:
@@ -68,8 +67,8 @@ def fit(
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),
-        sigma_hat=sigmas,
-        hpd=tuple((iv.lower, iv.upper) for iv in intervals),
+        sigma_hat=tuple(sigma_hat(interval).tolist()),
+        hpd=tuple(zip(interval.lower.tolist(), interval.upper.tolist())),
         coverage=float(coverage),
         baseline=baseline,
     )

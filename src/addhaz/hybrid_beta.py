@@ -44,17 +44,13 @@ class PseudoPosterior:
     mean: np.ndarray
     cov: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.mean.shape[-1]
-
 
 @dataclass(frozen=True)
 class HpdInterval:
-    """Shortest interval of given coverage for one truncated marginal (arrays for a batch)."""
+    """Shortest intervals of given coverage for the truncated marginals, (..., k)."""
 
-    lower: float | np.ndarray
-    upper: float | np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     coverage: float
 
 
@@ -115,7 +111,8 @@ def _hpd_bulk(mean, sd, coverage: float):
     Phi(a - x) = (1 - coverage) Phi(a).  The ndtri_exp start for x cancels as
     a -> -inf, so it is clipped to a bracket of the root and polished by two
     Newton steps on g(x) = log Phi(a - x) - log((1 - coverage) Phi(a)), which
-    is concave and decreasing.  Inputs must be valid; returns 1-d arrays.
+    is concave and decreasing.  Inputs must be valid; returns arrays of at
+    least one dimension.
     """
     mean, sd = np.atleast_1d(mean, sd)
     a = mean / sd
@@ -137,44 +134,38 @@ def _hpd_bulk(mean, sd, coverage: float):
     return lower, upper
 
 
-def hpd_interval(pp: PseudoPosterior, component: int, coverage: float) -> HpdInterval:
-    """Highest-density interval of one truncated-normal marginal.
+def hpd_interval(pp: PseudoPosterior, coverage: float) -> HpdInterval:
+    """Highest-density interval of every truncated-normal marginal.
 
-    The marginal used is the Gaussian marginal of the given component,
-    truncated to [0, inf); either the interval starts at 0, or the density
-    is equal at both endpoints.  The marginal variance must be a finite
-    normal float and mean / sd finite.
+    Each component's Gaussian marginal is truncated to [0, inf); either its
+    interval starts at 0, or the density is equal at both endpoints.  The
+    bounds have the shape of ``pp.mean``.  Every marginal variance must be a
+    finite normal float and every mean / sd finite.
     """
-    if not 0 <= component < pp.k:
-        raise DimensionMismatch(f"component {component} out of range for k={pp.k}")
     if not (0.0 < coverage < 1.0):
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
-    mean = pp.mean[..., component]
-    var = pp.cov[..., component, component]
+    var = np.diagonal(pp.cov, axis1=-2, axis2=-1)
     if not np.all((var >= _FLOAT.tiny) & (var <= _FLOAT.max)):
         raise SingularCovariance("marginal variance must be a normal float (sd in ~[1.5e-154, 1.3e154])")
     sd = np.sqrt(var)
-    if not np.all(np.abs(mean) / _FLOAT.max < sd):
+    if not np.all(np.abs(pp.mean) / _FLOAT.max < sd):
         raise SingularCovariance("marginal mean must be finite with |mean| / sd finite")
-    lower, upper = _hpd_bulk(mean, sd, coverage)
-    if mean.ndim == 0:
-        return HpdInterval(lower=float(lower[0]), upper=float(upper[0]), coverage=coverage)
+    lower, upper = _hpd_bulk(pp.mean, sd, coverage)
     return HpdInterval(lower=lower, upper=upper, coverage=coverage)
 
 
-def sigma_hat(interval: HpdInterval, coverage: float | None = None) -> float | np.ndarray:
+def sigma_hat(interval: HpdInterval) -> np.ndarray:
     """Standard deviation recovered from the interval width as if symmetric.
 
     For coverage 1 - alpha this is (upper - lower) / (2 z_{1-alpha/2}); it
     equals the true sd when the interval did not hit the truncation bound.
     """
-    level = interval.coverage if coverage is None else float(coverage)
-    if not (0.0 < level < 1.0):
-        raise InvalidCoverage(f"coverage must lie in (0, 1), got {level!r}")
-    z = ndtri(0.5 + level / 2.0)
+    if not (0.0 < interval.coverage < 1.0):
+        raise InvalidCoverage(f"coverage must lie in (0, 1), got {interval.coverage!r}")
+    z = ndtri(0.5 + interval.coverage / 2.0)
     return (interval.upper - interval.lower) / (2.0 * z)
 
 
-def significance_flag(interval: HpdInterval) -> bool | np.ndarray:
-    """True when the interval excludes zero (lower endpoint > 0)."""
+def significance_flag(interval: HpdInterval) -> np.ndarray:
+    """True where the interval excludes zero (lower endpoint > 0)."""
     return interval.lower > 0.0

@@ -32,7 +32,7 @@ class PolyCoefficients:
     log_abs: np.ndarray
 
     def __post_init__(self):
-        log_abs = np.asarray(self.log_abs, dtype=float)
+        log_abs = np.array(self.log_abs, dtype=float)  # a copy, frozen below
         if log_abs.ndim != 1 or log_abs.size == 0:
             raise ValueError("log_abs must be a non-empty 1-d array")
         log_abs.setflags(write=False)

@@ -259,36 +259,26 @@ def run_beta_experiment(
         raise DimensionMismatch("prior grids must not be empty")
     if any(om <= 0 for om in omega_grid):
         raise NonNegativityViolation("prior variances must be > 0")
-    k = cfg.k
-    priors = [[BetaPrior.isotropic(mu, om, k) for om in omega_grid] for mu in mu_grid]
+    priors = [[BetaPrior.isotropic(mu, om, cfg.k) for om in omega_grid] for mu in mu_grid]
     kept = [est for _, est in _replicates(cfg) if est is not None]
     dropped = _check_drops(cfg, len(kept))
     estimate = LYEstimate(np.array([e.m for e in kept]), np.array([e.d for e in kept]))
-    ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
 
-    # per cell and component: mean estimate, mean sd proxy, Monte Carlo sd
-    stats = np.empty((len(mu_grid), len(omega_grid), k, 3))
-    for i, row in enumerate(priors):
-        for j, prior in enumerate(row):
+    def cells(labels, estimates, spreads):
+        # per component of (r, k) arrays: mean estimate, mean sd proxy, Monte Carlo sd
+        stats = np.stack(
+            [estimates.mean(axis=0), spreads.mean(axis=0), estimates.std(axis=0, ddof=1)],
+            axis=1,
+        )
+        return [(labels + (comp + 1,), tuple(v)) for comp, v in enumerate(stats.tolist())]
+
+    rows = []
+    for mu, row in zip(mu_grid, priors):
+        for om, prior in zip(omega_grid, row):
             pp = pseudo_posterior(estimate, prior)
-            estimates = beta_mode(pp)
-            stats[i, j, :, 0] = estimates.mean(axis=0)
-            stats[i, j, :, 2] = estimates.std(axis=0, ddof=1)
-            for comp in range(k):
-                stats[i, j, comp, 1] = np.mean(sigma_hat(hpd_interval(pp, comp, coverage)))
-    reference = np.stack(
-        [estimate.m.mean(axis=0), ses.mean(axis=0), estimate.m.std(axis=0, ddof=1)], axis=1
-    )
-    rows = [
-        ((mu, om, comp + 1), tuple(stats[i, j, comp].tolist()))
-        for i, mu in enumerate(mu_grid)
-        for j, om in enumerate(omega_grid)
-        for comp in range(k)
-    ]
-    rows += [
-        (("reference", "flat", comp + 1), tuple(reference[comp].tolist()))
-        for comp in range(k)
-    ]
+            rows += cells((mu, om), beta_mode(pp), sigma_hat(hpd_interval(pp, coverage)))
+    ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
+    rows += cells(("reference", "flat"), estimate.m, ses)
     return SimReport(
         n=cfg.n,
         replicates=cfg.replicates,

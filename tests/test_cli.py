@@ -202,6 +202,34 @@ def test_cohort_row_with_extra_field_rejected(tmp_path, capsys):
     assert record["message"].startswith("row 3:")
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("time,event,z1\n1.0,1,0.5\n\n2.0,1,abc\n", [], "row 4: column 'z1' is not numeric"),
+        ("time,event,z1\n1.0,1,0.5\n2.0,1,nan\n", [], "row 3: column 'z1' is not finite"),
+        ("time,event,z1\n1.0,1,0.5\n\n\ninf,1,0.5\n", [], "row 5: column 'time' is not finite"),
+        ("time,event,z1\n1.0,1.0,0.5\n", [], "row 2: event must be 0 or 1"),
+        ("time,event,z1\n1.0,1,0.5\n\n2.0,,0.5\n", [], "row 4: event must be 0 or 1"),
+        ("", [], "{path}: empty file"),
+        ("time,event,z1\n", [], "{path}: no data rows"),
+        ("time,event,z1\n1.0,1,0.5\n\n2.0,1\n", [], "row 4: expected 3 fields"),
+        (
+            "time,event,AFE,YFE,EXP\n1.0,1,20,1925,1\n\n2.0,1,9,1925,1\n",
+            ["--cohort-transform"],
+            "row 4: AFE must exceed 10",
+        ),
+    ],
+)
+def test_dataset_errors_name_the_file_line(tmp_path, capsys, text, flags, message):
+    path = tmp_path / "ds.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, ["fit", "--input", str(path), *flags])
+    assert code == 21
+    record = error_record(err)
+    assert record["error"] == "DatasetFormatError"
+    assert record["message"].startswith(message.format(path=path))
+
+
 @pytest.mark.parametrize("preset", ["table1", "table2", "table3", "table4"])
 def test_preset_cells_match_golden_file(tmp_path, capsys, preset):
     # tests/data/<preset>_cells.csv holds cells.csv from --seed 7
@@ -582,5 +610,5 @@ def test_error_classes_carry_the_readme_exit_codes():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| (\d+) \| (\w+) \|$", readme, re.M)
     classes = {cls.__name__: cls.exit_code for cls in AddhazError.__subclasses__()}
-    assert len(classes) == 12
+    assert len(classes) == 11
     assert classes == {name: int(code) for code, name in rows}

@@ -99,6 +99,18 @@ def test_dataset_arrays_immutable():
         ds.times[0] = 9.0
 
 
+def test_dataset_leaves_the_callers_arrays_writable():
+    times = np.array([1.0, 2.0, 0.5])
+    events = np.array([True, False, True])
+    covariates = np.array([[0.5], [1.0], [0.2]])
+    ds = SurvivalDataset(times, events, covariates)
+    for held in (ds.times, ds.events, ds.covariates):
+        with pytest.raises(ValueError):
+            held[0] = held[0]
+    times[0], events[0], covariates[0, 0] = 3.0, False, 9.0
+    assert ds.times[0] == 1.0 and ds.events[0] and ds.covariates[0, 0] == 0.5
+
+
 def test_grid_median_of_five():
     ds = validate_dataset([(t, True, [1.0 + 0.1 * t]) for t in (1, 2, 3, 4, 5)])
     grid = grid_from_quantiles(ds, [0.5], t_final=5.0)

@@ -195,18 +195,18 @@ def test_qp_mode_beats_clamp_when_correlated():
 def test_hpd_half_normal_case():
     est = scalar_estimate(0.0, 1.0)
     pp = pseudo_posterior(est, BetaPrior.isotropic(0.0, 1e12, 1))
-    iv = hpd_interval(pp, 0, 0.95)
-    assert iv.lower == 0.0
-    assert iv.upper == pytest.approx(1.959964, abs=1e-5)
+    iv = hpd_interval(pp, 0.95)
+    assert iv.lower[0] == 0.0
+    assert iv.upper[0] == pytest.approx(1.959964, abs=1e-5)
 
 
 def test_hpd_symmetric_case_far_from_zero():
     est = scalar_estimate(10.0, 1.0)
     pp = pseudo_posterior(est, BetaPrior.isotropic(10.0, 1e12, 1))
-    iv = hpd_interval(pp, 0, 0.95)
-    assert iv.lower == pytest.approx(8.0400, abs=1e-4)
-    assert iv.upper == pytest.approx(11.9600, abs=1e-4)
-    assert sigma_hat(iv) == pytest.approx(1.0, abs=1e-4)
+    iv = hpd_interval(pp, 0.95)
+    assert iv.lower[0] == pytest.approx(8.0400, abs=1e-4)
+    assert iv.upper[0] == pytest.approx(11.9600, abs=1e-4)
+    assert sigma_hat(iv)[0] == pytest.approx(1.0, abs=1e-4)
 
 
 def test_hpd_interval_holds_requested_mass():
@@ -217,14 +217,15 @@ def test_hpd_interval_holds_requested_mass():
         coverage = rng.uniform(0.5, 0.99)
         est = scalar_estimate(mean, sd**2)
         pp = pseudo_posterior(est, BetaPrior.isotropic(mean, 1e12, 1))
-        iv = hpd_interval(pp, 0, coverage)
+        iv = hpd_interval(pp, coverage)
+        lower, upper = iv.lower[0], iv.upper[0]
         total = norm.sf(0.0, loc=pp.mean[0], scale=sd)
         mass = (
-            norm.cdf(iv.upper, pp.mean[0], sd) - norm.cdf(iv.lower, pp.mean[0], sd)
+            norm.cdf(upper, pp.mean[0], sd) - norm.cdf(lower, pp.mean[0], sd)
         ) / total
         assert mass == pytest.approx(coverage, abs=1e-8)
-        assert iv.lower >= 0.0
-        assert iv.upper > iv.lower
+        assert lower >= 0.0
+        assert upper > lower
 
 
 def test_hpd_matches_grid_search_oracle():
@@ -235,17 +236,17 @@ def test_hpd_matches_grid_search_oracle():
         coverage = rng.uniform(0.55, 0.99)
         est = scalar_estimate(mean, sd**2)
         pp = pseudo_posterior(est, BetaPrior.isotropic(mean, 1e12, 1))
-        iv = hpd_interval(pp, 0, coverage)
+        iv = hpd_interval(pp, coverage)
         lo, hi = hpd_grid_oracle(pp.mean[0], sd, coverage)
-        assert iv.lower == pytest.approx(lo, abs=1e-4)
-        assert iv.upper == pytest.approx(hi, abs=1e-4)
+        assert iv.lower[0] == pytest.approx(lo, abs=1e-4)
+        assert iv.upper[0] == pytest.approx(hi, abs=1e-4)
 
 
 def test_hpd_width_shrinks_with_coverage():
     est = scalar_estimate(1.0, 0.25)
     pp = pseudo_posterior(est, BetaPrior.isotropic(1.0, 1e12, 1))
     widths = [
-        hpd_interval(pp, 0, c).upper - hpd_interval(pp, 0, c).lower
+        hpd_interval(pp, c).upper[0] - hpd_interval(pp, c).lower[0]
         for c in (0.99, 0.9, 0.5, 0.1, 1e-4)
     ]
     assert all(a > b for a, b in zip(widths, widths[1:]))
@@ -256,10 +257,6 @@ def test_hpd_width_shrinks_with_coverage():
 def test_sigma_hat_arithmetic():
     assert sigma_hat(HpdInterval(0.0, 1.96, 0.95)) == pytest.approx(0.5, abs=1e-4)
     assert sigma_hat(HpdInterval(1.0, 1.0, 0.95)) == 0.0
-    # explicit coverage argument overrides the stored one
-    assert sigma_hat(HpdInterval(0.0, 2.0, 0.5), 0.95) == pytest.approx(
-        1.0 / norm.ppf(0.975), abs=1e-10
-    )
 
 
 def test_significance_flag_cases():
@@ -273,7 +270,7 @@ def test_invalid_coverage_rejected():
     pp = pseudo_posterior(est, BetaPrior.isotropic(1.0, 1.0, 1))
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(InvalidCoverage):
-            hpd_interval(pp, 0, bad)
+            hpd_interval(pp, bad)
 
 
 def test_singular_inputs_rejected():
@@ -291,11 +288,11 @@ def test_hpd_matches_mpmath_oracle_across_tails(coverage):
     sd = np.full_like(ratios, 0.37)
     mean = ratios * sd
     pp = PseudoPosterior(mean=mean[:, None], cov=(sd**2)[:, None, None])
-    iv = hpd_interval(pp, 0, coverage)
+    iv = hpd_interval(pp, coverage)
     for i in range(ratios.size):
         lo, hi = hpd_mpmath_oracle(mean[i], np.sqrt(pp.cov[i, 0, 0]), coverage)
-        assert iv.lower[i] == pytest.approx(lo, rel=1e-12, abs=0.0)
-        assert iv.upper[i] == pytest.approx(hi, rel=1e-12, abs=0.0)
+        assert iv.lower[i, 0] == pytest.approx(lo, rel=1e-12, abs=0.0)
+        assert iv.upper[i, 0] == pytest.approx(hi, rel=1e-12, abs=0.0)
 
 
 def test_hpd_far_below_zero_is_an_exponential_tail():
@@ -303,9 +300,9 @@ def test_hpd_far_below_zero_is_an_exponential_tail():
     # |mean| / sd^2, whose HPD is [0, -log(1 - coverage) sd^2 / |mean|]
     for mean in (-1e8, -1e50, -1e200, -1e300):
         pp = PseudoPosterior(mean=np.array([mean]), cov=np.array([[1.0]]))
-        iv = hpd_interval(pp, 0, 0.95)
-        assert iv.lower == 0.0
-        assert iv.upper == pytest.approx(-np.log(0.05) / -mean, rel=1e-13)
+        iv = hpd_interval(pp, 0.95)
+        assert iv.lower[0] == 0.0
+        assert iv.upper[0] == pytest.approx(-np.log(0.05) / -mean, rel=1e-13)
 
 
 def test_batched_posterior_and_hpd_equal_a_loop():
@@ -317,22 +314,41 @@ def test_batched_posterior_and_hpd_equal_a_loop():
     prior = BetaPrior(mu=(0.5, 0.0, 1.0), cov=((2.0, 0.3, 0.0), (0.3, 1.0, 0.1), (0.0, 0.1, 0.5)))
     batch = pseudo_posterior(LYEstimate(m, d), prior)
     assert batch.mean.shape == (r, k) and batch.cov.shape == (r, k, k)
-    assert batch.k == k
-    for comp in range(k):
-        ivs = hpd_interval(batch, comp, 0.9)
-        sig = sigma_hat(ivs)
-        flag = significance_flag(ivs)
-        for i in range(r):
-            one = pseudo_posterior(LYEstimate(m[i], d[i]), prior)
-            np.testing.assert_allclose(batch.mean[i], one.mean, rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(batch.cov[i], one.cov, rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(beta_mode(batch)[i], beta_mode(one), rtol=1e-14, atol=1e-15)
-            iv = hpd_interval(one, comp, 0.9)
-            assert isinstance(iv.lower, float) and isinstance(iv.upper, float)
-            assert ivs.lower[i] == pytest.approx(iv.lower, rel=1e-14, abs=1e-15)
-            assert ivs.upper[i] == pytest.approx(iv.upper, rel=1e-14, abs=1e-15)
-            assert sig[i] == pytest.approx(sigma_hat(iv), rel=1e-13, abs=1e-15)
-            assert flag[i] == significance_flag(iv)
+    assert batch.mean.shape[-1] == k
+    ivs = hpd_interval(batch, 0.9)
+    sig = sigma_hat(ivs)
+    flag = significance_flag(ivs)
+    assert ivs.lower.shape == ivs.upper.shape == sig.shape == flag.shape == (r, k)
+    for i in range(r):
+        one = pseudo_posterior(LYEstimate(m[i], d[i]), prior)
+        np.testing.assert_allclose(batch.mean[i], one.mean, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(batch.cov[i], one.cov, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(beta_mode(batch)[i], beta_mode(one), rtol=1e-14, atol=1e-15)
+        iv = hpd_interval(one, 0.9)
+        assert iv.lower.shape == iv.upper.shape == (k,)
+        for comp in range(k):
+            assert ivs.lower[i, comp] == pytest.approx(iv.lower[comp], rel=1e-14, abs=1e-15)
+            assert ivs.upper[i, comp] == pytest.approx(iv.upper[comp], rel=1e-14, abs=1e-15)
+            assert sig[i, comp] == pytest.approx(sigma_hat(iv)[comp], rel=1e-13, abs=1e-15)
+            assert flag[i, comp] == significance_flag(iv)[comp]
+
+
+def test_each_component_interval_is_its_own_marginal_interval():
+    # one call over every component gives, bit for bit, the interval of each
+    # component's one-dimensional marginal
+    rng = np.random.default_rng(11)
+    for k in range(1, 8):
+        mean = rng.normal(0.0, 2.0, size=(50, k))
+        roots = rng.normal(size=(50, k, k))
+        cov = roots @ np.swapaxes(roots, 1, 2) + 0.01 * np.eye(k)
+        iv = hpd_interval(PseudoPosterior(mean=mean, cov=cov), 0.95)
+        for comp in range(k):
+            marginal = PseudoPosterior(
+                mean=mean[:, comp : comp + 1], cov=cov[:, comp : comp + 1, comp : comp + 1]
+            )
+            one = hpd_interval(marginal, 0.95)
+            np.testing.assert_array_equal(iv.lower[:, comp], one.lower[:, 0])
+            np.testing.assert_array_equal(iv.upper[:, comp], one.upper[:, 0])
 
 
 @pytest.mark.parametrize(
@@ -350,4 +366,4 @@ def test_batched_posterior_and_hpd_equal_a_loop():
 def test_hpd_rejects_degenerate_marginals(mean, var):
     pp = PseudoPosterior(mean=np.array([mean]), cov=np.array([[var]]))
     with pytest.raises(SingularCovariance):
-        hpd_interval(pp, 0, 0.95)
+        hpd_interval(pp, 0.95)

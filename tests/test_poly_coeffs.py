@@ -133,3 +133,12 @@ def test_coefficient_container_is_immutable():
         PolyCoefficients(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         PolyCoefficients(np.zeros(0))
+
+
+def test_coefficients_leave_the_callers_array_writable():
+    log_abs = np.array([0.0, -1.0])
+    held = PolyCoefficients(log_abs).log_abs
+    with pytest.raises(ValueError):
+        held[0] = 1.0
+    log_abs[0] = 5.0
+    assert held[0] == 0.0

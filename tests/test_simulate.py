@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from addhaz import simulate
-from addhaz.data_model import TimeGrid
+from addhaz.data_model import SurvivalDataset, TimeGrid
 from addhaz.errors import (
     DimensionMismatch,
     ExcessiveReplicateDrops,
@@ -239,6 +239,29 @@ def test_excessive_drops_abort():
     cfg = config(n=2, replicates=10, beta_true=(0.5, 0.5), censor_rate=0.0)
     with pytest.raises(ExcessiveReplicateDrops, match="10 of 10"):
         run_beta_experiment(cfg, (0.5,), (1.0,))
+
+
+# every event at the largest time leaves no quantile cut below it
+NO_CUT = SurvivalDataset([1.0, 1.0, 1.0], [True] * 3, [[0.5], [0.2], [0.3]])
+# two distinct event times leave one cut, fewer than two reported intervals
+ONE_CUT = SurvivalDataset([0.5, 1.0, 1.0, 1.0], [True] * 4, [[0.5], [0.2], [0.3], [0.1]])
+
+
+@pytest.mark.parametrize(
+    "bad, dropped",
+    [({3: NO_CUT}, 1), ({7: ONE_CUT}, 1), ({0: NO_CUT, 9: ONE_CUT}, 2)],
+)
+def test_baseline_study_drops_replicates_without_their_own_grid(monkeypatch, bad, dropped):
+    original = simulate._replicates
+
+    def replicates(cfg):
+        for r, (ds, estimate) in enumerate(original(cfg)):
+            yield bad.get(r, ds), estimate
+
+    monkeypatch.setattr(simulate, "_replicates", replicates)
+    cfg = config(n=80, replicates=10, seed=5)
+    with pytest.raises(ExcessiveReplicateDrops, match=f"^{dropped} of 10 replicates dropped$"):
+        run_baseline_experiment(cfg, (1.0,), (5.0, 1.0))
 
 
 def test_config_validation():
