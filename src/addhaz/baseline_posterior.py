@@ -12,8 +12,8 @@ finite mixture of Gamma distributions:
     weight    k:   proportional to d_k w_j^-k c_j^-k Gamma(k + c alpha_j)
 
 where d_k are the likelihood polynomial's coefficients.  All weight algebra
-is done in the log domain; a zero coefficient (log d_k = -inf) gives its
-component weight zero.
+is done in the log domain.  An event with beta'z_i = 0 is a factor a_j, one
+more unit of prior shape, so the mixture lists only live components.
 
 The same mixture is the law of L_j = u / c_j, where u has the density
 
@@ -97,8 +97,7 @@ def interval_summaries(ds: SurvivalDataset, grid: TimeGrid) -> list[IntervalSumm
     idx = np.searchsorted(bounds, t, side="left")
     inside = idx < grid.m
     counts = np.bincount(idx[inside], minlength=grid.m)
-    t_sorted = np.sort(t)
-    beyond = ds.n - np.searchsorted(t_sorted, bounds, side="right")
+    beyond = ds.n - np.cumsum(counts)  # a time at or below s_j lies in 1..j
     inside_sums = np.bincount(
         idx[inside], weights=t[inside] - left[idx[inside]], minlength=grid.m
     )
@@ -175,22 +174,23 @@ def increment_posterior(
     observations inside the interval (the constant 1 when there are none).
     """
     j, shape0, rate = _interval_prior(summary, prior)
-    degree = poly.degree
-    nonzero = poly.log_abs > -math.inf
-    if shape0 == 0.0 and nonzero[0]:
-        raise _improper(j, degree)
-    k = np.arange(degree + 1)
+    # with nonnegative offsets the zero coefficients are the leading ones,
+    # one per zero offset, whose factor a is one more unit of prior shape
+    dead = int(np.argmax(poly.log_abs > -math.inf))
+    log_d = poly.log_abs[dead:]
+    shape0 += dead
+    if shape0 == 0.0:
+        raise _improper(j, poly.degree)
+    k = np.arange(log_d.size)
     shapes = k + shape0
     log_scale = math.log(summary.width) + math.log(rate)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
-        # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
-        # leaves too few absolute digits for the weights at large s0
-        log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
-        log_w = poly.log_abs - k * log_scale + log_rising[: degree + 1]
-    log_w = np.where(nonzero, log_w, -math.inf)
+    # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
+    # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
+    # leaves too few absolute digits for the weights at large s0
+    log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
+    log_w = log_d - k * log_scale + log_rising[: log_d.size]
     top = np.max(log_w)
-    if top == -math.inf or not np.isfinite(top):
+    if not np.isfinite(top):
         raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
     log_w = log_w - (top + math.log(np.sum(np.exp(log_w - top))))
 
@@ -221,12 +221,14 @@ def increment_moments(
     b = np.asarray(offsets, dtype=float)
     if b.ndim != 1 or not np.all((b >= 0.0) & (b < math.inf)):
         raise ValueError("factor offsets must be finite and >= 0")
-    if shape0 == 0.0 and np.all(b > 0.0):
+    positive = b[b > 0.0]
+    shape0 += b.size - positive.size  # each zero offset is prior shape
+    if shape0 == 0.0:
         raise _improper(j, b.size)
-    if b.size == 0:
-        mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
+    if positive.size:
+        mean_u, var_u = _tilted_gamma_moments(shape0, positive, 1.0 / (summary.width * rate))
     else:
-        mean_u, var_u = _tilted_gamma_moments(shape0, b, 1.0 / (summary.width * rate))
+        mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
     return BaselineIncrementPosterior(
         interval=j,
         log_weights=(),
@@ -246,24 +248,32 @@ def _expm1_minus_t(t: np.ndarray) -> np.ndarray:
 
 
 def _sum_log1p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k log1p(a_i b_k) for each i, through one buffer of bounded size."""
+    """sum_k log1p(a_i b_k) for each i, through one buffer of bounded size;
+    -inf where a_i b_k rounds to -1 (an offset below 1e-16 of u_hat x)."""
     out = np.empty(a.size)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, b.size))
     terms = np.empty((min(chunk, a.size), b.size))
     for start in range(0, a.size, chunk):
         rows = a[start : start + chunk]
         part = np.multiply.outer(rows, b, out=terms[: rows.size])
-        out[start : start + rows.size] = np.log1p(part, out=part).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            out[start : start + rows.size] = np.log1p(part, out=part).sum(axis=1)
     return out
+
+
+def _log1mexp(d: np.ndarray) -> np.ndarray:
+    """log(1 - e^-d); -inf where d underflows to 0 (every b_i > ~1e300 u x)."""
+    with np.errstate(divide="ignore"):
+        return np.log(-np.expm1(-d))
 
 
 def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, float]:
     """Mean and variance of u with density prop. to u^(s0-1) e^-u P(u).
 
-    P(u) = prod_i (u x + b_i) over N >= 1 offsets, and s0 > 0 unless some
-    b_i = 0.  P(0) = prod_i b_i contributes the closed-form Gamma(s0, 1)
-    component, which carries all of the singularity at u = 0 when s0 < 1;
-    the remainder R(u) = P(u) - P(0) is integrated numerically.  In
+    P(u) = prod_i (u x + b_i) over N >= 1 offsets b_i > 0, and s0 > 0.
+    P(0) = prod_i b_i contributes the closed-form Gamma(s0, 1) component,
+    which carries all of the singularity at u = 0 when s0 < 1; the
+    remainder R(u) = P(u) - P(0) is integrated numerically.  In
     t = log(u / u_hat), about the mode u_hat of the remainder, the
     integrand is smooth and decays at least like e^t to the left and like
     exp(-u) to the right, so the trapezoid rule on a uniform grid converges
@@ -272,13 +282,9 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     integral, since |integrand(t + i eta)| <= integrand(t) exp(u eta^2 / 2).
     The window ends where the log integrand has dropped by _TAIL_DROP.
     """
-    n = b.size
-    positive = b[b > 0.0]
-    n_zero = n - positive.size
-
     def log_ratio(u: float) -> float:
-        # D(u) = log P(u) / P(0); P(0) = 0 leaves R = P, as D = inf does
-        return math.inf if n_zero else float(np.sum(np.log1p(u * x / positive)))
+        # D(u) = log P(u) / P(0)
+        return float(np.sum(np.log1p(u * x / b)))
 
     def slope(u: float) -> float:
         # d/d(log u) of log(u^s0 e^-u R(u)); the log-derivative of R lies
@@ -286,7 +292,7 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
         share = float(np.sum(u * x / (u * x + b)))
         return s0 - u + share / -math.expm1(-log_ratio(u))
 
-    lo, hi = s0 + 1.0, s0 + n
+    lo, hi = s0 + 1.0, s0 + b.size
     if slope(hi) >= 0.0:
         u_hat = hi
     elif slope(lo) <= 0.0:
@@ -303,19 +309,16 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     def log_integrand(t: np.ndarray) -> np.ndarray:
         """log of u^s0 e^-u R(u) at u = u_hat e^t, relative to t = 0."""
         v = np.expm1(t)
-        with np.errstate(divide="ignore"):
-            growth = _sum_log1p(v, w)
-            # s0 t - (u - u_hat), written so that a large s0 does not cancel
-            out = linear * v - s0 * _expm1_minus_t(t) + growth
-            if not n_zero:
-                # R = P (1 - e^-D) with D = log P(u) / P(0); below D = 40,
-                # where R and P differ, D is summed afresh, since d_hat +
-                # growth cancels as u -> 0
-                drop = d_hat + growth
-                near = drop < 40.0
-                drop[near] = _sum_log1p(u_hat * np.exp(t[near]), x / positive)
-                out += np.log(-np.expm1(-drop)) - log_rem
-        return out
+        growth = _sum_log1p(v, w)
+        # s0 t - (u - u_hat), written so that a large s0 does not cancel
+        out = linear * v - s0 * _expm1_minus_t(t) + growth
+        # R = P (1 - e^-D) with D = log P(u) / P(0); below D = 40, where R
+        # and P differ, D is summed afresh, since d_hat + growth cancels as
+        # u -> 0
+        drop = d_hat + growth
+        near = drop < 40.0
+        drop[near] = _sum_log1p(u_hat * np.exp(t[near]), x / b)
+        return out + (_log1mexp(drop) - log_rem)
 
     def reach(sign: float) -> float:
         span = 1.0 / math.sqrt(u_hat)
@@ -327,10 +330,8 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     h = min(0.1, 0.6 / math.sqrt(u_hat * math.exp(right)))
     t = h * np.arange(-math.ceil(left / h), math.ceil(right / h) + 1)
     log_f = log_integrand(t) + math.log(h)
-    if n_zero:
-        log_p0 = -math.inf
-    else:  # log of P(0) Gamma(s0), on the scale of log_f
-        log_p0 = gammaln(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
+    # log of P(0) Gamma(s0), on the scale of log_f
+    log_p0 = gammaln(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
     top = max(log_p0, float(np.max(log_f)))
     w0 = math.exp(log_p0 - top)
     wq = np.exp(log_f - top)

@@ -16,6 +16,7 @@ preset, so a flag beats the file, which beats the preset, which beats
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -121,9 +122,7 @@ def _run_fit(args, *, baseline_only: bool) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "coverage": args.coverage,
-            "grid": None
-            if grid is None
-            else {"cuts": list(grid.cuts), "t_final": grid.t_final},
+            "grid": None if grid is None else dataclasses.asdict(grid),
             "fit": result.to_dict(),
         }
         (out_dir / "fit.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -154,8 +153,8 @@ def _run_simulate(args) -> int:
     if kind == "beta":
         report = run_beta_experiment(
             cfg,
-            args.mu_grid or BETA_MU_GRID,
-            args.omega_grid or BETA_OMEGA_GRID,
+            BETA_MU_GRID if args.mu_grid is None else args.mu_grid,
+            BETA_OMEGA_GRID if args.omega_grid is None else args.omega_grid,
             coverage=args.coverage,
         )
     else:
@@ -168,8 +167,8 @@ def _run_simulate(args) -> int:
             grid = TimeGrid(cuts=cuts, t_final=t_final)
         report = run_baseline_experiment(
             cfg,
-            args.c_grid or BASELINE_C_GRID,
-            args.alpha_increments or BASELINE_ALPHA_INCREMENTS,
+            BASELINE_C_GRID if args.c_grid is None else args.c_grid,
+            BASELINE_ALPHA_INCREMENTS if args.alpha_increments is None else args.alpha_increments,
             grid=grid,
         )
     table = report.to_table_text()

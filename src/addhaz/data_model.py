@@ -10,7 +10,7 @@ whose intervals are the left-open, right-closed cells (s_{j-1}, s_j].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -319,42 +319,26 @@ class FitResult:
     baseline: tuple[BaselineIncrementPosterior, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "beta_hat": list(self.beta_hat),
-            "ly_beta": list(self.ly_beta),
-            "sigma_hat": list(self.sigma_hat),
-            "hpd": [list(pair) for pair in self.hpd],
-            "coverage": self.coverage,
-            "baseline": [
-                {
-                    "interval": p.interval,
-                    "log_weights": list(p.log_weights),
-                    "shape_offsets": list(p.shape_offsets),
-                    "rate": p.rate,
-                    "mean": p.mean,
-                    "variance": p.variance,
-                }
-                for p in self.baseline
-            ],
-        }
+        """Every field by name, shallowly; ``json.dumps`` writes tuples as lists."""
+        out = _fields_dict(self)
+        out["baseline"] = tuple(_fields_dict(p) for p in self.baseline)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
-        return cls(
-            beta_hat=tuple(data["beta_hat"]),
-            ly_beta=tuple(data["ly_beta"]),
-            sigma_hat=tuple(data["sigma_hat"]),
-            hpd=tuple((pair[0], pair[1]) for pair in data["hpd"]),
-            coverage=data["coverage"],
-            baseline=tuple(
-                BaselineIncrementPosterior(
-                    interval=p["interval"],
-                    log_weights=tuple(p["log_weights"]),
-                    shape_offsets=tuple(p["shape_offsets"]),
-                    rate=p["rate"],
-                    mean=p["mean"],
-                    variance=p["variance"],
-                )
-                for p in data["baseline"]
-            ),
-        )
+        """Inverse of ``to_dict``; also reads its output parsed from JSON."""
+        out = _tuples(data)
+        out["baseline"] = tuple(BaselineIncrementPosterior(**p) for p in out["baseline"])
+        return cls(**out)
+
+
+def _fields_dict(obj) -> dict:
+    # shallow, unlike dataclasses.asdict, which deep-copies every float
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _tuples(value):
+    """value with every list in it, at any depth, turned into a tuple."""
+    if isinstance(value, dict):
+        return {name: _tuples(item) for name, item in value.items()}
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value

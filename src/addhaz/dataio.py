@@ -1,13 +1,13 @@
 """CSV ingestion and serialization.
 
-Dataset files are UTF-8 CSV with a header row.  The first column must be
-``time``, the second ``event`` (0 or 1), and every remaining column is a
-covariate.  Occupational-cohort files with raw columns AFE, YFE and EXP can
-be loaded through ``read_transformed_cohort_csv``, which applies the
-standard transforms log(AFE - 10), (YFE - 1915) / 10, -(YFE - 1915)^2 / 100
-and log(EXP + 1); the third transform is negative-valued, so such data can
-only be analysed on the flat-prior path and is loaded with the positivity
-check disabled.
+Dataset files are UTF-8 CSV, with or without a byte-order mark, with a
+header row.  The first column must be ``time``, the second ``event`` (0 or
+1), and every remaining column is a covariate.  Occupational-cohort files
+with raw columns AFE, YFE and EXP can be loaded through
+``read_transformed_cohort_csv``, which applies the standard transforms
+log(AFE - 10), (YFE - 1915) / 10, -(YFE - 1915)^2 / 100 and log(EXP + 1);
+the third transform is negative-valued, so such data can only be analysed
+on the flat-prior path and is loaded with the positivity check disabled.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _read_table(path, layout):
     value names, times, event flags, one list of values per row and each
     row's line number in the file, which errors name as "row N".
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]

@@ -311,7 +311,7 @@ def run_baseline_experiment(
     _check_replicates(cfg)
     c_grid = tuple(float(v) for v in c_grid)
     if not c_grid:
-        raise NonNegativityViolation("confidence weights must be > 0")
+        raise DimensionMismatch("confidence weights must not be empty")
     priors = [GammaProcessPrior(alpha_increments, c) for c in c_grid]
     n_intervals = priors[0].m
     if grid is not None:

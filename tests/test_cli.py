@@ -57,7 +57,7 @@ def test_fit_outputs_and_round_trip(tmp_path, capsys):
     assert payload["coverage"] == 0.95
     assert payload["grid"]["t_final"] > 0
     restored = FitResult.from_dict(payload["fit"])
-    assert restored.to_dict() == payload["fit"]
+    assert json.loads(json.dumps(restored.to_dict())) == payload["fit"]
     assert all(b >= 0 for b in restored.beta_hat)
     assert (out_dir / "fit.txt").read_text() == out
 
@@ -67,6 +67,40 @@ def test_fit_outputs_and_round_trip(tmp_path, capsys):
     assert len(baseline_csv) == 1 + 5
     means = [float(line.split(",")[2]) for line in baseline_csv[1:]]
     assert all(m > 0 for m in means)
+
+
+def test_csv_with_a_byte_order_mark_fits_like_one_without(tmp_path, capsys):
+    # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+    plain = tmp_path / "plain.csv"
+    write_dataset(plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        out_dir = tmp_path / path.stem
+        code, out, err = run(capsys, ["fit", "--input", str(path), "--out", str(out_dir)])
+        assert code == 0 and err == ""
+        files = [(out_dir / name).read_text() for name in ("fit.json", "fit.txt", "baseline.csv")]
+        outputs.append([out] + files)
+    assert outputs[0] == outputs[1]
+
+
+def test_fit_json_is_strict_json_when_every_offset_is_zero(tmp_path, capsys):
+    # the covariate grows with the time, so its coefficient clamps to 0 and
+    # every event contributes one unit of prior shape, not a dead component
+    times = np.linspace(0.05, 3.0, 40)
+    ds = SurvivalDataset(times, np.arange(40) % 4 != 3, times[:, None])
+    csv_path = tmp_path / "null.csv"
+    dataio.write_dataset_csv(ds, csv_path)
+    code, _, err = run(capsys, ["fit", "--input", str(csv_path), "--out", str(tmp_path / "out")])
+    assert code == 0 and err == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fit = json.loads((tmp_path / "out" / "fit.json").read_text(), parse_constant=reject)["fit"]
+    assert fit["beta_hat"] == [0.0]
+    assert [post["log_weights"] for post in fit["baseline"]] == [[0.0]] * 5
 
 
 def test_baseline_command_prints_csv(tmp_path, capsys):
@@ -501,6 +535,22 @@ def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
         record = error_record(err)
         assert record["error"] == "NonNegativityViolation"
         assert "seed" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        ["--mu-grid", ""],
+        ["--mu-grid", "0.5", "--omega-grid", ","],
+        ["--c-grid", ",", "--alpha-increments", "1,1", "--grid-cuts", "0.5", "--t-final", "1.0"],
+        ["--c-grid", "1", "--alpha-increments", ","],
+    ],
+)
+def test_simulate_rejects_an_empty_grid(capsys, grids):
+    # an empty grid is an error, not a request for the default grid
+    code, out, err = run(capsys, ["simulate", "--n", "50", "--replicates", "3", *grids])
+    assert code == 11 and out == ""
+    assert error_record(err)["error"] == "DimensionMismatch"
 
 
 def test_simulate_requires_a_study_kind(capsys):

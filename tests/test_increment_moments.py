@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addhaz import dataio
 from addhaz.baseline_posterior import (
@@ -101,6 +103,45 @@ def test_bad_offsets_rejected_like_the_polynomial():
             poly_from_factors(b)
         with pytest.raises(ValueError):
             increment_moments(summary, b, prior)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    b=st.lists(st.floats(0.01, 100.0), max_size=40),
+    zeros=st.integers(1, 40),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+    c=st.floats(1e-2, 1e2),
+    ratio=st.floats(1e-2, 1e4),
+)
+def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
+    # an event with b = 0 contributes the factor a, one more unit of the
+    # prior shape c alpha: z of them equal a prior alpha + z / c
+    offsets = [0.0] * zeros + b
+    summary = IntervalSummary(1, len(offsets), 0, ratio * WIDTH, WIDTH)
+    prior = GammaProcessPrior([alpha], c)
+    post = increment_posterior(summary, poly_from_factors(offsets), prior)
+    raised = increment_posterior(
+        summary, poly_from_factors(b), GammaProcessPrior([alpha + zeros / c], c)
+    )
+    assert len(post.log_weights) == len(post.shape_offsets) == len(b) + 1
+    assert np.all(np.isfinite(post.log_weights)) and np.all(np.isfinite(post.shape_offsets))
+    assert post.shape_offsets[0] == c * alpha + zeros
+    np.testing.assert_allclose(post.shape_offsets, raised.shape_offsets, rtol=1e-12)
+    np.testing.assert_allclose(post.log_weights, raised.log_weights, rtol=1e-12, atol=1e-12)
+    assert post.mean == pytest.approx(raised.mean, rel=1e-12)
+    assert post.variance == pytest.approx(raised.variance, rel=1e-12)
+    assert_same_moments(increment_moments(summary, offsets, prior), post)
+
+
+@pytest.mark.parametrize("b", [[1e-20], [1e-20, 3.0], [1e300]])
+def test_extreme_offsets_leave_no_warning(b):
+    # far left in the quadrature window the integrand is exactly 0 here:
+    # an offset below 1e-16 of u x rounds log1p(v w) to log(0), one above
+    # 1e300 of it underflows log P(u) / P(0) to 0; RuntimeWarnings are errors
+    summary = IntervalSummary(1, len(b), 0, 2.0, 1.0)
+    prior = GammaProcessPrior([1e-3], 1.0)
+    exact = increment_posterior(summary, poly_from_factors(b), prior)
+    assert_same_moments(increment_moments(summary, b, prior), exact)
 
 
 def rising_factorial_moments(b, s0, rate, width):
@@ -197,7 +238,7 @@ def test_quadrature_result_round_trips_through_fit_json(tmp_path, capsys):
     assert main(["fit", *grid_args, "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "fit.json").read_text())
     restored = FitResult.from_dict(payload["fit"])
-    assert restored.to_dict() == payload["fit"]
+    assert json.loads(json.dumps(restored.to_dict())) == payload["fit"]
     assert payload["fit"]["baseline"][0]["log_weights"] == []
     assert restored.baseline == fit(ds, grid).baseline
 

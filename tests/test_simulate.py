@@ -286,7 +286,7 @@ def test_empty_grids_rejected():
         run_beta_experiment(cfg, (), (1.0,))
     with pytest.raises(NonNegativityViolation):
         run_beta_experiment(cfg, (0.5,), (0.0,))
-    with pytest.raises(NonNegativityViolation):
+    with pytest.raises(DimensionMismatch):
         run_baseline_experiment(cfg, (), (5.0,))
     with pytest.raises(DimensionMismatch):
         run_baseline_experiment(
