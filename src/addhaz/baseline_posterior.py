@@ -24,8 +24,9 @@ Building the mixture costs O(N^2) in the N events of the interval, while
 quadrature of this 1-d density costs O(N Q) for Q nodes.  Intervals with
 more than EXACT_MAX_FACTORS events therefore get their moments by
 quadrature (``increment_moments``) and report no mixture; smaller ones keep
-the exact mixture (``increment_posterior``).  ``increment_posteriors``
-makes that choice for a list of intervals.
+the exact mixture (``increment_posterior``).  The whole baseline stage,
+``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
+interval for every prior at once.
 """
 
 from __future__ import annotations
@@ -345,17 +346,26 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
 
 
 def increment_posteriors(
-    summaries, offsets, priors
+    ds: SurvivalDataset, grid: TimeGrid, beta, priors
 ) -> list[tuple[BaselineIncrementPosterior, ...]]:
-    """Posterior of each interval's increment under each prior.
+    """Posterior of the increment over each of the first m grid intervals,
+    m the priors' common length, under each prior, given coefficients beta.
 
-    Entry [p][j] is the posterior for summaries[j] with factor offsets
-    offsets[j] under priors[p].  An interval with more than
-    EXACT_MAX_FACTORS offsets gets its moments by quadrature; any other
-    gets the exact mixture, from one polynomial shared by all priors.
+    Entry [p][j] is interval j + 1's posterior under priors[p].  An interval
+    with more than EXACT_MAX_FACTORS events gets its moments by quadrature;
+    any other gets the exact mixture, from one polynomial shared by all
+    priors.
     """
+    if not priors:
+        raise DimensionMismatch("need at least one prior")
+    m = priors[0].m
+    if any(p.m != m for p in priors):
+        raise DimensionMismatch("the priors differ in their number of increments")
+    if grid.m < m:
+        raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
+    summaries = interval_summaries(ds, grid)[:m]
     columns = []
-    for summary, factors in zip(summaries, offsets):
+    for summary, factors in zip(summaries, event_offsets_by_interval(ds, grid, beta)):
         if len(factors) > EXACT_MAX_FACTORS:
             columns.append([increment_moments(summary, factors, p) for p in priors])
         else:

@@ -26,8 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, fitting
-from .data_model import BetaPrior, GammaProcessPrior, TimeGrid, grid_from_quantiles
-from .errors import AddhazError, DatasetFormatError, SingularCovariance
+from .data_model import (
+    DEFAULT_QUANTILES, BetaPrior, GammaProcessPrior, TimeGrid, grid_from_quantiles
+)
+from .errors import AddhazError, DatasetFormatError, DegenerateGrid, SingularCovariance
 from .hybrid_beta import PseudoPosterior, hpd_interval, sigma_hat, significance_flag
 from .simulate import SimConfig, run_baseline_experiment, run_beta_experiment
 
@@ -98,10 +100,10 @@ def _run_fit(args, *, baseline_only: bool) -> int:
     skip_baseline = not baseline_only and args.skip_baseline
     grid = gamma_prior = None
     if not skip_baseline:
-        t_final = float(np.max(ds.times)) if args.t_final is None else args.t_final
         if args.grid_cuts is None:
-            grid = grid_from_quantiles(ds, args.grid_quantiles, t_final)
+            grid = grid_from_quantiles(ds, args.grid_quantiles, args.t_final)
         else:
+            t_final = float(np.max(ds.times)) if args.t_final is None else args.t_final
             grid = TimeGrid(args.grid_cuts, t_final)
         at_cuts = grid.boundaries if args.alpha_at_cuts is None else args.alpha_at_cuts
         gamma_prior = GammaProcessPrior.from_shape(at_cuts, args.gamma_c)
@@ -133,16 +135,16 @@ def _run_fit(args, *, baseline_only: bool) -> int:
 
 
 def _run_simulate(args) -> int:
-    kind = args.kind
-    if kind is None:
-        if args.c_grid is not None or args.alpha_increments is not None:
-            kind = "baseline"
-        elif args.mu_grid is not None or args.omega_grid is not None:
-            kind = "beta"
-        else:
-            raise DatasetFormatError(
-                "choose --preset or pass prior grids for one study kind"
-            )
+    # the preset's kind and each kind whose prior grids are given; grid
+    # flags name no kind, so a config file shared with fit serves both
+    kinds = {args.kind} - {None}
+    if args.mu_grid is not None or args.omega_grid is not None:
+        kinds.add("beta")
+    if args.c_grid is not None or args.alpha_increments is not None:
+        kinds.add("baseline")
+    if len(kinds) != 1:
+        raise DatasetFormatError("choose --preset or pass prior grids for one study kind")
+    (kind,) = kinds
     cfg = SimConfig(
         n=args.n,
         replicates=args.replicates,
@@ -159,12 +161,9 @@ def _run_simulate(args) -> int:
         )
     else:
         cuts, t_final = args.grid_cuts, args.t_final
-        grid = None
-        if cuts:
-            if t_final is None:
-                t_final = max(cuts)
-                cuts = cuts[:-1]
-            grid = TimeGrid(cuts=cuts, t_final=t_final)
+        if (cuts is None) != (t_final is None):
+            raise DegenerateGrid("--grid-cuts and --t-final fix a study's grid together")
+        grid = None if cuts is None else TimeGrid(cuts, t_final)
         report = run_baseline_experiment(
             cfg,
             BASELINE_C_GRID if args.c_grid is None else args.c_grid,
@@ -226,7 +225,7 @@ def _build_parser():
     for name in ("fit", "baseline"):
         add = command(name, f"{name} estimation from a CSV dataset")
         add("--input", help="dataset CSV (time,event,covariates...)")
-        add("--grid-quantiles", type=_float_list, default=fitting.DEFAULT_QUANTILES)
+        add("--grid-quantiles", type=_float_list, default=DEFAULT_QUANTILES)
         add("--grid-cuts", type=_float_list)
         add("--t-final", type=float)
         add("--prior-mu", type=_float_list, default=(1.0,))
@@ -269,7 +268,7 @@ def _config_defaults(path, cmd: str, commands: dict) -> dict:
     """
     actions = commands[cmd][1]
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         key, sep, text = (part.strip() for part in raw.split("#", 1)[0].partition("="))
         dest = key.replace("-", "_")
         if not (key or sep):

@@ -31,7 +31,9 @@ __all__ = [
     "GammaProcessPrior",
     "BaselineIncrementPosterior",
     "FitResult",
+    "DEFAULT_QUANTILES",
     "grid_from_quantiles",
+    "inverse_cholesky",
 ]
 
 
@@ -155,13 +157,18 @@ def _nearest_rank_quantile(sorted_values: np.ndarray, prob: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+# the default grid's cut probabilities, for a fit and a baseline study alike
+DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
+
+
 def grid_from_quantiles(
-    ds: SurvivalDataset, probs: Sequence[float], t_final: float
+    ds: SurvivalDataset, probs: Sequence[float] = DEFAULT_QUANTILES, t_final: float | None = None
 ) -> TimeGrid:
     """Grid whose cuts are nearest-rank quantiles of the uncensored times.
 
-    Duplicate quantiles are collapsed, and quantiles falling on 0 or at or
-    beyond ``t_final`` are discarded; at least one usable cut must remain.
+    ``t_final=None`` ends the grid at the largest observed time.  Duplicate
+    quantiles are collapsed, and quantiles falling on 0 or at or beyond
+    ``t_final`` are discarded; at least one usable cut must remain.
     """
     probs = [float(p) for p in probs]
     if not probs:
@@ -171,7 +178,7 @@ def grid_from_quantiles(
             raise DegenerateGrid("quantile probabilities must be strictly increasing")
     if probs[0] <= 0.0 or probs[-1] >= 1.0:
         raise DegenerateGrid("quantile probabilities must lie in (0, 1)")
-    t_final = float(t_final)
+    t_final = float(np.max(ds.times) if t_final is None else t_final)
     if t_final < float(np.max(ds.times)):
         raise OutOfRange("t_final must cover every observed time")
     event_times = np.sort(ds.times[ds.events])
@@ -187,15 +194,14 @@ def grid_from_quantiles(
     return TimeGrid(tuple(cuts), t_final)
 
 
-def _check_spd(matrix: np.ndarray, what: str) -> None:
+def inverse_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """L^-1 of each symmetric positive definite matrix L L' in a stack."""
     if not np.all(np.isfinite(matrix)):
         raise SingularCovariance(f"{what} has non-finite entries")
-    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.max(np.abs(matrix))))):
-        raise SingularCovariance(f"{what} must be symmetric")
     try:
-        np.linalg.cholesky(matrix)
+        return np.linalg.inv(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError:
-        raise SingularCovariance(f"{what} must be positive definite") from None
+        raise SingularCovariance(f"{what} is not positive definite") from None
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -222,7 +228,9 @@ class BetaPrior:
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
         if not np.all(np.isfinite(mu)):
             raise OutOfRange("prior mean must be finite")
-        _check_spd(cov, "prior covariance")
+        inverse_cholesky(cov, "prior covariance")
+        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.max(np.abs(cov))))):
+            raise SingularCovariance("prior covariance must be symmetric")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
 

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .baseline_posterior import (
-    event_offsets_by_interval,
-    increment_posteriors,
-    interval_summaries,
-)
+from .baseline_posterior import increment_posteriors
 from .data_model import (
     BetaPrior,
     FitResult,
@@ -23,7 +17,6 @@ from .lin_ying import compute_statistics, ly_solve
 
 __all__ = ["fit"]
 
-DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 DEFAULT_OMEGA = 1000.0
 DEFAULT_GAMMA_C = 1.0
 
@@ -55,15 +48,13 @@ def fit(
     baseline = ()
     if not skip_baseline:
         if grid is None:
-            grid = grid_from_quantiles(ds, DEFAULT_QUANTILES, float(np.max(ds.times)))
+            grid = grid_from_quantiles(ds)
         if gamma_prior is None:
             # unit-rate prior guess: shape function alpha(t) = t
             gamma_prior = GammaProcessPrior.from_shape(grid.boundaries, DEFAULT_GAMMA_C)
         elif gamma_prior.m != grid.m:
             raise DimensionMismatch(f"gamma prior needs one increment per grid interval ({grid.m})")
-        summaries = interval_summaries(ds, grid)
-        offsets = event_offsets_by_interval(ds, grid, beta_hat)
-        (baseline,) = increment_posteriors(summaries, offsets, [gamma_prior])
+        (baseline,) = increment_posteriors(ds, grid, beta_hat, [gamma_prior])
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

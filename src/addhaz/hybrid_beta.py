@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .data_model import BetaPrior
+from .data_model import BetaPrior, inverse_cholesky
 from .errors import DimensionMismatch, InvalidCoverage, SingularCovariance
 from .lin_ying import LYEstimate
 
@@ -56,12 +56,7 @@ class HpdInterval:
 
 def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     """Inverse of each symmetric positive definite matrix in a stack."""
-    if not np.all(np.isfinite(matrix)):
-        raise SingularCovariance(f"{what} has non-finite entries")
-    try:
-        factor_inv = np.linalg.inv(np.linalg.cholesky(matrix))
-    except np.linalg.LinAlgError:
-        raise SingularCovariance(f"{what} is not positive definite") from None
+    factor_inv = inverse_cholesky(matrix, what)
     return np.swapaxes(factor_inv, -1, -2) @ factor_inv
 
 
@@ -98,7 +93,7 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
         return np.maximum(pp.mean, 0.0)
     # maximizing the density is minimizing ||R beta - R mean||^2 over beta >= 0
     # with R'R = cov^-1, which R = L^-1 satisfies for cov = L L'
-    r = np.linalg.inv(np.linalg.cholesky(pp.cov))
+    r = inverse_cholesky(pp.cov, "posterior covariance")
     solution, _ = nnls(r, r @ pp.mean)
     return solution
 

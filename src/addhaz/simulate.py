@@ -21,17 +21,14 @@ from numbers import Integral
 import numpy as np
 
 from .data_model import (
+    DEFAULT_QUANTILES,
     BetaPrior,
     GammaProcessPrior,
     SurvivalDataset,
     TimeGrid,
     grid_from_quantiles,
 )
-from .baseline_posterior import (
-    event_offsets_by_interval,
-    increment_posteriors,
-    interval_summaries,
-)
+from .baseline_posterior import increment_posteriors
 from .errors import (
     DegenerateGrid,
     DimensionMismatch,
@@ -39,7 +36,6 @@ from .errors import (
     NonNegativityViolation,
     SingularDesign,
 )
-from .fitting import DEFAULT_QUANTILES
 from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import LYEstimate, compute_statistics, ly_solve
 
@@ -301,31 +297,24 @@ def run_baseline_experiment(
     With ``grid`` given, every replicate shares that fixed grid, so each
     interval has one true increment across the whole study and estimation
     is truncated at the grid's t_F (observations beyond it only add
-    exposure).  Otherwise each replicate builds its own grid from the
-    ``fitting.DEFAULT_QUANTILES`` of its uncensored times, with the final
-    boundary at its largest observed time.  Coefficients are fitted per
-    replicate under the nearly flat prior N(0.5, 1e8 I).  The report holds
-    the posterior mean of each of the first len(alpha_increments)
-    increments for every confidence weight in c_grid.
+    exposure).  Otherwise each replicate builds its own default grid,
+    ``grid_from_quantiles(ds)``, and a replicate whose grid has fewer
+    intervals than len(alpha_increments) is dropped.  Coefficients are
+    fitted per replicate under the nearly flat prior N(0.5, 1e8 I).  The
+    report holds the posterior mean of each of the first
+    len(alpha_increments) increments for every confidence weight in c_grid.
     """
     _check_replicates(cfg)
     c_grid = tuple(float(v) for v in c_grid)
     if not c_grid:
         raise DimensionMismatch("confidence weights must not be empty")
     priors = [GammaProcessPrior(alpha_increments, c) for c in c_grid]
-    n_intervals = priors[0].m
-    if grid is not None:
-        if grid.m < n_intervals:
-            raise DimensionMismatch(
-                "fixed grid has fewer intervals than reported increments"
-            )
-    elif len(DEFAULT_QUANTILES) < n_intervals:
-        raise DimensionMismatch(
-            "need at least as many quantile cuts as reported intervals"
-        )
+    m = priors[0].m
+    if (grid.m if grid is not None else len(DEFAULT_QUANTILES) + 1) < m:
+        raise DimensionMismatch("the grid has fewer intervals than reported increments")
     beta_prior = BetaPrior.isotropic(0.5, 1e8, cfg.k)
 
-    means = np.empty((cfg.replicates, len(c_grid), n_intervals))
+    means = np.empty((cfg.replicates, len(c_grid), m))
     post_vars = np.empty_like(means)
     kept = 0
     for ds, est in _replicates(cfg):
@@ -335,18 +324,12 @@ def run_baseline_experiment(
         rep_grid = grid
         if grid is None:
             try:
-                rep_grid = grid_from_quantiles(
-                    ds, DEFAULT_QUANTILES, t_final=float(np.max(ds.times))
-                )
+                rep_grid = grid_from_quantiles(ds)
             except DegenerateGrid:
                 continue
-            if len(rep_grid.cuts) < n_intervals:  # quantile cuts collapsed
+            if rep_grid.m < m:  # quantile cuts collapsed
                 continue
-        summaries = interval_summaries(ds, rep_grid)
-        offsets = event_offsets_by_interval(ds, rep_grid, bhat)
-        posts = increment_posteriors(
-            summaries[:n_intervals], offsets[:n_intervals], priors
-        )
+        posts = increment_posteriors(ds, rep_grid, bhat, priors)
         means[kept] = [[post.mean for post in row] for row in posts]
         post_vars[kept] = [[post.variance for post in row] for row in posts]
         kept += 1
@@ -365,6 +348,6 @@ def run_baseline_experiment(
         rows=tuple(
             ((c, j + 1), tuple(stats[ic, j].tolist()))
             for ic, c in enumerate(c_grid)
-            for j in range(n_intervals)
+            for j in range(m)
         ),
     )

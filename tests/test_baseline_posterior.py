@@ -20,10 +20,11 @@ from addhaz.baseline_posterior import (
     IntervalSummary,
     event_offsets_by_interval,
     increment_posterior,
+    increment_posteriors,
     interval_summaries,
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
-from addhaz.errors import ImproperPosterior
+from addhaz.errors import DimensionMismatch, ImproperPosterior
 from addhaz.poly_coeffs import poly_from_factors
 
 
@@ -297,10 +298,12 @@ def test_full_pipeline_matches_quadrature():
     prior = GammaProcessPrior([1.5, 0.7, 0.2], c=2.0)
     summaries = interval_summaries(ds, grid)
     offset_lists = event_offsets_by_interval(ds, grid, beta)
+    (stage,) = increment_posteriors(ds, grid, beta, [prior])
     for j in range(3):
         post = increment_posterior(
             summaries[j], poly_from_factors(offset_lists[j]), prior
         )
+        assert stage[j] == post
         mean_q, var_q = quadrature_moments(
             list(offset_lists[j]),
             prior.increments[j],
@@ -310,6 +313,23 @@ def test_full_pipeline_matches_quadrature():
         )
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
         assert post.variance == pytest.approx(var_q, rel=1e-6)
+
+
+def test_stage_covers_the_priors_increments():
+    ds = SurvivalDataset([0.5, 1.2, 2.0], [True, True, False], [[0.5], [0.2], [0.3]])
+    grid = TimeGrid((1.0,), 3.0)
+    beta = np.array([0.4])
+    # the first m intervals of a longer grid, m from the priors
+    longer = TimeGrid((1.0, 2.5), 3.0)
+    (posts,) = increment_posteriors(ds, longer, beta, [GammaProcessPrior([1.0], 1.0)])
+    assert [p.interval for p in posts] == [1]
+    for priors in (
+        [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)],  # longer than the grid
+        [GammaProcessPrior([1.0, 1.0], 1.0), GammaProcessPrior([1.0], 2.0)],
+        [],
+    ):
+        with pytest.raises(DimensionMismatch):
+            increment_posteriors(ds, grid, beta, priors)
 
 
 def test_adding_zero_offset_event_tracks_quadrature():

@@ -559,6 +559,38 @@ def test_simulate_requires_a_study_kind(capsys):
     assert error_record(err)["error"] == "DatasetFormatError"
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        # a baseline study's grid is fixed by --grid-cuts and --t-final together
+        (["--c-grid", "1", "--alpha-increments", "1,1", "--t-final", "0.01"], 13, "DegenerateGrid"),
+        (["--c-grid", "1", "--alpha-increments", "1,1", "--grid-cuts", "0.5,1.0"], 13,
+         "DegenerateGrid"),
+        # prior grids name one study kind, and it must be the preset's
+        (["--mu-grid", "0.5", "--omega-grid", "1", "--c-grid", "1", "--alpha-increments", "1"],
+         21, "DatasetFormatError"),
+        (["--preset", "table1", "--c-grid", "1"], 21, "DatasetFormatError"),
+        (["--preset", "table3", "--omega-grid", "1"], 21, "DatasetFormatError"),
+        # grid flags name no kind: a coefficient study runs beside them
+        (["--mu-grid", "0.5", "--omega-grid", "1", "--t-final", "0.01"], 0, None),
+    ],
+)
+def test_simulate_takes_every_setting_it_is_given(capsys, argv, code, error):
+    got, out, err = run(capsys, ["simulate", "--n", "50", "--replicates", "3", *argv])
+    assert got == code
+    assert (error_record(err)["error"] if err else None) == error
+
+
+def test_config_file_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):
+    text = "n = 50\nreplicates = 3\nmu-grid = 0.5\nomega-grid = 1\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    code, out, err = run(capsys, ["simulate", "--config", str(bom)])
+    assert code == 0 and err == ""
+    assert out == run(capsys, ["simulate", "--config", str(plain)])[1]
+
+
 def test_simulate_unknown_preset_via_config(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("preset = table9\n")

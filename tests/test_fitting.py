@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import addhaz
-from addhaz.data_model import GammaProcessPrior, grid_from_quantiles
+from addhaz.data_model import DEFAULT_QUANTILES, GammaProcessPrior, grid_from_quantiles
 from addhaz.errors import DimensionMismatch
-from addhaz.fitting import DEFAULT_QUANTILES
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,6 +27,7 @@ def test_readme_library_example_runs_on_the_default_grid():
     ds, result = scope["ds"], scope["result"]
     # the default grid: quantile cuts of the event times up to the largest time
     grid = grid_from_quantiles(ds, DEFAULT_QUANTILES, float(np.max(ds.times)))
+    assert grid_from_quantiles(ds) == grid
     assert grid.m == len(DEFAULT_QUANTILES) + 1
     explicit = addhaz.fit(
         ds,

@@ -277,6 +277,11 @@ def test_singular_inputs_rejected():
     est = LYEstimate(m=np.array([1.0, 1.0]), d=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularCovariance):
         pseudo_posterior(est, BetaPrior.isotropic(0.0, 1.0, 2))
+    # the exact constrained mode factors the covariance through the same check
+    for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        pp = PseudoPosterior(np.array([1.0, -1.0]), np.array(cov))
+        with pytest.raises(SingularCovariance):
+            beta_mode(pp, orthant_qp=True)
 
 
 @pytest.mark.parametrize("coverage", [0.5, 0.9, 0.95, 0.99])

@@ -192,9 +192,9 @@ def test_baseline_study_hands_over_the_requested_increments(monkeypatch):
     seen = []
     original = simulate.increment_posteriors
 
-    def spy(summaries, offsets, priors):
+    def spy(ds, grid, beta, priors):
         seen.append(priors)
-        return original(summaries, offsets, priors)
+        return original(ds, grid, beta, priors)
 
     monkeypatch.setattr(simulate, "increment_posteriors", spy)
     grid = TimeGrid((0.125, 0.3, 0.6, 0.9), 1.15)
@@ -228,6 +228,14 @@ def test_baseline_quantile_grid_path():
     assert all(values[0] > 0 for _, values in report.rows)
 
 
+def test_quantile_grid_study_reports_every_interval_of_its_grid():
+    # four default quantiles make five intervals, so five increments fit
+    cfg = config(n=120, replicates=12, seed=4)
+    report = run_baseline_experiment(cfg, (1.0,), (1.0,) * 5)
+    assert [labels for labels, _ in report.rows] == [(1.0, j) for j in (1, 2, 3, 4, 5)]
+    assert report.dropped == 0
+
+
 def test_excessive_drops_abort():
     # n=2 gives at most two distinct event times, so a four-cut quantile
     # grid collapses in every replicate; censoring off keeps datasets valid
@@ -243,7 +251,7 @@ def test_excessive_drops_abort():
 
 # every event at the largest time leaves no quantile cut below it
 NO_CUT = SurvivalDataset([1.0, 1.0, 1.0], [True] * 3, [[0.5], [0.2], [0.3]])
-# two distinct event times leave one cut, fewer than two reported intervals
+# two distinct event times leave one cut: two intervals, fewer than three reported
 ONE_CUT = SurvivalDataset([0.5, 1.0, 1.0, 1.0], [True] * 4, [[0.5], [0.2], [0.3], [0.1]])
 
 
@@ -261,7 +269,7 @@ def test_baseline_study_drops_replicates_without_their_own_grid(monkeypatch, bad
     monkeypatch.setattr(simulate, "_replicates", replicates)
     cfg = config(n=80, replicates=10, seed=5)
     with pytest.raises(ExcessiveReplicateDrops, match=f"^{dropped} of 10 replicates dropped$"):
-        run_baseline_experiment(cfg, (1.0,), (5.0, 1.0))
+        run_baseline_experiment(cfg, (1.0,), (5.0, 1.0, 0.3))
 
 
 def test_config_validation():
