@@ -22,7 +22,6 @@ from .hybrid_beta import (
 )
 from .poly_coeffs import PolyCoefficients, poly_from_factors
 from .baseline_posterior import (
-    IntervalSummary,
     event_offsets_by_interval,
     increment_moments,
     increment_posterior,
@@ -48,7 +47,6 @@ __all__ = [
     "FitResult",
     "GammaProcessPrior",
     "HpdInterval",
-    "IntervalSummary",
     "LYEstimate",
     "LYStatistics",
     "PiecewiseConstantHazard",

@@ -24,32 +24,29 @@ Building the mixture costs O(N^2) in the N events of the interval, while
 quadrature of this 1-d density costs O(N Q) for Q nodes.  Intervals with
 more than EXACT_MAX_FACTORS events therefore get their moments by
 quadrature (``increment_moments``) and report no mixture; smaller ones keep
-the exact mixture (``increment_posterior``).  The whole baseline stage,
+the exact mixture (``increment_posterior``).  Both kernels take interval j
+as three numbers, (j, exposure_j, w_j).  The whole baseline stage,
 ``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
-interval for every prior at once.
+interval for every prior at once, reading the exposures from
+``interval_summaries`` and the offsets from ``event_offsets_by_interval``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .data_model import (
-    BaselineIncrementPosterior,
-    GammaProcessPrior,
-    SurvivalDataset,
-    TimeGrid,
+    BaselineIncrementPosterior, GammaProcessPrior, SurvivalDataset, TimeGrid
 )
-from .errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation
-from .poly_coeffs import PolyCoefficients, poly_from_factors
+from .errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
+from .poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
 
 __all__ = [
     "EXACT_MAX_FACTORS",
-    "IntervalSummary",
     "interval_summaries",
     "event_offsets_by_interval",
     "increment_moments",
@@ -67,53 +64,24 @@ _CHUNK_ELEMENTS = 1 << 18
 _EXPM1_MINUS_T = tuple(1.0 / math.factorial(k) for k in range(12, 1, -1))
 
 
-@dataclass(frozen=True)
-class IntervalSummary:
-    """Counts and exposure of one grid interval.
-
-    n_inside is the number of observations with time in (s_{j-1}, s_j]
-    (a time of exactly 0 counts toward interval 1), n_beyond the number
-    with time > s_j, and exposure the total time at risk accumulated
-    inside the interval by all subjects.
-    """
-
-    interval: int
-    n_inside: int
-    n_beyond: int
-    exposure: float
-    width: float
-
-
-def interval_summaries(ds: SurvivalDataset, grid: TimeGrid) -> list[IntervalSummary]:
-    """Per-interval counts and exposures for every interval of the grid.
+def interval_summaries(ds: SurvivalDataset, grid: TimeGrid) -> np.ndarray:
+    """(m,) exposure of every grid interval: the total time at risk that all
+    subjects accumulate inside it, sum_i clip(min(t_i, s_j) - s_{j-1}, 0).
 
     Times beyond t_F are allowed: estimation is truncated at t_F, so such
-    observations stay at risk through every interval (full-width exposure,
-    captured by the n_beyond terms) but are counted inside none of them.
+    observations stay at risk through every interval (full-width exposure)
+    but lie inside none of them.  A time on a boundary lies in the interval
+    to its left, and a time of exactly 0 in the first.
     """
     t = ds.times
     bounds = np.asarray(grid.boundaries)
     left = np.concatenate(([0.0], bounds[:-1]))
-    # interval of each observation; boundary times fall in the left interval
     idx = np.searchsorted(bounds, t, side="left")
     inside = idx < grid.m
-    counts = np.bincount(idx[inside], minlength=grid.m)
-    beyond = ds.n - np.cumsum(counts)  # a time at or below s_j lies in 1..j
-    inside_sums = np.bincount(
-        idx[inside], weights=t[inside] - left[idx[inside]], minlength=grid.m
-    )
-    widths = bounds - left
-    exposures = inside_sums + beyond * widths
-    return [
-        IntervalSummary(
-            interval=j + 1,
-            n_inside=int(counts[j]),
-            n_beyond=int(beyond[j]),
-            exposure=float(exposures[j]),
-            width=float(widths[j]),
-        )
-        for j in range(grid.m)
-    ]
+    at = idx[inside]
+    beyond = ds.n - np.cumsum(np.bincount(at, minlength=grid.m))  # t <= s_j lies in 1..j
+    inside_sums = np.bincount(at, weights=t[inside] - left[at], minlength=grid.m)
+    return inside_sums + beyond * (bounds - left)
 
 
 def event_offsets_by_interval(
@@ -144,15 +112,15 @@ def event_offsets_by_interval(
     return factors
 
 
-def _interval_prior(summary: IntervalSummary, prior: GammaProcessPrior):
-    """(interval, prior shape c alpha_j, posterior rate c_j) of one interval."""
-    j = summary.interval
+def _interval_prior(j: int, exposure: float, width: float, prior: GammaProcessPrior):
+    """(prior shape c alpha_j, posterior rate c_j) of interval j, after
+    checking the interval's numbers: the one place the kernels read them."""
     if not 1 <= j <= prior.m:
-        raise DimensionMismatch(
-            f"interval {j} outside the prior's {prior.m} increments"
-        )
+        raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
+    if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included
+        raise OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0")
     c = prior.c
-    return j, c * float(prior.increments[j - 1]), summary.exposure / summary.width + c
+    return c * float(prior.increments[j - 1]), exposure / width + c
 
 
 def _improper(j: int, n_factors: int) -> ImproperPosterior:
@@ -167,14 +135,15 @@ def _improper(j: int, n_factors: int) -> ImproperPosterior:
 
 
 def increment_posterior(
-    summary: IntervalSummary, poly: PolyCoefficients, prior: GammaProcessPrior
+    j: int, exposure: float, width: float, poly: PolyCoefficients, prior: GammaProcessPrior
 ) -> BaselineIncrementPosterior:
-    """Gamma-mixture posterior of the cumulative increment over one interval.
+    """Gamma-mixture posterior of the cumulative increment over interval j,
+    of the given exposure and width.
 
     The polynomial must be the product of (a + beta'z_i) over the uncensored
     observations inside the interval (the constant 1 when there are none).
     """
-    j, shape0, rate = _interval_prior(summary, prior)
+    shape0, rate = _interval_prior(j, exposure, width, prior)
     # with nonnegative offsets the zero coefficients are the leading ones,
     # one per zero offset, whose factor a is one more unit of prior shape
     dead = int(np.argmax(poly.log_abs > -math.inf))
@@ -184,7 +153,7 @@ def increment_posterior(
         raise _improper(j, poly.degree)
     k = np.arange(log_d.size)
     shapes = k + shape0
-    log_scale = math.log(summary.width) + math.log(rate)
+    log_scale = math.log(width) + math.log(rate)
     # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
     # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
     # leaves too few absolute digits for the weights at large s0
@@ -209,7 +178,7 @@ def increment_posterior(
 
 
 def increment_moments(
-    summary: IntervalSummary, offsets, prior: GammaProcessPrior
+    j: int, exposure: float, width: float, offsets, prior: GammaProcessPrior
 ) -> BaselineIncrementPosterior:
     """Posterior mean and variance of the increment by quadrature.
 
@@ -218,16 +187,14 @@ def increment_moments(
     ``log_weights`` and ``shape_offsets``: the mixture is not built.  The
     improper cases and the offset check are those of the exact path.
     """
-    j, shape0, rate = _interval_prior(summary, prior)
-    b = np.asarray(offsets, dtype=float)
-    if b.ndim != 1 or not np.all((b >= 0.0) & (b < math.inf)):
-        raise ValueError("factor offsets must be finite and >= 0")
+    shape0, rate = _interval_prior(j, exposure, width, prior)
+    b = check_offsets(np.asarray(offsets, dtype=float))
     positive = b[b > 0.0]
     shape0 += b.size - positive.size  # each zero offset is prior shape
     if shape0 == 0.0:
         raise _improper(j, b.size)
     if positive.size:
-        mean_u, var_u = _tilted_gamma_moments(shape0, positive, 1.0 / (summary.width * rate))
+        mean_u, var_u = _tilted_gamma_moments(shape0, positive, 1.0 / (width * rate))
     else:
         mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
     return BaselineIncrementPosterior(
@@ -353,8 +320,7 @@ def increment_posteriors(
 
     Entry [p][j] is interval j + 1's posterior under priors[p].  An interval
     with more than EXACT_MAX_FACTORS events gets its moments by quadrature;
-    any other gets the exact mixture, from one polynomial shared by all
-    priors.
+    any other gets the exact mixture, from one polynomial shared by all priors.
     """
     if not priors:
         raise DimensionMismatch("need at least one prior")
@@ -363,12 +329,15 @@ def increment_posteriors(
         raise DimensionMismatch("the priors differ in their number of increments")
     if grid.m < m:
         raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
-    summaries = interval_summaries(ds, grid)[:m]
+    # plain floats, so that the posteriors hold no numpy scalars
+    exposures = interval_summaries(ds, grid).tolist()
+    widths = grid.widths().tolist()
     columns = []
-    for summary, factors in zip(summaries, event_offsets_by_interval(ds, grid, beta)):
+    for j, factors in enumerate(event_offsets_by_interval(ds, grid, beta)[:m]):
+        interval = (j + 1, exposures[j], widths[j])
         if len(factors) > EXACT_MAX_FACTORS:
-            columns.append([increment_moments(summary, factors, p) for p in priors])
+            columns.append([increment_moments(*interval, factors, p) for p in priors])
         else:
             poly = poly_from_factors(factors)
-            columns.append([increment_posterior(summary, poly, p) for p in priors])
+            columns.append([increment_posterior(*interval, poly, p) for p in priors])
     return [tuple(column[p] for column in columns) for p in range(len(priors))]

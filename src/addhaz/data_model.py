@@ -173,13 +173,13 @@ def grid_from_quantiles(
     probs = [float(p) for p in probs]
     if not probs:
         raise DegenerateGrid("at least one quantile probability is required")
+    if any(not 0.0 < p < 1.0 for p in probs):  # NaN included
+        raise DegenerateGrid("quantile probabilities must lie in (0, 1)")
     for a, b in zip(probs, probs[1:]):
         if not a < b:
             raise DegenerateGrid("quantile probabilities must be strictly increasing")
-    if probs[0] <= 0.0 or probs[-1] >= 1.0:
-        raise DegenerateGrid("quantile probabilities must lie in (0, 1)")
     t_final = float(np.max(ds.times) if t_final is None else t_final)
-    if t_final < float(np.max(ds.times)):
+    if not t_final >= float(np.max(ds.times)):  # NaN included
         raise OutOfRange("t_final must cover every observed time")
     event_times = np.sort(ds.times[ds.events])
     if event_times.size == 0:

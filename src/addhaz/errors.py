@@ -35,7 +35,7 @@ class DegenerateGrid(AddhazError):
 
 
 class OutOfRange(AddhazError):
-    """A time, covariate or prior value is non-finite, or a time exceeds t_final."""
+    """A value is non-finite or outside its domain, or a time exceeds t_final."""
     exit_code = 14
 
 

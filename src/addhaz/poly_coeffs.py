@@ -22,7 +22,9 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["PolyCoefficients", "poly_from_factors"]
+from .errors import DimensionMismatch, NonNegativityViolation, OutOfRange
+
+__all__ = ["PolyCoefficients", "check_offsets", "poly_from_factors"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class PolyCoefficients:
     def __post_init__(self):
         log_abs = np.array(self.log_abs, dtype=float)  # a copy, frozen below
         if log_abs.ndim != 1 or log_abs.size == 0:
-            raise ValueError("log_abs must be a non-empty 1-d array")
+            raise DimensionMismatch("log_abs must be a non-empty 1-d array")
         log_abs.setflags(write=False)
         object.__setattr__(self, "log_abs", log_abs)
 
@@ -43,11 +45,20 @@ class PolyCoefficients:
         return self.log_abs.size - 1
 
 
+def check_offsets(b: np.ndarray) -> np.ndarray:
+    """b itself, once it is known to be a 1-d array of finite offsets >= 0."""
+    if b.ndim != 1:
+        raise DimensionMismatch("factor offsets must be a 1-d sequence")
+    if np.any(b < 0.0):
+        raise NonNegativityViolation("factor offsets must be >= 0")
+    if not np.all(np.isfinite(b)):
+        raise OutOfRange("factor offsets must be finite")
+    return b
+
+
 def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
     """Multiply out prod_i (a + b_i); every offset b_i must be finite and >= 0."""
-    b = np.fromiter(offsets, dtype=float)
-    if not np.all((b >= 0.0) & (b < math.inf)):
-        raise ValueError("factor offsets must be finite and >= 0")
+    b = check_offsets(np.fromiter(offsets, dtype=float))
     # in-place recursion: after deg factors, buf[:deg + 1] holds log d_0..d_deg
     buf = np.zeros(b.size + 1)
     for deg, offset in enumerate(b.tolist()):

@@ -19,7 +19,6 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from addhaz.baseline_posterior import (
-    IntervalSummary,
     event_offsets_by_interval,
     increment_posterior,
     interval_summaries,
@@ -200,12 +199,8 @@ def test_criterion_06_increment_moments_match_quadrature():
         c = float(rng.uniform(0.05, 20.0))
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
-        summary = IntervalSummary(
-            interval=1, n_inside=n_events, n_beyond=0,
-            exposure=exposure, width=width,
-        )
         post = increment_posterior(
-            summary, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
+            1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
         )
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
@@ -233,11 +228,11 @@ def test_criterion_07_infinite_confidence_returns_prior_increments():
         for base in (0.01, 0.3, 1.0, 5.0):
             increments = [base * (j + 1) for j in range(grid.m)]
             prior = GammaProcessPrior(increments, c=1e6)
-            summaries = interval_summaries(ds, grid)
+            exposures = interval_summaries(ds, grid)
             offsets = event_offsets_by_interval(ds, grid, beta)
             for j in range(grid.m):
                 post = increment_posterior(
-                    summaries[j], poly_from_factors(offsets[j]), prior
+                    j + 1, exposures[j], grid.widths()[j], poly_from_factors(offsets[j]), prior
                 )
                 assert abs(post.mean - increments[j]) < 1e-3
     print("CRITERION 7: PASS")
@@ -249,13 +244,13 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
     times = np.full(20, 0.05)
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
-    summary = interval_summaries(ds, grid)[0]
+    interval = (1, interval_summaries(ds, grid)[0], grid.widths()[0])
     poly = poly_from_factors(event_offsets_by_interval(ds, grid, np.array([1.0]))[0])
     for alpha in (0.5, 2.0):
         prior_a = GammaProcessPrior((alpha,), c=1e-8)
         prior_b = GammaProcessPrior((10.0 * alpha,), c=1e-8)
-        mean_a = increment_posterior(summary, poly, prior_a).mean
-        mean_b = increment_posterior(summary, poly, prior_b).mean
+        mean_a = increment_posterior(*interval, poly, prior_a).mean
+        mean_b = increment_posterior(*interval, poly, prior_b).mean
         assert mean_a == pytest.approx(mean_b, rel=1e-6)
         assert abs(mean_a - mean_b) < 1e-6 * max(abs(mean_a), abs(mean_b))
     print("CRITERION 8: PASS")

@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from addhaz.baseline_posterior import (
-    IntervalSummary,
+    EXACT_MAX_FACTORS,
     event_offsets_by_interval,
     increment_posterior,
     increment_posteriors,
@@ -85,28 +87,27 @@ def exact_coefficients(offsets):
     return coeffs
 
 
-def make_summary(exposure, width, interval=1):
-    return IntervalSummary(
-        interval=interval, n_inside=0, n_beyond=0, exposure=exposure, width=width
-    )
+def offsets_by_interval(ds, grid):
+    """Event offsets per interval at beta = 1, as lists."""
+    return [list(o) for o in event_offsets_by_interval(ds, grid, np.ones(ds.k))]
 
 
 def test_interval_summaries_single_observation():
     ds = SurvivalDataset([1.5], [True], [[1.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
-    s1, s2, s3 = interval_summaries(ds, grid)
-    assert (s1.n_inside, s1.n_beyond, s1.exposure, s1.width) == (0, 1, 1.0, 1.0)
-    assert (s2.n_inside, s2.n_beyond, s2.width) == (1, 0, 1.0)
-    assert s2.exposure == pytest.approx(0.5)
-    assert (s3.n_inside, s3.n_beyond, s3.exposure) == (0, 0, 0.0)
+    exposure = interval_summaries(ds, grid)
+    assert exposure.shape == (3,) and exposure.dtype == np.float64
+    # at risk through interval 1, for half of interval 2, an event there
+    assert exposure.tolist() == [1.0, 0.5, 0.0]
+    assert offsets_by_interval(ds, grid) == [[], [1.0], []]
 
 
 def test_interval_summaries_all_beyond():
     ds = SurvivalDataset([2.5, 2.7, 3.0], [1, 1, 1], [[1.0]] * 3)
     grid = TimeGrid((1.0, 2.0), 3.0)
-    s1 = interval_summaries(ds, grid)[0]
-    assert s1.n_inside == 0 and s1.n_beyond == 3
-    assert s1.exposure == pytest.approx(3 * 1.0)
+    # all three outlast interval 1 (full width each) and none ends in it
+    assert interval_summaries(ds, grid)[0] == pytest.approx(3 * 1.0)
+    assert offsets_by_interval(ds, grid) == [[], [], [1.0, 1.0, 1.0]]
 
 
 def test_interval_summaries_counts_and_monotone_m():
@@ -114,29 +115,31 @@ def test_interval_summaries_counts_and_monotone_m():
     times = rng.uniform(0.0, 4.0, size=60)
     ds = SurvivalDataset(times, np.ones(60, dtype=bool), np.ones((60, 1)))
     grid = TimeGrid((0.5, 1.5, 3.0), 4.0)
-    summaries = interval_summaries(ds, grid)
-    assert sum(s.n_inside for s in summaries) == 60
-    beyonds = [s.n_beyond for s in summaries]
-    assert all(a >= b for a, b in zip(beyonds, beyonds[1:]))
-    assert all(s.exposure >= 0 for s in summaries)
+    exposure = interval_summaries(ds, grid)
+    assert sum(map(len, offsets_by_interval(ds, grid))) == 60
+    # exposure / width, the mean number at risk over an interval, is at
+    # least the number at risk at its end and so never grows with j
+    at_risk = exposure / grid.widths()
+    assert all(a >= b for a, b in zip(at_risk, at_risk[1:]))
+    assert np.all(exposure >= 0)
     # exposure identity: each subject is at risk min(t, s_j) - s_{j-1} when positive
-    for s, lo, hi in zip(summaries, (0.0,) + grid.boundaries, grid.boundaries):
+    for got, lo, hi in zip(exposure, (0.0,) + grid.boundaries, grid.boundaries):
         expected = np.clip(np.minimum(times, hi) - lo, 0.0, None).sum()
-        assert s.exposure == pytest.approx(expected)
+        assert got == pytest.approx(expected)
 
 
 def test_boundary_time_belongs_to_left_interval():
-    ds = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [1.0]])
+    ds = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
-    summaries = interval_summaries(ds, grid)
-    assert [s.n_inside for s in summaries] == [1, 1, 0]
+    assert offsets_by_interval(ds, grid) == [[1.0], [2.0], []]
+    assert interval_summaries(ds, grid).tolist() == [2.0, 1.0, 0.0]
 
 
 def test_zero_time_counts_in_first_interval():
-    ds = SurvivalDataset([0.0, 0.5], [True, True], [[1.0], [1.0]])
+    ds = SurvivalDataset([0.0, 0.5], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0,), 2.0)
-    summaries = interval_summaries(ds, grid)
-    assert summaries[0].n_inside == 2
+    assert offsets_by_interval(ds, grid) == [[1.0, 2.0], []]
+    assert interval_summaries(ds, grid).tolist() == [0.5, 0.0]
 
 
 def test_truncated_grid_keeps_late_observations_at_risk():
@@ -144,12 +147,10 @@ def test_truncated_grid_keeps_late_observations_at_risk():
     # exposure everywhere but belongs to no interval and yields no factor
     ds = SurvivalDataset([0.5, 5.0], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
-    summaries = interval_summaries(ds, grid)
-    assert [s.n_inside for s in summaries] == [1, 0, 0]
-    assert [s.n_beyond for s in summaries] == [1, 1, 1]
-    assert summaries[0].exposure == pytest.approx(0.5 + 1.0)
-    assert summaries[1].exposure == pytest.approx(1.0)
-    assert summaries[2].exposure == pytest.approx(1.0)
+    exposure = interval_summaries(ds, grid)
+    assert exposure[0] == pytest.approx(0.5 + 1.0)
+    assert exposure[1] == pytest.approx(1.0)
+    assert exposure[2] == pytest.approx(1.0)
     offsets = event_offsets_by_interval(ds, grid, np.array([0.7]))
     assert [len(o) for o in offsets] == [1, 0, 0]
     assert offsets[0][0] == pytest.approx(0.7)
@@ -167,9 +168,8 @@ def test_event_offsets_split_by_interval():
 
 
 def test_no_events_posterior_is_prior_gamma():
-    summary = make_summary(exposure=3.0, width=1.5)
     prior = GammaProcessPrior((2.0,), c=0.7)
-    post = increment_posterior(summary, poly_from_factors([]), prior)
+    post = increment_posterior(1, 3.0, 1.5, poly_from_factors([]), prior)
     c_rate = 3.0 / 1.5 + 0.7
     assert post.mean == pytest.approx(0.7 * 2.0 / c_rate)
     assert post.variance == pytest.approx(0.7 * 2.0 / c_rate**2)
@@ -188,9 +188,7 @@ def test_moments_match_quadrature_on_random_intervals():
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
         post = increment_posterior(
-            make_summary(exposure, width),
-            poly_from_factors(offsets),
-            GammaProcessPrior((alpha,), c=c),
+            1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
         )
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
@@ -205,9 +203,7 @@ def test_weights_match_component_integrals():
     alpha, c, exposure, width = 1.2, 0.8, 6.0, 1.4
     c_rate = exposure / width + c
     post = increment_posterior(
-        make_summary(exposure, width),
-        poly_from_factors(offsets),
-        GammaProcessPrior((alpha,), c=c),
+        1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
     )
     d_exact = [float(v) for v in exact_coefficients(offsets)]
     masses = []
@@ -228,11 +224,8 @@ def test_large_confidence_pins_mean_to_prior_shape():
     rng = np.random.default_rng(31)
     offsets = rng.uniform(0.0, 3.0, size=12)
     poly = poly_from_factors(offsets)
-    summary = make_summary(exposure=25.0, width=0.8)
     for alpha in (0.01, 0.3, 1.0, 5.0):
-        post = increment_posterior(
-            summary, poly, GammaProcessPrior((alpha,), c=1e6)
-        )
+        post = increment_posterior(1, 25.0, 0.8, poly, GammaProcessPrior((alpha,), c=1e6))
         assert abs(post.mean - alpha) < 1e-3
         assert post.variance < 1e-3
 
@@ -243,42 +236,38 @@ def test_vanishing_confidence_forgets_prior_shape():
     times = np.full(20, 0.05)
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
-    summary = interval_summaries(ds, grid)[0]
+    interval = (1, interval_summaries(ds, grid)[0], 0.9)
     poly = poly_from_factors(event_offsets_by_interval(ds, grid, np.array([1.0]))[0])
-    mean_small = increment_posterior(
-        summary, poly, GammaProcessPrior((0.5,), c=1e-8)
-    ).mean
-    mean_large = increment_posterior(
-        summary, poly, GammaProcessPrior((5.0,), c=1e-8)
-    ).mean
+    mean_small = increment_posterior(*interval, poly, GammaProcessPrior((0.5,), c=1e-8)).mean
+    mean_large = increment_posterior(*interval, poly, GammaProcessPrior((5.0,), c=1e-8)).mean
     assert mean_small == pytest.approx(mean_large, rel=1e-6)
 
 
 def test_informative_confidence_separates_prior_shapes():
-    summary = make_summary(exposure=4.0, width=1.0)
+    interval = (1, 4.0, 1.0)
     poly = poly_from_factors([1.0, 2.0])
     # an identical prior reproduces the mean exactly
     same = [
-        increment_posterior(summary, poly, GammaProcessPrior((1.0,), c=1e-8)).mean
+        increment_posterior(*interval, poly, GammaProcessPrior((1.0,), c=1e-8)).mean
         for _ in range(2)
     ]
     assert same[0] == same[1]
     # informative c separates different shapes
-    a = increment_posterior(summary, poly, GammaProcessPrior((0.5,), c=10.0)).mean
-    b = increment_posterior(summary, poly, GammaProcessPrior((5.0,), c=10.0)).mean
+    a = increment_posterior(*interval, poly, GammaProcessPrior((0.5,), c=10.0)).mean
+    b = increment_posterior(*interval, poly, GammaProcessPrior((5.0,), c=10.0)).mean
     assert abs(a - b) > 1e-3
 
 
 def test_improper_posterior_cases():
-    summary = make_summary(exposure=2.0, width=1.0)
+    interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([0.0], c=1.0)
     with pytest.raises(ImproperPosterior):
-        increment_posterior(summary, poly_from_factors([]), prior)  # no events, alpha=0
+        increment_posterior(*interval, poly_from_factors([]), prior)  # no events, alpha=0
     with pytest.raises(ImproperPosterior):
         # positive constant coefficient: prod b_i > 0 leaves an L^-1 factor
-        increment_posterior(summary, poly_from_factors([1.0, 2.0]), prior)
+        increment_posterior(*interval, poly_from_factors([1.0, 2.0]), prior)
     # an event with b = 0 zeroes the constant term and restores properness
-    post = increment_posterior(summary, poly_from_factors([0.0, 2.0]), prior)
+    post = increment_posterior(*interval, poly_from_factors([0.0, 2.0]), prior)
     assert post.mean > 0.0
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
@@ -296,20 +285,17 @@ def test_full_pipeline_matches_quadrature():
     grid = TimeGrid((0.8, 1.8), 3.0)
     beta = np.array([0.4, 0.9])
     prior = GammaProcessPrior([1.5, 0.7, 0.2], c=2.0)
-    summaries = interval_summaries(ds, grid)
+    exposures = interval_summaries(ds, grid)
+    widths = grid.widths()
     offset_lists = event_offsets_by_interval(ds, grid, beta)
     (stage,) = increment_posteriors(ds, grid, beta, [prior])
     for j in range(3):
         post = increment_posterior(
-            summaries[j], poly_from_factors(offset_lists[j]), prior
+            j + 1, exposures[j], widths[j], poly_from_factors(offset_lists[j]), prior
         )
         assert stage[j] == post
         mean_q, var_q = quadrature_moments(
-            list(offset_lists[j]),
-            prior.increments[j],
-            prior.c,
-            summaries[j].exposure,
-            summaries[j].width,
+            list(offset_lists[j]), prior.increments[j], prior.c, exposures[j], widths[j]
         )
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
         assert post.variance == pytest.approx(var_q, rel=1e-6)
@@ -335,10 +321,81 @@ def test_stage_covers_the_priors_increments():
 def test_adding_zero_offset_event_tracks_quadrature():
     base = [1.0, 0.7]
     added = base + [0.0]
-    summary = make_summary(exposure=5.0, width=1.0)
     prior = GammaProcessPrior((0.8,), c=1.5)
-    before = increment_posterior(summary, poly_from_factors(base), prior).mean
-    after = increment_posterior(summary, poly_from_factors(added), prior).mean
+    before = increment_posterior(1, 5.0, 1.0, poly_from_factors(base), prior).mean
+    after = increment_posterior(1, 5.0, 1.0, poly_from_factors(added), prior).mean
     assert before != after
     mean_q, _ = quadrature_moments(added, 0.8, 1.5, 5.0, 1.0)
     assert after == pytest.approx(mean_q, rel=1e-6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    times=st.lists(
+        st.sampled_from([0.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 6.0), min_size=1, max_size=40
+    ),
+    events=st.lists(st.booleans(), min_size=40, max_size=40),
+    cuts=st.lists(st.sampled_from([1.0, 2.5]) | st.floats(0.01, 4.0), max_size=5, unique=True),
+    tail=st.just(1.5) | st.floats(0.01, 3.0),
+)
+def test_exposure_and_offsets_follow_the_interval_conventions(times, events, cuts, tail):
+    # rows are told apart by their offset, row number + 1 at beta = 1; times
+    # on a boundary, at 0 and beyond t_F are drawn often
+    cuts = sorted(cuts)
+    grid = TimeGrid(tuple(cuts), (cuts[-1] if cuts else 0.0) + tail)
+    events = events[: len(times)]
+    events[0] = True
+    t = np.array(times)
+    ds = SurvivalDataset(t, events, np.arange(1.0, t.size + 1)[:, None])
+    lows, highs = (0.0,) + grid.boundaries[:-1], grid.boundaries
+    want = [np.clip(np.minimum(t, hi) - lo, 0.0, None).sum() for lo, hi in zip(lows, highs)]
+    got = interval_summaries(ds, grid)
+    assert got.shape == (grid.m,) and got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * t.size * grid.t_final)
+    # the interval (s_{j-1}, s_j] holds an event, the first also one at 0
+    offsets = event_offsets_by_interval(ds, grid, np.ones(1))
+    for j, (lo, hi) in enumerate(zip(lows, highs)):
+        rows = [i + 1 for i in range(t.size) if events[i] and (t[i] > lo or j == 0) and t[i] <= hi]
+        assert sorted(offsets[j].tolist()) == rows
+    placed = sum(o.size for o in offsets)
+    assert placed == sum(e and ti <= grid.t_final for e, ti in zip(events, times))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    n_cuts=st.integers(0, 4),
+    crowd=st.booleans(),
+    tau=st.sampled_from([2.0**-7, 2.0**5, 3.7, 1e-3, 1e4]),
+)
+def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
+    # times and grid times tau, beta over tau: each exposure and width
+    # scales by tau and each offset by 1 / tau, so the law of the increment
+    # L_j = a_j w_j, with the factors (L / w_j + b_i), does not change
+    rng = np.random.default_rng(seed)
+    times = rng.exponential(1.0, n)
+    events = rng.random(n) < 0.8
+    events[0] = True
+    if crowd:  # more events in interval 1 than the exact path takes
+        times = np.concatenate([times, rng.uniform(0.0, 0.05, EXACT_MAX_FACTORS + 1)])
+        events = np.concatenate([events, np.ones(EXACT_MAX_FACTORS + 1, dtype=bool)])
+    z = rng.chisquare(1, size=(times.size, 2))
+    beta = rng.uniform(0.0, 2.0, 2)
+    # t_F may fall short of the largest time, and cuts lie above the crowd
+    t_final = float(rng.uniform(0.5, 1.5) * max(times.max(), 1.0))
+    cuts = tuple(t_final * np.sort(rng.uniform(0.1, 0.99, n_cuts)))
+    priors = [GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), c) for c in (1e-2, 1.0, 1e2)]
+    grid = TimeGrid(cuts, t_final)
+    base = increment_posteriors(SurvivalDataset(times, events, z), grid, beta, priors)
+    scaled = increment_posteriors(
+        SurvivalDataset(tau * times, events, z),
+        TimeGrid(tuple(tau * s for s in cuts), tau * t_final),
+        beta / tau,
+        priors,
+    )
+    assert (base[0][0].log_weights == ()) == crowd  # quadrature, else exact
+    for posts, scaled_posts in zip(base, scaled):
+        for post, other in zip(posts, scaled_posts):
+            assert other.mean == pytest.approx(post.mean, rel=1e-10)
+            assert other.variance == pytest.approx(post.variance, rel=1e-10)

@@ -598,6 +598,19 @@ def test_simulate_unknown_preset_via_config(tmp_path, capsys):
     assert code == 21
 
 
+@pytest.mark.parametrize("command", ["fit", "baseline"])
+@pytest.mark.parametrize(
+    "flags, want", [(["--grid-quantiles", "nan"], 13), (["--t-final", "nan"], 14)]
+)
+def test_nan_grid_settings_exit_with_their_codes(tmp_path, capsys, command, flags, want):
+    # a NaN probability is outside (0, 1) and a NaN t_final covers no time;
+    # neither may reach the quantile arithmetic and crash with exit 1
+    csv_path = tmp_path / "ds.csv"
+    write_dataset(csv_path)
+    code, _, err = run(capsys, [command, "--input", str(csv_path), *flags])
+    assert code == want and error_record(err)["exit_code"] == want
+
+
 def test_exit_codes(tmp_path, capsys):
     csv_path = tmp_path / "ds.csv"
     write_dataset(csv_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from addhaz import dataio
-from addhaz.baseline_posterior import interval_summaries
+from addhaz.baseline_posterior import event_offsets_by_interval, interval_summaries
 from addhaz.data_model import (
     BetaPrior,
     FitResult,
@@ -150,13 +150,17 @@ def test_grid_degenerate_when_all_times_equal():
 
 def test_grid_requires_covering_t_final():
     ds = validate_dataset([(1.0, True, [0.5]), (5.0, True, [0.5])])
-    with pytest.raises(OutOfRange):
-        grid_from_quantiles(ds, [0.5], t_final=4.0)
+    for t_final in (4.0, math.nan):  # NaN covers nothing
+        with pytest.raises(OutOfRange):
+            grid_from_quantiles(ds, [0.5], t_final=t_final)
 
 
 def test_grid_rejects_bad_probabilities():
     ds = validate_dataset([(t, True, [0.5]) for t in (1, 2, 3)])
-    for probs in ([], [0.5, 0.5], [0.8, 0.2], [0.0, 0.5], [0.5, 1.0]):
+    nan = math.nan  # outside (0, 1), wherever it sits
+    for probs in (
+        [], [0.5, 0.5], [0.8, 0.2], [0.0, 0.5], [0.5, 1.0], [nan], [nan, 0.5], [0.5, nan]
+    ):
         with pytest.raises(DegenerateGrid):
             grid_from_quantiles(ds, probs, t_final=3.0)
 
@@ -175,11 +179,12 @@ def test_time_grid_validation():
 
 
 def interval_of(grid, t):
-    """1-based interval that interval_summaries counts a lone time in, or
-    None when it counts it inside no interval."""
+    """1-based interval whose offsets hold a lone event at time t, or None
+    when none does; the event's exposure, over the whole grid, is min(t, t_F)."""
     ds = SurvivalDataset([t], [True], [[1.0]])
-    inside = [s.n_inside for s in interval_summaries(ds, grid)]
-    return inside.index(1) + 1 if 1 in inside else None
+    assert interval_summaries(ds, grid).sum() == pytest.approx(min(t, grid.t_final))
+    sizes = [o.size for o in event_offsets_by_interval(ds, grid, np.ones(1))]
+    return sizes.index(1) + 1 if 1 in sizes else None
 
 
 def test_interval_index_conventions():

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from addhaz import dataio
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
-    IntervalSummary,
     event_offsets_by_interval,
     increment_moments,
     increment_posterior,
@@ -29,7 +28,7 @@ from addhaz.baseline_posterior import (
 )
 from addhaz.cli import main
 from addhaz.data_model import FitResult, GammaProcessPrior, SurvivalDataset, TimeGrid
-from addhaz.errors import ImproperPosterior
+from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
 
@@ -65,44 +64,75 @@ def test_quadrature_matches_exact_mixture(n, kind):
     b = make_offsets(kind, n, np.random.default_rng(n))
     poly = poly_from_factors(b)
     for s0, c, ratio in itertools.product(PRIOR_SHAPES, CONFIDENCES, EXPOSURE_RATIOS):
-        summary = IntervalSummary(1, n, 0, ratio * WIDTH, WIDTH)
+        interval = (1, ratio * WIDTH, WIDTH)
         prior = GammaProcessPrior((s0 / c,), c)
-        quad = increment_moments(summary, b, prior)
+        quad = increment_moments(*interval, b, prior)
         assert quad.log_weights == () and quad.shape_offsets == ()
-        assert_same_moments(quad, increment_posterior(summary, poly, prior))
+        assert_same_moments(quad, increment_posterior(*interval, poly, prior))
 
 
 def test_improper_cases_match_exact_path():
     rng = np.random.default_rng(3)
-    summary = IntervalSummary(1, 0, 0, 2.0, 1.0)
+    interval = (1, 2.0, 1.0)
     zero_shape = GammaProcessPrior([0.0], c=1.0)
     # alpha_j = 0 with every offset > 0 (or no offsets) does not integrate
     for b in ([], [1.0, 2.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(ImproperPosterior):
-            increment_posterior(summary, poly_from_factors(b), zero_shape)
+            increment_posterior(*interval, poly_from_factors(b), zero_shape)
         with pytest.raises(ImproperPosterior):
-            increment_moments(summary, b, zero_shape)
+            increment_moments(*interval, b, zero_shape)
     # one zero offset removes the constant term and makes it proper
     for b in ([0.0], [0.0, 2.0], np.concatenate(([0.0], rng.uniform(0.1, 4.0, 1500)))):
         assert_same_moments(
-            increment_moments(summary, b, zero_shape),
-            increment_posterior(summary, poly_from_factors(b), zero_shape),
+            increment_moments(*interval, b, zero_shape),
+            increment_posterior(*interval, poly_from_factors(b), zero_shape),
         )
     # no events under a proper prior: the prior Gamma itself
     prior = GammaProcessPrior((2.0,), c=0.7)
-    quad = increment_moments(summary, [], prior)
-    exact = increment_posterior(summary, poly_from_factors([]), prior)
+    quad = increment_moments(*interval, [], prior)
+    exact = increment_posterior(*interval, poly_from_factors([]), prior)
     assert (quad.mean, quad.variance) == (exact.mean, exact.variance)
 
 
 def test_bad_offsets_rejected_like_the_polynomial():
-    summary = IntervalSummary(1, 1, 0, 2.0, 1.0)
+    interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior((1.0,), c=1.0)
-    for b in ([-0.5], [math.inf], [math.nan]):
-        with pytest.raises(ValueError):
+    for b, error in (
+        ([-0.5], NonNegativityViolation),
+        ([-math.inf], NonNegativityViolation),
+        ([math.inf], OutOfRange),
+        ([math.nan], OutOfRange),
+    ):
+        with pytest.raises(error):
             poly_from_factors(b)
-        with pytest.raises(ValueError):
-            increment_moments(summary, b, prior)
+        with pytest.raises(error):
+            increment_moments(*interval, b, prior)
+    with pytest.raises(DimensionMismatch):
+        increment_moments(*interval, [[1.0, 2.0]], prior)
+
+
+@pytest.mark.parametrize(
+    "exposure, width",
+    [(1.0, 0.0), (-5.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+     (math.inf, 1.0), (1.0, math.inf), (-1e-300, 1.0)],
+)
+def test_bad_interval_numbers_raise_a_typed_error(exposure, width):
+    # width must be finite and > 0, exposure finite and >= 0; neither may
+    # reach a division, a log or the root finder
+    prior = GammaProcessPrior([1.0], 1.0)
+    with pytest.raises(OutOfRange, match="interval 1"):
+        increment_posterior(1, exposure, width, poly_from_factors([1.0]), prior)
+    with pytest.raises(OutOfRange, match="interval 1"):
+        increment_moments(1, exposure, width, [1.0], prior)
+
+
+def test_edge_interval_numbers_are_accepted():
+    # no time at risk is a valid interval: the posterior is then a Gamma
+    # mixture at rate c alone
+    prior = GammaProcessPrior([1.0], 1.0)
+    exact = increment_posterior(1, 0.0, 2.0, poly_from_factors([1.0]), prior)
+    assert exact.rate == 1.0
+    assert_same_moments(increment_moments(1, 0.0, 2.0, [1.0], prior), exact)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -117,11 +147,11 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     # an event with b = 0 contributes the factor a, one more unit of the
     # prior shape c alpha: z of them equal a prior alpha + z / c
     offsets = [0.0] * zeros + b
-    summary = IntervalSummary(1, len(offsets), 0, ratio * WIDTH, WIDTH)
+    interval = (1, ratio * WIDTH, WIDTH)
     prior = GammaProcessPrior([alpha], c)
-    post = increment_posterior(summary, poly_from_factors(offsets), prior)
+    post = increment_posterior(*interval, poly_from_factors(offsets), prior)
     raised = increment_posterior(
-        summary, poly_from_factors(b), GammaProcessPrior([alpha + zeros / c], c)
+        *interval, poly_from_factors(b), GammaProcessPrior([alpha + zeros / c], c)
     )
     assert len(post.log_weights) == len(post.shape_offsets) == len(b) + 1
     assert np.all(np.isfinite(post.log_weights)) and np.all(np.isfinite(post.shape_offsets))
@@ -130,7 +160,7 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     np.testing.assert_allclose(post.log_weights, raised.log_weights, rtol=1e-12, atol=1e-12)
     assert post.mean == pytest.approx(raised.mean, rel=1e-12)
     assert post.variance == pytest.approx(raised.variance, rel=1e-12)
-    assert_same_moments(increment_moments(summary, offsets, prior), post)
+    assert_same_moments(increment_moments(*interval, offsets, prior), post)
 
 
 @pytest.mark.parametrize("b", [[1e-20], [1e-20, 3.0], [1e300]])
@@ -138,10 +168,10 @@ def test_extreme_offsets_leave_no_warning(b):
     # far left in the quadrature window the integrand is exactly 0 here:
     # an offset below 1e-16 of u x rounds log1p(v w) to log(0), one above
     # 1e300 of it underflows log P(u) / P(0) to 0; RuntimeWarnings are errors
-    summary = IntervalSummary(1, len(b), 0, 2.0, 1.0)
+    interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([1e-3], 1.0)
-    exact = increment_posterior(summary, poly_from_factors(b), prior)
-    assert_same_moments(increment_moments(summary, b, prior), exact)
+    exact = increment_posterior(*interval, poly_from_factors(b), prior)
+    assert_same_moments(increment_moments(*interval, b, prior), exact)
 
 
 def rising_factorial_moments(b, s0, rate, width):
@@ -166,8 +196,8 @@ def test_quadrature_keeps_precision_at_large_prior_shape(n, alpha):
     # variance is a 1e-15 fraction of the squared mean
     b = np.random.default_rng(n).uniform(0.1, 4.0, n)
     c = 1e12
-    summary = IntervalSummary(1, n, 0, 1.3, 1.3)
-    quad = increment_moments(summary, b, GammaProcessPrior((alpha,), c))
+    interval = (1, 1.3, 1.3)
+    quad = increment_moments(*interval, b, GammaProcessPrior((alpha,), c))
     mean, variance = rising_factorial_moments(b, c * alpha, 1.0 + c, 1.3)
     assert quad.mean == pytest.approx(mean, rel=1e-12)
     assert quad.variance == pytest.approx(variance, rel=1e-12)
@@ -179,20 +209,20 @@ def test_mixture_keeps_precision_at_large_confidence(n):
     # their normalization must not eat the digits that set the variance
     b = np.random.default_rng(n).uniform(0.1, 4.0, n)
     poly = poly_from_factors(b)
-    summary = IntervalSummary(1, n, 0, 1.0, 1.0)
+    interval = (1, 1.0, 1.0)
     for c in (1e-2, 1.0, 1e3, 1e6, 1e9, 1e12):
         prior = GammaProcessPrior((0.5,), c)
-        exact = increment_posterior(summary, poly, prior)
-        assert_same_moments(increment_moments(summary, b, prior), exact)
+        exact = increment_posterior(*interval, poly, prior)
+        assert_same_moments(increment_moments(*interval, b, prior), exact)
 
 
 def test_quadrature_temporaries_stay_small():
     # a full (nodes x factors) array would take about 10 MB here
     b = np.random.default_rng(8).chisquare(1, 20_000)
-    summary = IntervalSummary(1, b.size, 0, 0.9 * b.size, 0.2)
+    interval = (1, 0.9 * b.size, 0.2)
     tracemalloc.start()
     try:
-        increment_moments(summary, b, GammaProcessPrior((0.2,), 1.0))
+        increment_moments(*interval, b, GammaProcessPrior((0.2,), 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,14 +249,14 @@ def test_fit_routes_large_intervals_to_quadrature():
     assert len(small.log_weights) == len(small.shape_offsets) == n_small + 1
 
     prior = GammaProcessPrior.from_shape(grid.boundaries, 1.0)  # fit's default prior
-    summaries = interval_summaries(ds, grid)
+    exposures, widths = interval_summaries(ds, grid), grid.widths()
     offsets = event_offsets_by_interval(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size
     assert_same_moments(
-        large, increment_posterior(summaries[0], poly_from_factors(offsets[0]), prior)
+        large, increment_posterior(1, exposures[0], widths[0], poly_from_factors(offsets[0]), prior)
     )
     assert small == increment_posterior(
-        summaries[1], poly_from_factors(offsets[1]), prior
+        2, exposures[1], widths[1], poly_from_factors(offsets[1]), prior
     )
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from addhaz.errors import DimensionMismatch, NonNegativityViolation, OutOfRange
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
 from oracles import poly_eval_log
@@ -116,10 +117,12 @@ def test_degree_counts_multiplications():
 
 def test_negative_or_infinite_offset_rejected():
     # every offset is checked, wherever it sits in the sequence
-    for bad in (-0.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for bad, error in (
+        (-0.5, NonNegativityViolation), (math.inf, OutOfRange), (math.nan, OutOfRange)
+    ):
+        with pytest.raises(error):
             poly_from_factors([bad])
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             poly_from_factors([1.0, 2.0, bad])
     with pytest.raises(ValueError):
         poly_eval_log(poly_from_factors([]), -1.0)
@@ -129,9 +132,9 @@ def test_coefficient_container_is_immutable():
     poly = poly_from_factors([1.0])
     with pytest.raises((ValueError, RuntimeError)):
         poly.log_abs[0] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         PolyCoefficients(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         PolyCoefficients(np.zeros(0))
 
 
