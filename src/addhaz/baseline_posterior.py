@@ -173,7 +173,7 @@ def increment_posterior(
         shape_offsets=tuple(shapes.tolist()),
         rate=float(rate),
         mean=shape_mean / rate,
-        variance=(shape_var + shape_mean) / rate**2,
+        variance=(shape_var + shape_mean) / (rate * rate),
     )
 
 
@@ -203,7 +203,7 @@ def increment_moments(
         shape_offsets=(),
         rate=float(rate),
         mean=mean_u / rate,
-        variance=var_u / rate**2,
+        variance=var_u / (rate * rate),
     )
 
 

@@ -52,10 +52,12 @@ class SurvivalDataset:
     __slots__ = ("times", "events", "covariates")
 
     def __init__(self, times, events, covariates, *, allow_signed=False):
-        try:  # copies, so freezing them leaves the caller's arrays writable
+        # copies, so freezing them leaves the caller's arrays writable; C order,
+        # because sums over the rows depend on the memory layout in the last bits
+        try:
             times = np.array(times, dtype=float)
             events = np.array(events, dtype=bool)
-            covariates = np.array(covariates, dtype=float)
+            covariates = np.array(covariates, dtype=float, order="C")
         except (TypeError, ValueError) as exc:  # ragged rows, non-numeric cells
             raise DimensionMismatch(
                 f"times, events and covariates must be rectangular numeric arrays: {exc}"

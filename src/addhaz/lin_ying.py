@@ -61,29 +61,47 @@ class LYEstimate:
 def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     """Exact V1, V2, V3 via suffix sums over the sorted observation times."""
     n = ds.n
+    # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
     order = np.argsort(ds.times, kind="stable")
     t = ds.times[order]
+    events = ds.events[order]
     # V1-V3 are translation-invariant; centering stops V2's difference cancelling
-    z = ds.covariates[order] - ds.covariates.mean(axis=0)
+    z = ds.covariates[order]
+    z -= ds.covariates.mean(axis=0)
+    del order
+    ztz = (z.T * t) @ z
 
-    # distinct times u_1 < ... < u_K; obs i sits at distinct index inv[i]
-    u, first, inv = np.unique(t, return_index=True, return_inverse=True)
+    # distinct times u_1 < ... < u_K; t is sorted, so u_s starts the run of
+    # equal times at row first[s], and event row i sits at distinct index
+    # inv_events[i]
+    starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
+    starts[0] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    inv_events = (np.cumsum(starts) - 1)[events]
+    lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}
+    del t
 
+    resid = z[events]  # the event rows, centered below
     # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
     z_rev_cum = np.cumsum(z[::-1], axis=0)[::-1]
+    del z
+    sum_z = z_rev_cum[first]  # (K, k)
+    del z_rev_cum
     counts = n - first
 
-    sum_z = z_rev_cum[first]          # (K, k)
-    zbar = sum_z / counts[:, None]    # (K, k)
-
-    # V2: segment (u_{s-1}, u_s] has length L_s and constant risk-set mean
-    lengths = np.diff(np.concatenate(([0.0], u)))
-    w = np.sqrt(lengths / counts)[:, None] * sum_z
-    v2 = ((z.T * t) @ z - w.T @ w) / n
-
-    resid = (z - zbar[inv])[ds.events[order]]  # event rows, centered
+    # center each event row by the risk-set mean z_bar at its own time
+    zbar = sum_z[inv_events]
+    zbar /= counts[inv_events][:, None]
+    resid -= zbar
+    del zbar
     v1 = resid.sum(axis=0) / n
     v3 = resid.T @ resid / n
+
+    # V2: segment (u_{s-1}, u_s] has constant risk-set mean
+    w = sum_z
+    w *= np.sqrt(lengths / counts)[:, None]
+    v2 = (ztz - w.T @ w) / n
 
     v2 = (v2 + v2.T) / 2.0
     v3 = (v3 + v3.T) / 2.0

@@ -1,11 +1,12 @@
 """Test-side builders and reference helpers shared by several test modules."""
 
+import csv
 import math
 
 import numpy as np
 
 from addhaz.data_model import SurvivalDataset
-from addhaz.errors import DimensionMismatch, NoEvents, NonNegativityViolation
+from addhaz.errors import DatasetFormatError, DimensionMismatch, NoEvents, NonNegativityViolation
 from addhaz.poly_coeffs import PolyCoefficients
 from addhaz.simulate import PiecewiseConstantHazard, _draw_event_times
 
@@ -62,3 +63,48 @@ def draw_event_time(
         raise NonNegativityViolation("z and beta must be >= 0")
     offset = float(z @ beta)
     return float(_draw_event_times(np.array([offset]), baseline, rng)[0])
+
+
+def read_dataset_rows(path):
+    """The dataset reader as a row loop over ``csv`` and ``float()``.
+
+    It accepts exactly the text the package's reader accepts and raises its
+    ``DatasetFormatError`` messages.  Returns the covariate names, times,
+    event flags and one list of covariates per row.
+    """
+
+    def number(text, row, col):
+        try:
+            value = float(text)
+        except ValueError:
+            message = f"row {row}: column {col!r} is not numeric: {text!r}"
+            raise DatasetFormatError(message) from None
+        if not math.isfinite(value):
+            raise DatasetFormatError(f"row {row}: column {col!r} is not finite")
+        return value
+
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatasetFormatError(f"{path}: empty file") from None
+        if len(header) < 3 or header[0].lower() != "time" or header[1].lower() != "event":
+            raise DatasetFormatError(f"{path}: header must be time,event,<covariate columns>")
+        names = tuple(header[2:])
+        times, events, values = [], [], []
+        for row in reader:
+            if not row:  # blank line
+                continue
+            i = reader.line_num
+            if len(row) != len(header):
+                raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
+            times.append(number(row[0], i, "time"))
+            flag = row[1].strip()
+            if flag not in ("0", "1"):
+                raise DatasetFormatError(f"row {i}: event must be 0 or 1, got {flag!r}")
+            events.append(flag == "1")
+            values.append([number(text, i, name) for text, name in zip(row[2:], names)])
+    if not times:
+        raise DatasetFormatError(f"{path}: no data rows")
+    return names, times, events, values

@@ -611,6 +611,24 @@ def test_nan_grid_settings_exit_with_their_codes(tmp_path, capsys, command, flag
     assert code == want and error_record(err)["exit_code"] == want
 
 
+@pytest.mark.parametrize("gamma_c", ["1e154", "1e155", "1e300"])
+def test_a_huge_prior_confidence_gives_finite_output(tmp_path, capsys, gamma_c):
+    # the posterior rate is about c, and its square overflows past 1.3e154
+    csv_path = tmp_path / "ds.csv"
+    csv_path.write_text(
+        "time,event,z1\n0.3,0,0.5\n0.5,1,0.2\n0.8,1,0.4\n1.2,0,0.1\n1.5,1,0.3\n1.9,1,0.6\n"
+    )
+    flags = ["--grid-cuts", "1.0", "--t-final", "2.0", "--gamma-c", gamma_c]
+    code, out, _ = run(capsys, ["baseline", "--input", str(csv_path), *flags])
+    assert code == 0 and len(out.splitlines()) == 3
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, ["fit", "--input", str(csv_path), *flags, "--out", str(out_dir)])
+    assert code == 0
+    # json writes a non-finite float as Infinity or NaN
+    payload = (out_dir / "fit.json").read_text()
+    assert "Infinity" not in payload and "NaN" not in payload
+
+
 def test_exit_codes(tmp_path, capsys):
     csv_path = tmp_path / "ds.csv"
     write_dataset(csv_path)

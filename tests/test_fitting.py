@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 
 import addhaz
-from addhaz.data_model import DEFAULT_QUANTILES, GammaProcessPrior, grid_from_quantiles
+from addhaz.data_model import (
+    DEFAULT_QUANTILES,
+    GammaProcessPrior,
+    SurvivalDataset,
+    grid_from_quantiles,
+)
+from addhaz.dataio import read_dataset_csv, write_dataset_csv
 from addhaz.errors import DimensionMismatch
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def sample_dataset(k=2):
-    cfg = SimConfig(n=200, replicates=1, beta_true=(0.5, 0.25)[:k], seed=3)
+def sample_dataset(k=2, n=200):
+    cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=3)
     return _draw_dataset(cfg, _replicate_rng(cfg, 0))
 
 
@@ -46,3 +52,39 @@ def test_gamma_prior_must_cover_every_grid_interval():
     ds = sample_dataset()
     with pytest.raises(DimensionMismatch, match="one increment per grid interval"):
         addhaz.fit(ds, gamma_prior=GammaProcessPrior([1.0, 1.0], 1.0))
+
+
+def floats_in(value):
+    """Every float in a nested structure of dicts, tuples and lists."""
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in floats_in(item)]
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in floats_in(item)]
+    return [float(value)] if isinstance(value, float) else []
+
+
+@pytest.mark.parametrize(
+    "n, decimals",
+    [
+        (1500, None),  # every interval on the exact mixture
+        (1500, 2),  # times rounded to 2 decimals: about 190 distinct times
+        (8000, None),  # about 1200 events per interval: quadrature
+    ],
+)
+def test_fit_does_not_depend_on_the_row_order(tmp_path, n, decimals):
+    ds = sample_dataset(n=n)
+    if decimals is not None:
+        ds = SurvivalDataset(np.round(ds.times, decimals), ds.events, ds.covariates)
+    path, shuffled = tmp_path / "ds.csv", tmp_path / "shuffled.csv"
+    write_dataset_csv(ds, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(5).permutation(len(rows))
+    shuffled.write_text(header + "".join(rows[i] for i in order))
+    floats = []
+    for csv_path in (path, shuffled):
+        result = addhaz.fit(read_dataset_csv(csv_path)[0]).to_dict()
+        # log_weights are excluded: the smallest weights carry few digits
+        result["baseline"] = [{**p, "log_weights": ()} for p in result["baseline"]]
+        floats.append(floats_in(result))
+    assert len(floats[0]) > 4 * ds.k
+    np.testing.assert_allclose(floats[1], floats[0], rtol=1e-10, atol=0)
