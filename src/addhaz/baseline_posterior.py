@@ -24,8 +24,12 @@ Building the mixture costs O(N^2) in the N events of the interval, while
 quadrature of this 1-d density costs O(N Q) for Q nodes.  Intervals with
 more than EXACT_MAX_FACTORS events therefore get their moments by
 quadrature (``increment_moments``) and report no mixture; smaller ones keep
-the exact mixture (``increment_posterior``).  Both kernels take interval j
-as three numbers, (j, exposure_j, w_j).  The whole baseline stage,
+the exact mixture (``increment_posterior``).  The quadrature finds the
+density's mode by safeguarded Newton steps, ends its window where a
+closed-form bound of the log density has dropped far enough, and places its
+nodes on a trapezoid rule whose step grows away from the mode: a few dozen
+to a few hundred nodes, each one pass over the offsets.  Both kernels take
+interval j as three numbers, (j, exposure_j, w_j).  The whole baseline stage,
 ``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
 interval for every prior at once, reading the exposures from
 ``interval_summaries`` and the offsets from ``event_offsets_by_interval``.
@@ -36,7 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .data_model import (
@@ -58,6 +61,8 @@ __all__ = [
 EXACT_MAX_FACTORS = 1000
 # the quadrature window ends where the log integrand has dropped this far
 _TAIL_DROP = 50.0
+# ratio of the spans at which the window's ends are sought
+_SPAN_RATIO = 1.05
 # (nodes x factors) temporaries of the quadrature stay within 2 MB
 _CHUNK_ELEMENTS = 1 << 18
 # Taylor coefficients 1/k! for k = 12 down to 2, for exp(t) - 1 - t
@@ -235,69 +240,111 @@ def _log1mexp(d: np.ndarray) -> np.ndarray:
         return np.log(-np.expm1(-d))
 
 
+def _tilted_mode(s0: float, b: np.ndarray, x: float) -> tuple[float, np.ndarray, float]:
+    """(u_hat, w, D(u_hat)): the mode of u^s0 e^-u R(u), the shares
+    w_i = u_hat x / (u_hat x + b_i) there, and D(u) = log P(u) / P(0).
+
+    The log-derivative kappa(u) = u R'(u) / R(u) = sum(w) / (1 - e^-D) of
+    R lies in [1, N], so the slope s0 + kappa(u) - u of the log density in
+    log u has its root in [s0 + 1, s0 + N].  Newton steps in u, bisected
+    whenever they leave the shrinking bracket, stop once a step is below
+    1e-3 sqrt(s0 + 1), a thousandth of the narrowest peak's width.
+    """
+    lo, hi = s0 + 1.0, s0 + b.size
+    u = hi
+    for _ in range(200):
+        ux = u * x
+        w = ux / (ux + b)
+        d_u = float(np.sum(np.log1p(ux / b)))
+        share, kept = float(np.sum(w)), -math.expm1(-d_u)  # kept = R(u) / P(u)
+        kappa = share / kept
+        slope = s0 + kappa - u
+        lo, hi = (u, hi) if slope >= 0.0 else (lo, u)
+        # d kappa / d log u, from sum(w (1 - w)) and d D / d log u = sum(w);
+        # the slope's derivative in u is (dkappa - u) / u, and only a negative
+        # one gives a Newton step toward the root
+        dkappa = (share - float(np.dot(w, w))) / kept - kappa * kappa * math.exp(-d_u)
+        nxt = u + slope * u / (u - dkappa) if dkappa < u else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - u) <= 1e-3 * math.sqrt(s0 + 1.0):
+            break
+        u = nxt
+    return u, w, d_u
+
+
+def _node_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, dt/ds) of t = s - (e^-2s - 1) / 4: steps in t grow to the left,
+    are 1.5 times the step in s at t = 0, and tend to it on the right."""
+    return s - np.expm1(-2.0 * s) / 4.0, 1.0 + np.exp(-2.0 * s) / 2.0
+
+
 def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, float]:
     """Mean and variance of u with density prop. to u^(s0-1) e^-u P(u).
 
     P(u) = prod_i (u x + b_i) over N >= 1 offsets b_i > 0, and s0 > 0.
     P(0) = prod_i b_i contributes the closed-form Gamma(s0, 1) component,
     which carries all of the singularity at u = 0 when s0 < 1; the
-    remainder R(u) = P(u) - P(0) is integrated numerically.  In
-    t = log(u / u_hat), about the mode u_hat of the remainder, the
-    integrand is smooth and decays at least like e^t to the left and like
-    exp(-u) to the right, so the trapezoid rule on a uniform grid converges
-    geometrically (Trefethen & Weideman, SIAM Review 2014).  The step
-    0.6 / sqrt(u_max), at most 0.1, keeps its error below e^-45 of the
-    integral, since |integrand(t + i eta)| <= integrand(t) exp(u eta^2 / 2).
-    The window ends where the log integrand has dropped by _TAIL_DROP.
+    remainder R(u) = P(u) - P(0) is integrated numerically in
+    t = log(u / u_hat), about the mode u_hat of u^s0 e^-u R(u), where the
+    integrand is smooth and decays at least like e^((s0+1) t) to the left
+    and like e^-u to the right.
+
+    The window ends where an upper bound of the log integrand has dropped
+    by _TAIL_DROP.  The bound is the smaller of two: one from
+    log1p(y) <= y - y^2 / (2 max(1, 1 + y)) for each log1p(w_i v), the other
+    from R(u) / R(u_hat) <= (u / u_hat)^k, with k = 1 left of the mode and
+    N right of it.  The trapezoid rule runs in s, with t = s - (e^-2s - 1) / 4,
+    which keeps its geometric convergence (Trefethen & Weideman, SIAM
+    Review 2014) while the steps in t grow geometrically to the left, as in
+    Takahasi & Mori's double-exponential maps (1974).  At the mode the step
+    in t is 0.6 / sqrt(u_hat), at most 0.2.  That keeps the error below
+    e^-45 of the integral, since |integrand(t + i eta)| <= integrand(t)
+    exp(u eta^2 / 2).  To the left the step stays within 0.6 / sqrt(u) of
+    each node's own u, and to the right it shrinks to 2/3 of the mode's.
+    Each node costs one _sum_log1p row: log P(u) / P(u_hat) about the mode,
+    or D itself where D may be below 40.
     """
-    def log_ratio(u: float) -> float:
-        # D(u) = log P(u) / P(0)
-        return float(np.sum(np.log1p(u * x / b)))
-
-    def slope(u: float) -> float:
-        # d/d(log u) of log(u^s0 e^-u R(u)); the log-derivative of R lies
-        # in [1, N], so the root lies in [s0 + 1, s0 + N]
-        share = float(np.sum(u * x / (u * x + b)))
-        return s0 - u + share / -math.expm1(-log_ratio(u))
-
-    lo, hi = s0 + 1.0, s0 + b.size
-    if slope(hi) >= 0.0:
-        u_hat = hi
-    elif slope(lo) <= 0.0:
-        u_hat = lo
-    else:
-        u_hat = brentq(slope, lo, hi, xtol=1e-3 * math.sqrt(lo))
-
-    ux = u_hat * x
-    w = ux / (ux + b)  # log P(u_hat (1 + v)) / P(u_hat) = sum log1p(w_i v)
-    d_hat = log_ratio(u_hat)
+    u_hat, w, d_hat = _tilted_mode(s0, b, x)
+    share, w_sq, w_max = float(np.sum(w)), float(np.dot(w, w)), float(np.max(w))
     log_rem = math.log(-math.expm1(-d_hat))  # log R(u_hat) / P(u_hat)
-    linear = s0 - u_hat
 
-    def log_integrand(t: np.ndarray) -> np.ndarray:
-        """log of u^s0 e^-u R(u) at u = u_hat e^t, relative to t = 0."""
-        v = np.expm1(t)
-        growth = _sum_log1p(v, w)
-        # s0 t - (u - u_hat), written so that a large s0 does not cancel
-        out = linear * v - s0 * _expm1_minus_t(t) + growth
-        # R = P (1 - e^-D) with D = log P(u) / P(0); below D = 40, where R
-        # and P differ, D is summed afresh, since d_hat + growth cancels as
-        # u -> 0
-        drop = d_hat + growth
-        near = drop < 40.0
-        drop[near] = _sum_log1p(u_hat * np.exp(t[near]), x / b)
-        return out + (_log1mexp(drop) - log_rem)
+    # candidate window ends in s, from 1 / sqrt(u_hat) (below any peak's
+    # half-width) out to s = 3.9 (t = -610) on the left, where u / u_hat is
+    # still a normal float
+    spans = _SPAN_RATIO ** np.arange(
+        math.floor(math.log(700.0 * math.sqrt(u_hat)) / math.log(_SPAN_RATIO)) + 1
+    ) / math.sqrt(u_hat)
+    ends = []
+    for side, power in ((-1.0, 1.0), (1.0, b.size)):
+        side_spans = spans[spans <= 3.9] if side < 0 else spans
+        t = _node_map(side * side_spans)[0]
+        with np.errstate(over="ignore"):
+            v = np.expm1(t)
+            quad = w_sq * v * v / (2.0 * np.maximum(1.0, 1.0 + w_max * v))
+            upper = np.minimum(
+                s0 * t - (u_hat - share) * v - quad - log_rem, (s0 + power) * t - u_hat * v
+            )
+        dropped = np.flatnonzero(upper < -_TAIL_DROP)
+        ends.append(side_spans[dropped[0] if dropped.size else -1])
 
-    def reach(sign: float) -> float:
-        span = 1.0 / math.sqrt(u_hat)
-        while log_integrand(np.array([sign * span]))[0] > -_TAIL_DROP:
-            span *= 1.25
-        return span
-
-    left, right = reach(-1.0), reach(1.0)
-    h = min(0.1, 0.6 / math.sqrt(u_hat * math.exp(right)))
-    t = h * np.arange(-math.ceil(left / h), math.ceil(right / h) + 1)
-    log_f = log_integrand(t) + math.log(h)
+    step = min(0.2, 0.6 / math.sqrt(u_hat)) / 1.5  # in s; dt/ds = 1.5 at the mode
+    t, dt_ds = _node_map(step * np.arange(-math.ceil(ends[0] / step), math.ceil(ends[1] / step) + 1))
+    v = np.expm1(t)
+    # R = P (1 - e^-D) with D = log P(u) / P(0).  Where D may be below 40, R
+    # and P differ and d_hat + growth would cancel as u -> 0, so D is summed
+    # afresh there; D >= d_hat min(1, u / u_hat), since log1p is concave.
+    near = d_hat * np.exp(np.minimum(t, 0.0)) < 40.0
+    growth, drop = np.empty_like(t), np.empty_like(t)
+    growth[~near] = _sum_log1p(v[~near], w)  # log P(u) / P(u_hat)
+    drop[~near] = d_hat + growth[~near]
+    drop[near] = _sum_log1p(u_hat * np.exp(t[near]), x / b)
+    growth[near] = drop[near] - d_hat
+    # log of u^s0 e^-u R(u) at u = u_hat e^t, relative to t = 0, times the
+    # node's weight step dt/ds; s0 t - (u - u_hat) is written so that a
+    # large s0 does not cancel
+    log_f = (s0 - u_hat) * v - s0 * _expm1_minus_t(t) + growth + (_log1mexp(drop) - log_rem)
+    log_f += np.log(step * dt_ds)
     # log of P(0) Gamma(s0), on the scale of log_f
     log_p0 = gammaln(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
     top = max(log_p0, float(np.max(log_f)))
@@ -307,7 +354,7 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     mean = (w0 * s0 + float(np.dot(wq, u_hat * np.exp(t)))) / total
     # deviations from u_hat are exact to rounding; the centring error of
     # u_hat - mean adds only its square to the variance
-    dev = u_hat * np.expm1(t) + (u_hat - mean)
+    dev = u_hat * v + (u_hat - mean)
     var = (w0 * (s0 + (s0 - mean) ** 2) + float(np.dot(wq, dev * dev))) / total
     return mean, var
 

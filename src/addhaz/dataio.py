@@ -69,13 +69,19 @@ def _cohort_layout(path, header):
     return t_col, e_col, cols, COHORT_COLUMNS
 
 
-def _read_header(reader, path, layout):
-    """Read the header row; returns its field count and ``layout(path, header)``."""
+def _read_header(handle, path, layout):
+    """Read the header row, which may span lines inside a quoted name, in csv's
+    strict mode, so that a quote never closed does not swallow the file.
+    Returns its line count, its field count and ``layout(path, header)``."""
+    reader = csv.reader(handle, strict=True)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DatasetFormatError(f"{path}: empty file") from None
-    return len(header), *layout(path, header)
+    except csv.Error as exc:
+        message = f"{path}: line 1: the header has an unclosed or misplaced quote ({exc})"
+        raise DatasetFormatError(message) from None
+    return reader.line_num, len(header), *layout(path, header)
 
 
 def _parse_rows(handle, path, layout):
@@ -88,13 +94,13 @@ def _parse_rows(handle, path, layout):
     value names, times, event flags, one list of values per row and each
     row's line number in the file, which errors name as "row N".
     """
+    header_lines, width, t_col, e_col, cols, names = _read_header(handle, path, layout)
     reader = csv.reader(handle)
-    width, t_col, e_col, cols, names = _read_header(reader, path, layout)
     times, events, values, lines = [], [], [], []
     for row in reader:
         if not row:  # blank line
             continue
-        i = reader.line_num
+        i = header_lines + reader.line_num
         lines.append(i)
         if len(row) != width:
             raise DatasetFormatError(f"row {i}: expected {width} fields")
@@ -156,10 +162,9 @@ def _read_table(path, layout):
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         if handle.seekable():
-            reader = csv.reader(handle)
-            width, t_col, e_col, cols, names = _read_header(reader, path, layout)
+            header_lines, width, t_col, e_col, cols, names = _read_header(handle, path, layout)
             # loadtxt reads a path in chunks, but a file object line by line
-            table = _load_body(path, reader.line_num, e_col)
+            table = _load_body(path, header_lines, e_col)
             if table is not None and table.shape[1] == width and np.isfinite(table).all():
                 times, events = table[:, t_col], table[:, e_col] == 1.0
                 return names, times, events, table[:, cols], lambda i: _row_lines(path, layout)[i]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data_model import BetaPrior, inverse_cholesky
@@ -91,6 +90,10 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
     """
     if not orthant_qp:
         return np.maximum(pp.mean, 0.0)
+    # scipy.optimize is imported here, on first use: it is the costliest
+    # import of the package and only this branch needs it
+    from scipy.optimize import nnls
+
     # maximizing the density is minimizing ||R beta - R mean||^2 over beta >= 0
     # with R'R = cov^-1, which R = L^-1 satisfies for cov = L L'
     r = inverse_cholesky(pp.cov, "posterior covariance")

@@ -84,19 +84,25 @@ def read_dataset_rows(path):
         return value
 
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        # the header alone is read strictly, so an unclosed quote is an error
+        reader = csv.reader(handle, strict=True)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            message = f"{path}: line 1: the header has an unclosed or misplaced quote ({exc})"
+            raise DatasetFormatError(message) from None
         if len(header) < 3 or header[0].lower() != "time" or header[1].lower() != "event":
             raise DatasetFormatError(f"{path}: header must be time,event,<covariate columns>")
         names = tuple(header[2:])
+        header_lines = reader.line_num
+        reader = csv.reader(handle)
         times, events, values = [], [], []
         for row in reader:
             if not row:  # blank line
                 continue
-            i = reader.line_num
+            i = header_lines + reader.line_num
             if len(row) != len(header):
                 raise DatasetFormatError(f"row {i}: expected {len(header)} fields")
             times.append(number(row[0], i, "time"))

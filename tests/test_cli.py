@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import addhaz
 from addhaz import dataio
 from addhaz.baseline_posterior import EXACT_MAX_FACTORS
 from addhaz.cli import main
@@ -725,3 +729,17 @@ def test_error_classes_carry_the_readme_exit_codes():
     classes = {cls.__name__: cls.exit_code for cls in AddhazError.__subclasses__()}
     assert len(classes) == 11
     assert classes == {name: int(code) for code, name in rows}
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize, which loads scipy.linalg, is the costliest import in
+    # reach; only --orthant-qp needs it, and imports it on first use
+    src = str(Path(addhaz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, addhaz.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """The dataset reader against a row-by-row oracle on generated file text."""
 
+import json
 import os
 import threading
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from addhaz.cli import main
 from addhaz.data_model import SurvivalDataset
 from addhaz.dataio import read_dataset_csv, read_transformed_cohort_csv
 from addhaz.errors import AddhazError, DatasetFormatError
@@ -39,9 +41,9 @@ LINE_ENDS = ("\n", "\r\n", "\r")
 
 @st.composite
 def dataset_texts(draw):
-    """A header, maybe over two lines, and 0-6 valid rows, with up to two
-    changes from ``CHANGES``, mixed line endings, and maybe no final line end
-    or a byte-order mark."""
+    """A header, maybe over two lines or with an unclosed quote, and 0-6
+    valid rows, with up to two changes from ``CHANGES``, mixed line endings,
+    and maybe no final line end or a byte-order mark."""
     k = draw(st.integers(1, 2))
     # now and then a header one column wider or narrower than every row
     named = draw(st.sampled_from((k,) * 4 + (k + 1, k - 1 or 3)))
@@ -65,9 +67,12 @@ def dataset_texts(draw):
         else:
             rows[i][("time", "event", "z1").index(where)] = text
     names = [f"z{j + 1}" for j in range(named)]
-    if draw(st.sampled_from((False,) * 5 + (True,))):
+    quoting = draw(st.sampled_from(("",) * 10 + ("two lines",) * 2 + ("unclosed",)))
+    if quoting == "two lines":
         # a quoted name with a line end in it: the header spans two lines
         names[-1] = f'"z{draw(st.sampled_from(LINE_ENDS))}{named}"'
+    elif quoting == "unclosed":
+        names[-1] = f'"z{named}'
     lines = ["time,event," + ",".join(names)]
     for i, row in enumerate(rows):
         lines.append(",".join(row))
@@ -147,3 +152,25 @@ def test_a_bad_cohort_row_is_named_by_its_line(tmp_path, quote):
     path.write_text(csv_text(rows, quote))
     with pytest.raises(DatasetFormatError, match="^row 5: AFE must exceed 10$"):
         read_transformed_cohort_csv(path)
+
+
+@pytest.mark.parametrize("rows", [["0.5,1,0.2", "0.7,0,0.3"], []])
+def test_an_unclosed_header_quote_names_line_1(tmp_path, capsys, rows):
+    # the quote would otherwise swallow every row into one covariate name
+    path = tmp_path / "ds.csv"
+    path.write_text("\n".join(['time,event,"z1', *rows]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"line 1: the header has an unclosed .*quote"):
+        read_dataset_csv(path)
+    assert main(["fit", "--input", str(path)]) == 21
+    assert "line 1" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_a_closed_quoted_header_name_may_span_two_lines(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text('time,event,"z\n1"\n0.5,1,0.2\n"0.7",0,0.3\n')
+    ds, names = read_dataset_csv(path)
+    assert names == ("z\n1",)
+    assert ds.times.tolist() == [0.5, 0.7] and ds.covariates.tolist() == [[0.2], [0.3]]
+    path.write_text('time,event,"z\n1"\n0.5,1,0.2\n0.7,x,0.3\n')
+    with pytest.raises(DatasetFormatError, match="^row 4: event must be 0 or 1"):
+        read_dataset_csv(path)

@@ -3,9 +3,10 @@
 ``increment_moments`` integrates the posterior density of the increment
 numerically; ``increment_posterior`` builds the finite mixture from the
 likelihood polynomial.  The two share only the interval bookkeeping, so
-agreement to 1e-10 relative over the grid below is an oracle check of the
-quadrature.  The last tests cover the routing of ``fit`` between the two
-paths and the serialized form of a quadrature result.
+agreement to 1e-10 relative over the grid below, and over intervals that
+hypothesis draws, is an oracle check of the quadrature.  Broad posteriors
+check its node count.  The last tests cover the routing of ``fit`` between
+the two paths and the serialized form of a quadrature result.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz import dataio
+from addhaz import baseline_posterior, dataio
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
     event_offsets_by_interval,
@@ -161,6 +162,75 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     assert post.mean == pytest.approx(raised.mean, rel=1e-12)
     assert post.variance == pytest.approx(raised.variance, rel=1e-12)
     assert_same_moments(increment_moments(*interval, offsets, prior), post)
+
+
+def log_uniform(low, high):
+    """Floats whose base-10 logarithm is uniform on [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 1500),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(sorted),
+    s0=log_uniform(-3.0, 3.0),
+    c=log_uniform(-8.0, 8.0),
+    ratio=log_uniform(-2.0, 4.0),
+)
+def test_quadrature_matches_exact_mixture_on_drawn_intervals(n, seed, decades, s0, c, ratio):
+    # a search over the quadrature's domain: N offsets log-uniform over a
+    # drawn part of [1e-6, 1e6], prior shape s0 = c alpha, confidence c
+    b = 10.0 ** np.random.default_rng(seed).uniform(*decades, n)
+    interval = (1, ratio * WIDTH, WIDTH)
+    prior = GammaProcessPrior((s0 / c,), c)
+    quad = increment_moments(*interval, b, prior)
+    assert_same_moments(quad, increment_posterior(*interval, poly_from_factors(b), prior))
+
+
+def broad_interval(n, s0, spread):
+    """N offsets uniform on [500, 1500] and a prior of shape s0 at which
+    x sum(1 / b) = spread, x = 1 / (width rate): x sum(1 / b) near 1 gives
+    the broadest posteriors."""
+    b = np.random.default_rng(n).uniform(500.0, 1500.0, n)
+    x = spread / float(np.sum(1.0 / b))
+    # exposure 0 and width 1 make the rate c = 1 / x
+    return (1, 0.0, 1.0, b, GammaProcessPrior((s0 * x,), 1.0 / x))
+
+
+def test_quadrature_nodes_stay_few_on_broad_posteriors(monkeypatch):
+    # each _sum_log1p row is one quadrature node, a pass over all N offsets;
+    # near x sum(1 / b) = 1 the posterior spreads over many decades of u
+    rows = []
+    sum_log1p = baseline_posterior._sum_log1p
+
+    def counted(a, b):
+        rows[-1] += a.size
+        return sum_log1p(a, b)
+
+    monkeypatch.setattr(baseline_posterior, "_sum_log1p", counted)
+    for n, s0, spread in itertools.product(
+        (1001, 2000, 30000), (1e-3, 0.5, 50.0), (0.5, 0.9, 1.0, 1.01, 2.0, 10.0)
+    ):
+        rows.append(0)
+        increment_moments(*broad_interval(n, s0, spread))
+        assert 0 < rows[-1] <= 400, (n, s0, spread, rows[-1])
+
+
+@pytest.mark.parametrize(
+    "s0, mean, variance",
+    [
+        (1e-3, 0.006282414947850968, 0.025153702768329844),
+        (0.5, 2.399253402749791, 6.855297646902504),
+        (50.0, 36.01157849261239, 13.334424682780716),
+    ],
+)
+def test_broadest_posteriors_keep_their_moments(s0, mean, variance):
+    # reference moments from a trapezoid rule with one uniform step over the
+    # whole window, which took up to 13,629 rows here
+    post = increment_moments(*broad_interval(30000, s0, 1.0))
+    assert post.mean == pytest.approx(mean, rel=1e-10)
+    assert post.variance == pytest.approx(variance, rel=1e-10)
 
 
 @pytest.mark.parametrize("b", [[1e-20], [1e-20, 3.0], [1e300]])
