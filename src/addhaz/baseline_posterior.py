@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data_model import (
     BaselineIncrementPosterior, GammaProcessPrior, SurvivalDataset, TimeGrid
@@ -346,7 +345,7 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     log_f = (s0 - u_hat) * v - s0 * _expm1_minus_t(t) + growth + (_log1mexp(drop) - log_rem)
     log_f += np.log(step * dt_ds)
     # log of P(0) Gamma(s0), on the scale of log_f
-    log_p0 = gammaln(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
+    log_p0 = math.lgamma(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
     top = max(log_p0, float(np.max(log_f)))
     w0 = math.exp(log_p0 - top)
     wq = np.exp(log_f - top)

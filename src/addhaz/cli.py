@@ -6,17 +6,18 @@ studies, optionally from a named preset), and ``hpd`` (one truncated-normal
 highest-density interval).  Success exits 0; a domain error exits with its
 class's ``exit_code`` and a single-line JSON record on stderr.
 
-The parser declares each setting's type and default once.  A ``--config``
-file holds flat ``key = value`` lines keyed by the long flag names; its
-values go through the flags' types and become parser defaults, as does a
-preset, so a flag beats the file, which beats the preset, which beats
-``ADDHAZ_SEED`` and the built-in defaults.
+The parser declares each setting's type and default once, and is built
+once per process.  A ``--config`` file holds flat ``key = value`` lines
+keyed by the long flag names; its values go through the flags' types.  A
+flag beats the file, which beats the preset, which beats ``ADDHAZ_SEED``
+and the built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -199,8 +200,15 @@ def _run_hpd(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
-    """The parser, and each subcommand's parser with its actions by dest."""
+    """The parser, each subcommand's (parser, actions by dest, defaults by
+    dest), and the flags that take a value.
+
+    It is built once and never changed: every flag's parser default is
+    SUPPRESS, so a parse holds only the flags given, and ``_parse_args``
+    lays them over the config file, the preset and these defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="addhaz",
         description="Additive hazards estimation with hybrid Bayesian inference",
@@ -209,16 +217,17 @@ def _build_parser():
     commands = {}
 
     def command(name, help):
-        p = sub.add_parser(name, help=help)
-        actions = {}
-        commands[name] = (p, actions)
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        actions, defaults = {}, {}
+        commands[name] = (p, actions, defaults)
 
-        def add(flag, **kwargs):
+        def add(flag, default=None, **kwargs):
             action = p.add_argument(flag, **kwargs)
             actions[action.dest] = action
+            defaults[action.dest] = False if action.nargs == 0 else default
 
         add("--config", help="flat key = value settings file")
-        add("--coverage", type=float, default=0.95, help="credible level (default %(default)s)")
+        add("--coverage", type=float, default=0.95, help="credible level (default 0.95)")
         add("--out", help="directory for output files")
         return add
 
@@ -242,7 +251,7 @@ def _build_parser():
     add("--preset", choices=sorted(PRESETS), help="named study setup")
     add("--n", type=int, default=100)
     add("--replicates", type=int, default=1000)
-    add("--seed", type=int, default=os.environ.get("ADDHAZ_SEED") or 0)
+    add("--seed", type=int, default=0, help="default $ADDHAZ_SEED, else 0")
     add("--beta-true", type=_float_list, default=(0.5,))
     add("--censor-rate", type=float, default=0.5)
     add("--mu-grid", type=_float_list)
@@ -251,12 +260,18 @@ def _build_parser():
     add("--alpha-increments", type=_float_list)
     add("--grid-cuts", type=_float_list)
     add("--t-final", type=float)
-    commands["simulate"][0].set_defaults(kind=None)
+    commands["simulate"][2]["kind"] = None
 
     add = command("hpd", "truncated-normal highest density interval")
     add("--mean", type=float)
     add("--sd", type=float)
-    return parser, commands
+    valued = frozenset(
+        a.option_strings[0]
+        for _, actions, _ in commands.values()
+        for a in actions.values()
+        if a.nargs != 0
+    )
+    return parser, commands, valued
 
 
 def _config_defaults(path, cmd: str, commands: dict) -> dict:
@@ -273,7 +288,7 @@ def _config_defaults(path, cmd: str, commands: dict) -> dict:
         dest = key.replace("-", "_")
         if not (key or sep):
             continue
-        if not (sep and any(dest in known for _, known in commands.values())):
+        if not (sep and any(dest in known for _, known, _ in commands.values())):
             raise DatasetFormatError(f"{path}:{lineno}: unknown setting {key!r}")
         if dest not in actions:
             continue
@@ -300,23 +315,28 @@ def _is_number_list(token: str) -> bool:
 
 def _parse_args(argv) -> argparse.Namespace:
     """Flags over config-file values over preset values over defaults."""
-    parser, commands = _build_parser()
+    parser, commands, valued = _build_parser()
     # argparse reads only plain negative decimals as values, so "--mean
     # -1e-3" would be two options; "--mean=-1e-3" is one
-    valued = {
-        a.option_strings[0] for _, acts in commands.values() for a in acts.values() if a.nargs != 0
-    }
     tokens = []
     for token in sys.argv[1:] if argv is None else argv:
         if tokens and tokens[-1] in valued and _is_number_list(token):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = parser.parse_args(tokens)
-    config = _config_defaults(args.config, args.cmd, commands) if args.config else {}
-    preset = PRESETS.get(getattr(args, "preset", None) or config.get("preset"), {})
-    commands[args.cmd][0].set_defaults(**{**preset, **config})
-    return parser.parse_args(tokens)
+    given = vars(parser.parse_args(tokens))
+    cmd = given.pop("cmd")
+    sub, _, defaults = commands[cmd]
+    config = _config_defaults(given["config"], cmd, commands) if given.get("config") else {}
+    preset = PRESETS.get(given.get("preset") or config.get("preset"), {})
+    chosen = {**preset, **config, **given}
+    seed = os.environ.get("ADDHAZ_SEED")
+    if cmd == "simulate" and "seed" not in chosen and seed:
+        try:
+            chosen["seed"] = int(seed)
+        except ValueError:
+            sub.error(f"argument --seed: invalid int value: {seed!r}")
+    return argparse.Namespace(cmd=cmd, **{**defaults, **chosen})
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
+from ._normal import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .data_model import BetaPrior, inverse_cholesky
 from .errors import DimensionMismatch, InvalidCoverage, SingularCovariance
@@ -90,8 +90,8 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
     """
     if not orthant_qp:
         return np.maximum(pp.mean, 0.0)
-    # scipy.optimize is imported here, on first use: it is the costliest
-    # import of the package and only this branch needs it
+    # scipy is imported here, on first use: no other path of the package
+    # needs it, and it is the costliest import in reach
     from scipy.optimize import nnls
 
     # maximizing the density is minimizing ||R beta - R mean||^2 over beta >= 0
@@ -101,7 +101,29 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
     return solution
 
 
+# elements per pass of the HPD, so that each temporary stays at 32 KiB.
+# On a 49000-element study one pass measured about 15% slower, with 5 MB
+# more peak RSS and about 2700 page faults against 400: the allocator
+# hands larger temporaries back to the system and faults them in again
+_HPD_CHUNK = 4096
+
+
 def _hpd_bulk(mean, sd, coverage: float):
+    """HPD endpoints of every element, in passes of ``_HPD_CHUNK``; the
+    passes are elementwise, so an element's bits do not depend on them.
+    Inputs must be valid and of one shape; returns arrays of at least one
+    dimension.
+    """
+    mean, sd = np.atleast_1d(mean, sd)
+    lower, upper = np.empty(mean.shape), np.empty(mean.shape)
+    m, s, lo, up = (v.reshape(-1) for v in (mean, sd, lower, upper))
+    for start in range(0, m.size, _HPD_CHUNK):
+        part = slice(start, start + _HPD_CHUNK)
+        lo[part], up[part] = _hpd_pass(m[part], s[part], coverage)
+    return lower, upper
+
+
+def _hpd_pass(mean, sd, coverage: float):
     """Closed-form HPD of N(mean, sd^2) truncated to [0, inf), elementwise.
 
     With a = mean / sd it is [mean - r, mean + r], r = -sd ndtri((1 - coverage
@@ -109,14 +131,15 @@ def _hpd_bulk(mean, sd, coverage: float):
     Phi(a - x) = (1 - coverage) Phi(a).  The ndtri_exp start for x cancels as
     a -> -inf, so it is clipped to a bracket of the root and polished by two
     Newton steps on g(x) = log Phi(a - x) - log((1 - coverage) Phi(a)), which
-    is concave and decreasing.  Inputs must be valid; returns arrays of at
-    least one dimension.
+    is concave and decreasing.  Takes and returns 1-d arrays.
     """
-    mean, sd = np.atleast_1d(mean, sd)
     a = mean / sd
-    r = -sd * ndtri((1.0 - coverage * ndtr(a)) / 2.0)
+    # 1 - coverage Phi(a), with the tail Phi(-a) kept whole as a grows
+    r = -sd * ndtri((1.0 - coverage + coverage * ndtr(-a)) / 2.0)
     lower, upper = mean - r, mean + r
     pinned = lower <= 0.0
+    if not pinned.any():
+        return lower, upper
     a = a[pinned]
     log_tail = np.log1p(-coverage)
     # g(x) <= a x - x^2 / 2 - log_tail for x >= 0, so its positive root bounds x

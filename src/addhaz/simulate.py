@@ -14,6 +14,7 @@ several confidence weights c.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -36,7 +37,7 @@ from .errors import (
     NonNegativityViolation,
     SingularDesign,
 )
-from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
+from .hybrid_beta import PseudoPosterior, beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import LYEstimate, compute_statistics, ly_solve
 
 __all__ = [
@@ -255,7 +256,7 @@ def run_beta_experiment(
         raise DimensionMismatch("prior grids must not be empty")
     if any(om <= 0 for om in omega_grid):
         raise NonNegativityViolation("prior variances must be > 0")
-    priors = [[BetaPrior.isotropic(mu, om, cfg.k) for om in omega_grid] for mu in mu_grid]
+    priors = [BetaPrior.isotropic(mu, om, cfg.k) for mu in mu_grid for om in omega_grid]
     kept = [est for _, est in _replicates(cfg) if est is not None]
     dropped = _check_drops(cfg, len(kept))
     estimate = LYEstimate(np.array([e.m for e in kept]), np.array([e.d for e in kept]))
@@ -268,11 +269,15 @@ def run_beta_experiment(
         )
         return [(labels + (comp + 1,), tuple(v)) for comp, v in enumerate(stats.tolist())]
 
+    # the cells' posteriors stacked on a leading axis: one mode and one HPD call
+    posteriors = [pseudo_posterior(estimate, prior) for prior in priors]
+    pp = PseudoPosterior(
+        np.stack([p.mean for p in posteriors]), np.stack([p.cov for p in posteriors])
+    )
+    spreads = sigma_hat(hpd_interval(pp, coverage))
     rows = []
-    for mu, row in zip(mu_grid, priors):
-        for om, prior in zip(omega_grid, row):
-            pp = pseudo_posterior(estimate, prior)
-            rows += cells((mu, om), beta_mode(pp), sigma_hat(hpd_interval(pp, coverage)))
+    for labels, mode, spread in zip(itertools.product(mu_grid, omega_grid), beta_mode(pp), spreads):
+        rows += cells(labels, mode, spread)
     ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
     rows += cells(("reference", "flat"), estimate.m, ses)
     return SimReport(

@@ -731,15 +731,13 @@ def test_error_classes_carry_the_readme_exit_codes():
     assert classes == {name: int(code) for code, name in rows}
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize, which loads scipy.linalg, is the costliest import in
-    # reach; only --orthant-qp needs it, and imports it on first use
+def test_importing_addhaz_loads_no_scipy():
+    # scipy is the costliest import in reach; only --orthant-qp needs it
+    # (scipy.optimize.nnls), and imports it on first use
     src = str(Path(addhaz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import sys, addhaz.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
-    )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    for module in ("addhaz", "addhaz.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]", module

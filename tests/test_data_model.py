@@ -1,13 +1,17 @@
 """Dataset validation, grids, priors, and serialization round-trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addhaz import dataio
 from addhaz.baseline_posterior import event_offsets_by_interval, interval_summaries
 from addhaz.data_model import (
+    BaselineIncrementPosterior,
     BetaPrior,
     FitResult,
     GammaProcessPrior,
@@ -296,8 +300,6 @@ def test_csv_round_trip_is_identity(tmp_path):
 
 
 def test_fit_result_dict_round_trip():
-    from addhaz.data_model import BaselineIncrementPosterior
-
     post = BaselineIncrementPosterior(
         interval=1,
         log_weights=(-0.5, -1.2),
@@ -316,3 +318,39 @@ def test_fit_result_dict_round_trip():
     )
     back = FitResult.from_dict(result.to_dict())
     assert back == result
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fit_results(draw):
+    k = draw(st.integers(1, 4))
+    floats = st.lists(FLOATS, min_size=k, max_size=k).map(tuple)
+    posts = []
+    for j in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(0, 4))
+        mixture = st.lists(FLOATS, min_size=size, max_size=size).map(tuple)
+        posts.append(
+            BaselineIncrementPosterior(
+                j + 1, draw(mixture), draw(mixture), draw(FLOATS), draw(FLOATS), draw(FLOATS)
+            )
+        )
+    return FitResult(
+        beta_hat=draw(floats),
+        ly_beta=draw(floats),
+        sigma_hat=draw(floats),
+        hpd=tuple(zip(draw(floats), draw(floats))),
+        coverage=draw(FLOATS),
+        baseline=tuple(posts),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(result=fit_results())
+def test_fit_result_json_round_trip_is_the_identity(result):
+    # fit.json's "fit" object, read back, gives the same result and text
+    text = json.dumps(result.to_dict())
+    back = FitResult.from_dict(json.loads(text))
+    assert back == result
+    assert json.dumps(back.to_dict()) == text

@@ -11,6 +11,8 @@ cross-checked by numerically maximizing the exact log-density with scipy.
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy.stats import norm
 
@@ -340,11 +342,12 @@ def test_batched_posterior_and_hpd_equal_a_loop():
 
 def test_each_component_interval_is_its_own_marginal_interval():
     # one call over every component gives, bit for bit, the interval of each
-    # component's one-dimensional marginal
+    # component's one-dimensional marginal; 2000 x 3 elements take more
+    # than one pass of the HPD, each marginal one
     rng = np.random.default_rng(11)
-    for k in range(1, 8):
-        mean = rng.normal(0.0, 2.0, size=(50, k))
-        roots = rng.normal(size=(50, k, k))
+    for rows, k in [(50, k) for k in range(1, 8)] + [(2000, 3)]:
+        mean = rng.normal(0.0, 2.0, size=(rows, k))
+        roots = rng.normal(size=(rows, k, k))
         cov = roots @ np.swapaxes(roots, 1, 2) + 0.01 * np.eye(k)
         iv = hpd_interval(PseudoPosterior(mean=mean, cov=cov), 0.95)
         for comp in range(k):
@@ -372,3 +375,49 @@ def test_hpd_rejects_degenerate_marginals(mean, var):
     pp = PseudoPosterior(mean=np.array([mean]), cov=np.array([[var]]))
     with pytest.raises(SingularCovariance):
         hpd_interval(pp, 0.95)
+
+
+# mean / sd: central values, and magnitudes far into both tails
+RATIOS = (
+    st.floats(-8.0, 8.0)
+    | st.floats(-6.0, 280.0).map(lambda e: -(10.0**e))
+    | st.floats(-6.0, 8.0).map(lambda e: 10.0**e)
+)
+SDS = st.floats(-5.0, 5.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    ratio=RATIOS,
+    sd=SDS,
+    coverages=st.lists(st.floats(1e-6, 1.0 - 1e-9), min_size=2, max_size=6, unique=True),
+)
+def test_hpd_intervals_nest_as_coverage_rises(ratio, sd, coverages):
+    # each endpoint is rounded to about 1e-16 of max(|mean|, sd), so two
+    # coverages a few ulps apart may cross by that much; coverages closer
+    # than 1e-9 are dropped, and the relation is held exactly
+    chosen = [c for c in sorted(coverages)]
+    kept = chosen[:1]
+    for c in chosen[1:]:
+        if c - kept[-1] >= 1e-9:
+            kept.append(c)
+    pp = PseudoPosterior(mean=np.array([ratio * sd]), cov=np.array([[sd * sd]]))
+    ivs = [hpd_interval(pp, c) for c in kept]
+    for inner, outer in zip(ivs, ivs[1:]):
+        assert outer.lower[0] <= inner.lower[0]
+        assert inner.upper[0] <= outer.upper[0]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ratio=RATIOS, sd=SDS, power=st.integers(-60, 60), coverage=st.floats(1e-6, 1.0 - 1e-9))
+def test_hpd_interval_scales_with_sd_at_fixed_mean_over_sd(ratio, sd, power, coverage):
+    # scaling mean and sd by 2^power keeps mean / sd bit for bit, and every
+    # step of the interval then scales exactly
+    scale = 2.0**power
+    mean = ratio * sd
+    iv = hpd_interval(PseudoPosterior(np.array([mean]), np.array([[sd * sd]])), coverage)
+    scaled = hpd_interval(
+        PseudoPosterior(np.array([mean * scale]), np.array([[(sd * scale) ** 2]])), coverage
+    )
+    assert scaled.lower[0] == iv.lower[0] * scale
+    assert scaled.upper[0] == iv.upper[0] * scale
