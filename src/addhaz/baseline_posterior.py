@@ -103,17 +103,19 @@ def event_offsets_by_interval(
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (ds.k,):
         raise DimensionMismatch("beta dimension does not match the dataset")
-    t = ds.times
-    bounds = np.asarray(grid.boundaries)
-    idx = np.searchsorted(bounds, t, side="left")
     offsets = ds.covariates @ beta
-    factors = [offsets[(idx == j) & ds.events] for j in range(grid.m)]
-    if any(f.size and float(np.min(f)) < 0.0 for f in factors):
+    rows = np.flatnonzero(ds.events)
+    idx = np.searchsorted(np.asarray(grid.boundaries), ds.times[rows], side="left")
+    # events by interval, in row order within each; index m lies beyond t_F
+    order = np.argsort(idx, kind="stable")
+    ends = np.cumsum(np.bincount(idx, minlength=grid.m + 1))
+    factors = offsets[rows[order[: ends[grid.m - 1]]]]
+    if factors.size and float(np.min(factors)) < 0.0:
         raise NonNegativityViolation(
             "negative beta'z among events; baseline increments need "
             "nonnegative offsets"
         )
-    return factors
+    return np.split(factors, ends[: grid.m - 1])
 
 
 def _interval_prior(j: int, exposure: float, width: float, prior: GammaProcessPrior):

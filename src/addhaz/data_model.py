@@ -152,13 +152,6 @@ class TimeGrid:
         return np.diff(b)
 
 
-def _nearest_rank_quantile(sorted_values: np.ndarray, prob: float) -> float:
-    # rank ceil(p * n), clamped to at least 1
-    n = sorted_values.shape[0]
-    rank = max(1, math.ceil(prob * n))
-    return float(sorted_values[rank - 1])
-
-
 # the default grid's cut probabilities, for a fit and a baseline study alike
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 
@@ -166,7 +159,8 @@ DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 def grid_from_quantiles(
     ds: SurvivalDataset, probs: Sequence[float] = DEFAULT_QUANTILES, t_final: float | None = None
 ) -> TimeGrid:
-    """Grid whose cuts are nearest-rank quantiles of the uncensored times.
+    """Grid whose cuts are nearest-rank quantiles of the uncensored times:
+    the p-quantile of n event times is the max(1, ceil(p n))-th smallest.
 
     ``t_final=None`` ends the grid at the largest observed time.  Duplicate
     quantiles are collapsed, and quantiles falling on 0 or at or beyond
@@ -186,11 +180,9 @@ def grid_from_quantiles(
     event_times = np.sort(ds.times[ds.events])
     if event_times.size == 0:
         raise NoEvents("no uncensored times to take quantiles of")
-    cuts = []
-    for p in probs:
-        q = _nearest_rank_quantile(event_times, p)
-        if 0.0 < q < t_final and (not cuts or q > cuts[-1]):
-            cuts.append(q)
+    n = event_times.size
+    quantiles = event_times[[max(1, math.ceil(p * n)) - 1 for p in probs]].tolist()
+    cuts = sorted({q for q in quantiles if 0.0 < q < t_final})
     if not cuts:
         raise DegenerateGrid("quantiles collapsed; no usable cut below t_final")
     return TimeGrid(tuple(cuts), t_final)

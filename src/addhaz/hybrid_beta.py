@@ -14,6 +14,7 @@ a batch: m of shape (r, k) with d of shape (r, k, k) gives r posteriors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,19 +124,51 @@ def _hpd_bulk(mean, sd, coverage: float):
     return lower, upper
 
 
+def _erfinv_series(terms: int) -> tuple[float, ...]:
+    """Coefficients of sqrt(2) erfinv(p) / (sqrt(pi / 2) p) in powers of p^2,
+    highest degree first: erfinv's c_k / (2k + 1) (pi / 4)^k, with c_0 = 1
+    and c_k = sum_m c_m c_{k-1-m} / ((m + 1)(2m + 1))."""
+    c = [1.0]
+    for k in range(1, terms):
+        c.append(sum(c[m] * c[k - 1 - m] / ((m + 1) * (2 * m + 1)) for m in range(k)))
+    return tuple(ck / (2 * k + 1) * (math.pi / 4) ** k for k, ck in enumerate(c))[::-1]
+
+
+# 14 terms reach rounding (3.3e-16 against mpmath) below p = 0.3
+_CENTRAL_SERIES = _erfinv_series(14)
+
+
+def _central_quantile(p, q):
+    """z with P(|Z| <= z) = p for a standard normal Z, elementwise, given p
+    and its complement q = 1 - p, each computed without cancellation.
+
+    From p = 0.3 up this is the tail quantile -ndtri(q / 2), within 1.8e-15
+    of mpmath.  Below it, q has lost p's low digits, and the Maclaurin
+    series of sqrt(2) erfinv(p) takes over, down to the smallest normal p.
+    """
+    p = np.asarray(p, dtype=float)
+    w = p * p
+    series = np.zeros_like(w)
+    for coef in _CENTRAL_SERIES:
+        series = series * w + coef
+    return np.where(p < 0.3, math.sqrt(math.pi / 2.0) * p * series, -ndtri(q / 2.0))
+
+
 def _hpd_pass(mean, sd, coverage: float):
     """Closed-form HPD of N(mean, sd^2) truncated to [0, inf), elementwise.
 
-    With a = mean / sd it is [mean - r, mean + r], r = -sd ndtri((1 - coverage
-    Phi(a)) / 2), if that lower end is positive, else [0, sd x] where
+    With a = mean / sd it is [mean - r, mean + r], r = sd z with P(|Z| <= z)
+    = coverage Phi(a), if that lower end is positive, else [0, sd x] where
     Phi(a - x) = (1 - coverage) Phi(a).  The ndtri_exp start for x cancels as
     a -> -inf, so it is clipped to a bracket of the root and polished by two
     Newton steps on g(x) = log Phi(a - x) - log((1 - coverage) Phi(a)), which
     is concave and decreasing.  Takes and returns 1-d arrays.
     """
     a = mean / sd
-    # 1 - coverage Phi(a), with the tail Phi(-a) kept whole as a grows
-    r = -sd * ndtri((1.0 - coverage + coverage * ndtr(-a)) / 2.0)
+    # coverage Phi(a) and its complement, with the tail Phi(-a) kept whole as
+    # a grows; where a < 0, so that 1 - tail cancels, the lower end is < 0
+    tail = ndtr(-a)
+    r = sd * _central_quantile(coverage * (1.0 - tail), 1.0 - coverage + coverage * tail)
     lower, upper = mean - r, mean + r
     pinned = lower <= 0.0
     if not pinned.any():
@@ -183,7 +216,7 @@ def sigma_hat(interval: HpdInterval) -> np.ndarray:
     """
     if not (0.0 < interval.coverage < 1.0):
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {interval.coverage!r}")
-    z = ndtri(0.5 + interval.coverage / 2.0)
+    z = _central_quantile(interval.coverage, 1.0 - interval.coverage)
     return (interval.upper - interval.lower) / (2.0 * z)
 
 

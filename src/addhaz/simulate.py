@@ -112,23 +112,20 @@ def _draw_event_times(
     offsets: np.ndarray, baseline: PiecewiseConstantHazard, rng: np.random.Generator
 ) -> np.ndarray:
     """Inverse-transform draws of T with hazard baseline(t) + offsets[i]."""
-    exp_draws = rng.exponential(size=offsets.shape[0])
-    lows = (0.0,) + baseline.breaks
-    t = np.empty_like(exp_draws)
-    remaining = exp_draws.copy()
-    done = np.zeros(exp_draws.shape[0], dtype=bool)
-    last = len(baseline.levels) - 1
-    for s, level in enumerate(baseline.levels):
-        h = level + offsets
-        if s == last:
-            idx = ~done
-            t[idx] = lows[s] + remaining[idx] / h[idx]
-            break
-        cap = h * (lows[s + 1] - lows[s])
-        land = ~done & (h > 0) & (remaining <= cap)
-        t[land] = lows[s] + remaining[land] / h[land]
-        done |= land
-        remaining = np.where(done, remaining, remaining - cap)
+    remaining = rng.exponential(size=offsets.shape[0])
+    t = np.empty_like(remaining)
+    pending = np.arange(t.size)  # the rows not yet landed; remaining is theirs
+    low = 0.0
+    for level, high in zip(baseline.levels, baseline.breaks):
+        h = level + offsets[pending]
+        cap = h * (high - low)  # the segment's cumulative hazard
+        land = (h > 0) & (remaining <= cap)
+        t[pending[land]] = low + remaining[land] / h[land]
+        keep = ~land
+        pending, remaining = pending[keep], remaining[keep] - cap[keep]
+        low = high
+    # the last level is > 0 and extends to infinity: every row left lands
+    t[pending] = low + remaining / (baseline.levels[-1] + offsets[pending])
     return t
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from addhaz.data_model import SurvivalDataset
 from addhaz.errors import DatasetFormatError, DimensionMismatch, NoEvents, NonNegativityViolation
 from addhaz.poly_coeffs import PolyCoefficients
-from addhaz.simulate import PiecewiseConstantHazard, _draw_event_times
+from addhaz.simulate import PiecewiseConstantHazard
 
 
 def validate_dataset(records, *, allow_signed=False):
@@ -50,19 +50,41 @@ def poly_eval_log(poly: PolyCoefficients, a: float) -> float:
     return float(top + math.log(np.sum(np.exp(terms - top))))
 
 
+def draw_event_times(offsets, baseline: PiecewiseConstantHazard, rng: np.random.Generator):
+    """Event times with hazard baseline(t) + offsets[i], by inverse transform
+    of the draws ``rng.exponential(size=n)``, one row at a time in floats.
+
+    A row's draw E walks the segments in order.  A segment [low, high) of
+    level h = level + offset holds cumulative hazard h (high - low); the
+    time is low + E / h in the first segment with h > 0 that holds what is
+    left of E, and each segment passed takes its hazard off E.  The last
+    segment never ends, so every draw that reaches it lands there.
+    """
+    draws = rng.exponential(size=len(offsets))
+    times = []
+    for left, offset in zip(draws.tolist(), np.asarray(offsets, dtype=float).tolist()):
+        low = 0.0
+        for level, high in zip(baseline.levels, baseline.breaks + (math.inf,)):
+            h = level + offset
+            if high == math.inf or (h > 0 and left <= h * (high - low)):
+                break
+            left -= h * (high - low)
+            low = high
+        times.append(low + left / h)
+    return np.array(times)
+
+
 def draw_event_time(
     z, beta, baseline: PiecewiseConstantHazard, rng: np.random.Generator
 ) -> float:
-    """One event time for covariates z under coefficients beta, drawn by the
-    simulator's own inverse transform."""
+    """One event time for covariates z under coefficients beta."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if z.shape != beta.shape:
         raise DimensionMismatch("z and beta dimensions disagree")
     if np.any(z < 0) or np.any(beta < 0):
         raise NonNegativityViolation("z and beta must be >= 0")
-    offset = float(z @ beta)
-    return float(_draw_event_times(np.array([offset]), baseline, rng)[0])
+    return float(draw_event_times([float(z @ beta)], baseline, rng)[0])
 
 
 def read_dataset_rows(path):

@@ -26,7 +26,7 @@ from addhaz.baseline_posterior import (
     interval_summaries,
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
-from addhaz.errors import DimensionMismatch, ImproperPosterior
+from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation
 from addhaz.poly_coeffs import poly_from_factors
 
 
@@ -356,9 +356,22 @@ def test_exposure_and_offsets_follow_the_interval_conventions(times, events, cut
     offsets = event_offsets_by_interval(ds, grid, np.ones(1))
     for j, (lo, hi) in enumerate(zip(lows, highs)):
         rows = [i + 1 for i in range(t.size) if events[i] and (t[i] > lo or j == 0) and t[i] <= hi]
-        assert sorted(offsets[j].tolist()) == rows
+        assert offsets[j].tolist() == rows  # in row order: it fixes the factor order
     placed = sum(o.size for o in offsets)
     assert placed == sum(e and ti <= grid.t_final for e, ti in zip(events, times))
+
+
+def test_only_events_inside_the_grid_need_nonnegative_offsets():
+    # signed covariates: an event beyond t_F contributes no factor, so its
+    # negative offset is never checked; one inside the grid is rejected
+    ds = SurvivalDataset(
+        [3.0, 0.5, 1.5, 2.5], [True, True, False, True], [[-4.0], [1.0], [-2.0], [2.0]],
+        allow_signed=True,
+    )
+    offsets = event_offsets_by_interval(ds, TimeGrid((1.0,), 2.5), np.ones(1))
+    assert [o.tolist() for o in offsets] == [[1.0], [2.0]]
+    with pytest.raises(NonNegativityViolation):
+        event_offsets_by_interval(ds, TimeGrid((1.0,), 3.0), np.ones(1))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

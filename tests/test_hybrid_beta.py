@@ -261,6 +261,42 @@ def test_sigma_hat_arithmetic():
     assert sigma_hat(HpdInterval(1.0, 1.0, 0.95)) == 0.0
 
 
+EXTREME_COVERAGES = [1e-300, 1e-17, 1e-12, 1e-8, 1e-4, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+
+
+def central_z_mpmath(p):
+    """z with P(|Z| <= z) = p, at 60 digits."""
+    with mp.workdps(60):
+        return mp.sqrt(2) * mp.erfinv(p)
+
+
+@pytest.mark.parametrize("coverage", EXTREME_COVERAGES)
+def test_sigma_hat_at_extreme_coverage(coverage):
+    # an interval of width 2 z, for the coverage's quantile z, has sd 1
+    z = central_z_mpmath(mp.mpf(coverage))
+    got = sigma_hat(HpdInterval(np.array([-float(z)]), np.array([float(z)]), coverage))[0]
+    want = mp.mpf(float(z)) / z
+    assert got > 0
+    assert abs(got / want - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("coverage", EXTREME_COVERAGES)
+def test_hpd_radius_at_extreme_coverage(coverage):
+    # the unpinned interval is mean +- z, P(|Z| <= z) = coverage Phi(mean),
+    # at sd 1; upper - mean keeps z's digits while mean <= 4 z
+    checked = 0
+    for mean in (2.0 * coverage, 3.0 * coverage, 1.0, 10.0):
+        with mp.workdps(60):
+            radius = central_z_mpmath(mp.mpf(coverage) * mp.ncdf(mean))
+        if not (mean > radius and mean <= 4 * radius):
+            continue
+        iv = hpd_interval(PseudoPosterior(np.array([mean]), np.array([[1.0]])), coverage)
+        assert iv.lower[0] > 0
+        assert abs((iv.upper[0] - mean) / radius - 1) <= 1e-14
+        checked += 1
+    assert checked
+
+
 def test_significance_flag_cases():
     assert not significance_flag(HpdInterval(0.0, 1.96, 0.95))
     assert significance_flag(HpdInterval(0.1, 2.0, 0.95))

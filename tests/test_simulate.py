@@ -1,7 +1,11 @@
 """Generator law checks and reproducibility of the replication studies."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from addhaz import simulate
@@ -15,12 +19,13 @@ from addhaz.simulate import (
     PiecewiseConstantHazard,
     SimConfig,
     _draw_dataset,
+    _draw_event_times,
     _replicate_rng,
     run_baseline_experiment,
     run_beta_experiment,
 )
 
-from oracles import draw_event_time
+from oracles import draw_event_time, draw_event_times
 
 UNIT_HAZARD = PiecewiseConstantHazard((1.0,))
 
@@ -46,18 +51,14 @@ def test_constant_hazard_is_exact_exponential():
     # criterion: KS distance of 1e5 draws vs Exp(1) below the 99% critical
     # value 1.628/sqrt(n) ~ 0.00515, rounded up to 0.006
     rng = np.random.default_rng(12345)
-    draws = np.array(
-        [draw_event_time([0.0], [0.0], UNIT_HAZARD, rng) for _ in range(100_000)]
-    )
+    draws = _draw_event_times(np.zeros(100_000), UNIT_HAZARD, rng)
     stat = kstest(draws, "expon").statistic
     assert stat < 0.006
 
 
 def test_covariate_shifts_rate():
     rng = np.random.default_rng(7)
-    draws = np.array(
-        [draw_event_time([2.0], [0.5], UNIT_HAZARD, rng) for _ in range(100_000)]
-    )
+    draws = _draw_event_times(np.full(100_000, 2.0 * 0.5), UNIT_HAZARD, rng)
     # total hazard 1 + 0.5*2 = 2, so the mean is 0.5 with sd 0.5
     se = 0.5 / np.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3 * se
@@ -67,9 +68,7 @@ def test_two_piece_hazard_survival():
     # levels 1 then 2 after t=1: P(T > 1) = exp(-1)
     hz = PiecewiseConstantHazard((1.0, 2.0), (1.0,))
     rng = np.random.default_rng(99)
-    draws = np.array(
-        [draw_event_time([0.0], [0.0], hz, rng) for _ in range(100_000)]
-    )
+    draws = _draw_event_times(np.zeros(100_000), hz, rng)
     p = (draws > 1.0).mean()
     target = np.exp(-1.0)
     se = np.sqrt(target * (1 - target) / draws.size)
@@ -77,6 +76,30 @@ def test_two_piece_hazard_survival():
     # beyond the break the conditional law is Exp(2)
     tail = draws[draws > 1.0] - 1.0
     assert abs(tail.mean() - 0.5) < 4 * 0.5 / np.sqrt(tail.size)
+
+
+LEVELS = st.just(0.0) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def hazards(draw):
+    # finite segments of level 0 or not, then a last level > 0
+    finite = draw(st.lists(st.tuples(LEVELS, st.floats(1e-3, 1e2)), max_size=4))
+    breaks = itertools.accumulate(width for _, width in finite)
+    levels = tuple(level for level, _ in finite) + (draw(st.floats(1e-3, 1e3)),)
+    return PiecewiseConstantHazard(levels, tuple(breaks))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    hazard=hazards(),
+    offsets=st.lists(st.just(0.0) | st.floats(1e-6, 1e3), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draws_match_the_row_oracle_bit_for_bit(hazard, offsets, seed):
+    want = draw_event_times(offsets, hazard, np.random.default_rng(seed))
+    got = _draw_event_times(np.array(offsets), hazard, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_event_time_input_validation():
