@@ -33,7 +33,6 @@ __all__ = [
     "FitResult",
     "DEFAULT_QUANTILES",
     "grid_from_quantiles",
-    "inverse_cholesky",
 ]
 
 
@@ -104,9 +103,6 @@ class SurvivalDataset:
     @property
     def n_events(self) -> int:
         return int(np.count_nonzero(self.events))
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurvivalDataset(n={self.n}, k={self.k}, events={self.n_events})"
@@ -271,7 +267,9 @@ class GammaProcessPrior:
         if np.any(inc < 0):
             raise NonNegativityViolation("prior increments must be >= 0 (alpha nondecreasing)")
         c = float(self.c)
-        if not (c > 0) or not math.isfinite(c):
+        if not math.isfinite(c):
+            raise OutOfRange("confidence parameter c must be finite")
+        if c <= 0:
             raise NonNegativityViolation("confidence parameter c must be > 0")
         object.__setattr__(self, "increments", inc)
         object.__setattr__(self, "c", c)

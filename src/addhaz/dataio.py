@@ -1,4 +1,4 @@
-"""CSV ingestion and serialization.
+"""CSV ingestion.
 
 Dataset files are UTF-8 CSV, with or without a byte-order mark, with a
 header row.  The first column must be ``time``, the second ``event`` (0 or
@@ -15,19 +15,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from .data_model import SurvivalDataset
 from .errors import DatasetFormatError
 
-__all__ = [
-    "read_dataset_csv",
-    "write_dataset_csv",
-    "read_transformed_cohort_csv",
-    "COHORT_COLUMNS",
-]
+__all__ = ["read_dataset_csv", "read_transformed_cohort_csv"]
 
 COHORT_COLUMNS = ("AFE", "YFE", "EXP")
 COHORT_COVARIATE_NAMES = (
@@ -177,20 +171,6 @@ def read_dataset_csv(path, *, allow_signed: bool = False):
     """Load a dataset file; returns (SurvivalDataset, covariate names)."""
     names, times, events, covs, _ = _read_table(path, _plain_layout)
     return SurvivalDataset(times, events, covs, allow_signed=allow_signed), names
-
-
-def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:
-    """Write a dataset in the documented layout, full float precision."""
-    if names is None:
-        names = tuple(f"z{i + 1}" for i in range(ds.k))
-    if len(names) != ds.k:
-        raise DatasetFormatError("one name per covariate column is required")
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("time", "event") + tuple(names))
-        for t, e, z in zip(ds.times, ds.events, ds.covariates):
-            writer.writerow([repr(float(t)), "1" if e else "0"] + [repr(float(v)) for v in z])
 
 
 def _cohort_covariates(raw: np.ndarray, row_line) -> list[list[float]]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonNegativityViolation, OutOfRange
 
-__all__ = ["PolyCoefficients", "check_offsets", "poly_from_factors"]
+__all__ = ["PolyCoefficients", "poly_from_factors"]
 
 
 @dataclass(frozen=True)

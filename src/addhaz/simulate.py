@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     ExcessiveReplicateDrops,
     NonNegativityViolation,
+    OutOfRange,
     SingularDesign,
 )
 from .hybrid_beta import PseudoPosterior, beta_mode, hpd_interval, pseudo_posterior, sigma_hat
@@ -93,14 +94,19 @@ class SimConfig:
         if self.n < 2 or self.replicates < 1:
             raise DimensionMismatch("need n >= 2 and at least one replicate")
         beta = tuple(float(b) for b in self.beta_true)
-        if not beta or any(not math.isfinite(b) or b < 0 for b in beta):
+        if not beta:
+            raise DimensionMismatch("at least one true coefficient is required")
+        if any(not math.isfinite(b) or b < 0 for b in beta):
             raise NonNegativityViolation("true coefficients must be finite, >= 0")
-        if not (float(self.censor_rate) >= 0):
+        censor_rate = float(self.censor_rate)
+        if not math.isfinite(censor_rate):
+            raise OutOfRange("censor_rate must be finite")
+        if censor_rate < 0:
             raise NonNegativityViolation("censor_rate must be >= 0")
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise NonNegativityViolation("seed must be a nonnegative integer")
         object.__setattr__(self, "beta_true", beta)
-        object.__setattr__(self, "censor_rate", float(self.censor_rate))
+        object.__setattr__(self, "censor_rate", censor_rate)
         object.__setattr__(self, "seed", int(self.seed))
 
     @property

@@ -87,6 +87,19 @@ def draw_event_time(
     return float(draw_event_times([float(z @ beta)], baseline, rng)[0])
 
 
+def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:
+    """Write a dataset in the documented layout, full float precision."""
+    if names is None:
+        names = tuple(f"z{i + 1}" for i in range(ds.k))
+    if len(names) != ds.k:
+        raise DatasetFormatError("one name per covariate column is required")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("time", "event") + tuple(names))
+        for t, e, z in zip(ds.times, ds.events, ds.covariates):
+            writer.writerow([repr(float(t)), "1" if e else "0"] + [repr(float(v)) for v in z])
+
+
 def read_dataset_rows(path):
     """The dataset reader as a row loop over ``csv`` and ``float()``.
 

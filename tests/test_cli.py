@@ -1,9 +1,11 @@
 """End-to-end command line checks: outputs, config precedence, exit codes."""
 
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from addhaz.cli import main
 from addhaz.data_model import FitResult, SurvivalDataset
 from addhaz.errors import AddhazError
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
+from oracles import write_dataset_csv
 
 
 def run(capsys, argv):
@@ -30,7 +33,7 @@ def run(capsys, argv):
 def write_dataset(path, n=60, seed=9, k=2):
     cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=seed)
     ds = _draw_dataset(cfg, _replicate_rng(cfg, 0))
-    dataio.write_dataset_csv(ds, path)
+    write_dataset_csv(ds, path)
     return ds
 
 
@@ -95,7 +98,7 @@ def test_fit_json_is_strict_json_when_every_offset_is_zero(tmp_path, capsys):
     times = np.linspace(0.05, 3.0, 40)
     ds = SurvivalDataset(times, np.arange(40) % 4 != 3, times[:, None])
     csv_path = tmp_path / "null.csv"
-    dataio.write_dataset_csv(ds, csv_path)
+    write_dataset_csv(ds, csv_path)
     code, _, err = run(capsys, ["fit", "--input", str(csv_path), "--out", str(tmp_path / "out")])
     assert code == 0 and err == ""
 
@@ -354,7 +357,7 @@ def test_nonfinite_prior_shape_rejected(tmp_path, capsys):
     assert np.count_nonzero(times > 0.5) > EXACT_MAX_FACTORS
     ds = SurvivalDataset(times, np.ones(3000, dtype=bool), rng.uniform(0.0, 2.0, (3000, 2)))
     csv_path = tmp_path / "ds.csv"
-    dataio.write_dataset_csv(ds, csv_path)
+    write_dataset_csv(ds, csv_path)
     fit = ["fit", "--input", str(csv_path), "--grid-cuts", "0.2,0.5", "--alpha-at-cuts"]
     for argv in (
         fit + ["0.2,0.5,nan"],
@@ -729,6 +732,29 @@ def test_error_classes_carry_the_readme_exit_codes():
     classes = {cls.__name__: cls.exit_code for cls in AddhazError.__subclasses__()}
     assert len(classes) == 11
     assert classes == {name: int(code) for code, name in rows}
+
+
+def test_top_level_names_are_the_readme_library_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (library,) = re.findall(r"^## Library\n(.*?)(?=^## |\Z)", readme, re.M | re.S)
+    (top_level,) = re.findall(r"^Top level: (.*?)\n\n", library, re.M | re.S)
+    assert set(addhaz.__all__) | {"__version__"} == set(re.findall(r"`addhaz\.(\w+)`", top_level))
+    assert addhaz.__version__
+    listed = {
+        module: set(re.findall(r"`(\w+)`", names))
+        for module, names in re.findall(r"^- `addhaz\.(\w+)`[^:]*: (.*)$", library, re.M)
+    }
+    modules = {"": addhaz}
+    for info in pkgutil.iter_modules(addhaz.__path__):
+        modules[info.name] = importlib.import_module(f"addhaz.{info.name}")
+    for name, module in modules.items():
+        for attr in getattr(module, "__all__", ()):
+            assert not attr.startswith("_") and hasattr(module, attr), (name, attr)
+        if name in listed:
+            assert listed[name] == set(module.__all__), name
+    # every submodule with a public name list, bar the private _normal
+    public = {name for name, m in modules.items() if name[:1] not in ("", "_")}
+    assert set(listed) == {name for name in public if hasattr(modules[name], "__all__")}
 
 
 def test_importing_addhaz_loads_no_scipy():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz import dataio
 from addhaz.baseline_posterior import event_offsets_by_interval, interval_summaries
 from addhaz.data_model import (
     BaselineIncrementPosterior,
@@ -19,6 +18,7 @@ from addhaz.data_model import (
     TimeGrid,
     grid_from_quantiles,
 )
+from addhaz.dataio import read_dataset_csv
 from addhaz.errors import (
     DegenerateGrid,
     DimensionMismatch,
@@ -27,7 +27,7 @@ from addhaz.errors import (
     OutOfRange,
     SingularCovariance,
 )
-from oracles import validate_dataset
+from oracles import validate_dataset, write_dataset_csv
 
 
 def test_minimal_valid_dataset():
@@ -277,9 +277,9 @@ def test_gamma_prior_rejects_nonfinite_shape():
     for shape in ((0.2, 0.5, np.nan), (0.2, np.inf, np.inf), (0.2, np.inf), (-1e308, 1e308)):
         with pytest.raises(OutOfRange, match="finite"):
             GammaProcessPrior.from_shape(shape, c=1.0)
-    for inc in ((0.5, np.nan), (np.inf,)):
+    for inc, c in (((0.5, np.nan), 1.0), ((np.inf,), 1.0), ((1.0,), np.inf), ((1.0,), np.nan)):
         with pytest.raises(OutOfRange, match="finite"):
-            GammaProcessPrior(inc, c=1.0)
+            GammaProcessPrior(inc, c=c)
 
 
 def test_csv_round_trip_is_identity(tmp_path):
@@ -291,8 +291,8 @@ def test_csv_round_trip_is_identity(tmp_path):
     if not ds.events.any():
         raise AssertionError("fixture needs at least one event")
     path = tmp_path / "ds.csv"
-    dataio.write_dataset_csv(ds, path, names=["a", "b", "c"])
-    back, names = dataio.read_dataset_csv(path)
+    write_dataset_csv(ds, path, names=["a", "b", "c"])
+    back, names = read_dataset_csv(path)
     assert list(names) == ["a", "b", "c"]
     np.testing.assert_array_equal(back.times, ds.times)
     np.testing.assert_array_equal(back.events, ds.events)

@@ -13,9 +13,10 @@ from addhaz.data_model import (
     SurvivalDataset,
     grid_from_quantiles,
 )
-from addhaz.dataio import read_dataset_csv, write_dataset_csv
+from addhaz.dataio import read_dataset_csv
 from addhaz.errors import DimensionMismatch
 from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
+from oracles import write_dataset_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz import baseline_posterior, dataio
+from addhaz import baseline_posterior
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
     event_offsets_by_interval,
@@ -32,6 +32,7 @@ from addhaz.data_model import FitResult, GammaProcessPrior, SurvivalDataset, Tim
 from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
+from oracles import write_dataset_csv
 
 PRIOR_SHAPES = (1e-3, 0.5, 1.0, 50.0)  # s0 = c * alpha_j
 CONFIDENCES = (1e-12, 1.0, 1e12)  # c
@@ -333,7 +334,7 @@ def test_fit_routes_large_intervals_to_quadrature():
 def test_quadrature_result_round_trips_through_fit_json(tmp_path, capsys):
     ds, grid, _ = routing_dataset()
     csv_path = tmp_path / "ds.csv"
-    dataio.write_dataset_csv(ds, csv_path)
+    write_dataset_csv(ds, csv_path)
     grid_args = ["--input", str(csv_path), "--grid-cuts", "1.0", "--t-final", "2.0"]
     assert main(["fit", *grid_args, "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "fit.json").read_text())

@@ -14,6 +14,7 @@ from addhaz.errors import (
     DimensionMismatch,
     ExcessiveReplicateDrops,
     NonNegativityViolation,
+    OutOfRange,
 )
 from addhaz.simulate import (
     PiecewiseConstantHazard,
@@ -300,8 +301,13 @@ def test_config_validation():
         config(n=1)
     with pytest.raises(NonNegativityViolation):
         config(beta_true=(-0.5,))
+    with pytest.raises(DimensionMismatch):
+        config(beta_true=())
     with pytest.raises(NonNegativityViolation):
         config(censor_rate=-1.0)
+    for rate in (np.inf, np.nan):
+        with pytest.raises(OutOfRange, match="finite"):
+            config(censor_rate=rate)
     for bad in (dict(n=30.5), dict(replicates=2.5), dict(n="30")):
         with pytest.raises(DimensionMismatch):
             config(**bad)
