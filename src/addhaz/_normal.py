@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["erfcx", "ndtr", "log_ndtr", "ndtri", "ndtri_exp"]
+__all__ = ["erfcx", "ndtr", "log_ndtr", "ndtri_exp"]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -162,14 +162,4 @@ def ndtri_exp(log_p) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # above the median, Phi(-y) = 1 - p = -expm1(log_p)
         y = _lower_root(np.where(upper, np.log(-np.expm1(log_p)), log_p))
-    return np.where(upper, -y, y)
-
-
-def ndtri(p) -> np.ndarray:
-    """Standard normal quantile, the inverse of Phi on [0, 1]."""
-    p = _floats(p)
-    upper = p > 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # 1 - p is exact for p >= 1/2
-        y = _lower_root(np.log(np.where(upper, 1.0 - p, p)))
     return np.where(upper, -y, y)

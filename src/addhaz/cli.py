@@ -34,20 +34,22 @@ from .errors import AddhazError, DatasetFormatError, DegenerateGrid, SingularCov
 from .hybrid_beta import PseudoPosterior, hpd_interval, sigma_hat, significance_flag
 from .simulate import SimConfig, run_baseline_experiment, run_beta_experiment
 
-# the baseline presets share one fixed grid so every replicate estimates
-# the same true increments (0.125, 0.175, 0.3, 0.55)
-_BASELINE_PRESET = {"kind": "baseline", "grid_cuts": (0.125, 0.3, 0.6), "t_final": 1.15}
-# each preset is a set of simulate defaults; "kind" names the study
-PRESETS = {
-    "table1": {"kind": "beta", "n": 100},
-    "table2": {"kind": "beta", "n": 500},
-    "table3": {**_BASELINE_PRESET, "n": 100},
-    "table4": {**_BASELINE_PRESET, "n": 500},
-}
 BETA_MU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 10.0)
 BETA_OMEGA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 1000.0)
 BASELINE_C_GRID = (10.0, 1.0, 0.1)
 BASELINE_ALPHA_INCREMENTS = (5.0, 1.0, 0.3, 0.01)
+_BETA_PRESET = {"mu_grid": BETA_MU_GRID, "omega_grid": BETA_OMEGA_GRID}
+# the baseline presets share one fixed grid so every replicate estimates
+# the same true increments (0.125, 0.175, 0.3, 0.55)
+_BASELINE_PRESET = {"c_grid": BASELINE_C_GRID, "alpha_increments": BASELINE_ALPHA_INCREMENTS,
+                    "grid_cuts": (0.125, 0.3, 0.6), "t_final": 1.15}
+# each preset is a set of simulate flag defaults; its prior grids name the study
+PRESETS = {
+    "table1": {**_BETA_PRESET, "n": 100},
+    "table2": {**_BETA_PRESET, "n": 500},
+    "table3": {**_BASELINE_PRESET, "n": 100},
+    "table4": {**_BASELINE_PRESET, "n": 500},
+}
 # words a config file may give a switch such as orthant-qp
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
@@ -136,9 +138,10 @@ def _run_fit(args, *, baseline_only: bool) -> int:
 
 
 def _run_simulate(args) -> int:
-    # the preset's kind and each kind whose prior grids are given; grid
-    # flags name no kind, so a config file shared with fit serves both
-    kinds = {args.kind} - {None}
+    # each kind whose prior grids are given, by a flag, the config file or
+    # the preset; grid flags name no kind, so a config file shared with fit
+    # serves both
+    kinds = set()
     if args.mu_grid is not None or args.omega_grid is not None:
         kinds.add("beta")
     if args.c_grid is not None or args.alpha_increments is not None:
@@ -260,7 +263,6 @@ def _build_parser():
     add("--alpha-increments", type=_float_list)
     add("--grid-cuts", type=_float_list)
     add("--t-final", type=float)
-    commands["simulate"][2]["kind"] = None
 
     add = command("hpd", "truncated-normal highest density interval")
     add("--mean", type=float)

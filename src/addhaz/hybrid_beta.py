@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from ._normal import erfcx, log_ndtr, ndtr, ndtri, ndtri_exp
+from ._normal import erfcx, log_ndtr, ndtr, ndtri_exp
 
 from .data_model import BetaPrior, inverse_cholesky
-from .errors import DimensionMismatch, InvalidCoverage, SingularCovariance
+from .errors import AddhazError, DimensionMismatch, InvalidCoverage, SingularCovariance
 from .lin_ying import LYEstimate
 
 __all__ = [
@@ -91,9 +91,12 @@ def beta_mode(pp: PseudoPosterior, *, orthant_qp: bool = False) -> np.ndarray:
     """
     if not orthant_qp:
         return np.maximum(pp.mean, 0.0)
-    # scipy is imported here, on first use: no other path of the package
-    # needs it, and it is the costliest import in reach
-    from scipy.optimize import nnls
+    # scipy, an optional extra, is imported here on first use: no other
+    # path of the package needs it, and it is the costliest import in reach
+    try:
+        from scipy.optimize import nnls
+    except ImportError:
+        raise AddhazError("orthant_qp needs scipy: pip install addhaz[qp]") from None
 
     # maximizing the density is minimizing ||R beta - R mean||^2 over beta >= 0
     # with R'R = cov^-1, which R = L^-1 satisfies for cov = L L'
@@ -142,7 +145,7 @@ def _central_quantile(p, q):
     """z with P(|Z| <= z) = p for a standard normal Z, elementwise, given p
     and its complement q = 1 - p, each computed without cancellation.
 
-    From p = 0.3 up this is the tail quantile -ndtri(q / 2), within 1.8e-15
+    From p = 0.3 up this is the tail quantile -Phi^-1(q / 2), within 1.8e-15
     of mpmath.  Below it, q has lost p's low digits, and the Maclaurin
     series of sqrt(2) erfinv(p) takes over, down to the smallest normal p.
     """
@@ -151,7 +154,7 @@ def _central_quantile(p, q):
     series = np.zeros_like(w)
     for coef in _CENTRAL_SERIES:
         series = series * w + coef
-    return np.where(p < 0.3, math.sqrt(math.pi / 2.0) * p * series, -ndtri(q / 2.0))
+    return np.where(p < 0.3, math.sqrt(math.pi / 2.0) * p * series, -ndtri_exp(np.log(q / 2.0)))
 
 
 def _hpd_pass(mean, sd, coverage: float):

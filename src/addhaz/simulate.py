@@ -1,8 +1,8 @@
 """Monte Carlo harness: data generation and the two replication studies.
 
-Event times follow the additive hazard lambda(t) = lambda0(t) + beta'z with
-a piecewise-constant lambda0, sampled by exact inverse transform of the
-cumulative hazard segment by segment.  Censoring is exponential.  Replicate
+Event times follow the additive hazard lambda(t) = lambda0 + beta'z with the
+unit baseline hazard lambda0 = 1 of the paper's simulation experiment, so
+each is one Exp(1) draw over 1 + beta'z.  Censoring is exponential.  Replicate
 r of a study uses the dedicated substream seeded by (seed, r), so runs are
 reproducible and independent of execution order.
 
@@ -42,39 +42,14 @@ from .hybrid_beta import PseudoPosterior, beta_mode, hpd_interval, pseudo_poster
 from .lin_ying import LYEstimate, compute_statistics, ly_solve
 
 __all__ = [
-    "PiecewiseConstantHazard",
     "SimConfig",
     "SimReport",
     "run_beta_experiment",
     "run_baseline_experiment",
 ]
 
-
-@dataclass(frozen=True)
-class PiecewiseConstantHazard:
-    """Baseline hazard: levels[s] on [breaks[s-1], breaks[s]), last level
-    extending to infinity.  Levels are >= 0 with a positive last level so
-    the cumulative hazard diverges and event times stay finite."""
-
-    levels: tuple[float, ...]
-    breaks: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        levels = tuple(float(v) for v in self.levels)
-        breaks = tuple(float(v) for v in self.breaks)
-        if len(levels) != len(breaks) + 1:
-            raise DimensionMismatch("need exactly one more level than breaks")
-        if any(not math.isfinite(v) or v < 0 for v in levels):
-            raise NonNegativityViolation("hazard levels must be finite and >= 0")
-        if levels[-1] <= 0:
-            raise NonNegativityViolation("the last hazard level must be > 0")
-        prev = 0.0
-        for b in breaks:
-            if not math.isfinite(b) or b <= prev:
-                raise DegenerateGrid("breaks must be finite, positive, increasing")
-            prev = b
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "breaks", breaks)
+# the baseline hazard every study draws from
+BASELINE_HAZARD = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +59,6 @@ class SimConfig:
     n: int
     replicates: int
     beta_true: tuple[float, ...]
-    baseline: PiecewiseConstantHazard = PiecewiseConstantHazard((1.0,))
     censor_rate: float = 0.5
     seed: int = 0
 
@@ -96,8 +70,10 @@ class SimConfig:
         beta = tuple(float(b) for b in self.beta_true)
         if not beta:
             raise DimensionMismatch("at least one true coefficient is required")
-        if any(not math.isfinite(b) or b < 0 for b in beta):
-            raise NonNegativityViolation("true coefficients must be finite, >= 0")
+        if not all(math.isfinite(b) for b in beta):
+            raise OutOfRange("true coefficients must be finite")
+        if any(b < 0 for b in beta):
+            raise NonNegativityViolation("true coefficients must be >= 0")
         censor_rate = float(self.censor_rate)
         if not math.isfinite(censor_rate):
             raise OutOfRange("censor_rate must be finite")
@@ -114,32 +90,17 @@ class SimConfig:
         return len(self.beta_true)
 
 
-def _draw_event_times(
-    offsets: np.ndarray, baseline: PiecewiseConstantHazard, rng: np.random.Generator
-) -> np.ndarray:
-    """Inverse-transform draws of T with hazard baseline(t) + offsets[i]."""
-    remaining = rng.exponential(size=offsets.shape[0])
-    t = np.empty_like(remaining)
-    pending = np.arange(t.size)  # the rows not yet landed; remaining is theirs
-    low = 0.0
-    for level, high in zip(baseline.levels, baseline.breaks):
-        h = level + offsets[pending]
-        cap = h * (high - low)  # the segment's cumulative hazard
-        land = (h > 0) & (remaining <= cap)
-        t[pending[land]] = low + remaining[land] / h[land]
-        keep = ~land
-        pending, remaining = pending[keep], remaining[keep] - cap[keep]
-        low = high
-    # the last level is > 0 and extends to infinity: every row left lands
-    t[pending] = low + remaining / (baseline.levels[-1] + offsets[pending])
-    return t
+def _draw_event_times(offsets: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Event times of constant hazard BASELINE_HAZARD + offsets[i]: one Exp(1)
+    draw each, over that rate."""
+    return rng.exponential(size=offsets.shape[0]) / (BASELINE_HAZARD + offsets)
 
 
 def _draw_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
     # chi-squared(1) covariates as squares of standard normal draws
     z = rng.standard_normal((cfg.n, cfg.k)) ** 2
     offsets = z @ np.asarray(cfg.beta_true)
-    event_times = _draw_event_times(offsets, cfg.baseline, rng)
+    event_times = _draw_event_times(offsets, rng)
     if cfg.censor_rate > 0:
         censor_times = rng.exponential(scale=1.0 / cfg.censor_rate, size=cfg.n)
     else:

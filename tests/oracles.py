@@ -8,7 +8,6 @@ import numpy as np
 from addhaz.data_model import SurvivalDataset
 from addhaz.errors import DatasetFormatError, DimensionMismatch, NoEvents, NonNegativityViolation
 from addhaz.poly_coeffs import PolyCoefficients
-from addhaz.simulate import PiecewiseConstantHazard
 
 
 def validate_dataset(records, *, allow_signed=False):
@@ -50,33 +49,19 @@ def poly_eval_log(poly: PolyCoefficients, a: float) -> float:
     return float(top + math.log(np.sum(np.exp(terms - top))))
 
 
-def draw_event_times(offsets, baseline: PiecewiseConstantHazard, rng: np.random.Generator):
-    """Event times with hazard baseline(t) + offsets[i], by inverse transform
-    of the draws ``rng.exponential(size=n)``, one row at a time in floats.
+def draw_event_times(offsets, rng: np.random.Generator):
+    """Event times with the unit baseline hazard plus offsets[i], from the
+    draws ``rng.exponential(size=n)``, one row at a time in floats.
 
-    A row's draw E walks the segments in order.  A segment [low, high) of
-    level h = level + offset holds cumulative hazard h (high - low); the
-    time is low + E / h in the first segment with h > 0 that holds what is
-    left of E, and each segment passed takes its hazard off E.  The last
-    segment never ends, so every draw that reaches it lands there.
+    A row's hazard is the constant h = 1 + offset, so its cumulative hazard
+    is h t, and the inverse transform of its draw E is the time E / h.
     """
     draws = rng.exponential(size=len(offsets))
-    times = []
-    for left, offset in zip(draws.tolist(), np.asarray(offsets, dtype=float).tolist()):
-        low = 0.0
-        for level, high in zip(baseline.levels, baseline.breaks + (math.inf,)):
-            h = level + offset
-            if high == math.inf or (h > 0 and left <= h * (high - low)):
-                break
-            left -= h * (high - low)
-            low = high
-        times.append(low + left / h)
-    return np.array(times)
+    offsets = np.asarray(offsets, dtype=float).tolist()
+    return np.array([e / (1.0 + offset) for e, offset in zip(draws.tolist(), offsets)])
 
 
-def draw_event_time(
-    z, beta, baseline: PiecewiseConstantHazard, rng: np.random.Generator
-) -> float:
+def draw_event_time(z, beta, rng: np.random.Generator) -> float:
     """One event time for covariates z under coefficients beta."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -84,7 +69,7 @@ def draw_event_time(
         raise DimensionMismatch("z and beta dimensions disagree")
     if np.any(z < 0) or np.any(beta < 0):
         raise NonNegativityViolation("z and beta must be >= 0")
-    return float(draw_event_times([float(z @ beta)], baseline, rng)[0])
+    return float(draw_event_times([float(z @ beta)], rng)[0])
 
 
 def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:

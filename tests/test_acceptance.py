@@ -34,7 +34,6 @@ from addhaz.hybrid_beta import (
 from addhaz.lin_ying import compute_statistics, ly_solve
 from addhaz.poly_coeffs import poly_from_factors
 from addhaz.simulate import (
-    PiecewiseConstantHazard,
     SimConfig,
     _draw_event_times,
     run_baseline_experiment,
@@ -299,8 +298,7 @@ def test_criterion_09_hpd_matches_grid_search():
 def test_criterion_10_generator_law():
     # 1e5 constant-hazard draws vs the exact exponential law
     rng = np.random.default_rng(MC_SEED)
-    hazard = PiecewiseConstantHazard((1.0,))
-    draws = _draw_event_times(np.zeros(100_000), hazard, rng)
+    draws = _draw_event_times(np.zeros(100_000), rng)
     stat = kstest(draws, "expon").statistic
     assert stat < 0.006
     print(f"CRITERION 10: PASS (KS {stat:.5f})")

@@ -767,3 +767,15 @@ def test_importing_addhaz_loads_no_scipy():
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]", module
+
+
+def test_orthant_qp_without_scipy_names_the_extra(tmp_path, capsys, monkeypatch):
+    # scipy is the optional qp extra; a None entry in sys.modules fails its import
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    csv_path = tmp_path / "ds.csv"
+    write_dataset(csv_path)
+    code, out, err = run(capsys, ["fit", "--input", str(csv_path), "--orthant-qp"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    record = error_record(err)
+    assert record["error"] == "AddhazError" and record["exit_code"] == 1
+    assert "pip install addhaz[qp]" in record["message"]

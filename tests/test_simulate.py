@@ -1,7 +1,5 @@
 """Generator law checks and reproducibility of the replication studies."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from addhaz.errors import (
     OutOfRange,
 )
 from addhaz.simulate import (
-    PiecewiseConstantHazard,
     SimConfig,
     _draw_dataset,
     _draw_event_times,
@@ -28,8 +25,6 @@ from addhaz.simulate import (
 
 from oracles import draw_event_time, draw_event_times
 
-UNIT_HAZARD = PiecewiseConstantHazard((1.0,))
-
 
 def config(**overrides):
     base = dict(n=100, replicates=10, beta_true=(0.5,), seed=0)
@@ -37,78 +32,40 @@ def config(**overrides):
     return SimConfig(**base)
 
 
-def test_piecewise_hazard_validation():
-    with pytest.raises(DimensionMismatch):
-        PiecewiseConstantHazard((1.0, 2.0))  # break count mismatch
-    with pytest.raises(NonNegativityViolation):
-        PiecewiseConstantHazard((-1.0,))
-    with pytest.raises(NonNegativityViolation):
-        PiecewiseConstantHazard((1.0, 0.0), (1.0,))  # last level must be > 0
-    hz = PiecewiseConstantHazard((0.0, 2.0), (1.5,))
-    assert hz.levels == (0.0, 2.0)
-
-
 def test_constant_hazard_is_exact_exponential():
     # criterion: KS distance of 1e5 draws vs Exp(1) below the 99% critical
     # value 1.628/sqrt(n) ~ 0.00515, rounded up to 0.006
     rng = np.random.default_rng(12345)
-    draws = _draw_event_times(np.zeros(100_000), UNIT_HAZARD, rng)
+    draws = _draw_event_times(np.zeros(100_000), rng)
     stat = kstest(draws, "expon").statistic
     assert stat < 0.006
 
 
 def test_covariate_shifts_rate():
     rng = np.random.default_rng(7)
-    draws = _draw_event_times(np.full(100_000, 2.0 * 0.5), UNIT_HAZARD, rng)
+    draws = _draw_event_times(np.full(100_000, 2.0 * 0.5), rng)
     # total hazard 1 + 0.5*2 = 2, so the mean is 0.5 with sd 0.5
     se = 0.5 / np.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3 * se
 
 
-def test_two_piece_hazard_survival():
-    # levels 1 then 2 after t=1: P(T > 1) = exp(-1)
-    hz = PiecewiseConstantHazard((1.0, 2.0), (1.0,))
-    rng = np.random.default_rng(99)
-    draws = _draw_event_times(np.zeros(100_000), hz, rng)
-    p = (draws > 1.0).mean()
-    target = np.exp(-1.0)
-    se = np.sqrt(target * (1 - target) / draws.size)
-    assert abs(p - target) < 3 * se
-    # beyond the break the conditional law is Exp(2)
-    tail = draws[draws > 1.0] - 1.0
-    assert abs(tail.mean() - 0.5) < 4 * 0.5 / np.sqrt(tail.size)
-
-
-LEVELS = st.just(0.0) | st.floats(1e-3, 1e3)
-
-
-@st.composite
-def hazards(draw):
-    # finite segments of level 0 or not, then a last level > 0
-    finite = draw(st.lists(st.tuples(LEVELS, st.floats(1e-3, 1e2)), max_size=4))
-    breaks = itertools.accumulate(width for _, width in finite)
-    levels = tuple(level for level, _ in finite) + (draw(st.floats(1e-3, 1e3)),)
-    return PiecewiseConstantHazard(levels, tuple(breaks))
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
-    hazard=hazards(),
     offsets=st.lists(st.just(0.0) | st.floats(1e-6, 1e3), min_size=1, max_size=40),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_draws_match_the_row_oracle_bit_for_bit(hazard, offsets, seed):
-    want = draw_event_times(offsets, hazard, np.random.default_rng(seed))
-    got = _draw_event_times(np.array(offsets), hazard, np.random.default_rng(seed))
+def test_draws_match_the_row_oracle_bit_for_bit(offsets, seed):
+    want = draw_event_times(offsets, np.random.default_rng(seed))
+    got = _draw_event_times(np.array(offsets), np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
 
 
 def test_event_time_input_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionMismatch):
-        draw_event_time([1.0, 2.0], [0.5], UNIT_HAZARD, rng)
+        draw_event_time([1.0, 2.0], [0.5], rng)
     with pytest.raises(NonNegativityViolation):
-        draw_event_time([-1.0], [0.5], UNIT_HAZARD, rng)
+        draw_event_time([-1.0], [0.5], rng)
 
 
 def test_zero_censor_rate_keeps_every_event():
@@ -305,9 +262,10 @@ def test_config_validation():
         config(beta_true=())
     with pytest.raises(NonNegativityViolation):
         config(censor_rate=-1.0)
-    for rate in (np.inf, np.nan):
+    for bad in (dict(censor_rate=np.inf), dict(censor_rate=np.nan), dict(beta_true=(np.inf,)),
+                dict(beta_true=(0.5, np.nan)), dict(beta_true=(-np.inf,))):
         with pytest.raises(OutOfRange, match="finite"):
-            config(censor_rate=rate)
+            config(**bad)
     for bad in (dict(n=30.5), dict(replicates=2.5), dict(n="30")):
         with pytest.raises(DimensionMismatch):
             config(**bad)
