@@ -85,12 +85,9 @@ class SurvivalDataset:
             )
         if not np.any(events):
             raise NoEvents("dataset contains no uncensored observations")
-        times.setflags(write=False)
-        events.setflags(write=False)
-        covariates.setflags(write=False)
-        self.times = times
-        self.events = events
-        self.covariates = covariates
+        for name, values in zip(self.__slots__, (times, events, covariates)):
+            values.setflags(write=False)
+            setattr(self, name, values)
 
     @property
     def n(self) -> int:
@@ -106,6 +103,17 @@ class SurvivalDataset:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurvivalDataset(n={self.n}, k={self.k}, events={self.n_events})"
+
+
+def _row_blocks(ds: SurvivalDataset, size: int) -> list[SurvivalDataset]:
+    """``ds`` cut into datasets of ``size`` rows, read-only C-contiguous views
+    of its arrays, not checked again: the caller makes sure each has an event."""
+    blocks = []
+    for start in range(0, ds.n, size):
+        blocks.append(object.__new__(SurvivalDataset))
+        for name in SurvivalDataset.__slots__:
+            setattr(blocks[-1], name, getattr(ds, name)[start : start + size])
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import SurvivalDataset
-from .errors import SingularDesign
+from .errors import SingularCovariance, SingularDesign
 
 __all__ = [
     "LYStatistics",
@@ -62,7 +62,7 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     """Exact V1, V2, V3 via suffix sums over the sorted observation times."""
     n = ds.n
     # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
-    order = np.argsort(ds.times, kind="stable")
+    order = ds.times.argsort(kind="stable")
     t = ds.times[order]
     events = ds.events[order]
     # V1-V3 are translation-invariant; centering stops V2's difference cancelling
@@ -77,14 +77,14 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
     starts[0] = True
     np.not_equal(t[1:], t[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    inv_events = (np.cumsum(starts) - 1)[events]
+    first = starts.nonzero()[0]
+    inv_events = (starts.cumsum() - 1)[events]
     lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}
     del t
 
     resid = z[events]  # the event rows, centered below
     # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
-    z_rev_cum = np.cumsum(z[::-1], axis=0)[::-1]
+    z_rev_cum = z[::-1].cumsum(axis=0)[::-1]
     del z
     sum_z = z_rev_cum[first]  # (K, k)
     del z_rev_cum
@@ -108,20 +108,29 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     return LYStatistics(v1=v1, v2=v2, v3=v3, n=n)
 
 
+def _decompose(v2: np.ndarray):
+    """eigh of each V2 in a stack, and True where its eigenvalue ratio is below 1e-12."""
+    eigs, vecs = np.linalg.eigh(v2)
+    singular = (eigs[..., -1] <= 0) | (eigs[..., 0] < _SINGULAR_RTOL * eigs[..., -1])
+    return eigs, vecs, singular
+
+
 def ly_solve(stats: LYStatistics) -> LYEstimate:
     """Solve V2 m = V1 and form d = n^-1 V2^-1 V3 V2^-1.
 
-    One symmetric eigendecomposition of V2 gives both the singularity test
-    and V2^-1; raises SingularDesign when the smallest eigenvalue of V2
-    falls below 1e-12 of the largest.
+    The statistics may carry a leading axis (r designs of n rows each), and
+    the solution carries it too.  One eigendecomposition of V2 gives both the
+    singularity test and V2^-1; raises SingularDesign when any V2 is singular
+    (see ``_decompose``), and SingularCovariance when d overflows.
     """
-    eigs, vecs = np.linalg.eigh(stats.v2)
-    if eigs[-1] <= 0 or eigs[0] < _SINGULAR_RTOL * eigs[-1]:
-        raise SingularDesign(
-            "integrated design matrix V2 is singular or near-singular"
-        )
-    v2_inv = (vecs / eigs) @ vecs.T
-    m = v2_inv @ stats.v1
-    d = v2_inv @ stats.v3 @ v2_inv / stats.n
-    d = (d + d.T) / 2.0
+    eigs, vecs, singular = _decompose(stats.v2)
+    if np.any(singular):
+        raise SingularDesign("integrated design matrix V2 is singular or near-singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2_inv = (vecs / eigs[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        m = (v2_inv @ stats.v1[..., None])[..., 0]
+        d = v2_inv @ stats.v3 @ v2_inv / stats.n
+        d = (d + np.swapaxes(d, -1, -2)) / 2.0
+    if not np.all(np.isfinite(d)):
+        raise SingularCovariance("sandwich covariance has non-finite entries")
     return LYEstimate(m=m, d=d)

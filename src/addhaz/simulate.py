@@ -27,6 +27,7 @@ from .data_model import (
     GammaProcessPrior,
     SurvivalDataset,
     TimeGrid,
+    _row_blocks,
     grid_from_quantiles,
 )
 from .baseline_posterior import increment_posteriors
@@ -34,12 +35,12 @@ from .errors import (
     DegenerateGrid,
     DimensionMismatch,
     ExcessiveReplicateDrops,
+    NoEvents,
     NonNegativityViolation,
     OutOfRange,
-    SingularDesign,
 )
 from .hybrid_beta import PseudoPosterior, beta_mode, hpd_interval, pseudo_posterior, sigma_hat
-from .lin_ying import LYEstimate, compute_statistics, ly_solve
+from .lin_ying import LYEstimate, LYStatistics, _decompose, compute_statistics, ly_solve
 
 __all__ = [
     "SimConfig",
@@ -48,8 +49,8 @@ __all__ = [
     "run_baseline_experiment",
 ]
 
-# the baseline hazard every study draws from
-BASELINE_HAZARD = 1.0
+# rows per chunk of replicates, drawn, validated and solved together
+_CHUNK_ROWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -90,28 +91,13 @@ class SimConfig:
         return len(self.beta_true)
 
 
-def _draw_event_times(offsets: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Event times of constant hazard BASELINE_HAZARD + offsets[i]: one Exp(1)
-    draw each, over that rate."""
-    return rng.exponential(size=offsets.shape[0]) / (BASELINE_HAZARD + offsets)
-
-
-def _draw_dataset(cfg: SimConfig, rng: np.random.Generator) -> SurvivalDataset:
-    # chi-squared(1) covariates as squares of standard normal draws
-    z = rng.standard_normal((cfg.n, cfg.k)) ** 2
-    offsets = z @ np.asarray(cfg.beta_true)
-    event_times = _draw_event_times(offsets, rng)
-    if cfg.censor_rate > 0:
-        censor_times = rng.exponential(scale=1.0 / cfg.censor_rate, size=cfg.n)
-    else:
-        censor_times = np.full(cfg.n, np.inf)
-    times = np.minimum(event_times, censor_times)
-    events = event_times <= censor_times
-    return SurvivalDataset(times, events, z)
-
-
-def _replicate_rng(cfg: SimConfig, replicate: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, replicate])
+def _event_times(draws: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Times of constant hazard 1 + offsets (the unit baseline hazard) from
+    Exp(1) draws, each over its rate, in place: returns ``draws``, and
+    ``offsets`` changes too."""
+    offsets += 1.0
+    draws /= offsets
+    return draws
 
 
 def _label(value) -> str:
@@ -175,28 +161,58 @@ def _check_replicates(cfg: SimConfig) -> None:
         raise DimensionMismatch("a study needs at least 2 replicates")
 
 
-def _replicates(cfg: SimConfig):
-    """Yield (dataset, estimating-equation solution) for each replicate.
+def _draw_chunk(cfg: SimConfig, start: int, count: int) -> SurvivalDataset:
+    """Replicates start, ..., start + count - 1 as one validated dataset of
+    n-row blocks.  Each fills its rows from its own (seed, r) stream; the
+    transforms then run once over the chunk, in place."""
+    z = np.empty((count, cfg.n, cfg.k))
+    times = np.empty((count, cfg.n))
+    censor = np.full((count, cfg.n), np.inf)
+    for i in range(count):
+        rng = np.random.default_rng([cfg.seed, start + i])
+        rng.standard_normal(out=z[i])
+        rng.standard_exponential(out=times[i])
+        if cfg.censor_rate > 0:
+            rng.standard_exponential(out=censor[i])
+    np.square(z, out=z)  # chi-squared(1) covariates
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = z @ np.asarray(cfg.beta_true)
+    if not np.all(np.isfinite(offsets)):
+        raise OutOfRange("beta'z overflows")
+    _event_times(times, offsets)
+    del offsets
+    if cfg.censor_rate > 0:
+        censor *= 1.0 / cfg.censor_rate  # what Generator.exponential(scale) computes
+    events = times <= censor
+    np.minimum(times, censor, out=times)
+    del censor
+    chunk = SurvivalDataset(times.reshape(-1), events.reshape(-1), z.reshape(-1, cfg.k))
+    # the chunk has an event; each replicate must have one of its own
+    if not np.all(events.any(axis=1)):
+        raise NoEvents("dataset contains no uncensored observations")
+    return chunk
 
-    Replicate r draws from its own (seed, r) stream; the solution is None
-    where V2 is singular, and the study drops that replicate.
-    """
-    for r in range(cfg.replicates):
-        ds = _draw_dataset(cfg, _replicate_rng(cfg, r))
-        try:
-            estimate = ly_solve(compute_statistics(ds))
-        except SingularDesign:
-            estimate = None
-        yield ds, estimate
+
+def _chunks(cfg: SimConfig):
+    """Yield (datasets, estimate) per chunk of max(1, _CHUNK_ROWS // n)
+    replicates: the datasets of those whose V2 is nonsingular, and their
+    estimating-equation solutions stacked; the study drops the others."""
+    size = max(1, _CHUNK_ROWS // cfg.n)
+    for start in range(0, cfg.replicates, size):
+        datasets = _row_blocks(_draw_chunk(cfg, start, min(size, cfg.replicates - start)), cfg.n)
+        stats = [compute_statistics(ds) for ds in datasets]
+        v1, v2, v3 = (np.array([getattr(s, name) for s in stats]) for name in ("v1", "v2", "v3"))
+        keep = ~_decompose(v2)[2]
+        if keep.any():
+            estimate = ly_solve(LYStatistics(v1[keep], v2[keep], v3[keep], cfg.n))
+            yield list(itertools.compress(datasets, keep)), estimate
 
 
 def _check_drops(cfg: SimConfig, kept: int) -> int:
     """The number of dropped replicates; more than 1% aborts the study."""
     dropped = cfg.replicates - kept
     if dropped > 0.01 * cfg.replicates:
-        raise ExcessiveReplicateDrops(
-            f"{dropped} of {cfg.replicates} replicates dropped"
-        )
+        raise ExcessiveReplicateDrops(f"{dropped} of {cfg.replicates} replicates dropped")
     return dropped
 
 
@@ -221,9 +237,9 @@ def run_beta_experiment(
     if any(om <= 0 for om in omega_grid):
         raise NonNegativityViolation("prior variances must be > 0")
     priors = [BetaPrior.isotropic(mu, om, cfg.k) for mu in mu_grid for om in omega_grid]
-    kept = [est for _, est in _replicates(cfg) if est is not None]
-    dropped = _check_drops(cfg, len(kept))
-    estimate = LYEstimate(np.array([e.m for e in kept]), np.array([e.d for e in kept]))
+    kept = [est for _, est in _chunks(cfg)]
+    dropped = _check_drops(cfg, sum(len(est.m) for est in kept))
+    estimate = LYEstimate(np.concatenate([e.m for e in kept]), np.concatenate([e.d for e in kept]))
 
     def cells(labels, estimates, spreads):
         # per component of (r, k) arrays: mean estimate, mean sd proxy, Monte Carlo sd
@@ -286,22 +302,20 @@ def run_baseline_experiment(
     means = np.empty((cfg.replicates, len(c_grid), m))
     post_vars = np.empty_like(means)
     kept = 0
-    for ds, est in _replicates(cfg):
-        if est is None:
-            continue
-        bhat = beta_mode(pseudo_posterior(est, beta_prior))
-        rep_grid = grid
-        if grid is None:
-            try:
-                rep_grid = grid_from_quantiles(ds)
-            except DegenerateGrid:
-                continue
-            if rep_grid.m < m:  # quantile cuts collapsed
-                continue
-        posts = increment_posteriors(ds, rep_grid, bhat, priors)
-        means[kept] = [[post.mean for post in row] for row in posts]
-        post_vars[kept] = [[post.variance for post in row] for row in posts]
-        kept += 1
+    for datasets, est in _chunks(cfg):
+        for ds, bhat in zip(datasets, beta_mode(pseudo_posterior(est, beta_prior))):
+            rep_grid = grid
+            if grid is None:
+                try:
+                    rep_grid = grid_from_quantiles(ds)
+                except DegenerateGrid:
+                    continue
+                if rep_grid.m < m:  # quantile cuts collapsed
+                    continue
+            posts = increment_posteriors(ds, rep_grid, bhat, priors)
+            means[kept] = [[post.mean for post in row] for row in posts]
+            post_vars[kept] = [[post.variance for post in row] for row in posts]
+            kept += 1
     dropped = _check_drops(cfg, kept)
     means, post_vars = means[:kept], post_vars[:kept]
     stats = np.stack(

@@ -6,7 +6,14 @@ import math
 import numpy as np
 
 from addhaz.data_model import SurvivalDataset
-from addhaz.errors import DatasetFormatError, DimensionMismatch, NoEvents, NonNegativityViolation
+from addhaz.errors import (
+    DatasetFormatError,
+    DimensionMismatch,
+    NoEvents,
+    NonNegativityViolation,
+    SingularDesign,
+)
+from addhaz.lin_ying import compute_statistics, ly_solve
 from addhaz.poly_coeffs import PolyCoefficients
 
 
@@ -70,6 +77,37 @@ def draw_event_time(z, beta, rng: np.random.Generator) -> float:
     if np.any(z < 0) or np.any(beta < 0):
         raise NonNegativityViolation("z and beta must be >= 0")
     return float(draw_event_times([float(z @ beta)], rng)[0])
+
+
+def draw_dataset(cfg, rng: np.random.Generator) -> SurvivalDataset:
+    """One replicate of a study drawn on its own, with numpy's sized draws:
+    the reference that the simulator's chunked draw is held to."""
+    # chi-squared(1) covariates as squares of standard normal draws
+    z = rng.standard_normal((cfg.n, cfg.k)) ** 2
+    offsets = z @ np.asarray(cfg.beta_true)
+    event_times = rng.exponential(size=cfg.n) / (1.0 + offsets)
+    if cfg.censor_rate > 0:
+        censor_times = rng.exponential(scale=1.0 / cfg.censor_rate, size=cfg.n)
+    else:
+        censor_times = np.full(cfg.n, np.inf)
+    times = np.minimum(event_times, censor_times)
+    events = event_times <= censor_times
+    return SurvivalDataset(times, events, z)
+
+
+def replicate_estimates(cfg):
+    """(dataset, estimating-equation solution) for each replicate of a study,
+    one replicate at a time from its own (seed, r) stream; the solution is
+    None where V2 is singular."""
+    out = []
+    for r in range(cfg.replicates):
+        ds = draw_dataset(cfg, np.random.default_rng([cfg.seed, r]))
+        try:
+            estimate = ly_solve(compute_statistics(ds))
+        except SingularDesign:
+            estimate = None
+        out.append((ds, estimate))
+    return out
 
 
 def write_dataset_csv(ds: SurvivalDataset, path, names=None) -> None:

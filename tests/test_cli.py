@@ -20,7 +20,7 @@ from addhaz.baseline_posterior import EXACT_MAX_FACTORS
 from addhaz.cli import main
 from addhaz.data_model import FitResult, SurvivalDataset
 from addhaz.errors import AddhazError
-from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
+from addhaz.simulate import SimConfig, _draw_chunk
 from oracles import write_dataset_csv
 
 
@@ -32,7 +32,7 @@ def run(capsys, argv):
 
 def write_dataset(path, n=60, seed=9, k=2):
     cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=seed)
-    ds = _draw_dataset(cfg, _replicate_rng(cfg, 0))
+    ds = _draw_chunk(cfg, 0, 1)
     write_dataset_csv(ds, path)
     return ds
 

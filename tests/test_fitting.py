@@ -15,7 +15,7 @@ from addhaz.data_model import (
 )
 from addhaz.dataio import read_dataset_csv
 from addhaz.errors import DimensionMismatch
-from addhaz.simulate import SimConfig, _draw_dataset, _replicate_rng
+from addhaz.simulate import SimConfig, _draw_chunk
 from oracles import write_dataset_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,7 +23,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def sample_dataset(k=2, n=200):
     cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=3)
-    return _draw_dataset(cfg, _replicate_rng(cfg, 0))
+    return _draw_chunk(cfg, 0, 1)
 
 
 def test_readme_library_example_runs_on_the_default_grid():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from addhaz.data_model import SurvivalDataset
-from addhaz.errors import SingularDesign
-from addhaz.lin_ying import LYStatistics, compute_statistics, ly_solve
+from addhaz.errors import SingularCovariance, SingularDesign
+from addhaz.lin_ying import LYStatistics, _decompose, compute_statistics, ly_solve
 
 
 def brute_force_statistics(ds, events_only_v3=True):
@@ -319,3 +319,47 @@ def test_statistics_do_not_depend_on_the_covariates_memory_layout():
     f = compute_statistics(SurvivalDataset(times, events, np.asfortranarray(covariates)))
     for name in ("v1", "v2", "v3"):
         assert np.array_equal(getattr(c, name), getattr(f, name)), name
+
+
+def stacked(stats):
+    """The statistics of several designs of one size on a leading axis."""
+    return LYStatistics(
+        *(np.stack([getattr(s, name) for s in stats]) for name in ("v1", "v2", "v3")),
+        n=stats[0].n,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_stack_of_designs_solves_each_to_its_own_bits(k):
+    rng = np.random.default_rng(20 + k)
+    stats = [compute_statistics(random_dataset(rng, 40, k)) for _ in range(5)]
+    together = ly_solve(stacked(stats))
+    assert together.m.shape == (5, k) and together.d.shape == (5, k, k)
+    for i, one in enumerate(stats):
+        alone = ly_solve(one)
+        assert together.m[i].tobytes() == alone.m.tobytes()
+        assert together.d[i].tobytes() == alone.d.tobytes()
+
+
+def test_one_singular_design_in_a_stack_is_named_by_the_shared_test():
+    rng = np.random.default_rng(8)
+    stats = [compute_statistics(random_dataset(rng, 40, 2)) for _ in range(3)]
+    # two equal covariate columns make V2 exactly rank one
+    z = rng.random(40)
+    ds = SurvivalDataset(rng.exponential(size=40), rng.random(40) < 0.7, np.stack([z, z], axis=1))
+    stats.insert(1, compute_statistics(ds))
+    with pytest.raises(SingularDesign):
+        ly_solve(stats[1])
+    assert _decompose(stacked(stats).v2)[2].tolist() == [False, True, False, False]
+    with pytest.raises(SingularDesign, match="^integrated design matrix V2 is singular or near-singular$"):
+        ly_solve(stacked(stats))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_sandwich_raises_without_a_warning():
+    # V2 at 1e-200 inverts to 1e200, and d = V2^-1 V3 V2^-1 / n overflows
+    stats = LYStatistics(np.array([1.0]), np.array([[1e-200]]), np.array([[1.0]]), n=50)
+    with pytest.raises(SingularCovariance, match="^sandwich covariance has non-finite entries$"):
+        ly_solve(stats)
+    with pytest.raises(SingularCovariance):
+        ly_solve(stacked([compute_statistics(random_dataset(np.random.default_rng(1), 30, 1)), stats]))

@@ -1,5 +1,9 @@
 """Generator law checks and reproducibility of the replication studies."""
 
+import math
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,23 +11,25 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from addhaz import simulate
-from addhaz.data_model import SurvivalDataset, TimeGrid
+from addhaz.data_model import SurvivalDataset, TimeGrid, _row_blocks
 from addhaz.errors import (
+    AddhazError,
     DimensionMismatch,
     ExcessiveReplicateDrops,
+    NoEvents,
     NonNegativityViolation,
     OutOfRange,
+    SingularCovariance,
 )
 from addhaz.simulate import (
     SimConfig,
-    _draw_dataset,
-    _draw_event_times,
-    _replicate_rng,
+    _draw_chunk,
+    _event_times,
     run_baseline_experiment,
     run_beta_experiment,
 )
 
-from oracles import draw_event_time, draw_event_times
+from oracles import draw_dataset, draw_event_time, draw_event_times, replicate_estimates
 
 
 def config(**overrides):
@@ -36,14 +42,14 @@ def test_constant_hazard_is_exact_exponential():
     # criterion: KS distance of 1e5 draws vs Exp(1) below the 99% critical
     # value 1.628/sqrt(n) ~ 0.00515, rounded up to 0.006
     rng = np.random.default_rng(12345)
-    draws = _draw_event_times(np.zeros(100_000), rng)
+    draws = _event_times(rng.exponential(size=100_000), np.zeros(100_000))
     stat = kstest(draws, "expon").statistic
     assert stat < 0.006
 
 
 def test_covariate_shifts_rate():
     rng = np.random.default_rng(7)
-    draws = _draw_event_times(np.full(100_000, 2.0 * 0.5), rng)
+    draws = _event_times(rng.exponential(size=100_000), np.full(100_000, 2.0 * 0.5))
     # total hazard 1 + 0.5*2 = 2, so the mean is 0.5 with sd 0.5
     se = 0.5 / np.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3 * se
@@ -56,7 +62,8 @@ def test_covariate_shifts_rate():
 )
 def test_draws_match_the_row_oracle_bit_for_bit(offsets, seed):
     want = draw_event_times(offsets, np.random.default_rng(seed))
-    got = _draw_event_times(np.array(offsets), np.random.default_rng(seed))
+    draws = np.random.default_rng(seed).exponential(size=len(offsets))
+    got = _event_times(draws, np.array(offsets))
     assert got.tobytes() == want.tobytes()
 
 
@@ -69,18 +76,18 @@ def test_event_time_input_validation():
 
 
 def test_zero_censor_rate_keeps_every_event():
-    ds = _draw_dataset(config(n=200, censor_rate=0.0), np.random.default_rng(1))
-    assert ds.events.all()
+    cfg = config(n=200, replicates=3, censor_rate=0.0)
+    assert _draw_chunk(cfg, 0, cfg.replicates).events.all()
 
 
 def test_censoring_fraction_frozen_regression():
     # regression value from this generator's first large run; the event
     # fraction at the standard setup is ~0.728
     cfg = config(n=100_000, replicates=1, seed=123)
-    ds = _draw_dataset(cfg, _replicate_rng(cfg, 0))
+    ds = _draw_chunk(cfg, 0, 1)
     assert ds.events.mean() == pytest.approx(0.728200, abs=1e-6)
-    # stability across a different seed, looser band
-    ds2 = _draw_dataset(config(n=100_000, replicates=1, seed=77), _replicate_rng(cfg, 1))
+    # stability across a different stream, looser band
+    ds2 = _draw_chunk(cfg, 1, 1)
     assert abs(ds2.events.mean() - 0.7282) < 0.01
 
 
@@ -241,13 +248,20 @@ ONE_CUT = SurvivalDataset([0.5, 1.0, 1.0, 1.0], [True] * 4, [[0.5], [0.2], [0.3]
     [({3: NO_CUT}, 1), ({7: ONE_CUT}, 1), ({0: NO_CUT, 9: ONE_CUT}, 2)],
 )
 def test_baseline_study_drops_replicates_without_their_own_grid(monkeypatch, bad, dropped):
-    original = simulate._replicates
+    # chunks of three replicates, so the replaced ones sit on both sides of
+    # chunk boundaries; no replicate of this study is singular, so the r-th
+    # dataset seen is replicate r
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 3 * 80)
+    original = simulate._chunks
 
-    def replicates(cfg):
-        for r, (ds, estimate) in enumerate(original(cfg)):
-            yield bad.get(r, ds), estimate
+    def chunks(cfg):
+        r = 0
+        for datasets, estimate in original(cfg):
+            yield [bad.get(r + i, ds) for i, ds in enumerate(datasets)], estimate
+            r += len(datasets)
+        assert r == cfg.replicates
 
-    monkeypatch.setattr(simulate, "_replicates", replicates)
+    monkeypatch.setattr(simulate, "_chunks", chunks)
     cfg = config(n=80, replicates=10, seed=5)
     with pytest.raises(ExcessiveReplicateDrops, match=f"^{dropped} of 10 replicates dropped$"):
         run_baseline_experiment(cfg, (1.0,), (5.0, 1.0, 0.3))
@@ -292,8 +306,112 @@ def test_empty_grids_rejected():
 def test_studies_need_two_replicates():
     # one replicate has no Monte Carlo sd; the generator itself still allows it
     cfg = config(n=30, replicates=1)
-    assert _draw_dataset(cfg, _replicate_rng(cfg, 0)).n == 30
+    assert _draw_chunk(cfg, 0, 1).n == 30
     with pytest.raises(DimensionMismatch):
         run_beta_experiment(cfg, (0.5,), (1.0,))
     with pytest.raises(DimensionMismatch):
         run_baseline_experiment(cfg, (1.0,), (5.0,), grid=TimeGrid((0.5,), 1.0))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    replicates=st.integers(2, 40),
+    k=st.sampled_from([1, 2, 3]),
+    censor_rate=st.sampled_from([0.0, 0.5, 5.0]),
+    per_chunk=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_replicates_match_the_one_at_a_time_oracle(n, replicates, k, censor_rate, per_chunk, seed):
+    # chunks of 1-3 replicates, so a study crosses several chunk boundaries;
+    # n = 2 with k >= 2 leaves V2 singular, and those replicates are dropped
+    cfg = SimConfig(n=n, replicates=replicates, beta_true=(0.5, 1.5, 0.25)[:k],
+                    censor_rate=censor_rate, seed=seed)
+    with mock.patch.object(simulate, "_CHUNK_ROWS", per_chunk * n):
+        try:
+            want = replicate_estimates(cfg)
+        except NoEvents as exc:
+            with pytest.raises(NoEvents, match=f"^{re.escape(str(exc))}$"):
+                list(simulate._chunks(cfg))
+            return
+        got = list(simulate._chunks(cfg))
+    assert all(len(datasets) <= per_chunk for datasets, _ in got)
+    # every replicate's draws, kept or not, do not depend on the chunking
+    whole = simulate._draw_chunk(cfg, 0, replicates)
+    for name in ("times", "events", "covariates"):
+        assert same_bits(getattr(whole, name), np.concatenate([getattr(ds, name) for ds, _ in want]))
+    kept = [(ds, est) for ds, est in want if est is not None]
+    datasets = [ds for chunk, _ in got for ds in chunk]
+    assert len(datasets) == len(kept)  # the same replicates, hence the same drop count
+    for ds, (want_ds, _) in zip(datasets, kept):
+        for name in ("times", "events", "covariates"):
+            assert same_bits(getattr(ds, name), getattr(want_ds, name))
+    if kept:
+        assert same_bits(np.concatenate([est.m for _, est in got]), np.array([est.m for _, est in kept]))
+        assert same_bits(np.concatenate([est.d for _, est in got]), np.array([est.d for _, est in kept]))
+
+
+def test_a_replicate_without_events_stops_the_study_as_before():
+    # replicate 5 of this heavily censored study has no event, while the
+    # other nine, drawn into the same chunk, have 16 between them
+    cfg = config(n=20, replicates=10, censor_rate=20.0, seed=12)
+    assert simulate._CHUNK_ROWS // cfg.n >= cfg.replicates
+    assert draw_dataset(cfg, np.random.default_rng([cfg.seed, 0])).n_events > 0
+    with pytest.raises(NoEvents) as oracle:
+        replicate_estimates(cfg)
+    message = f"^{re.escape(str(oracle.value))}$"
+    assert str(oracle.value) == "dataset contains no uncensored observations"
+    with pytest.raises(NoEvents, match=message):
+        run_beta_experiment(cfg, (0.5,), (1.0,))
+    with pytest.raises(NoEvents, match=message):
+        run_baseline_experiment(cfg, (1.0,), (5.0, 1.0))
+
+
+def test_row_blocks_are_read_only_views_equal_to_datasets_of_their_rows():
+    cfg = config(n=30, replicates=4, beta_true=(0.5, 0.25))
+    chunk = _draw_chunk(cfg, 0, cfg.replicates)
+    blocks = _row_blocks(chunk, cfg.n)
+    assert len(blocks) == cfg.replicates
+    for i, block in enumerate(blocks):
+        rows = slice(i * cfg.n, (i + 1) * cfg.n)
+        alone = SurvivalDataset(chunk.times[rows], chunk.events[rows], chunk.covariates[rows])
+        for name in ("times", "events", "covariates"):
+            got = getattr(block, name)
+            assert same_bits(got, getattr(alone, name))
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert np.shares_memory(got, getattr(chunk, name))
+        assert (block.n, block.k) == (cfg.n, cfg.k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_true_coefficients_fail_typed_and_warn_nothing():
+    # one decade at a time up to 1e308: a coefficient whose sandwich d still
+    # fits a float gives finite cells; past that ly_solve's d overflows
+    # (SingularCovariance), and at the top beta'z itself does (OutOfRange)
+    studies = {
+        "coefficient": lambda cfg: run_beta_experiment(cfg, (0.0,), (1.0,)),
+        "baseline": lambda cfg: run_baseline_experiment(cfg, (1.0,), (1.0, 1.0)),
+    }
+    for kind, study in studies.items():
+        outcomes = {}
+        for decade in range(100, 309):
+            cfg = config(n=50, replicates=3, beta_true=(float(f"1e{decade}"),))
+            try:
+                report = study(cfg)
+            except AddhazError as exc:
+                outcomes[decade] = type(exc)
+                if isinstance(exc, SingularCovariance):
+                    assert str(exc) == "sandwich covariance has non-finite entries"
+                if isinstance(exc, OutOfRange):
+                    assert str(exc) == "beta'z overflows"
+            else:
+                assert all(math.isfinite(v) for _, values in report.rows for v in values)
+                outcomes[decade] = None
+        assert outcomes[100] is None, kind
+        assert outcomes[200] is SingularCovariance, kind
+        assert outcomes[308] is OutOfRange, kind
+        assert all(outcomes[d] is not None for d in range(200, 309)), kind
