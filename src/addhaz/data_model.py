@@ -202,6 +202,16 @@ def inverse_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
         raise SingularCovariance(f"{what} is not positive definite") from None
 
 
+def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    """L^-T L^-1 of each matrix L L' in a stack, if finite, else SingularCovariance."""
+    factor_inv = inverse_cholesky(matrix, what)
+    with np.errstate(over="ignore"):
+        inverse = np.swapaxes(factor_inv, -1, -2) @ factor_inv
+    if not np.all(np.isfinite(inverse)):
+        raise SingularCovariance(f"{what} has no finite inverse")
+    return inverse
+
+
 def _frozen_array(values) -> np.ndarray:
     # a copy, so freezing it leaves the caller's array writable
     out = np.array(values, dtype=float)
@@ -213,44 +223,45 @@ def _frozen_array(values) -> np.ndarray:
 class BetaPrior:
     """Gaussian prior for the regression coefficients: N(mu, cov).
 
-    ``mu`` is a read-only (k,) float array and ``cov`` a read-only (k, k)
-    symmetric positive definite one.
+    ``mu`` is a read-only (..., k) float array and ``cov`` a read-only
+    (..., k, k) one of the same leading axes, each matrix symmetric positive
+    definite: a stack of priors, accepted when each member would be alone.
+    ``precision`` is the read-only inverse of ``cov``.
     """
 
     mu: np.ndarray
     cov: np.ndarray
+    precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu, cov = _frozen_array(self.mu), _frozen_array(self.cov)
-        if mu.ndim != 1 or cov.shape != (mu.size, mu.size):
+        if mu.ndim == 0 or cov.shape != mu.shape + mu.shape[-1:]:
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
         if not np.all(np.isfinite(mu)):
             raise OutOfRange("prior mean must be finite")
-        inverse_cholesky(cov, "prior covariance")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.max(np.abs(cov))))):
+        precision = _spd_inverse(cov, "prior covariance")
+        # each matrix over max(1, its largest |entry|), so no difference overflows
+        scaled = cov / np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        if not np.all(np.abs(scaled - np.swapaxes(scaled, -1, -2)) <= 1e-10):
             raise SingularCovariance("prior covariance must be symmetric")
+        precision.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "precision", precision)
 
     @property
     def k(self) -> int:
-        return self.mu.size
+        return self.mu.shape[-1]
 
     @classmethod
     def isotropic(cls, mu, omega: float, k: int | None = None) -> "BetaPrior":
         """Prior N(mu, omega * I); scalar mu is broadcast to dimension k."""
-        if np.ndim(mu) == 0:
-            if k is None:
-                raise DimensionMismatch("k is required when mu is scalar")
-            mu_vec = np.full(k, float(mu))
-        else:
-            mu_vec = np.asarray(mu, dtype=float)
-            if k is not None and mu_vec.size != k:
-                raise DimensionMismatch(f"prior mean has {mu_vec.size} entries, expected 1 or {k}")
-        omega = float(omega)
-        if omega <= 0:
-            raise SingularCovariance("omega must be > 0")
-        return cls(mu_vec, omega * np.eye(mu_vec.size))
+        if np.ndim(mu) == 0 and k is None:
+            raise DimensionMismatch("k is required when mu is scalar")
+        mu_vec = np.full(k, float(mu)) if np.ndim(mu) == 0 else np.asarray(mu, dtype=float)
+        if k is not None and mu_vec.size != k:
+            raise DimensionMismatch(f"prior mean has {mu_vec.size} entries, expected 1 or {k}")
+        return cls(mu_vec, np.diag(np.full(mu_vec.size, float(omega))))
 
 
 @dataclass(frozen=True, eq=False)

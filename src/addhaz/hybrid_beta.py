@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from ._normal import erfcx, log_ndtr, ndtr, ndtri_exp
 
-from .data_model import BetaPrior, inverse_cholesky
+from .data_model import BetaPrior, _spd_inverse, inverse_cholesky
 from .errors import AddhazError, DimensionMismatch, InvalidCoverage, SingularCovariance
 from .lin_ying import LYEstimate
 
@@ -54,17 +54,12 @@ class HpdInterval:
     coverage: float
 
 
-def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of each symmetric positive definite matrix in a stack."""
-    factor_inv = inverse_cholesky(matrix, what)
-    return np.swapaxes(factor_inv, -1, -2) @ factor_inv
-
-
 def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
     """Precision-weighted combination of the estimate and the prior.
 
     ``estimate.m`` may be (k,) or a batch (r, k) with ``estimate.d`` of
-    shape (r, k, k); the result carries the same leading axis.
+    shape (r, k, k), and the prior may be a stack: a (p, 1, k) prior gives
+    (p, r, k) means, each prior's with the bits of its own call.
     """
     m = np.asarray(estimate.m, dtype=float)
     d = np.asarray(estimate.d, dtype=float)
@@ -72,10 +67,9 @@ def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
     if prior.k != k:
         raise DimensionMismatch(f"prior dimension {prior.k} does not match estimate dimension {k}")
     d_inv = _spd_inverse(d, "sandwich covariance")
-    c_inv = _spd_inverse(prior.cov, "prior covariance")
-    cov = _spd_inverse(d_inv + c_inv, "posterior precision")
+    cov = _spd_inverse(d_inv + prior.precision, "posterior precision")
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
-    rhs = d_inv @ m[..., None] + (c_inv @ prior.mu)[:, None]
+    rhs = d_inv @ m[..., None] + prior.precision @ prior.mu[..., None]
     mean = (cov @ rhs)[..., 0]
     return PseudoPosterior(mean=mean, cov=cov)
 

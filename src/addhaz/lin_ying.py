@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import SurvivalDataset
-from .errors import SingularCovariance, SingularDesign
+from .errors import OutOfRange, SingularCovariance, SingularDesign
 
 __all__ = [
     "LYStatistics",
@@ -59,52 +59,55 @@ class LYEstimate:
 
 
 def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
-    """Exact V1, V2, V3 via suffix sums over the sorted observation times."""
+    """Exact V1, V2, V3 via suffix sums over the sorted times; OutOfRange if one overflows."""
     n = ds.n
-    # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
-    order = ds.times.argsort(kind="stable")
-    t = ds.times[order]
-    events = ds.events[order]
-    # V1-V3 are translation-invariant; centering stops V2's difference cancelling
-    z = ds.covariates[order]
-    z -= ds.covariates.mean(axis=0)
-    del order
-    ztz = (z.T * t) @ z
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
+        order = ds.times.argsort(kind="stable")
+        t = ds.times[order]
+        events = ds.events[order]
+        # V1-V3 are translation-invariant; centering stops V2's difference cancelling
+        z = ds.covariates[order]
+        z -= ds.covariates.mean(axis=0)
+        del order
+        ztz = (z.T * t) @ z
 
-    # distinct times u_1 < ... < u_K; t is sorted, so u_s starts the run of
-    # equal times at row first[s], and event row i sits at distinct index
-    # inv_events[i]
-    starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
-    starts[0] = True
-    np.not_equal(t[1:], t[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    inv_events = (starts.cumsum() - 1)[events]
-    lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}
-    del t
+        # distinct times u_1 < ... < u_K; t is sorted, so u_s starts the run of
+        # equal times at row first[s], and event row i sits at distinct index
+        # inv_events[i]
+        starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
+        starts[0] = True
+        np.not_equal(t[1:], t[:-1], out=starts[1:])
+        first = starts.nonzero()[0]
+        inv_events = (starts.cumsum() - 1)[events]
+        lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}
+        del t
 
-    resid = z[events]  # the event rows, centered below
-    # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
-    z_rev_cum = z[::-1].cumsum(axis=0)[::-1]
-    del z
-    sum_z = z_rev_cum[first]  # (K, k)
-    del z_rev_cum
-    counts = n - first
+        resid = z[events]  # the event rows, centered below
+        # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
+        z_rev_cum = z[::-1].cumsum(axis=0)[::-1]
+        del z
+        sum_z = z_rev_cum[first]  # (K, k)
+        del z_rev_cum
+        counts = n - first
 
-    # center each event row by the risk-set mean z_bar at its own time
-    zbar = sum_z[inv_events]
-    zbar /= counts[inv_events][:, None]
-    resid -= zbar
-    del zbar
-    v1 = resid.sum(axis=0) / n
-    v3 = resid.T @ resid / n
+        # center each event row by the risk-set mean z_bar at its own time
+        zbar = sum_z[inv_events]
+        zbar /= counts[inv_events][:, None]
+        resid -= zbar
+        del zbar
+        v1 = resid.sum(axis=0) / n
+        v3 = resid.T @ resid / n
 
-    # V2: segment (u_{s-1}, u_s] has constant risk-set mean
-    w = sum_z
-    w *= np.sqrt(lengths / counts)[:, None]
-    v2 = (ztz - w.T @ w) / n
+        # V2: segment (u_{s-1}, u_s] has constant risk-set mean
+        w = sum_z
+        w *= np.sqrt(lengths / counts)[:, None]
+        v2 = (ztz - w.T @ w) / n
 
-    v2 = (v2 + v2.T) / 2.0
-    v3 = (v3 + v3.T) / 2.0
+        v2 = (v2 + v2.T) / 2.0
+        v3 = (v3 + v3.T) / 2.0
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all() and np.isfinite(v3).all()):
+        raise OutOfRange("V1, V2 or V3 overflows")
     return LYStatistics(v1=v1, v2=v2, v3=v3, n=n)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     NonNegativityViolation,
     OutOfRange,
 )
-from .hybrid_beta import PseudoPosterior, beta_mode, hpd_interval, pseudo_posterior, sigma_hat
+from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
 from .lin_ying import LYEstimate, LYStatistics, _decompose, compute_statistics, ly_solve
 
 __all__ = [
@@ -66,8 +66,9 @@ class SimConfig:
     def __post_init__(self):
         if not (isinstance(self.n, Integral) and isinstance(self.replicates, Integral)):
             raise DimensionMismatch("n and replicates must be integers")
-        if self.n < 2 or self.replicates < 1:
-            raise DimensionMismatch("need n >= 2 and at least one replicate")
+        # a Monte Carlo sd needs two replicates
+        if self.n < 2 or self.replicates < 2:
+            raise DimensionMismatch("a study needs n >= 2 and at least 2 replicates")
         beta = tuple(float(b) for b in self.beta_true)
         if not beta:
             raise DimensionMismatch("at least one true coefficient is required")
@@ -155,12 +156,6 @@ class SimReport:
         return "\n".join(out) + "\n"
 
 
-def _check_replicates(cfg: SimConfig) -> None:
-    # a Monte Carlo sd needs two replicates; SimConfig itself allows one
-    if cfg.replicates < 2:
-        raise DimensionMismatch("a study needs at least 2 replicates")
-
-
 def _draw_chunk(cfg: SimConfig, start: int, count: int) -> SurvivalDataset:
     """Replicates start, ..., start + count - 1 as one validated dataset of
     n-row blocks.  Each fills its rows from its own (seed, r) stream; the
@@ -208,6 +203,16 @@ def _chunks(cfg: SimConfig):
             yield list(itertools.compress(datasets, keep)), estimate
 
 
+def _cell_stats(estimates, spreads, axis: int) -> np.ndarray:
+    """Mean estimate, mean spread and Monte Carlo sd of the estimates over
+    the replicate axis, stacked first; raises OutOfRange unless all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = np.array([estimates.mean(axis), spreads.mean(axis), estimates.std(axis, ddof=1)])
+    if not np.all(np.isfinite(stats)):
+        raise OutOfRange("a study cell statistic is not finite")
+    return stats
+
+
 def _check_drops(cfg: SimConfig, kept: int) -> int:
     """The number of dropped replicates; more than 1% aborts the study."""
     dropped = cfg.replicates - kept
@@ -229,37 +234,28 @@ def run_beta_experiment(
     only through the prior.  Replicates with a singular design are dropped;
     more than 1% of drops aborts the study.
     """
-    _check_replicates(cfg)
-    mu_grid = tuple(float(v) for v in mu_grid)
-    omega_grid = tuple(float(v) for v in omega_grid)
-    if not mu_grid or not omega_grid:
+    cells = list(itertools.product((float(v) for v in mu_grid), (float(v) for v in omega_grid)))
+    if not cells:
         raise DimensionMismatch("prior grids must not be empty")
-    if any(om <= 0 for om in omega_grid):
-        raise NonNegativityViolation("prior variances must be > 0")
-    priors = [BetaPrior.isotropic(mu, om, cfg.k) for mu in mu_grid for om in omega_grid]
+    # every cell's prior N(mu * 1, omega * I) in one (cells, 1, k) stack
+    mu, omega = np.array(cells).T[:, :, None, None]
+    diagonal = np.eye(cfg.k, dtype=bool)
+    prior = BetaPrior(np.repeat(mu, cfg.k, axis=-1), np.where(diagonal, omega[..., None], 0.0))
     kept = [est for _, est in _chunks(cfg)]
     dropped = _check_drops(cfg, sum(len(est.m) for est in kept))
     estimate = LYEstimate(np.concatenate([e.m for e in kept]), np.concatenate([e.d for e in kept]))
 
-    def cells(labels, estimates, spreads):
-        # per component of (r, k) arrays: mean estimate, mean sd proxy, Monte Carlo sd
-        stats = np.stack(
-            [estimates.mean(axis=0), spreads.mean(axis=0), estimates.std(axis=0, ddof=1)],
-            axis=1,
-        )
-        return [(labels + (comp + 1,), tuple(v)) for comp, v in enumerate(stats.tolist())]
-
-    # the cells' posteriors stacked on a leading axis: one mode and one HPD call
-    posteriors = [pseudo_posterior(estimate, prior) for prior in priors]
-    pp = PseudoPosterior(
-        np.stack([p.mean for p in posteriors]), np.stack([p.cov for p in posteriors])
-    )
-    spreads = sigma_hat(hpd_interval(pp, coverage))
-    rows = []
-    for labels, mode, spread in zip(itertools.product(mu_grid, omega_grid), beta_mode(pp), spreads):
-        rows += cells(labels, mode, spread)
+    # (cells + 1, r, k): one mode and one HPD call, then the flat-path reference
+    pp = pseudo_posterior(estimate, prior)
+    modes = np.concatenate([beta_mode(pp), estimate.m[None]])
     ses = np.sqrt(np.diagonal(estimate.d, axis1=1, axis2=2))
-    rows += cells(("reference", "flat"), estimate.m, ses)
+    spreads = np.concatenate([sigma_hat(hpd_interval(pp, coverage)), ses[None]])
+    stats = _cell_stats(modes, spreads, axis=1)
+    rows = [
+        (labels + (comp + 1,), tuple(stats[:, cell, comp].tolist()))
+        for cell, labels in enumerate(cells + [("reference", "flat")])
+        for comp in range(cfg.k)
+    ]
     return SimReport(
         n=cfg.n,
         replicates=cfg.replicates,
@@ -289,7 +285,6 @@ def run_baseline_experiment(
     report holds the posterior mean of each of the first
     len(alpha_increments) increments for every confidence weight in c_grid.
     """
-    _check_replicates(cfg)
     c_grid = tuple(float(v) for v in c_grid)
     if not c_grid:
         raise DimensionMismatch("confidence weights must not be empty")
@@ -317,11 +312,8 @@ def run_baseline_experiment(
             post_vars[kept] = [[post.variance for post in row] for row in posts]
             kept += 1
     dropped = _check_drops(cfg, kept)
-    means, post_vars = means[:kept], post_vars[:kept]
-    stats = np.stack(
-        [means.mean(axis=0), means.std(axis=0, ddof=1), np.sqrt(post_vars).mean(axis=0)],
-        axis=-1,
-    )
+    mean, post_sd, mc_sd = _cell_stats(means[:kept], np.sqrt(post_vars[:kept]), axis=0)
+    stats = np.stack([mean, mc_sd, post_sd], axis=-1)
     return SimReport(
         n=cfg.n,
         replicates=cfg.replicates,

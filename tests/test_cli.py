@@ -31,7 +31,7 @@ def run(capsys, argv):
 
 
 def write_dataset(path, n=60, seed=9, k=2):
-    cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=seed)
+    cfg = SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25)[:k], seed=seed)
     ds = _draw_chunk(cfg, 0, 1)
     write_dataset_csv(ds, path)
     return ds
@@ -682,11 +682,25 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, ["fit", "--input", str(flat)])
     assert code == 16
 
-    # 17: nonpositive prior variance
-    code, _, err = run(
-        capsys, ["fit", "--input", str(csv_path), "--prior-omega", "0"]
-    )
-    assert code == 17
+    # 14: finite covariates whose V2 and V3 overflow
+    huge = tmp_path / "huge.csv"
+    huge.write_text("time,event,z1\n0.3,0,0.5e200\n0.5,1,0.2e200\n0.8,1,0.4e200\n1.2,0,0.1e200\n")
+    code, _, err = run(capsys, ["fit", "--input", str(huge)])
+    assert code == 14
+    assert error_record(err)["error"] == "OutOfRange"
+
+    # 17: a prior variance that is not positive, or whose inverse overflows,
+    # for a fit and a study alike
+    for omega in ("0", "1e-310"):
+        code, _, err = run(
+            capsys, ["fit", "--input", str(csv_path), "--prior-omega", omega]
+        )
+        assert code == 17
+        assert error_record(err)["message"].startswith("prior covariance")
+    argv = ["simulate", "--n", "50", "--replicates", "3", "--mu-grid", "0", "--omega-grid", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 17 and out == ""
+    assert error_record(err)["error"] == "SingularCovariance"
 
     # 18: zero prior increments with events present
     code, _, err = run(

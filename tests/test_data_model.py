@@ -215,10 +215,42 @@ def test_beta_prior_isotropic_and_spd_check():
     prior = BetaPrior.isotropic(0.5, 2.0, 3)
     np.testing.assert_array_equal(prior.mu, [0.5, 0.5, 0.5])
     np.testing.assert_allclose(prior.cov, 2.0 * np.eye(3))
-    with pytest.raises(SingularCovariance):
-        BetaPrior.isotropic(0.5, -1.0, 2)
+    # the factorization alone rejects a variance that is not positive and
+    # finite, or whose inverse overflows
+    for omega in (-1.0, 0.0, 1e-310, np.inf, np.nan):
+        with pytest.raises(SingularCovariance):
+            BetaPrior.isotropic(0.5, omega, 2)
     with pytest.raises(SingularCovariance):
         BetaPrior(mu=(0.0, 0.0), cov=((1.0, 2.0), (2.0, 1.0)))  # not SPD
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_stacked_beta_prior_holds_each_member_as_alone():
+    mu = np.array([[0.5, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    cov = np.array([np.eye(2), [[2.0, 0.3], [0.3, 1.0]], 1e-3 * np.eye(2)])
+    prior = BetaPrior(mu, cov)
+    assert prior.k == 2 and prior.precision.shape == (3, 2, 2)
+    assert not prior.precision.flags.writeable
+    for j in range(3):
+        alone = BetaPrior(mu[j], cov[j])
+        assert prior.precision[j].tobytes() == alone.precision.tobytes()
+        np.testing.assert_allclose(alone.precision @ cov[j], np.eye(2), atol=1e-12)
+    # leading axes that disagree, one member not positive definite, and a
+    # subnormal covariance, whose inverse overflows
+    for bad_mu, bad_cov in ((mu[:2], cov), (mu[:, None], cov), (mu, cov[:, None])):
+        with pytest.raises(DimensionMismatch):
+            BetaPrior(bad_mu, bad_cov)
+    not_pd = cov.copy()
+    not_pd[1] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        BetaPrior(mu, not_pd)
+    with pytest.raises(SingularCovariance, match="no finite inverse"):
+        BetaPrior(mu, np.array([np.eye(2), np.eye(2), 1e-310 * np.eye(2)]))
+    # symmetry at each member's own scale: a 1e-5 asymmetry passes at 1e6
+    # and fails at 1, whatever the other members hold
+    BetaPrior(mu[:1], np.array([[[1e6, 1e-5], [0.0, 1e6]]]))
+    with pytest.raises(SingularCovariance, match="symmetric"):
+        BetaPrior(mu[:2], np.array([1e6 * np.eye(2), [[1.0, 1e-5], [0.0, 1.0]]]))
 
 
 def test_beta_prior_rejects_nonfinite_mean():

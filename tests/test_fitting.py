@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sample_dataset(k=2, n=200):
-    cfg = SimConfig(n=n, replicates=1, beta_true=(0.5, 0.25)[:k], seed=3)
+    cfg = SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25)[:k], seed=3)
     return _draw_chunk(cfg, 0, 1)
 
 

@@ -457,3 +457,27 @@ def test_hpd_interval_scales_with_sd_at_fixed_mean_over_sd(ratio, sd, power, cov
     )
     assert scaled.lower[0] == iv.lower[0] * scale
     assert scaled.upper[0] == iv.upper[0] * scale
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    cells=st.integers(1, 8),
+    k=st.integers(1, 3),
+    r=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_prior_of_a_stack_gives_the_bits_of_its_own_call(cells, k, r, seed):
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=(r, k, k))
+    d = roots @ np.swapaxes(roots, 1, 2) + 0.05 * np.eye(k)
+    est = LYEstimate(rng.normal(0.2, 0.5, size=(r, k)), d)
+    # prior variances over six decades, one scale per prior
+    roots = rng.normal(size=(cells, 1, k, k)) * 10.0 ** rng.uniform(-3, 3, size=(cells, 1, 1, 1))
+    cov = roots @ np.swapaxes(roots, -1, -2) + 1e-3 * np.eye(k)
+    prior = BetaPrior(rng.normal(size=(cells, 1, k)), (cov + np.swapaxes(cov, -1, -2)) / 2)
+    stacked = pseudo_posterior(est, prior)
+    assert stacked.mean.shape == (cells, r, k) and stacked.cov.shape == (cells, r, k, k)
+    for j in range(cells):
+        alone = pseudo_posterior(est, BetaPrior(prior.mu[j, 0], prior.cov[j, 0]))
+        assert stacked.mean[j].tobytes() == alone.mean.tobytes()
+        assert stacked.cov[j].tobytes() == alone.cov.tobytes()

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from addhaz.data_model import SurvivalDataset
-from addhaz.errors import SingularCovariance, SingularDesign
+from addhaz.errors import OutOfRange, SingularCovariance, SingularDesign
+from addhaz.fitting import fit
 from addhaz.lin_ying import LYStatistics, _decompose, compute_statistics, ly_solve
 
 
@@ -363,3 +364,14 @@ def test_an_overflowing_sandwich_raises_without_a_warning():
         ly_solve(stats)
     with pytest.raises(SingularCovariance):
         ly_solve(stacked([compute_statistics(random_dataset(np.random.default_rng(1), 30, 1)), stats]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_statistics_raise_out_of_range_without_a_warning():
+    # finite covariates near 1e200 square past the largest float in V2 and V3
+    ds = random_dataset(np.random.default_rng(2), 30, 2)
+    huge = SurvivalDataset(ds.times, ds.events, ds.covariates * 1e200)
+    with pytest.raises(OutOfRange, match="^V1, V2 or V3 overflows$"):
+        compute_statistics(huge)
+    with pytest.raises(OutOfRange):
+        fit(huge)

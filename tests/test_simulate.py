@@ -83,7 +83,7 @@ def test_zero_censor_rate_keeps_every_event():
 def test_censoring_fraction_frozen_regression():
     # regression value from this generator's first large run; the event
     # fraction at the standard setup is ~0.728
-    cfg = config(n=100_000, replicates=1, seed=123)
+    cfg = config(n=100_000, replicates=2, seed=123)
     ds = _draw_chunk(cfg, 0, 1)
     assert ds.events.mean() == pytest.approx(0.728200, abs=1e-6)
     # stability across a different stream, looser band
@@ -293,7 +293,7 @@ def test_empty_grids_rejected():
     cfg = config()
     with pytest.raises(DimensionMismatch):
         run_beta_experiment(cfg, (), (1.0,))
-    with pytest.raises(NonNegativityViolation):
+    with pytest.raises(SingularCovariance):
         run_beta_experiment(cfg, (0.5,), (0.0,))
     with pytest.raises(DimensionMismatch):
         run_baseline_experiment(cfg, (), (5.0,))
@@ -303,14 +303,40 @@ def test_empty_grids_rejected():
         )
 
 
+def test_a_coefficient_study_makes_one_posterior_call(monkeypatch):
+    # every cell's prior in one stack, over every chunk's estimates at once
+    priors = []
+    original = simulate.pseudo_posterior
+
+    def spy(estimate, prior):
+        priors.append(prior)
+        return original(estimate, prior)
+
+    monkeypatch.setattr(simulate, "pseudo_posterior", spy)
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 2 * 60)
+    report = run_beta_experiment(config(n=60, replicates=5, seed=3), (0.0, 0.5, 1.0), (0.1, 1.0))
+    assert len(priors) == 1 and priors[0].mu.shape == (6, 1, 1)
+    assert priors[0].mu[:, 0, 0].tolist() == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    assert priors[0].cov[:, 0, 0, 0].tolist() == [0.1, 1.0] * 3
+    assert len(report.rows) == 6 + 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_study_whose_cell_statistics_overflow_fails_typed():
+    # the estimates fit a float, but their spread over replicates does not
+    cfg = config(n=10, replicates=3)
+    for mu in (1e155, 1e308):
+        with pytest.raises(OutOfRange, match="cell statistic"):
+            run_beta_experiment(cfg, (mu,), (1.0,))
+    cfg = config(n=20, replicates=3, seed=1)
+    with pytest.raises(OutOfRange, match="cell statistic"):
+        run_baseline_experiment(cfg, (1.0,), (1e200, 1.0), grid=TimeGrid((0.5,), 1.0))
+
+
 def test_studies_need_two_replicates():
-    # one replicate has no Monte Carlo sd; the generator itself still allows it
-    cfg = config(n=30, replicates=1)
-    assert _draw_chunk(cfg, 0, 1).n == 30
-    with pytest.raises(DimensionMismatch):
-        run_beta_experiment(cfg, (0.5,), (1.0,))
-    with pytest.raises(DimensionMismatch):
-        run_baseline_experiment(cfg, (1.0,), (5.0,), grid=TimeGrid((0.5,), 1.0))
+    # one replicate has no Monte Carlo sd
+    with pytest.raises(DimensionMismatch, match="2 replicates"):
+        config(n=30, replicates=1)
 
 
 def same_bits(a, b):
