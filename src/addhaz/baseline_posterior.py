@@ -152,27 +152,34 @@ def increment_posterior(
     shape0, rate = _interval_prior(j, exposure, width, prior)
     # with nonnegative offsets the zero coefficients are the leading ones,
     # one per zero offset, whose factor a is one more unit of prior shape
-    dead = int(np.argmax(poly.log_abs > -math.inf))
+    dead = int((poly.log_abs > -math.inf).argmax())
     log_d = poly.log_abs[dead:]
     shape0 += dead
     if shape0 == 0.0:
         raise _improper(j, poly.degree)
-    k = np.arange(log_d.size)
+    n = log_d.size
+    k = np.arange(n, dtype=float)
     shapes = k + shape0
     log_scale = math.log(width) + math.log(rate)
     # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
     # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
-    # leaves too few absolute digits for the weights at large s0
-    log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
-    log_w = log_d - k * log_scale + log_rising[: log_d.size]
-    top = np.max(log_w)
-    if not np.isfinite(top):
+    # leaves too few absolute digits for the weights at large s0.  The
+    # buffer has a spare slot, so that n = 1 still has room for the 0
+    log_rising = np.empty(n + 1)
+    log_rising[0] = -np.log(shape0)
+    log_rising[1] = 0.0
+    np.add.accumulate(np.log(shapes[1:-1]), out=log_rising[2:n])
+    log_w = log_d - k * log_scale
+    log_w += log_rising[:n]
+    top = log_w.max()
+    if not math.isfinite(top):
         raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
-    log_w = log_w - (top + math.log(np.sum(np.exp(log_w - top))))
+    log_w -= top + math.log(np.exp(log_w - top).sum())
 
     w = np.exp(log_w)
-    shape_mean = float(np.dot(w, shapes))
-    shape_var = float(np.dot(w, (shapes - shape_mean) ** 2))
+    shape_mean = float(w.dot(shapes))
+    dev = shapes - shape_mean
+    shape_var = float(w.dot(dev * dev))
     return BaselineIncrementPosterior(
         interval=j,
         log_weights=tuple(log_w.tolist()),

@@ -226,12 +226,14 @@ class BetaPrior:
     ``mu`` is a read-only (..., k) float array and ``cov`` a read-only
     (..., k, k) one of the same leading axes, each matrix symmetric positive
     definite: a stack of priors, accepted when each member would be alone.
-    ``precision`` is the read-only inverse of ``cov``.
+    ``precision`` is the read-only inverse of ``cov``, and ``precision_mu``
+    the read-only (..., k) product ``precision @ mu``, which must be finite.
     """
 
     mu: np.ndarray
     cov: np.ndarray
     precision: np.ndarray = field(init=False, repr=False)
+    precision_mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu, cov = _frozen_array(self.mu), _frozen_array(self.cov)
@@ -244,10 +246,16 @@ class BetaPrior:
         scaled = cov / np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
         if not np.all(np.abs(scaled - np.swapaxes(scaled, -1, -2)) <= 1e-10):
             raise SingularCovariance("prior covariance must be symmetric")
+        with np.errstate(over="ignore", invalid="ignore"):
+            precision_mu = (precision @ mu[..., None])[..., 0]
+        if not np.all(np.isfinite(precision_mu)):
+            raise OutOfRange("prior mean times the prior precision overflows")
         precision.setflags(write=False)
+        precision_mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "precision_mu", precision_mu)
 
     @property
     def k(self) -> int:

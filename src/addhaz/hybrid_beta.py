@@ -69,7 +69,7 @@ def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
     d_inv = _spd_inverse(d, "sandwich covariance")
     cov = _spd_inverse(d_inv + prior.precision, "posterior precision")
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
-    rhs = d_inv @ m[..., None] + prior.precision @ prior.mu[..., None]
+    rhs = d_inv @ m[..., None] + prior.precision_mu[..., None]
     mean = (cov @ rhs)[..., 0]
     return PseudoPosterior(mean=mean, cov=cov)
 

@@ -9,9 +9,16 @@ Coefficients grow combinatorially, so they are held as log values.  With
 nonnegative b_i every coefficient is nonnegative, so a zero coefficient is
 simply -inf and multiplying in one more factor only needs log-add-exp:
 
-    d_0   <- d_0 * b
-    d_k   <- d_{k-1} + d_k * b     (1 <= k <= N)
-    d_{N+1} <- 1                   (leading coefficient)
+    d_k <- d_{k-1} + d_k * b     (0 <= k <= deg + 1; d_-1 = d_{deg+1} = 0)
+
+where deg is the number of factors multiplied in so far.
+
+``poly_from_factors`` keeps two buffers of length N + 2 laid out as
+[d_-1, d_0, ..., d_N].  The leading -inf stands for d_-1 = 0, and the
+-inf tail for the degrees not reached yet, so one whole-length pass per
+factor writes every new coefficient into the other buffer with no
+slicing, and the two buffers swap.  log-add-exp is exact against -inf,
+so the sentinels change no coefficient's bits.
 """
 
 from __future__ import annotations
@@ -59,13 +66,19 @@ def check_offsets(b: np.ndarray) -> np.ndarray:
 def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
     """Multiply out prod_i (a + b_i); every offset b_i must be finite and >= 0."""
     b = check_offsets(np.fromiter(offsets, dtype=float))
-    # in-place recursion: after deg factors, buf[:deg + 1] holds log d_0..d_deg
-    buf = np.zeros(b.size + 1)
-    for deg, offset in enumerate(b.tolist()):
+    # two buffers [d_-1, d_0, ..., d_N] from [-inf, 0, -inf, ...]: d_-1 = 0 is
+    # never written, and the -inf tail holds the degrees not reached yet.
+    # Each factor writes logaddexp(d_{k-1}, d_k + log b) for every k into the
+    # other buffer, and the two swap.  logaddexp(x, -inf) is x and
+    # logaddexp(-inf, -inf) is -inf exactly, so the sentinels keep every bit
+    src, dst = np.full((2, b.size + 2), -math.inf)
+    src[1] = 0.0
+    scaled = np.empty(b.size + 1)
+    cur, nxt = (src[:-1], src[1:]), (dst[:-1], dst[1:])
+    for offset in b.tolist():
         # math.log, not np.log: the vectorized log may differ in the last ulp
         log_b = math.log(offset) if offset > 0.0 else -math.inf
-        buf[deg + 1] = buf[deg]
-        # shifted copy contributes d_{k-1}; scaled copy contributes d_k * b
-        buf[1 : deg + 1] = np.logaddexp(buf[:deg], buf[1 : deg + 1] + log_b)
-        buf[0] += log_b
-    return PolyCoefficients(buf)
+        np.add(cur[1], log_b, out=scaled)
+        np.logaddexp(cur[0], scaled, out=nxt[1])
+        cur, nxt = nxt, cur
+    return PolyCoefficients(cur[1])

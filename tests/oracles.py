@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 
-from addhaz.data_model import SurvivalDataset
+from addhaz.baseline_posterior import _improper, _interval_prior
+from addhaz.data_model import BaselineIncrementPosterior, SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
     DimensionMismatch,
+    ImproperPosterior,
     NoEvents,
     NonNegativityViolation,
     SingularDesign,
 )
 from addhaz.lin_ying import compute_statistics, ly_solve
-from addhaz.poly_coeffs import PolyCoefficients
+from addhaz.poly_coeffs import PolyCoefficients, check_offsets
 
 
 def validate_dataset(records, *, allow_signed=False):
@@ -54,6 +56,53 @@ def poly_eval_log(poly: PolyCoefficients, a: float) -> float:
     if top == -math.inf:
         return -math.inf
     return float(top + math.log(np.sum(np.exp(terms - top))))
+
+
+def poly_by_slices(offsets) -> PolyCoefficients:
+    """The likelihood polynomial by an in-place recursion that slices its one
+    buffer per factor: the reference that ``poly_from_factors`` is held to
+    bit for bit."""
+    b = check_offsets(np.fromiter(offsets, dtype=float))
+    # after deg factors, buf[:deg + 1] holds log d_0..d_deg
+    buf = np.zeros(b.size + 1)
+    for deg, offset in enumerate(b.tolist()):
+        log_b = math.log(offset) if offset > 0.0 else -math.inf
+        buf[deg + 1] = buf[deg]
+        buf[1 : deg + 1] = np.logaddexp(buf[:deg], buf[1 : deg + 1] + log_b)
+        buf[0] += log_b
+    return PolyCoefficients(buf)
+
+
+def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPosterior:
+    """The Gamma-mixture posterior written with numpy's module functions and
+    a concatenated log-rising sum: the reference that ``increment_posterior``
+    is held to bit for bit."""
+    shape0, rate = _interval_prior(j, exposure, width, prior)
+    dead = int(np.argmax(poly.log_abs > -math.inf))
+    log_d = poly.log_abs[dead:]
+    shape0 += dead
+    if shape0 == 0.0:
+        raise _improper(j, poly.degree)
+    k = np.arange(log_d.size)
+    shapes = k + shape0
+    log_scale = math.log(width) + math.log(rate)
+    log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
+    log_w = log_d - k * log_scale + log_rising[: log_d.size]
+    top = np.max(log_w)
+    if not np.isfinite(top):
+        raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
+    log_w = log_w - (top + math.log(np.sum(np.exp(log_w - top))))
+    w = np.exp(log_w)
+    shape_mean = float(np.dot(w, shapes))
+    shape_var = float(np.dot(w, (shapes - shape_mean) ** 2))
+    return BaselineIncrementPosterior(
+        interval=j,
+        log_weights=tuple(log_w.tolist()),
+        shape_offsets=tuple(shapes.tolist()),
+        rate=float(rate),
+        mean=shape_mean / rate,
+        variance=(shape_var + shape_mean) / (rate * rate),
+    )
 
 
 def draw_event_times(offsets, rng: np.random.Generator):

@@ -26,8 +26,12 @@ from addhaz.baseline_posterior import (
     interval_summaries,
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
-from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation
+from addhaz.errors import (
+    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation
+)
 from addhaz.poly_coeffs import poly_from_factors
+
+from oracles import mixture_posterior
 
 
 def quadrature_moments(offsets, alpha, c, exposure, width):
@@ -272,6 +276,37 @@ def test_improper_posterior_cases():
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
     assert post.variance == pytest.approx(var_q, rel=1e-6)
+
+
+def _outcome(kernel, *args):
+    """repr of the kernel's posterior, which shows every float's bits, or
+    the type and message of the error it raised."""
+    try:
+        return repr(kernel(*args))
+    except AddhazError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(0, 12), st.integers(0, 150)),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    exposure=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    width=st.floats(1e-6, 1e3),
+    c=st.floats(1e-3, 1e3),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+)
+def test_mixture_keeps_the_reference_kernels_bits(
+    seed, n, zero_share, exposure, width, c, alpha
+):
+    # offsets log-uniform over [1e-300, 1e300]; a zero alpha with no zero
+    # offset is one of the improper cases, which must raise the same error
+    rng = np.random.default_rng(seed)
+    offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
+    offsets[rng.random(n) < zero_share] = 0.0
+    args = (1, exposure, width, poly_from_factors(offsets), GammaProcessPrior([alpha], c))
+    assert _outcome(increment_posterior, *args) == _outcome(mixture_posterior, *args)
 
 
 def test_full_pipeline_matches_quadrature():

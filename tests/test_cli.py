@@ -689,6 +689,12 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 14
     assert error_record(err)["error"] == "OutOfRange"
 
+    # 14: a finite prior mean whose product with the prior precision overflows
+    argv = ["fit", "--input", str(csv_path), "--prior-mu", "1e300", "--prior-omega", "1e-10"]
+    code, _, err = run(capsys, argv)
+    assert code == 14
+    assert error_record(err)["message"].startswith("prior mean")
+
     # 17: a prior variance that is not positive, or whose inverse overflows,
     # for a fit and a study alike
     for omega in ("0", "1e-310"):

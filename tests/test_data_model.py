@@ -261,6 +261,25 @@ def test_beta_prior_rejects_nonfinite_mean():
             BetaPrior.isotropic(mu, 1.0, 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_beta_prior_rejects_a_mean_whose_precision_product_overflows():
+    # 1e300 over a variance of 1e-10 is finite in mu and in the precision,
+    # but not as their product; a stack fails when any member does
+    prior = BetaPrior.isotropic(0.5, 4.0, 2)
+    assert prior.precision_mu.tolist() == [0.125, 0.125]
+    assert not prior.precision_mu.flags.writeable
+    with pytest.raises(OutOfRange, match="prior mean"):
+        BetaPrior.isotropic(1e300, 1e-10, 2)
+    mu = np.array([[[0.5, 1.0]], [[1e300, 0.0]]])
+    cov = np.array([[np.eye(2)], [1e-10 * np.eye(2)]])
+    with pytest.raises(OutOfRange, match="prior mean"):
+        BetaPrior(mu, cov)
+    stacked = BetaPrior(mu[:1].repeat(3, axis=0), cov[:1].repeat(3, axis=0))
+    assert stacked.precision_mu.shape == (3, 1, 2)
+    alone = BetaPrior(mu[0, 0], cov[0, 0])
+    assert stacked.precision_mu[2, 0].tobytes() == alone.precision_mu.tobytes()
+
+
 def test_gamma_prior_increments_roundtrip():
     prior = GammaProcessPrior.from_shape((5.0, 6.0, 6.3, 6.31), c=1.0)
     np.testing.assert_allclose(prior.increments, [5.0, 1.0, 0.3, 0.01])

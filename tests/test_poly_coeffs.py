@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addhaz.errors import DimensionMismatch, NonNegativityViolation, OutOfRange
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
-from oracles import poly_eval_log
+from oracles import poly_by_slices, poly_eval_log
 
 
 def exact_coefficients(offsets):
@@ -81,6 +83,37 @@ def test_recursion_matches_exact_convolution():
         got = np.exp(poly.log_abs)
         want = np.array([float(c) for c in exact])
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_recursion_matches_exact_convolution_at_study_sizes():
+    # 60 to 120 factors, as a baseline study's intervals hold, some of them
+    # zero: the buffers' -inf tail and leading sentinel stay exact there too
+    rng = np.random.default_rng(20261019)
+    for n in (60, 87, 113, 120):
+        offsets = rng.exponential(1.0, size=n)
+        offsets[rng.choice(n, size=n // 10, replace=False)] = 0.0
+        poly = poly_from_factors(offsets)
+        want = np.array([float(c) for c in exact_coefficients(offsets)])
+        zeros = want == 0.0
+        assert zeros.sum() == n // 10 and np.all(poly.log_abs[zeros] == -math.inf)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(poly.log_abs, np.log(want), rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # mostly small polynomials, a few of up to 1000 factors
+    n=st.one_of(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 1000)),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_two_buffer_recursion_keeps_the_sliced_recursions_bits(seed, n, zero_share):
+    # offsets log-uniform over [1e-300, 1e300], about zero_share of them 0
+    rng = np.random.default_rng(seed)
+    offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
+    offsets[rng.random(n) < zero_share] = 0.0
+    got, want = poly_from_factors(offsets), poly_by_slices(offsets)
+    assert got.log_abs.tobytes() == want.log_abs.tobytes()
 
 
 def test_eval_log_matches_factored_form_200_factors():
