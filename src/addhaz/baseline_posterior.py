@@ -29,7 +29,10 @@ density's mode by safeguarded Newton steps, ends its window where a
 closed-form bound of the log density has dropped far enough, and places its
 nodes on a trapezoid rule whose step grows away from the mode: a few dozen
 to a few hundred nodes, each one pass over the offsets.  Both kernels take
-interval j as three numbers, (j, exposure_j, w_j).  The whole baseline stage,
+interval j as three numbers, (j, exposure_j, w_j), share one helper for
+its prior shape, rate and improper cases and one builder that divides u's
+moments by c_j, and take those moments in offsets from the prior shape, so
+that no large s0 cancels.  The whole baseline stage,
 ``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
 interval for every prior at once, reading the exposures from
 ``interval_summaries`` and the offsets from ``event_offsets_by_interval``.
@@ -62,6 +65,8 @@ EXACT_MAX_FACTORS = 1000
 _TAIL_DROP = 50.0
 # ratio of the spans at which the window's ends are sought
 _SPAN_RATIO = 1.05
+# the quadrature's largest window, in nodes
+_MAX_NODES = 1 << 16
 # (nodes x factors) temporaries of the quadrature stay within 2 MB
 _CHUNK_ELEMENTS = 1 << 18
 # Taylor coefficients 1/k! for k = 12 down to 2, for exp(t) - 1 - t
@@ -118,26 +123,43 @@ def event_offsets_by_interval(
     return np.split(factors, ends[: grid.m - 1])
 
 
-def _interval_prior(j: int, exposure: float, width: float, prior: GammaProcessPrior):
-    """(prior shape c alpha_j, posterior rate c_j) of interval j, after
-    checking the interval's numbers: the one place the kernels read them."""
+def _interval_prior(
+    j: int, exposure: float, width: float, prior: GammaProcessPrior, zeros: int, n_factors: int
+):
+    """(s0, c_j) of interval j: its prior shape c alpha_j plus one unit per
+    zero offset, and its posterior rate, after checking the interval's
+    numbers and that the posterior is proper: the one place the kernels
+    read them."""
     if not 1 <= j <= prior.m:
         raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
     if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included
         raise OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0")
     c = prior.c
-    return c * float(prior.increments[j - 1]), exposure / width + c
+    shape0, rate = c * float(prior.increments[j - 1]) + zeros, exposure / width + c
+    if not (shape0 < math.inf and rate < math.inf):
+        raise OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
+    if shape0 == 0.0:
+        # a zero prior shape with a positive constant coefficient leaves a 1/a
+        # factor near 0, which does not integrate; no factors is the no-events case
+        if n_factors == 0:
+            raise ImproperPosterior(f"interval {j}: zero prior increment and no events")
+        raise ImproperPosterior(
+            f"interval {j}: zero prior increment with a positive "
+            "constant likelihood coefficient"
+        )
+    return shape0, rate
 
 
-def _improper(j: int, n_factors: int) -> ImproperPosterior:
-    # a zero prior shape with a positive constant coefficient leaves a 1/a
-    # factor near 0, which does not integrate; no factors is the no-events case
-    if n_factors == 0:
-        return ImproperPosterior(f"interval {j}: zero prior increment and no events")
-    return ImproperPosterior(
-        f"interval {j}: zero prior increment with a positive "
-        "constant likelihood coefficient"
-    )
+def _posterior(
+    j: int, rate: float, mean_u: float, var_u: float, log_weights=(), shape_offsets=()
+) -> BaselineIncrementPosterior:
+    """The posterior of the increment L = u / c_j from the mean and variance
+    of u: the variance is divided by the rate twice, so that no c_j^2
+    overflows, and a moment that overflows all the same raises OutOfRange."""
+    mean, variance = mean_u / rate, var_u / rate / rate
+    if not (mean < math.inf and variance < math.inf):
+        raise OutOfRange(f"interval {j}: the posterior moments overflow")
+    return BaselineIncrementPosterior(j, log_weights, shape_offsets, float(rate), mean, variance)
 
 
 def increment_posterior(
@@ -149,14 +171,11 @@ def increment_posterior(
     The polynomial must be the product of (a + beta'z_i) over the uncensored
     observations inside the interval (the constant 1 when there are none).
     """
-    shape0, rate = _interval_prior(j, exposure, width, prior)
     # with nonnegative offsets the zero coefficients are the leading ones,
     # one per zero offset, whose factor a is one more unit of prior shape
     dead = int((poly.log_abs > -math.inf).argmax())
+    shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
     log_d = poly.log_abs[dead:]
-    shape0 += dead
-    if shape0 == 0.0:
-        raise _improper(j, poly.degree)
     n = log_d.size
     k = np.arange(n, dtype=float)
     shapes = k + shape0
@@ -174,19 +193,17 @@ def increment_posterior(
     top = log_w.max()
     if not math.isfinite(top):
         raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
-    log_w -= top + math.log(np.exp(log_w - top).sum())
-
-    w = np.exp(log_w)
-    shape_mean = float(w.dot(shapes))
-    dev = shapes - shape_mean
-    shape_var = float(w.dot(dev * dev))
-    return BaselineIncrementPosterior(
-        interval=j,
-        log_weights=tuple(log_w.tolist()),
-        shape_offsets=tuple(shapes.tolist()),
-        rate=float(rate),
-        mean=shape_mean / rate,
-        variance=(shape_var + shape_mean) / (rate * rate),
+    w = np.exp(log_w - top)
+    total = float(w.sum())
+    log_w -= top + math.log(total)
+    # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
+    # away once s0 is far above 2^53
+    k_mean = float(w.dot(k)) / total
+    dev = k - k_mean
+    shape_mean = shape0 + k_mean
+    return _posterior(
+        j, rate, shape_mean, float(w.dot(dev * dev)) / total + shape_mean,
+        tuple(log_w.tolist()), tuple(shapes.tolist()),
     )
 
 
@@ -198,26 +215,27 @@ def increment_moments(
     Takes the same interval as ``increment_posterior`` but the factor
     offsets b_i themselves instead of their polynomial, and returns empty
     ``log_weights`` and ``shape_offsets``: the mixture is not built.  The
-    improper cases and the offset check are those of the exact path.
+    improper cases and the offset check are those of the exact path.  The
+    quadrature takes a prior shape s0 up to 1e300 and u x / b_i up to 1e300
+    at u = s0 + N, x = 1 / (width c_j), and raises OutOfRange beyond them.
     """
-    shape0, rate = _interval_prior(j, exposure, width, prior)
     b = check_offsets(np.asarray(offsets, dtype=float))
     positive = b[b > 0.0]
-    shape0 += b.size - positive.size  # each zero offset is prior shape
-    if shape0 == 0.0:
-        raise _improper(j, b.size)
+    shape0, rate = _interval_prior(j, exposure, width, prior, b.size - positive.size, b.size)
+    mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
     if positive.size:
-        mean_u, var_u = _tilted_gamma_moments(shape0, positive, 1.0 / (width * rate))
-    else:
-        mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
-    return BaselineIncrementPosterior(
-        interval=j,
-        log_weights=(),
-        shape_offsets=(),
-        rate=float(rate),
-        mean=mean_u / rate,
-        variance=var_u / (rate * rate),
-    )
+        x = 1.0 / width / rate
+        # the largest u x / b_i over the mode's bracket u <= s0 + N; below
+        # 1e-290 the offsets move neither moment by a relative 1e-290
+        tilt = (shape0 + positive.size) * x / float(positive.min())
+        if not (shape0 <= 1e300 and tilt <= 1e300):
+            raise OutOfRange(
+                f"interval {j}: prior shape {shape0:.3g} or largest u x / b {tilt:.3g} "
+                "is above the quadrature's 1e300"
+            )
+        if tilt >= 1e-290:
+            mean_u, var_u = _tilted_gamma_moments(j, shape0, positive, x)
+    return _posterior(j, rate, mean_u, var_u)
 
 
 def _expm1_minus_t(t: np.ndarray) -> np.ndarray:
@@ -249,36 +267,39 @@ def _log1mexp(d: np.ndarray) -> np.ndarray:
 
 
 def _tilted_mode(s0: float, b: np.ndarray, x: float) -> tuple[float, np.ndarray, float]:
-    """(u_hat, w, D(u_hat)): the mode of u^s0 e^-u R(u), the shares
-    w_i = u_hat x / (u_hat x + b_i) there, and D(u) = log P(u) / P(0).
+    """(k_hat, w, D(u_hat)): the mode u_hat = s0 + k_hat of u^s0 e^-u R(u),
+    the shares w_i = u_hat x / (u_hat x + b_i) there, and D(u) = log P(u) / P(0).
 
     The log-derivative kappa(u) = u R'(u) / R(u) = sum(w) / (1 - e^-D) of
     R lies in [1, N], so the slope s0 + kappa(u) - u of the log density in
-    log u has its root in [s0 + 1, s0 + N].  Newton steps in u, bisected
-    whenever they leave the shrinking bracket, stop once a step is below
-    1e-3 sqrt(s0 + 1), a thousandth of the narrowest peak's width.
+    log u has its root at k_hat = kappa(s0 + k_hat) in [1, N].  Newton
+    steps in k_hat, which stays exact where s0 + k_hat would round k_hat
+    away, are bisected whenever they leave the shrinking bracket, and stop
+    once a step is below 1e-3 sqrt(s0 + 1), a thousandth of the narrowest
+    peak's width.
     """
-    lo, hi = s0 + 1.0, s0 + b.size
-    u = hi
+    lo, hi = 1.0, float(b.size)
+    k_hat = hi
     for _ in range(200):
+        u = s0 + k_hat
         ux = u * x
         w = ux / (ux + b)
         d_u = float(np.sum(np.log1p(ux / b)))
         share, kept = float(np.sum(w)), -math.expm1(-d_u)  # kept = R(u) / P(u)
         kappa = share / kept
-        slope = s0 + kappa - u
-        lo, hi = (u, hi) if slope >= 0.0 else (lo, u)
+        slope = kappa - k_hat
+        lo, hi = (k_hat, hi) if slope >= 0.0 else (lo, k_hat)
         # d kappa / d log u, from sum(w (1 - w)) and d D / d log u = sum(w);
         # the slope's derivative in u is (dkappa - u) / u, and only a negative
         # one gives a Newton step toward the root
         dkappa = (share - float(np.dot(w, w))) / kept - kappa * kappa * math.exp(-d_u)
-        nxt = u + slope * u / (u - dkappa) if dkappa < u else lo
+        nxt = k_hat + slope * u / (u - dkappa) if dkappa < u else lo
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 1e-3 * math.sqrt(s0 + 1.0):
+        if abs(nxt - k_hat) <= 1e-3 * math.sqrt(s0 + 1.0):
             break
-        u = nxt
-    return u, w, d_u
+        k_hat = nxt
+    return k_hat, w, d_u
 
 
 def _node_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,16 +308,30 @@ def _node_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s - np.expm1(-2.0 * s) / 4.0, 1.0 + np.exp(-2.0 * s) / 2.0
 
 
-def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, float]:
+def _log_gamma_at_mode(s0: float, k_hat: float) -> float:
+    """log Gamma(s0) - s0 log u_hat + u_hat at u_hat = s0 + k_hat.  Above
+    s0 = 10 the three terms would cancel to O(log s0) out of O(s0 log s0),
+    so Stirling's series gives lgamma(s0) - s0 log s0 + s0, to 1e-12, and
+    k_hat - s0 log(u_hat / s0) is s0 (e^tau - 1 - tau), tau = log(u_hat / s0)."""
+    if s0 < 10.0:
+        return math.lgamma(s0) - s0 * math.log(s0 + k_hat) + s0 + k_hat
+    z = 1.0 / s0
+    stirling = 0.5 * math.log(2.0 * math.pi * z) + z / 12 - z**3 / 360 + z**5 / 1260 - z**7 / 1680
+    return stirling + s0 * float(_expm1_minus_t(np.array(math.log1p(k_hat * z))))
+
+
+def _tilted_gamma_moments(j: int, s0: float, b: np.ndarray, x: float) -> tuple[float, float]:
     """Mean and variance of u with density prop. to u^(s0-1) e^-u P(u).
 
     P(u) = prod_i (u x + b_i) over N >= 1 offsets b_i > 0, and s0 > 0.
     P(0) = prod_i b_i contributes the closed-form Gamma(s0, 1) component,
     which carries all of the singularity at u = 0 when s0 < 1; the
     remainder R(u) = P(u) - P(0) is integrated numerically in
-    t = log(u / u_hat), about the mode u_hat of u^s0 e^-u R(u), where the
-    integrand is smooth and decays at least like e^((s0+1) t) to the left
-    and like e^-u to the right.
+    t = log(u / u_hat), about the mode u_hat = s0 + k_hat of
+    u^s0 e^-u R(u), where the integrand is smooth and decays at least like
+    e^((s0+1) t) to the left and like e^-u to the right.  Every term is
+    written in deviations from the mode, k_hat and t, so that no large s0
+    cancels against u_hat.
 
     The window ends where an upper bound of the log integrand has dropped
     by _TAIL_DROP.  The bound is the smaller of two: one from
@@ -311,9 +346,11 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     exp(u eta^2 / 2).  To the left the step stays within 0.6 / sqrt(u) of
     each node's own u, and to the right it shrinks to 2/3 of the mode's.
     Each node costs one _sum_log1p row: log P(u) / P(u_hat) about the mode,
-    or D itself where D may be below 40.
+    or D itself where D may be below 40.  A window of more than _MAX_NODES
+    nodes raises OutOfRange before any node is placed.
     """
-    u_hat, w, d_hat = _tilted_mode(s0, b, x)
+    k_hat, w, d_hat = _tilted_mode(s0, b, x)
+    u_hat = s0 + k_hat
     share, w_sq, w_max = float(np.sum(w)), float(np.dot(w, w)), float(np.max(w))
     log_rem = math.log(-math.expm1(-d_hat))  # log R(u_hat) / P(u_hat)
 
@@ -328,16 +365,21 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
         side_spans = spans[spans <= 3.9] if side < 0 else spans
         t = _node_map(side * side_spans)[0]
         with np.errstate(over="ignore"):
-            v = np.expm1(t)
+            v, e = np.expm1(t), _expm1_minus_t(t)
             quad = w_sq * v * v / (2.0 * np.maximum(1.0, 1.0 + w_max * v))
+            # both in deviations from the mode: s0 t - u_hat v = -k_hat t - u_hat e
             upper = np.minimum(
-                s0 * t - (u_hat - share) * v - quad - log_rem, (s0 + power) * t - u_hat * v
+                (share - k_hat) * t - (u_hat - share) * e - quad - log_rem,
+                (power - k_hat) * t - u_hat * e,
             )
         dropped = np.flatnonzero(upper < -_TAIL_DROP)
         ends.append(side_spans[dropped[0] if dropped.size else -1])
 
     step = min(0.2, 0.6 / math.sqrt(u_hat)) / 1.5  # in s; dt/ds = 1.5 at the mode
-    t, dt_ds = _node_map(step * np.arange(-math.ceil(ends[0] / step), math.ceil(ends[1] / step) + 1))
+    left, right = math.ceil(ends[0] / step), math.ceil(ends[1] / step)
+    if left + right >= _MAX_NODES:
+        raise OutOfRange(f"interval {j}: the quadrature would need {left + right + 1} nodes")
+    t, dt_ds = _node_map(step * np.arange(-left, right + 1))
     v = np.expm1(t)
     # R = P (1 - e^-D) with D = log P(u) / P(0).  Where D may be below 40, R
     # and P differ and d_hat + growth would cancel as u -> 0, so D is summed
@@ -349,22 +391,24 @@ def _tilted_gamma_moments(s0: float, b: np.ndarray, x: float) -> tuple[float, fl
     drop[near] = _sum_log1p(u_hat * np.exp(t[near]), x / b)
     growth[near] = drop[near] - d_hat
     # log of u^s0 e^-u R(u) at u = u_hat e^t, relative to t = 0, times the
-    # node's weight step dt/ds; s0 t - (u - u_hat) is written so that a
-    # large s0 does not cancel
-    log_f = (s0 - u_hat) * v - s0 * _expm1_minus_t(t) + growth + (_log1mexp(drop) - log_rem)
+    # node's weight step dt/ds: s0 t - (u - u_hat) = -k_hat v - s0 E(t)
+    log_f = growth - k_hat * v - s0 * _expm1_minus_t(t) + (_log1mexp(drop) - log_rem)
     log_f += np.log(step * dt_ds)
-    # log of P(0) Gamma(s0), on the scale of log_f
-    log_p0 = math.lgamma(s0) - s0 * math.log(u_hat) + u_hat - d_hat - log_rem
-    top = max(log_p0, float(np.max(log_f)))
-    w0 = math.exp(log_p0 - top)
+    top = float(np.max(log_f))
     wq = np.exp(log_f - top)
-    total = w0 + float(np.sum(wq))
-    mean = (w0 * s0 + float(np.dot(wq, u_hat * np.exp(t)))) / total
-    # deviations from u_hat are exact to rounding; the centring error of
-    # u_hat - mean adds only its square to the variance
-    dev = u_hat * v + (u_hat - mean)
-    var = (w0 * (s0 + (s0 - mean) ** 2) + float(np.dot(wq, dev * dev))) / total
-    return mean, var
+    total = float(np.sum(wq))
+    # the R part's mean, u_hat + shift, and variance
+    dev = u_hat * v
+    shift = float(np.dot(wq, dev)) / total
+    dev -= shift
+    var_r = float(np.dot(wq, dev * dev)) / total
+    # the R part's share p against the P(0) Gamma(s0) part, from their log
+    # odds; the parts' means differ by gap, and no term below cancels
+    odds = _log_gamma_at_mode(s0, k_hat) - d_hat - log_rem - top - math.log(total)
+    small = math.exp(-abs(odds))
+    p = (small if odds > 0.0 else 1.0) / (1.0 + small)
+    gap = k_hat + shift
+    return s0 + p * gap, (1.0 - p) * s0 + p * var_r + p * (1.0 - p) * gap * gap
 
 
 def increment_posteriors(

@@ -3,9 +3,10 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 
-from addhaz.baseline_posterior import _improper, _interval_prior
+from addhaz.baseline_posterior import _interval_prior
 from addhaz.data_model import BaselineIncrementPosterior, SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
@@ -76,13 +77,10 @@ def poly_by_slices(offsets) -> PolyCoefficients:
 def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPosterior:
     """The Gamma-mixture posterior written with numpy's module functions and
     a concatenated log-rising sum: the reference that ``increment_posterior``
-    is held to bit for bit."""
-    shape0, rate = _interval_prior(j, exposure, width, prior)
+    is held to bit for bit in all but its mean and variance."""
     dead = int(np.argmax(poly.log_abs > -math.inf))
+    shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
     log_d = poly.log_abs[dead:]
-    shape0 += dead
-    if shape0 == 0.0:
-        raise _improper(j, poly.degree)
     k = np.arange(log_d.size)
     shapes = k + shape0
     log_scale = math.log(width) + math.log(rate)
@@ -103,6 +101,31 @@ def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPoste
         mean=shape_mean / rate,
         variance=(shape_var + shape_mean) / (rate * rate),
     )
+
+
+def mixture_moments(log_d, s0, width, rate):
+    """(mean, variance) of the increment u / rate, u of density proportional
+    to u^(s0 - 1) e^-u sum_k d_k (x u)^k with x = 1 / (width rate): the
+    Gamma(s0 + k, 1) mixture with weights d_k x^k (s0)_k, summed in mpmath
+    with enough digits to hold s0 + k exactly.  log_d holds log d_k, -inf
+    for the leading zeros; s0 = 0 is allowed when d_0 = 0."""
+    digits = 40 + (abs(math.floor(math.log10(s0))) if s0 > 0.0 else 0)
+    with mpmath.workdps(digits):
+        s0, rate = mpmath.mpf(s0), mpmath.mpf(rate)
+        x = 1 / (mpmath.mpf(width) * rate)
+        # the weights relative to the first live one: d_k x^k (s0 + k0)_(k - k0)
+        weights, rising = [], None
+        for k, log_dk in enumerate(np.asarray(log_d, dtype=float).tolist()):
+            if log_dk == -math.inf:
+                weights.append(mpmath.mpf(0))
+                continue
+            rising = mpmath.mpf(1) if rising is None else rising
+            weights.append(mpmath.exp(log_dk) * x**k * rising)
+            rising *= s0 + k
+        total = mpmath.fsum(weights)
+        mean = mpmath.fsum(w * (s0 + k) for k, w in enumerate(weights)) / total
+        var = mpmath.fsum(w * (s0 + k + (s0 + k - mean) ** 2) for k, w in enumerate(weights))
+        return float(mean / rate), float(var / total / rate**2)
 
 
 def draw_event_times(offsets, rng: np.random.Generator):

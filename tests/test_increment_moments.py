@@ -2,10 +2,12 @@
 
 ``increment_moments`` integrates the posterior density of the increment
 numerically; ``increment_posterior`` builds the finite mixture from the
-likelihood polynomial.  The two share only the interval bookkeeping, so
-agreement to 1e-10 relative over the grid below, and over intervals that
-hypothesis draws, is an oracle check of the quadrature.  Broad posteriors
-check its node count.  The last tests cover the routing of ``fit`` between
+likelihood polynomial.  The two share only the interval bookkeeping and
+the division by the rate, so agreement to 1e-10 relative over the grid
+below, and over intervals that hypothesis draws, is an oracle check of the
+quadrature.  Both paths are also held to an mpmath sum of the mixture at
+prior weights c alpha from 1e-300 to 1e300.  Broad posteriors check the
+quadrature's node count.  The last tests cover the routing of ``fit`` between
 the two paths and the serialized form of a quadrature result.
 """
 
@@ -13,6 +15,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from addhaz.data_model import FitResult, GammaProcessPrior, SurvivalDataset, Tim
 from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
-from oracles import write_dataset_csv
+from oracles import mixture_moments, write_dataset_csv
 
 PRIOR_SHAPES = (1e-3, 0.5, 1.0, 50.0)  # s0 = c * alpha_j
 CONFIDENCES = (1e-12, 1.0, 1e12)  # c
@@ -285,6 +288,103 @@ def test_mixture_keeps_precision_at_large_confidence(n):
         prior = GammaProcessPrior((0.5,), c)
         exact = increment_posterior(*interval, poly, prior)
         assert_same_moments(increment_moments(*interval, b, prior), exact)
+
+
+@st.composite
+def heavy_priors(draw):
+    """A one-increment prior whose shape c alpha is log-uniform over
+    [1e-300, 1e300], with c log-uniform over the part of [1e-300, 1e300]
+    that keeps alpha in that range too."""
+    shape = draw(st.floats(-300.0, 300.0))
+    c = 10.0 ** draw(st.floats(max(-300.0, shape - 300.0), min(300.0, shape + 300.0)))
+    return GammaProcessPrior((10.0**shape / c,), c)
+
+
+def drawn_interval(n, seed, decades, zero_share, ratio, width):
+    """(interval, offsets): n offsets log-uniform over a drawn part of
+    [1e-6, 1e6], a share of them zero."""
+    rng = np.random.default_rng(seed)
+    b = 10.0 ** rng.uniform(*decades, n)
+    b[rng.random(n) < zero_share] = 0.0
+    return (1, ratio * width, width), b
+
+
+def assert_right_or_typed(kernel, interval, factors, log_d, prior):
+    """The kernel's posterior, with moments within 1e-10 of the mpmath
+    mixture, or the OutOfRange it raised, which names the interval and
+    either the quadrature's range or moments the mixture too finds beyond
+    the floats.  RuntimeWarnings are errors, and the call's temporaries
+    stay under 4 MB."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = kernel(*interval, factors, prior)
+    except OutOfRange as exc:
+        post = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 4e6
+    j, exposure, width = interval
+    rate = exposure / width + prior.c
+    mean, variance = mixture_moments(log_d, prior.c * float(prior.increments[0]), width, rate)
+    if isinstance(post, OutOfRange):
+        assert str(post).startswith(f"interval {j}: ")
+        assert "quadrature" in str(post) or not math.isfinite(mean + variance), (mean, variance)
+        return post
+    # a subnormal moment keeps only its absolute precision
+    assert post.mean == pytest.approx(mean, rel=1e-10, abs=1e-320)
+    assert post.variance == pytest.approx(variance, rel=1e-10, abs=1e-320)
+    return post
+
+
+interval_draws = dict(
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)).map(sorted),
+    zero_share=st.sampled_from([0.0, 0.0, 0.2]),
+    ratio=st.one_of(st.just(0.0), log_uniform(-2.0, 6.0)),
+    width=log_uniform(-3.0, 3.0),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(prior=heavy_priors(), n=st.integers(0, 60), **interval_draws)
+def test_mixture_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
+    interval, b = drawn_interval(n, **draws)
+    poly = poly_from_factors(b)
+    assert_right_or_typed(increment_posterior, interval, poly, poly.log_abs, prior)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    prior=heavy_priors(),
+    n=st.integers(EXACT_MAX_FACTORS + 1, EXACT_MAX_FACTORS + 50),
+    **interval_draws,
+)
+def test_quadrature_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
+    interval, b = drawn_interval(n, **draws)
+    log_d = poly_from_factors(b).log_abs
+    assert_right_or_typed(increment_moments, interval, b, log_d, prior)
+
+
+@pytest.mark.parametrize("c", [1e30, 1e40, 1e80, 1e200, 1e300])
+def test_quadrature_window_stays_small_at_huge_prior_weights(c, monkeypatch):
+    # the window's bounds once cancelled at large c alpha: 5e4 nodes at
+    # 1e40, and at 1e80 a node count numpy refused with a bare ValueError
+    rows = [0]
+    sum_log1p = baseline_posterior._sum_log1p
+
+    def counted(a, b):
+        rows[0] += a.size
+        return sum_log1p(a, b)
+
+    monkeypatch.setattr(baseline_posterior, "_sum_log1p", counted)
+    b = np.random.default_rng(4).uniform(0.1, 4.0, 1200)
+    log_d, prior = poly_from_factors(b).log_abs, GammaProcessPrior((1.0,), c)
+    post = assert_right_or_typed(increment_moments, (1, 40.0, 1.0), b, log_d, prior)
+    assert not isinstance(post, OutOfRange)
+    assert 0 < rows[0] <= 60
 
 
 def test_quadrature_temporaries_stay_small():
