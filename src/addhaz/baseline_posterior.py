@@ -134,10 +134,12 @@ def _interval_prior(
         raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
     if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included
         raise OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0")
-    c = prior.c
-    shape0, rate = c * float(prior.increments[j - 1]) + zeros, exposure / width + c
+    c, alpha = prior.c, float(prior.increments[j - 1])
+    shape0, rate = c * alpha + zeros, exposure / width + c
     if not (shape0 < math.inf and rate < math.inf):
         raise OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
+    if shape0 == 0.0 and alpha > 0.0:
+        raise OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
     if shape0 == 0.0:
         # a zero prior shape with a positive constant coefficient leaves a 1/a
         # factor near 0, which does not integrate; no factors is the no-events case

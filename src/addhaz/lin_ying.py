@@ -18,6 +18,10 @@ so n V2 = Z' diag(t) Z - W'W, two products in O(nk) memory, where segment s
 has length L_s, c_s subjects at risk with covariate sum S_z(s), and
 W_s = sqrt(L_s / c_s) S_z(s).  V3 sums over event terms only: the
 martingale-based variance.
+
+The times take numpy's default sort.  Distinct times have one ascending
+order; where two are equal, each run of equal times is put back in row
+order, so the bits are always a stable sort's.
 """
 
 from __future__ import annotations
@@ -63,8 +67,19 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
     n = ds.n
     with np.errstate(over="ignore", invalid="ignore"):
         # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
-        order = ds.times.argsort(kind="stable")
+        order = ds.times.argsort()
         t = ds.times[order]
+        # distinct times u_1 < ... < u_K start the runs of equal sorted times
+        starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
+        starts[0] = True
+        np.not_equal(t[1:], t[:-1], out=starts[1:])
+        if not starts.all():
+            # ties: sorted keys run * n + row put each run in row order, as a
+            # stable sort does, which fixes tied rows' bits (-0.0 and 0.0 too)
+            order += (starts.cumsum() - 1) * n
+            order.sort()
+            order %= n
+            t = ds.times[order]
         events = ds.events[order]
         # V1-V3 are translation-invariant; centering stops V2's difference cancelling
         z = ds.covariates[order]
@@ -72,12 +87,8 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         del order
         ztz = (z.T * t) @ z
 
-        # distinct times u_1 < ... < u_K; t is sorted, so u_s starts the run of
-        # equal times at row first[s], and event row i sits at distinct index
-        # inv_events[i]
-        starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
-        starts[0] = True
-        np.not_equal(t[1:], t[:-1], out=starts[1:])
+        # t is sorted, so u_s starts the run of equal times at row first[s], and
+        # event row i sits at distinct index inv_events[i]
         first = starts.nonzero()[0]
         inv_events = (starts.cumsum() - 1)[events]
         lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}

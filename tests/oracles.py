@@ -14,9 +14,10 @@ from addhaz.errors import (
     ImproperPosterior,
     NoEvents,
     NonNegativityViolation,
+    OutOfRange,
     SingularDesign,
 )
-from addhaz.lin_ying import compute_statistics, ly_solve
+from addhaz.lin_ying import LYStatistics, compute_statistics, ly_solve
 from addhaz.poly_coeffs import PolyCoefficients, check_offsets
 
 
@@ -126,6 +127,50 @@ def mixture_moments(log_d, s0, width, rate):
         mean = mpmath.fsum(w * (s0 + k) for k, w in enumerate(weights)) / total
         var = mpmath.fsum(w * (s0 + k + (s0 + k - mean) ** 2) for k, w in enumerate(weights))
         return float(mean / rate), float(var / total / rate**2)
+
+
+def statistics_by_runs(ds: SurvivalDataset) -> LYStatistics:
+    """V1, V2, V3 from a stable sort and the runs of equal times, built for
+    every dataset: the reference that ``compute_statistics`` is held to bit
+    for bit."""
+    n = ds.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = ds.times.argsort(kind="stable")
+        t = ds.times[order]
+        events = ds.events[order]
+        z = ds.covariates[order]
+        z -= ds.covariates.mean(axis=0)
+        ztz = (z.T * t) @ z
+        # run s of equal times starts at row first[s]; event row i is in run inv_events[i]
+        starts = np.concatenate(([True], t[1:] != t[:-1]))
+        first = starts.nonzero()[0]
+        inv_events = (starts.cumsum() - 1)[events]
+        lengths = np.diff(np.concatenate(([0.0], t[first])))
+        resid = z[events]
+        sum_z = z[::-1].cumsum(axis=0)[::-1][first]
+        counts = n - first
+        zbar = sum_z[inv_events]
+        zbar /= counts[inv_events][:, None]
+        resid -= zbar
+        v1 = resid.sum(axis=0) / n
+        v3 = resid.T @ resid / n
+        w = sum_z
+        w *= np.sqrt(lengths / counts)[:, None]
+        v2 = (ztz - w.T @ w) / n
+        v2 = (v2 + v2.T) / 2.0
+        v3 = (v3 + v3.T) / 2.0
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all() and np.isfinite(v3).all()):
+        raise OutOfRange("V1, V2 or V3 overflows")
+    return LYStatistics(v1=v1, v2=v2, v3=v3, n=n)
+
+
+def offsets_by_mask(ds: SurvivalDataset, grid, beta) -> list[np.ndarray]:
+    """beta'z of each grid interval's events, in row order, picked out by one
+    mask per interval: the reference for ``event_offsets_by_interval``."""
+    offsets = ds.covariates @ np.asarray(beta, dtype=float)
+    rows = np.flatnonzero(ds.events)
+    idx = np.searchsorted(np.asarray(grid.boundaries), ds.times[rows], side="left")
+    return [offsets[rows[idx == j]] for j in range(grid.m)]
 
 
 def draw_event_times(offsets, rng: np.random.Generator):

@@ -32,7 +32,7 @@ from addhaz.errors import (
 )
 from addhaz.poly_coeffs import poly_from_factors
 
-from oracles import mixture_moments, mixture_posterior
+from oracles import mixture_moments, mixture_posterior, offsets_by_mask
 
 
 def quadrature_moments(offsets, alpha, c, exposure, width):
@@ -405,6 +405,30 @@ def test_exposure_and_offsets_follow_the_interval_conventions(times, events, cut
         assert offsets[j].tolist() == rows  # in row order: it fixes the factor order
     placed = sum(o.size for o in offsets)
     assert placed == sum(e and ti <= grid.t_final for e, ti in zip(events, times))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    m=st.sampled_from([1, 4, 255, 256, 300, 1000]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_event_partition_keeps_row_order_within_each_interval(n, m, tied, seed):
+    # the sorted partition gives each interval's events in row order, as one
+    # mask per interval does; an unstable sort of the interval indices would not
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 1.2, size=n)
+    if tied:
+        times = np.round(times, 1)
+    events = rng.random(n) < 0.7
+    events[0] = True
+    ds = SurvivalDataset(times, events, rng.exponential(size=(n, 2)))
+    grid = TimeGrid(tuple(np.linspace(0.0, 1.0, m + 1)[1:-1].tolist()), 1.0)
+    beta = np.array([0.5, 0.25])
+    got, want = event_offsets_by_interval(ds, grid, beta), offsets_by_mask(ds, grid, beta)
+    assert len(got) == len(want) == m
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_only_events_inside_the_grid_need_nonnegative_offsets():

@@ -715,6 +715,13 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert code == 18
     assert error_record(err)["error"] == "ImproperPosterior"
+    # 14, not 18: positive prior increments whose shape c alpha_j underflows
+    argv = ["simulate", "--n", "50", "--replicates", "3", "--c-grid", "1e-200",
+            "--alpha-increments", "1e-200,1e-200", "--grid-cuts", "0.5", "--t-final", "1.0",
+            "--seed", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 14 and out == ""
+    assert error_record(err)["message"] == "interval 1: the prior shape c alpha_j underflows to 0"
 
     # 19: coverage outside (0, 1)
     code, _, err = run(

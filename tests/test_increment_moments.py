@@ -92,6 +92,19 @@ def test_improper_cases_match_exact_path():
             increment_moments(*interval, b, zero_shape),
             increment_posterior(*interval, poly_from_factors(b), zero_shape),
         )
+    # a positive alpha_j whose c alpha_j underflows to 0 is out of range, not
+    # improper, in both kernels; a zero offset still adds a unit of shape
+    tiny = GammaProcessPrior([1e-200], c=1e-200)
+    underflow = "^interval 1: the prior shape c alpha_j underflows to 0$"
+    for b in ([], [1.0], rng.uniform(0.1, 4.0, 1500)):
+        with pytest.raises(OutOfRange, match=underflow):
+            increment_posterior(*interval, poly_from_factors(b), tiny)
+        with pytest.raises(OutOfRange, match=underflow):
+            increment_moments(*interval, b, tiny)
+    assert_same_moments(
+        increment_moments(*interval, [0.0, 2.0], tiny),
+        increment_posterior(*interval, poly_from_factors([0.0, 2.0]), tiny),
+    )
     # no events under a proper prior: the prior Gamma itself
     prior = GammaProcessPrior((2.0,), c=0.7)
     quad = increment_moments(*interval, [], prior)

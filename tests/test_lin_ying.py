@@ -3,7 +3,9 @@
 Two oracles are used: a direct O(n^2) double loop that evaluates the
 defining sums and segment integrals one observation at a time, and a plain
 trapezoid quadrature for the time integral in V2.  Both are deliberately
-naive and share no code with the vectorized implementation.
+naive and share no code with the vectorized implementation.  The kernel is
+also held bit for bit to ``oracles.statistics_by_runs``, which builds the
+runs of equal times from a stable sort for every dataset.
 """
 
 import tracemalloc
@@ -11,11 +13,15 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addhaz.data_model import SurvivalDataset
 from addhaz.errors import OutOfRange, SingularCovariance, SingularDesign
 from addhaz.fitting import fit
 from addhaz.lin_ying import LYStatistics, _decompose, compute_statistics, ly_solve
+
+from oracles import statistics_by_runs
 
 
 def brute_force_statistics(ds, events_only_v3=True):
@@ -375,3 +381,35 @@ def test_overflowing_statistics_raise_out_of_range_without_a_warning():
         compute_statistics(huge)
     with pytest.raises(OutOfRange):
         fit(huge)
+
+
+def draw_times(rng, n, kind):
+    """n follow-up times, distinct or tied in the named way."""
+    if kind == "distinct":
+        return rng.exponential(size=n)
+    if kind == "rounded":
+        return np.round(rng.exponential(size=n), int(rng.integers(0, 3)))
+    if kind == "equal":
+        return np.full(n, rng.choice([0.0, 1.5]))
+    # 0.0 and -0.0 compare equal, so they are one run whose order the sort fixes
+    return rng.choice([0.0, -0.0, 0.5, 2.0], size=n, p=[0.4, 0.4, 0.1, 0.1])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(["distinct", "rounded", "equal", "signed zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_statistics_keep_the_bits_of_the_runs_kernel(n, k, kind, seed):
+    # the default sort serves distinct times and the stable one tied times;
+    # both hold the reference's bits
+    rng = np.random.default_rng(seed)
+    events = rng.random(n) < 0.7
+    events[rng.integers(n)] = True
+    ds = SurvivalDataset(draw_times(rng, n, kind), events, rng.exponential(size=(n, k)))
+    got, want = compute_statistics(ds), statistics_by_runs(ds)
+    assert got.n == want.n == n
+    for name in ("v1", "v2", "v3"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
