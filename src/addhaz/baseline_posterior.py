@@ -36,6 +36,8 @@ that no large s0 cancels.  The whole baseline stage,
 ``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
 interval for every prior at once, reading the exposures from
 ``interval_summaries`` and the offsets from ``event_offsets_by_interval``.
+Each interval's polynomial, and its per-polynomial work
+(``PolyCoefficients.live``), is made once and shared by every prior.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def event_offsets_by_interval(
             "negative beta'z among events; baseline increments need "
             "nonnegative offsets"
         )
-    return np.split(factors, ends[: grid.m - 1])
+    cuts = ends[: grid.m].tolist()
+    return [factors[a:b] for a, b in zip([0, *cuts], cuts)]
 
 
 def _interval_prior(
@@ -175,11 +178,9 @@ def increment_posterior(
     """
     # with nonnegative offsets the zero coefficients are the leading ones,
     # one per zero offset, whose factor a is one more unit of prior shape
-    dead = int((poly.log_abs > -math.inf).argmax())
+    dead, log_d, k = poly.live
     shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
-    log_d = poly.log_abs[dead:]
     n = log_d.size
-    k = np.arange(n, dtype=float)
     shapes = k + shape0
     log_scale = math.log(width) + math.log(rate)
     # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
@@ -192,11 +193,12 @@ def increment_posterior(
     np.add.accumulate(np.log(shapes[1:-1]), out=log_rising[2:n])
     log_w = log_d - k * log_scale
     log_w += log_rising[:n]
-    top = log_w.max()
+    # the ufuncs' reduce, not the methods, which add a Python-level wrapper
+    top = np.maximum.reduce(log_w)
     if not math.isfinite(top):
         raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
     w = np.exp(log_w - top)
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     log_w -= top + math.log(total)
     # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
     # away once s0 is far above 2^53
@@ -221,7 +223,7 @@ def increment_moments(
     quadrature takes a prior shape s0 up to 1e300 and u x / b_i up to 1e300
     at u = s0 + N, x = 1 / (width c_j), and raises OutOfRange beyond them.
     """
-    b = check_offsets(np.asarray(offsets, dtype=float))
+    b = check_offsets(offsets)
     positive = b[b > 0.0]
     shape0, rate = _interval_prior(j, exposure, width, prior, b.size - positive.size, b.size)
     mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u

@@ -83,7 +83,7 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         events = ds.events[order]
         # V1-V3 are translation-invariant; centering stops V2's difference cancelling
         z = ds.covariates[order]
-        z -= ds.covariates.mean(axis=0)
+        z -= ds.covariates.sum(axis=0) / n  # mean(axis=0)'s bits, without its wrapper
         del order
         ztz = (z.T * t) @ z
 
@@ -91,8 +91,11 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         # event row i sits at distinct index inv_events[i]
         first = starts.nonzero()[0]
         inv_events = (starts.cumsum() - 1)[events]
-        lengths = np.diff(np.concatenate(([0.0], t[first])))  # L_s = u_s - u_{s-1}
-        del t
+        u = t[first]
+        lengths = np.empty(u.size)  # L_s = u_s - u_{s-1}, with u_0 = 0
+        lengths[0] = u[0]
+        np.subtract(u[1:], u[:-1], lengths[1:])
+        del t, u
 
         resid = z[events]  # the event rows, centered below
         # suffix sums over sorted rows: everything with t >= u_s starts at first[s]

@@ -18,14 +18,20 @@ where deg is the number of factors multiplied in so far.
 -inf tail for the degrees not reached yet, so one whole-length pass per
 factor writes every new coefficient into the other buffer with no
 slicing, and the two buffers swap.  log-add-exp is exact against -inf,
-so the sentinels change no coefficient's bits.
+so the sentinels change no coefficient's bits.  Each log b_i reaches
+``np.add`` through one reused 0-d array: a Python float operand would be
+converted anew on every call, which costs about as much as the add itself.
+
+The offsets may be any 1-d array-like of reals, read once as float64 and
+never written; what numpy cannot read so (ragged rows, a string, a
+generator) raises DimensionMismatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +50,8 @@ class PolyCoefficients:
         log_abs = np.array(self.log_abs, dtype=float)  # a copy, frozen below
         if log_abs.ndim != 1 or log_abs.size == 0:
             raise DimensionMismatch("log_abs must be a non-empty 1-d array")
+        if not np.maximum.reduce(log_abs) < math.inf:  # NaN included; -inf is a zero
+            raise OutOfRange("log coefficients must be below +inf")
         log_abs.setflags(write=False)
         object.__setattr__(self, "log_abs", log_abs)
 
@@ -51,21 +59,39 @@ class PolyCoefficients:
     def degree(self) -> int:
         return self.log_abs.size - 1
 
+    @cached_property
+    def live(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(dead, log_d, k): the count of leading zero coefficients, the log
+        coefficients after them, and k = 0, 1, ... as read-only floats;
+        worked out on first use and kept for every later one."""
+        dead = int((self.log_abs > -math.inf).argmax())
+        k = np.arange(self.log_abs.size - dead, dtype=float)
+        k.setflags(write=False)
+        return dead, self.log_abs[dead:], k
 
-def check_offsets(b: np.ndarray) -> np.ndarray:
-    """b itself, once it is known to be a 1-d array of finite offsets >= 0."""
+
+def check_offsets(offsets) -> np.ndarray:
+    """The offsets as a 1-d float64 array, once they are known to be finite
+    and >= 0; an array of that dtype is returned as it is, not copied."""
+    try:
+        b = np.asarray(offsets, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
+        raise DimensionMismatch(f"factor offsets must be 1-d and numeric: {exc}") from None
     if b.ndim != 1:
         raise DimensionMismatch("factor offsets must be a 1-d sequence")
-    if np.any(b < 0.0):
-        raise NonNegativityViolation("factor offsets must be >= 0")
-    if not np.all(np.isfinite(b)):
+    # one reduce each for the least and the largest offset (NaN fails both);
+    # only bad offsets pay for naming a negative one before a non-finite one
+    if b.size and not (np.minimum.reduce(b) >= 0.0 and np.maximum.reduce(b) < math.inf):
+        if (b < 0.0).any():
+            raise NonNegativityViolation("factor offsets must be >= 0")
         raise OutOfRange("factor offsets must be finite")
     return b
 
 
-def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
-    """Multiply out prod_i (a + b_i); every offset b_i must be finite and >= 0."""
-    b = check_offsets(np.fromiter(offsets, dtype=float))
+def poly_from_factors(offsets) -> PolyCoefficients:
+    """Multiply out prod_i (a + b_i) over a 1-d array-like of offsets b_i,
+    each finite and >= 0."""
+    b = check_offsets(offsets)
     # two buffers [d_-1, d_0, ..., d_N] from [-inf, 0, -inf, ...]: d_-1 = 0 is
     # never written, and the -inf tail holds the degrees not reached yet.
     # Each factor writes logaddexp(d_{k-1}, d_k + log b) for every k into the
@@ -74,11 +100,13 @@ def poly_from_factors(offsets: Iterable[float]) -> PolyCoefficients:
     src, dst = np.full((2, b.size + 2), -math.inf)
     src[1] = 0.0
     scaled = np.empty(b.size + 1)
+    log_b = np.empty(())
     cur, nxt = (src[:-1], src[1:]), (dst[:-1], dst[1:])
+    add, logaddexp, log = np.add, np.logaddexp, math.log  # one lookup, not one a factor
     for offset in b.tolist():
         # math.log, not np.log: the vectorized log may differ in the last ulp
-        log_b = math.log(offset) if offset > 0.0 else -math.inf
-        np.add(cur[1], log_b, out=scaled)
-        np.logaddexp(cur[0], scaled, out=nxt[1])
+        log_b[()] = log(offset) if offset > 0.0 else -math.inf
+        add(cur[1], log_b, scaled)
+        logaddexp(cur[0], scaled, nxt[1])
         cur, nxt = nxt, cur
     return PolyCoefficients(cur[1])

@@ -320,6 +320,39 @@ def test_mixture_keeps_the_reference_kernels_bits(
         np.testing.assert_allclose(moments, reference, rtol=1e-13, atol=0.0)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 60),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    exposure=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    width=st.floats(1e-6, 1e3),
+    weights=st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(1e-6, 1e3))),
+        min_size=2, max_size=4,
+    ),
+    order=st.permutations(range(4)),
+)
+def test_one_polynomial_serves_every_prior_in_any_order(
+    seed, n, zero_share, exposure, width, weights, order
+):
+    # the polynomial keeps its leading-zero count, live coefficients and powers
+    # after its first use; each prior, in whatever order it comes, must get
+    # the posterior (or error) of a polynomial used for it alone, and the
+    # reference kernel's bits; a zero alpha with no zero offset is improper
+    rng = np.random.default_rng(seed)
+    offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
+    offsets[rng.random(n) < zero_share] = 0.0
+    shared = poly_from_factors(offsets)
+    for i in [i for i in order if i < len(weights)] * 2:
+        c, alpha = weights[i]
+        prior = GammaProcessPrior([alpha], c)
+        fresh = poly_from_factors(offsets)
+        got = _outcome(increment_posterior, 1, exposure, width, shared, prior)
+        assert got == _outcome(increment_posterior, 1, exposure, width, fresh, prior)
+        assert got[0] == _outcome(mixture_posterior, 1, exposure, width, fresh, prior)[0]
+
+
 def test_full_pipeline_matches_quadrature():
     rng = np.random.default_rng(5150)
     n = 14

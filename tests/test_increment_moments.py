@@ -129,6 +129,26 @@ def test_bad_offsets_rejected_like_the_polynomial():
         increment_moments(*interval, [[1.0, 2.0]], prior)
 
 
+def test_malformed_offsets_raise_dimension_mismatch_in_both_kernels():
+    # whatever numpy cannot read as a 1-d float array is typed, not a bare
+    # ValueError or a string read digit by digit; generators are not taken
+    interval = (1, 2.0, 1.0)
+    prior = GammaProcessPrior((1.0,), c=1.0)
+    for b in (
+        [[1.0, 2.0]], [[1.0], [2.0, 3.0]], "12", ["a"], (x for x in [1.0]), 1.0, None
+    ):
+        with pytest.raises(DimensionMismatch):
+            poly_from_factors(b)
+        with pytest.raises(DimensionMismatch):
+            increment_moments(*interval, b, prior)
+    # a negative offset is named before a non-finite one, wherever each sits
+    for b in ([math.nan, -1.0], [-1.0, math.inf]):
+        with pytest.raises(NonNegativityViolation):
+            poly_from_factors(b)
+        with pytest.raises(NonNegativityViolation):
+            increment_moments(*interval, b, prior)
+
+
 @pytest.mark.parametrize(
     "exposure, width",
     [(1.0, 0.0), (-5.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),

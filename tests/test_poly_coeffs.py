@@ -171,6 +171,30 @@ def test_coefficient_container_is_immutable():
         PolyCoefficients(np.zeros(0))
 
 
+def test_non_finite_log_coefficients_rejected():
+    # NaN and +inf are no coefficient; -inf is a zero one.  A NaN in front
+    # once passed for a zero coefficient, and increment_posterior returned
+    # the posterior of the polynomial a with no error
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            PolyCoefficients(np.array([bad, 0.0]))
+        with pytest.raises(OutOfRange):
+            PolyCoefficients(np.array([0.0, 1.0, bad]))
+    assert PolyCoefficients(np.array([-math.inf, 0.0])).degree == 1
+
+
+def test_offsets_of_any_real_array_like_give_the_same_bits():
+    values = [3.0, 1.0, 4.0, 1.0, 5.0, 0.0, 2.0, 6.0]
+    want = poly_from_factors(np.array(values)).log_abs.tobytes()
+    held = np.array(values)
+    view = held[:]
+    view.setflags(write=False)
+    for offsets in (values, tuple(values), held, np.array(values, dtype=np.int64), view):
+        assert poly_from_factors(offsets).log_abs.tobytes() == want
+    # the caller's array is read, never written or frozen
+    assert held.tolist() == values and held.flags.writeable
+
+
 def test_coefficients_leave_the_callers_array_writable():
     log_abs = np.array([0.0, -1.0])
     held = PolyCoefficients(log_abs).log_abs
