@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .data_model import (
-    BaselineIncrementPosterior, GammaProcessPrior, SurvivalDataset, TimeGrid
+    BaselineIncrementPosterior, GammaProcessPrior, SurvivalDataset, TimeGrid, _reals
 )
 from .errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from .poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
@@ -107,7 +107,7 @@ def event_offsets_by_interval(
     with signed covariates) put the data outside the mixture posterior's
     domain and are rejected.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = _reals(beta, "beta")
     if beta.shape != (ds.k,):
         raise DimensionMismatch("beta dimension does not match the dataset")
     offsets = ds.covariates @ beta

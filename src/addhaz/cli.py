@@ -231,11 +231,11 @@ def _build_parser():
 
         add("--config", help="flat key = value settings file")
         add("--coverage", type=float, default=0.95, help="credible level (default 0.95)")
-        add("--out", help="directory for output files")
         return add
 
     for name in ("fit", "baseline"):
         add = command(name, f"{name} estimation from a CSV dataset")
+        add("--out", help="directory for output files")
         add("--input", help="dataset CSV (time,event,covariates...)")
         add("--grid-quantiles", type=_float_list, default=DEFAULT_QUANTILES)
         add("--grid-cuts", type=_float_list)
@@ -251,6 +251,7 @@ def _build_parser():
             add("--skip-baseline", action="store_true", help="coefficient path only")
 
     add = command("simulate", "run a Monte Carlo study")
+    add("--out", help="directory for output files")
     add("--preset", choices=sorted(PRESETS), help="named study setup")
     add("--n", type=int, default=100)
     add("--replicates", type=int, default=1000)

@@ -5,6 +5,9 @@ regression coefficients and nonnegative covariates, observed under right
 censoring as (time, event, covariates) triplets.  The baseline hazard is
 treated as piecewise constant on a grid 0 = s_0 < s_1 < ... < s_m = t_final
 whose intervals are the left-open, right-closed cells (s_{j-1}, s_j].
+
+Every entry reads a caller's numbers with ``_reals``: bools, integers or
+floats, else DimensionMismatch.  Event flags are bools, or numbers 0 or 1.
 """
 
 from __future__ import annotations
@@ -36,6 +39,20 @@ __all__ = [
 ]
 
 
+def _reals(values, what: str, ndim: int | None = None, dtype=float) -> np.ndarray:
+    """A new C-ordered ``dtype`` array (numpy's own type if None) of ``values``,
+    read by numpy as bools, integers or floats of ``ndim`` dimensions (any if
+    None); anything else raises DimensionMismatch naming ``what``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged rows: numpy reads no array
+        array = np.array(None)
+    if array.dtype.kind not in "biuf" or ndim not in (None, array.ndim):
+        dims = "" if ndim is None else f" {ndim}-d"
+        raise DimensionMismatch(f"{what} must be a rectangular{dims} array of real numbers")
+    return np.array(array, dtype=dtype, order="C")
+
+
 class SurvivalDataset:
     """Immutable collection of observations, stored as numpy arrays.
 
@@ -53,18 +70,11 @@ class SurvivalDataset:
     def __init__(self, times, events, covariates, *, allow_signed=False):
         # copies, so freezing them leaves the caller's arrays writable; C order,
         # because sums over the rows depend on the memory layout in the last bits
-        try:
-            times = np.array(times, dtype=float)
-            events = np.array(events, dtype=bool)
-            covariates = np.array(covariates, dtype=float, order="C")
-        except (TypeError, ValueError) as exc:  # ragged rows, non-numeric cells
-            raise DimensionMismatch(
-                f"times, events and covariates must be rectangular numeric arrays: {exc}"
-            ) from None
-        if covariates.ndim != 2:
-            raise DimensionMismatch("covariates must form a 2-d array")
+        times = _reals(times, "times", 1)
+        events = _reals(events, "event flags", 1, dtype=None)  # no float copy
+        covariates = _reals(covariates, "covariates", 2)
         n = times.shape[0]
-        if times.ndim != 1 or events.shape != (n,) or covariates.shape[0] != n:
+        if events.shape != (n,) or covariates.shape[0] != n:
             raise DimensionMismatch(
                 "times, events and covariates must agree on the number of rows"
             )
@@ -83,6 +93,9 @@ class SurvivalDataset:
                 "covariates must be >= 0 (pass allow_signed=True to bypass "
                 "for flat-prior analyses of pre-transformed data)"
             )
+        if events.dtype != bool and not np.all((events == 0) | (events == 1)):
+            raise OutOfRange("event flags must be bools, or numbers equal to 0 or 1")
+        events = events.astype(bool, copy=False)
         if not np.any(events):
             raise NoEvents("dataset contains no uncensored observations")
         for name, values in zip(self.__slots__, (times, events, covariates)):
@@ -128,17 +141,15 @@ class TimeGrid:
     t_final: float
 
     def __post_init__(self):
-        tf = float(self.t_final)
+        tf = float(_reals(self.t_final, "t_final", 0))
+        cuts = tuple(_reals(self.cuts, "grid cuts", 1).tolist())
         if not math.isfinite(tf) or tf <= 0:
             raise DegenerateGrid("t_final must be finite and > 0")
-        prev = 0.0
-        for s in self.cuts:
-            if not math.isfinite(s) or s <= prev:
-                raise DegenerateGrid("cuts must be finite and strictly increasing")
-            prev = s
-        if self.cuts and self.cuts[-1] >= tf:
+        if not all(math.isfinite(b) and a < b for a, b in zip((0.0,) + cuts, cuts)):
+            raise DegenerateGrid("cuts must be finite and strictly increasing")
+        if cuts and cuts[-1] >= tf:
             raise DegenerateGrid("cuts must lie strictly below t_final")
-        object.__setattr__(self, "cuts", tuple(float(s) for s in self.cuts))
+        object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "t_final", tf)
 
     @property
@@ -170,15 +181,14 @@ def grid_from_quantiles(
     quantiles are collapsed, and quantiles falling on 0 or at or beyond
     ``t_final`` are discarded; at least one usable cut must remain.
     """
-    probs = [float(p) for p in probs]
+    probs = _reals(probs, "quantile probabilities", 1).tolist()
     if not probs:
         raise DegenerateGrid("at least one quantile probability is required")
     if any(not 0.0 < p < 1.0 for p in probs):  # NaN included
         raise DegenerateGrid("quantile probabilities must lie in (0, 1)")
-    for a, b in zip(probs, probs[1:]):
-        if not a < b:
-            raise DegenerateGrid("quantile probabilities must be strictly increasing")
-    t_final = float(np.max(ds.times) if t_final is None else t_final)
+    if not all(a < b for a, b in zip(probs, probs[1:])):
+        raise DegenerateGrid("quantile probabilities must be strictly increasing")
+    t_final = float(np.max(ds.times) if t_final is None else _reals(t_final, "t_final", 0))
     if not t_final >= float(np.max(ds.times)):  # NaN included
         raise OutOfRange("t_final must cover every observed time")
     event_times = np.sort(ds.times[ds.events])
@@ -212,13 +222,6 @@ def _spd_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     return inverse
 
 
-def _frozen_array(values) -> np.ndarray:
-    # a copy, so freezing it leaves the caller's array writable
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class BetaPrior:
     """Gaussian prior for the regression coefficients: N(mu, cov).
@@ -236,7 +239,7 @@ class BetaPrior:
     precision_mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu, cov = _frozen_array(self.mu), _frozen_array(self.cov)
+        mu, cov = _reals(self.mu, "prior mean"), _reals(self.cov, "prior covariance")
         if mu.ndim == 0 or cov.shape != mu.shape + mu.shape[-1:]:
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
         if not np.all(np.isfinite(mu)):
@@ -250,12 +253,10 @@ class BetaPrior:
             precision_mu = (precision @ mu[..., None])[..., 0]
         if not np.all(np.isfinite(precision_mu)):
             raise OutOfRange("prior mean times the prior precision overflows")
-        precision.setflags(write=False)
-        precision_mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "precision_mu", precision_mu)
+        for name, values in zip(("mu", "cov", "precision", "precision_mu"),
+                                (mu, cov, precision, precision_mu)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def k(self) -> int:
@@ -264,12 +265,13 @@ class BetaPrior:
     @classmethod
     def isotropic(cls, mu, omega: float, k: int | None = None) -> "BetaPrior":
         """Prior N(mu, omega * I); scalar mu is broadcast to dimension k."""
-        if np.ndim(mu) == 0 and k is None:
+        mu = _reals(mu, "prior mean")
+        if mu.ndim == 0 and k is None:
             raise DimensionMismatch("k is required when mu is scalar")
-        mu_vec = np.full(k, float(mu)) if np.ndim(mu) == 0 else np.asarray(mu, dtype=float)
+        mu_vec = np.full(k, mu) if mu.ndim == 0 else mu
         if k is not None and mu_vec.size != k:
             raise DimensionMismatch(f"prior mean has {mu_vec.size} entries, expected 1 or {k}")
-        return cls(mu_vec, np.diag(np.full(mu_vec.size, float(omega))))
+        return cls(mu_vec, np.diag(np.full(mu_vec.size, _reals(omega, "prior variance", 0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,18 +288,19 @@ class GammaProcessPrior:
     c: float
 
     def __post_init__(self):
-        inc = _frozen_array(self.increments)
-        if inc.ndim != 1 or inc.size == 0:
+        inc = _reals(self.increments, "prior increments", 1)
+        if inc.size == 0:
             raise DimensionMismatch("prior increments must form a non-empty 1-d array")
         if not np.all(np.isfinite(inc)):
             raise OutOfRange("prior increments must be finite")
         if np.any(inc < 0):
             raise NonNegativityViolation("prior increments must be >= 0 (alpha nondecreasing)")
-        c = float(self.c)
+        c = float(_reals(self.c, "confidence parameter c", 0))
         if not math.isfinite(c):
             raise OutOfRange("confidence parameter c must be finite")
         if c <= 0:
             raise NonNegativityViolation("confidence parameter c must be > 0")
+        inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
         object.__setattr__(self, "c", c)
 
@@ -311,7 +314,7 @@ class GammaProcessPrior:
         function alpha at the boundaries s_1..s_m, with alpha(0) = 0."""
         # inf - inf and overflow leave non-finite increments, rejected above
         with np.errstate(invalid="ignore", over="ignore"):
-            return cls(np.diff(np.asarray(alpha_at_cuts, dtype=float), prepend=0.0), c)
+            return cls(np.diff(_reals(alpha_at_cuts, "prior shape", 1), prepend=0.0), c)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,6 @@ def fit(
         ly_beta=tuple(float(v) for v in estimate.m),
         sigma_hat=tuple(sigma_hat(interval).tolist()),
         hpd=tuple(zip(interval.lower.tolist(), interval.upper.tolist())),
-        coverage=float(coverage),
+        coverage=interval.coverage,
         baseline=baseline,
     )

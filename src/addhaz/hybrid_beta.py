@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from ._normal import erfcx, log_ndtr, ndtr, ndtri_exp
 
-from .data_model import BetaPrior, _spd_inverse, inverse_cholesky
+from .data_model import BetaPrior, _reals, _spd_inverse, inverse_cholesky
 from .errors import AddhazError, DimensionMismatch, InvalidCoverage, SingularCovariance
 from .lin_ying import LYEstimate
 
@@ -61,11 +61,9 @@ def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
     shape (r, k, k), and the prior may be a stack: a (p, 1, k) prior gives
     (p, r, k) means, each prior's with the bits of its own call.
     """
-    m = np.asarray(estimate.m, dtype=float)
-    d = np.asarray(estimate.d, dtype=float)
-    k = m.shape[-1]
-    if prior.k != k:
-        raise DimensionMismatch(f"prior dimension {prior.k} does not match estimate dimension {k}")
+    m, d = _reals(estimate.m, "estimate m"), _reals(estimate.d, "sandwich covariance")
+    if m.shape[-1:] != (prior.k,):  # a 0-d m too
+        raise DimensionMismatch(f"prior dimension {prior.k} does not match estimate {m.shape}")
     d_inv = _spd_inverse(d, "sandwich covariance")
     cov = _spd_inverse(d_inv + prior.precision, "posterior precision")
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
@@ -193,6 +191,7 @@ def hpd_interval(pp: PseudoPosterior, coverage: float) -> HpdInterval:
     bounds have the shape of ``pp.mean``.  Every marginal variance must be a
     finite normal float and every mean / sd finite.
     """
+    coverage = float(_reals(coverage, "coverage", 0))
     if not (0.0 < coverage < 1.0):
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
     var = np.diagonal(pp.cov, axis1=-2, axis2=-1)

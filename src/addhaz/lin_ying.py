@@ -20,8 +20,8 @@ W_s = sqrt(L_s / c_s) S_z(s).  V3 sums over event terms only: the
 martingale-based variance.
 
 The times take numpy's default sort.  Distinct times have one ascending
-order; where two are equal, each run of equal times is put back in row
-order, so the bits are always a stable sort's.
+order; where two are equal, they are sorted again with a stable sort, so
+the bits are always a stable sort's.
 """
 
 from __future__ import annotations
@@ -74,11 +74,8 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         starts[0] = True
         np.not_equal(t[1:], t[:-1], out=starts[1:])
         if not starts.all():
-            # ties: sorted keys run * n + row put each run in row order, as a
-            # stable sort does, which fixes tied rows' bits (-0.0 and 0.0 too)
-            order += (starts.cumsum() - 1) * n
-            order.sort()
-            order %= n
+            # ties: a stable sort keeps each run in row order (-0.0 and 0.0 too)
+            order = ds.times.argsort(kind="stable")
             t = ds.times[order]
         events = ds.events[order]
         # V1-V3 are translation-invariant; centering stops V2's difference cancelling

@@ -22,8 +22,8 @@ so the sentinels change no coefficient's bits.  Each log b_i reaches
 ``np.add`` through one reused 0-d array: a Python float operand would be
 converted anew on every call, which costs about as much as the add itself.
 
-The offsets may be any 1-d array-like of reals, read once as float64 and
-never written; what numpy cannot read so (ragged rows, a string, a
+The offsets may be any 1-d array-like of reals, copied once as float64 by
+``data_model._reals``; what numpy cannot read so (ragged rows, text, a
 generator) raises DimensionMismatch.
 """
 
@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data_model import _reals
 from .errors import DimensionMismatch, NonNegativityViolation, OutOfRange
 
 __all__ = ["PolyCoefficients", "poly_from_factors"]
@@ -47,8 +48,8 @@ class PolyCoefficients:
     log_abs: np.ndarray
 
     def __post_init__(self):
-        log_abs = np.array(self.log_abs, dtype=float)  # a copy, frozen below
-        if log_abs.ndim != 1 or log_abs.size == 0:
+        log_abs = _reals(self.log_abs, "log_abs", 1)  # a copy, frozen below
+        if log_abs.size == 0:
             raise DimensionMismatch("log_abs must be a non-empty 1-d array")
         if not np.maximum.reduce(log_abs) < math.inf:  # NaN included; -inf is a zero
             raise OutOfRange("log coefficients must be below +inf")
@@ -71,14 +72,8 @@ class PolyCoefficients:
 
 
 def check_offsets(offsets) -> np.ndarray:
-    """The offsets as a 1-d float64 array, once they are known to be finite
-    and >= 0; an array of that dtype is returned as it is, not copied."""
-    try:
-        b = np.asarray(offsets, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
-        raise DimensionMismatch(f"factor offsets must be 1-d and numeric: {exc}") from None
-    if b.ndim != 1:
-        raise DimensionMismatch("factor offsets must be a 1-d sequence")
+    """The offsets as a new 1-d float64 array, checked finite and >= 0."""
+    b = _reals(offsets, "factor offsets", 1)
     # one reduce each for the least and the largest offset (NaN fails both);
     # only bad offsets pay for naming a negative one before a non-finite one
     if b.size and not (np.minimum.reduce(b) >= 0.0 and np.maximum.reduce(b) < math.inf):

@@ -27,6 +27,7 @@ from .data_model import (
     GammaProcessPrior,
     SurvivalDataset,
     TimeGrid,
+    _reals,
     _row_blocks,
     grid_from_quantiles,
 )
@@ -69,21 +70,21 @@ class SimConfig:
         # a Monte Carlo sd needs two replicates
         if self.n < 2 or self.replicates < 2:
             raise DimensionMismatch("a study needs n >= 2 and at least 2 replicates")
-        beta = tuple(float(b) for b in self.beta_true)
-        if not beta:
+        beta = _reals(self.beta_true, "true coefficients", 1)
+        if not beta.size:
             raise DimensionMismatch("at least one true coefficient is required")
-        if not all(math.isfinite(b) for b in beta):
+        if not np.all(np.isfinite(beta)):
             raise OutOfRange("true coefficients must be finite")
-        if any(b < 0 for b in beta):
+        if np.any(beta < 0):
             raise NonNegativityViolation("true coefficients must be >= 0")
-        censor_rate = float(self.censor_rate)
+        censor_rate = float(_reals(self.censor_rate, "censor_rate", 0))
         if not math.isfinite(censor_rate):
             raise OutOfRange("censor_rate must be finite")
         if censor_rate < 0:
             raise NonNegativityViolation("censor_rate must be >= 0")
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise NonNegativityViolation("seed must be a nonnegative integer")
-        object.__setattr__(self, "beta_true", beta)
+        object.__setattr__(self, "beta_true", tuple(beta.tolist()))
         object.__setattr__(self, "censor_rate", censor_rate)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -234,7 +235,8 @@ def run_beta_experiment(
     only through the prior.  Replicates with a singular design are dropped;
     more than 1% of drops aborts the study.
     """
-    cells = list(itertools.product((float(v) for v in mu_grid), (float(v) for v in omega_grid)))
+    grids = _reals(mu_grid, "prior means", 1), _reals(omega_grid, "prior variances", 1)
+    cells = list(itertools.product(*(grid.tolist() for grid in grids)))
     if not cells:
         raise DimensionMismatch("prior grids must not be empty")
     # every cell's prior N(mu * 1, omega * I) in one (cells, 1, k) stack
@@ -285,7 +287,7 @@ def run_baseline_experiment(
     report holds the posterior mean of each of the first
     len(alpha_increments) increments for every confidence weight in c_grid.
     """
-    c_grid = tuple(float(v) for v in c_grid)
+    c_grid = tuple(_reals(c_grid, "confidence weights", 1).tolist())
     if not c_grid:
         raise DimensionMismatch("confidence weights must not be empty")
     priors = [GammaProcessPrior(alpha_increments, c) for c in c_grid]

@@ -30,7 +30,7 @@ from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import (
     AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation
 )
-from addhaz.poly_coeffs import poly_from_factors
+from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
 from oracles import mixture_moments, mixture_posterior, offsets_by_mask
 
@@ -170,6 +170,9 @@ def test_event_offsets_split_by_interval():
     grid = TimeGrid((1.0, 2.0), 3.0)
     offsets = event_offsets_by_interval(ds, grid, np.array([2.0]))
     assert [list(o) for o in offsets] == [[2.0], [4.0], [6.0]]
+    for beta in ([], [2.0, 1.0]):
+        with pytest.raises(DimensionMismatch, match="beta dimension"):
+            event_offsets_by_interval(ds, grid, beta)
 
 
 def test_no_events_posterior_is_prior_gamma():
@@ -277,6 +280,12 @@ def test_improper_posterior_cases():
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
     assert post.variance == pytest.approx(var_q, rel=1e-6)
+    # the zero polynomial, and an interval the prior has no increment for
+    proper = GammaProcessPrior([1.0], c=1.0)
+    with pytest.raises(ImproperPosterior, match="all mixture weights vanished"):
+        increment_posterior(*interval, PolyCoefficients([-math.inf]), proper)
+    with pytest.raises(DimensionMismatch, match="outside the prior"):
+        increment_posterior(0, 2.0, 1.0, poly_from_factors([1.0]), proper)
 
 
 def _outcome(kernel, *args):

@@ -512,6 +512,13 @@ def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert run(capsys, argv + ["--config", str(cfg)])[1] == out_other
     assert run(capsys, argv + ["--config", str(cfg), "--seed", "7"])[1] == out_env
 
+    # a seed that is not an integer is argparse's usage error
+    monkeypatch.setenv("ADDHAZ_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
 
 def test_negative_values_with_an_exponent(tmp_path, capsys):
     # argparse alone takes "-1e-3" for an option and exits 2
@@ -523,6 +530,21 @@ def test_negative_values_with_an_exponent(tmp_path, capsys):
     write_dataset(csv_path)
     code, _, err = run(capsys, ["fit", "--input", str(csv_path), "--prior-mu", "-1e-3"])
     assert code == 0 and err == ""
+
+
+def test_hpd_takes_no_out_directory(tmp_path, capsys, monkeypatch):
+    # hpd writes no file, so --out is an unknown flag, and a config file's
+    # out key, which serves the other subcommands, is skipped
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["hpd", "--mean", "0", "--sd", "1", "--out", "d"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out d" in capsys.readouterr().err
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("mean = 0\nsd = 1\nout = d\n")
+    code, out, _ = run(capsys, ["hpd", "--config", str(cfg)])
+    assert code == 0 and out == run(capsys, ["hpd", "--mean", "0", "--sd", "1"])[1]
+    assert not (tmp_path / "d").exists()
 
 
 def test_simulate_needs_two_replicates(capsys):
@@ -746,6 +768,9 @@ def test_exit_codes(tmp_path, capsys):
     # 21: missing required input
     code, _, err = run(capsys, ["fit"])
     assert code == 21
+    code, _, err = run(capsys, ["hpd", "--sd", "1"])
+    assert code == 21
+    assert error_record(err)["message"] == "--mean and --sd are required"
 
     # 2: unreadable file
     code, _, err = run(capsys, ["fit", "--input", str(tmp_path / "absent.csv")])

@@ -2,6 +2,8 @@
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from addhaz.data_model import (
     grid_from_quantiles,
 )
 from addhaz.dataio import read_dataset_csv
+from addhaz.hybrid_beta import hpd_interval, pseudo_posterior
+from addhaz.lin_ying import LYEstimate
+from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
+from addhaz.simulate import SimConfig, run_baseline_experiment, run_beta_experiment
 from addhaz.errors import (
     DegenerateGrid,
     DimensionMismatch,
@@ -58,6 +64,8 @@ def test_negative_time_rejected_even_when_signed():
 def test_all_censored_rejected():
     with pytest.raises(NoEvents):
         validate_dataset([(1.0, False, [0.5]), (2.0, False, [0.3])])
+    with pytest.raises(NoEvents):
+        SurvivalDataset([], [], np.empty((0, 1)))
 
 
 def test_ragged_covariates_rejected():
@@ -67,6 +75,8 @@ def test_ragged_covariates_rejected():
         SurvivalDataset([1.0, 2.0], [True, True], [[0.5]])
     with pytest.raises(DimensionMismatch):
         SurvivalDataset([1.0], [True], [0.5])
+    with pytest.raises(DimensionMismatch):
+        SurvivalDataset([1.0], [True], np.empty((1, 0)))
 
 
 def test_ragged_rows_raise_typed_error():
@@ -80,10 +90,10 @@ def test_ragged_rows_raise_typed_error():
 
 
 def test_nonfinite_values_rejected():
-    with pytest.raises(OutOfRange):
-        validate_dataset([(math.inf, True, [0.5])])
-    with pytest.raises(OutOfRange):
-        validate_dataset([(1.0, True, [math.nan])])
+    # a non-finite value is named before a negative one: -inf is OutOfRange
+    for time, covariate in ((math.inf, 0.5), (-math.inf, 0.5), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(OutOfRange):
+            validate_dataset([(time, True, [covariate])])
 
 
 def test_zero_time_accepted():
@@ -215,6 +225,8 @@ def test_beta_prior_isotropic_and_spd_check():
     prior = BetaPrior.isotropic(0.5, 2.0, 3)
     np.testing.assert_array_equal(prior.mu, [0.5, 0.5, 0.5])
     np.testing.assert_allclose(prior.cov, 2.0 * np.eye(3))
+    with pytest.raises(DimensionMismatch, match="k is required"):
+        BetaPrior.isotropic(0.5, 1.0)
     # the factorization alone rejects a variance that is not positive and
     # finite, or whose inverse overflows
     for omega in (-1.0, 0.0, 1e-310, np.inf, np.nan):
@@ -331,6 +343,81 @@ def test_gamma_prior_rejects_nonfinite_shape():
     for inc, c in (((0.5, np.nan), 1.0), ((np.inf,), 1.0), ((1.0,), np.inf), ((1.0,), np.nan)):
         with pytest.raises(OutOfRange, match="finite"):
             GammaProcessPrior(inc, c=c)
+
+
+DS = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [1.0]])
+GRID = TimeGrid((1.5,), 2.0)
+PRIOR = BetaPrior.isotropic(0.5, 1.0, 1)
+
+
+def _posterior():
+    return pseudo_posterior(LYEstimate(np.ones(1), np.eye(1)), PRIOR)
+
+
+# each entry's reading of a caller's numbers; the first cases raised a bare
+# ValueError or TypeError, or read the text as numbers
+NOT_REALS = {
+    "flag text": lambda: SurvivalDataset([1.0, 2.0], ["0", "1"], [[1.0], [1.0]]),
+    "ragged increments": lambda: GammaProcessPrior([[1.0, 2.0], [3.0]], 1.0),
+    "ragged covariance": lambda: BetaPrior([1.0, 2.0], [[1.0, 0.0], [0.0]]),
+    "shape text": lambda: GammaProcessPrior.from_shape(["a"], 1.0),
+    "isotropic text": lambda: BetaPrior.isotropic("x", 1.0, 1),
+    "coefficient text": lambda: SimConfig(10, 2, ("a",)),
+    "quantile text": lambda: grid_from_quantiles(DS, ["a"]),
+    "beta text": lambda: event_offsets_by_interval(DS, GRID, ["a"]),
+    "estimate text": lambda: pseudo_posterior(LYEstimate(["a"], [[1.0]]), PRIOR),
+    "cut text": lambda: TimeGrid(("0.5",), 1.0),
+    "coverage text": lambda: hpd_interval(_posterior(), "0.9"),
+    "numeric text": lambda: GammaProcessPrior(["1", "2"], "2"),
+    "numeric c text": lambda: GammaProcessPrior([1.0, 2.0], "2"),
+    "prior text": lambda: BetaPrior(["1"], [["1"]]),
+    "t_final text": lambda: TimeGrid((), "1"),
+    "offset text": lambda: poly_from_factors(["1", "2"]),
+    "log coefficient text": lambda: PolyCoefficients(["0"]),
+    "fractions": lambda: SurvivalDataset([Fraction(1, 2)], [True], [[1.0]]),
+    "decimals": lambda: GammaProcessPrior([Decimal("1")], 1.0),
+    "none": lambda: TimeGrid((), None),
+    "complex": lambda: BetaPrior.isotropic(0.5, 1.0 + 0j, 1),
+    "bytes": lambda: SimConfig(10, 2, (0.5,), censor_rate=b"1"),
+    "datetimes": lambda: SurvivalDataset(np.array(["2020-01-01"], "M8[D]"), [True], [[1.0]]),
+    "generator": lambda: run_baseline_experiment(SimConfig(10, 2, (0.5,)), iter([1.0]), [1.0]),
+    "prior grid text": lambda: run_beta_experiment(SimConfig(10, 2, (0.5,)), ["a"], [1.0]),
+    "scalar cuts": lambda: TimeGrid(0.5, 1.0),
+    "two-d coverage": lambda: hpd_interval(_posterior(), [0.9]),
+    "two-d shape": lambda: GammaProcessPrior.from_shape([[1.0, 2.0]], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REALS))
+def test_caller_numbers_other_than_reals_raise_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatch, match="rectangular .*array of real numbers"):
+        NOT_REALS[case]()
+
+
+@pytest.mark.parametrize("flags", [[2, 1], [0.5, 1.0], [1.0, math.nan], [-1, 1]])
+def test_event_flags_other_than_0_or_1_are_out_of_range(flags):
+    # each once read as an event, changing V1, V3 and the baseline polynomials
+    with pytest.raises(OutOfRange, match="event flags"):
+        SurvivalDataset([1.0, 2.0], flags, [[1.0], [1.0]])
+
+
+def test_bools_and_integers_keep_the_bits_of_floats():
+    want = SurvivalDataset([1.0, 2.0, 3.0], [True, False, False], [[1.0, 0.0]] * 3)
+    for flags in ([1, 0, 0], [1.0, 0.0, -0.0], np.array([1, 0, 0], np.uint8), (True, 0, 0)):
+        ds = SurvivalDataset(np.arange(1, 4), flags, [[True, 0]] * 3)
+        for name in SurvivalDataset.__slots__:
+            got, expected = getattr(ds, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert TimeGrid((1, np.float32(2.5)), np.int64(3)) == TimeGrid((1.0, 2.5), 3.0)
+    gamma = GammaProcessPrior(np.array([1, 2]), np.float32(0.5))
+    assert gamma.increments.tolist() == [1.0, 2.0] and type(gamma.c) is float
+    assert BetaPrior.isotropic(np.int64(1), 2, 2).cov.tobytes() == (
+        BetaPrior.isotropic(1.0, 2.0, 2).cov.tobytes()
+    )
+    assert SimConfig(10, 2, [1, True], censor_rate=1).beta_true == (1.0, 1.0)
+    interval = hpd_interval(_posterior(), np.float64(0.9))
+    assert type(interval.coverage) is float
+    assert interval.upper.tobytes() == hpd_interval(_posterior(), 0.9).upper.tobytes()
 
 
 def test_csv_round_trip_is_identity(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from addhaz import dataio
 from addhaz.cli import main
 from addhaz.data_model import SurvivalDataset
 from addhaz.dataio import read_dataset_csv, read_transformed_cohort_csv
@@ -163,6 +164,18 @@ def test_an_unclosed_header_quote_names_line_1(tmp_path, capsys, rows):
         read_dataset_csv(path)
     assert main(["fit", "--input", str(path)]) == 21
     assert "line 1" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("flag", [" 1", "0 "])
+def test_a_padded_event_field_reads_like_the_row_parser(tmp_path, monkeypatch, flag):
+    # loadtxt hands the padded text to the event converter, which strips it
+    path = tmp_path / "ds.csv"
+    path.write_text(f"time,event,z1\n0.5,{flag},0.2\n0.7,1,0.3\n")
+    monkeypatch.setattr(dataio, "_parse_rows", None)  # the loadtxt path only
+    got = outcome(lambda: read_dataset_csv(path))
+    monkeypatch.undo()
+    assert got == outcome(lambda: read_by_rows(path))
+    assert got[2] == bytes([flag.strip() == "1", 1])
 
 
 def test_a_closed_quoted_header_name_may_span_two_lines(tmp_path):

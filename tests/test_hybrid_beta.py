@@ -17,7 +17,7 @@ from scipy import optimize
 from scipy.stats import norm
 
 from addhaz.data_model import BetaPrior, SurvivalDataset
-from addhaz.errors import InvalidCoverage, SingularCovariance
+from addhaz.errors import DimensionMismatch, InvalidCoverage, SingularCovariance
 from addhaz.hybrid_beta import (
     HpdInterval,
     PseudoPosterior,
@@ -309,12 +309,18 @@ def test_invalid_coverage_rejected():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(InvalidCoverage):
             hpd_interval(pp, bad)
+        with pytest.raises(InvalidCoverage):
+            sigma_hat(HpdInterval(np.zeros(1), np.ones(1), bad))
 
 
 def test_singular_inputs_rejected():
     est = LYEstimate(m=np.array([1.0, 1.0]), d=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularCovariance):
         pseudo_posterior(est, BetaPrior.isotropic(0.0, 1.0, 2))
+    with pytest.raises(DimensionMismatch, match="prior dimension 3"):
+        pseudo_posterior(est, BetaPrior.isotropic(0.0, 1.0, 3))
+    with pytest.raises(DimensionMismatch, match="prior dimension 1"):  # an IndexError once
+        pseudo_posterior(LYEstimate(1.0, [[1.0]]), BetaPrior.isotropic(0.0, 1.0, 1))
     # the exact constrained mode factors the covariance through the same check
     for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
         pp = PseudoPosterior(np.array([1.0, -1.0]), np.array(cov))

@@ -164,6 +164,16 @@ def test_bad_interval_numbers_raise_a_typed_error(exposure, width):
         increment_moments(1, exposure, width, [1.0], prior)
 
 
+@pytest.mark.parametrize(
+    "exposure, offsets, c", [(2.0, [1.0], 1e301), (0.0, [1e-300], 1.0)]
+)
+def test_quadrature_raises_above_its_1e300(exposure, offsets, c):
+    # a prior shape c alpha, or a largest u x / b, above 1e300
+    prior = GammaProcessPrior([1.0], c)
+    with pytest.raises(OutOfRange, match="above the quadrature's 1e300"):
+        increment_moments(1, exposure, 1.0, offsets, prior)
+
+
 def test_edge_interval_numbers_are_accepted():
     # no time at risk is a valid interval: the posterior is then a Gamma
     # mixture at rate c alone
