@@ -132,7 +132,11 @@ def _interval_prior(
     """(s0, c_j) of interval j: its prior shape c alpha_j plus one unit per
     zero offset, and its posterior rate, after checking the interval's
     numbers and that the posterior is proper: the one place the kernels
-    read them."""
+    read them; the stage's plain int and floats skip their conversion."""
+    if type(j) is not int and not isinstance(j, np.integer):
+        raise DimensionMismatch(f"interval index must be an integer, got {j!r}")
+    if type(exposure) is not float or type(width) is not float:
+        exposure, width = _reals([exposure, width], "exposure and width", 1).tolist()
     if not 1 <= j <= prior.m:
         raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
     if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included

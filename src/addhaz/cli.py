@@ -110,11 +110,10 @@ def _run_fit(args, *, baseline_only: bool) -> int:
             grid = TimeGrid(args.grid_cuts, t_final)
         at_cuts = grid.boundaries if args.alpha_at_cuts is None else args.alpha_at_cuts
         gamma_prior = GammaProcessPrior.from_shape(at_cuts, args.gamma_c)
-    mu = args.prior_mu
     result = fitting.fit(
         ds,
         grid,
-        beta_prior=BetaPrior.isotropic(mu[0] if len(mu) == 1 else mu, args.prior_omega, ds.k),
+        beta_prior=BetaPrior.isotropic(args.prior_mu, args.prior_omega, ds.k),
         gamma_prior=gamma_prior,
         coverage=args.coverage,
         orthant_qp=args.orthant_qp,

@@ -8,6 +8,8 @@ whose intervals are the left-open, right-closed cells (s_{j-1}, s_j].
 
 Every entry reads a caller's numbers with ``_reals``: bools, integers or
 floats, else DimensionMismatch.  Event flags are bools, or numbers 0 or 1.
+Then one domain rule, ``_finite``, holds at every entry: NaN and +-inf raise
+OutOfRange, and only then does a negative value raise NonNegativityViolation.
 """
 
 from __future__ import annotations
@@ -53,6 +55,18 @@ def _reals(values, what: str, ndim: int | None = None, dtype=float) -> np.ndarra
     return np.array(array, dtype=dtype, order="C")
 
 
+def _finite(array: np.ndarray, what: str, nonneg: bool = True) -> np.ndarray:
+    """``array``, if finite (else OutOfRange) and then, if ``nonneg``, >= 0 (else
+    NonNegativityViolation), read from its least and largest entry (NaN fails both)."""
+    if array.size:
+        low = np.minimum.reduce(array, axis=None)
+        if not (-math.inf < low and np.maximum.reduce(array, axis=None) < math.inf):
+            raise OutOfRange(f"{what} must be finite")
+        if nonneg and low < 0.0:
+            raise NonNegativityViolation(f"{what} must be >= 0")
+    return array
+
+
 class SurvivalDataset:
     """Immutable collection of observations, stored as numpy arrays.
 
@@ -82,17 +96,8 @@ class SurvivalDataset:
             raise NoEvents("empty dataset")
         if covariates.shape[1] < 1:
             raise DimensionMismatch("at least one covariate column is required")
-        if not np.all(np.isfinite(times)):
-            raise OutOfRange("non-finite follow-up time")
-        if np.any(times < 0):
-            raise NonNegativityViolation("follow-up times must be >= 0")
-        if not np.all(np.isfinite(covariates)):
-            raise OutOfRange("non-finite covariate value")
-        if not allow_signed and np.any(covariates < 0):
-            raise NonNegativityViolation(
-                "covariates must be >= 0 (pass allow_signed=True to bypass "
-                "for flat-prior analyses of pre-transformed data)"
-            )
+        _finite(times, "follow-up times")
+        _finite(covariates, "covariates (signed ones need allow_signed)", nonneg=not allow_signed)
         if events.dtype != bool and not np.all((events == 0) | (events == 1)):
             raise OutOfRange("event flags must be bools, or numbers equal to 0 or 1")
         events = events.astype(bool, copy=False)
@@ -242,8 +247,7 @@ class BetaPrior:
         mu, cov = _reals(self.mu, "prior mean"), _reals(self.cov, "prior covariance")
         if mu.ndim == 0 or cov.shape != mu.shape + mu.shape[-1:]:
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
-        if not np.all(np.isfinite(mu)):
-            raise OutOfRange("prior mean must be finite")
+        _finite(mu, "prior mean", nonneg=False)
         precision = _spd_inverse(cov, "prior covariance")
         # each matrix over max(1, its largest |entry|), so no difference overflows
         scaled = cov / np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
@@ -264,14 +268,15 @@ class BetaPrior:
 
     @classmethod
     def isotropic(cls, mu, omega: float, k: int | None = None) -> "BetaPrior":
-        """Prior N(mu, omega * I); scalar mu is broadcast to dimension k."""
+        """Prior N(mu, omega * I); mu is broadcast to dimension k as numpy does."""
         mu = _reals(mu, "prior mean")
         if mu.ndim == 0 and k is None:
             raise DimensionMismatch("k is required when mu is scalar")
-        mu_vec = np.full(k, mu) if mu.ndim == 0 else mu
-        if k is not None and mu_vec.size != k:
-            raise DimensionMismatch(f"prior mean has {mu_vec.size} entries, expected 1 or {k}")
-        return cls(mu_vec, np.diag(np.full(mu_vec.size, _reals(omega, "prior variance", 0))))
+        k = mu.size if k is None else k
+        if mu.ndim > 1 or mu.size not in (1, k):
+            raise DimensionMismatch(f"prior mean has shape {mu.shape}, expected 1 or {k} entries")
+        omega = _reals(omega, "prior variance", 0)
+        return cls(np.broadcast_to(mu, (k,)), np.diag(np.full(k, omega)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +296,9 @@ class GammaProcessPrior:
         inc = _reals(self.increments, "prior increments", 1)
         if inc.size == 0:
             raise DimensionMismatch("prior increments must form a non-empty 1-d array")
-        if not np.all(np.isfinite(inc)):
-            raise OutOfRange("prior increments must be finite")
-        if np.any(inc < 0):
-            raise NonNegativityViolation("prior increments must be >= 0 (alpha nondecreasing)")
-        c = float(_reals(self.c, "confidence parameter c", 0))
-        if not math.isfinite(c):
-            raise OutOfRange("confidence parameter c must be finite")
-        if c <= 0:
+        _finite(inc, "prior increments alpha_j, the rises of a nondecreasing shape,")
+        c = float(_finite(_reals(self.c, "confidence parameter c", 0), "confidence parameter c"))
+        if c == 0.0:
             raise NonNegativityViolation("confidence parameter c must be > 0")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)

@@ -45,13 +45,26 @@ class PseudoPosterior:
     cov: np.ndarray
 
 
+def _coverage(coverage) -> float:
+    """``coverage`` as a float in (0, 1), else InvalidCoverage."""
+    coverage = float(_reals(coverage, "coverage", 0))
+    if not (0.0 < coverage < 1.0):
+        raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
+    return coverage
+
+
 @dataclass(frozen=True)
 class HpdInterval:
-    """Shortest intervals of given coverage for the truncated marginals, (..., k)."""
+    """Shortest intervals of given coverage in (0, 1) for the truncated marginals, (..., k)."""
 
     lower: np.ndarray
     upper: np.ndarray
     coverage: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", _reals(self.lower, "lower ends"))
+        object.__setattr__(self, "upper", _reals(self.upper, "upper ends"))
+        object.__setattr__(self, "coverage", _coverage(self.coverage))
 
 
 def pseudo_posterior(estimate: LYEstimate, prior: BetaPrior) -> PseudoPosterior:
@@ -191,9 +204,7 @@ def hpd_interval(pp: PseudoPosterior, coverage: float) -> HpdInterval:
     bounds have the shape of ``pp.mean``.  Every marginal variance must be a
     finite normal float and every mean / sd finite.
     """
-    coverage = float(_reals(coverage, "coverage", 0))
-    if not (0.0 < coverage < 1.0):
-        raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage!r}")
+    coverage = _coverage(coverage)
     var = np.diagonal(pp.cov, axis1=-2, axis2=-1)
     if not np.all((var >= _FLOAT.tiny) & (var <= _FLOAT.max)):
         raise SingularCovariance("marginal variance must be a normal float (sd in ~[1.5e-154, 1.3e154])")
@@ -210,8 +221,6 @@ def sigma_hat(interval: HpdInterval) -> np.ndarray:
     For coverage 1 - alpha this is (upper - lower) / (2 z_{1-alpha/2}); it
     equals the true sd when the interval did not hit the truncation bound.
     """
-    if not (0.0 < interval.coverage < 1.0):
-        raise InvalidCoverage(f"coverage must lie in (0, 1), got {interval.coverage!r}")
     z = _central_quantile(interval.coverage, 1.0 - interval.coverage)
     return (interval.upper - interval.lower) / (2.0 * z)
 

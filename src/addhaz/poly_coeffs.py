@@ -24,7 +24,8 @@ converted anew on every call, which costs about as much as the add itself.
 
 The offsets may be any 1-d array-like of reals, copied once as float64 by
 ``data_model._reals``; what numpy cannot read so (ragged rows, text, a
-generator) raises DimensionMismatch.
+generator) raises DimensionMismatch.  By ``data_model._finite``, NaN and +-inf
+then raise OutOfRange, and only then does a negative offset raise NonNegativityViolation.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import _reals
-from .errors import DimensionMismatch, NonNegativityViolation, OutOfRange
+from .data_model import _finite, _reals
+from .errors import DimensionMismatch, OutOfRange
 
 __all__ = ["PolyCoefficients", "poly_from_factors"]
 
@@ -73,14 +74,7 @@ class PolyCoefficients:
 
 def check_offsets(offsets) -> np.ndarray:
     """The offsets as a new 1-d float64 array, checked finite and >= 0."""
-    b = _reals(offsets, "factor offsets", 1)
-    # one reduce each for the least and the largest offset (NaN fails both);
-    # only bad offsets pay for naming a negative one before a non-finite one
-    if b.size and not (np.minimum.reduce(b) >= 0.0 and np.maximum.reduce(b) < math.inf):
-        if (b < 0.0).any():
-            raise NonNegativityViolation("factor offsets must be >= 0")
-        raise OutOfRange("factor offsets must be finite")
-    return b
+    return _finite(_reals(offsets, "factor offsets", 1), "factor offsets")
 
 
 def poly_from_factors(offsets) -> PolyCoefficients:

@@ -15,7 +15,6 @@ several confidence weights c.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -27,6 +26,7 @@ from .data_model import (
     GammaProcessPrior,
     SurvivalDataset,
     TimeGrid,
+    _finite,
     _reals,
     _row_blocks,
     grid_from_quantiles,
@@ -73,15 +73,8 @@ class SimConfig:
         beta = _reals(self.beta_true, "true coefficients", 1)
         if not beta.size:
             raise DimensionMismatch("at least one true coefficient is required")
-        if not np.all(np.isfinite(beta)):
-            raise OutOfRange("true coefficients must be finite")
-        if np.any(beta < 0):
-            raise NonNegativityViolation("true coefficients must be >= 0")
-        censor_rate = float(_reals(self.censor_rate, "censor_rate", 0))
-        if not math.isfinite(censor_rate):
-            raise OutOfRange("censor_rate must be finite")
-        if censor_rate < 0:
-            raise NonNegativityViolation("censor_rate must be >= 0")
+        _finite(beta, "true coefficients")
+        censor_rate = float(_finite(_reals(self.censor_rate, "censor_rate", 0), "censor_rate"))
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise NonNegativityViolation("seed must be a nonnegative integer")
         object.__setattr__(self, "beta_true", tuple(beta.tolist()))

@@ -22,6 +22,7 @@ from scipy import integrate
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
     event_offsets_by_interval,
+    increment_moments,
     increment_posterior,
     increment_posteriors,
     interval_summaries,
@@ -286,6 +287,12 @@ def test_improper_posterior_cases():
         increment_posterior(*interval, PolyCoefficients([-math.inf]), proper)
     with pytest.raises(DimensionMismatch, match="outside the prior"):
         increment_posterior(0, 2.0, 1.0, poly_from_factors([1.0]), proper)
+    # an index that is no integer
+    for j in (1.0, "1"):
+        with pytest.raises(DimensionMismatch, match="interval index"):
+            increment_posterior(j, 2.0, 1.0, poly_from_factors([1.0]), proper)
+        with pytest.raises(DimensionMismatch, match="interval index"):
+            increment_moments(j, 2.0, 1.0, [1.0], proper)
 
 
 def _outcome(kernel, *args):

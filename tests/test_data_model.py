@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz.baseline_posterior import event_offsets_by_interval, interval_summaries
+from addhaz.baseline_posterior import (
+    event_offsets_by_interval, increment_moments, increment_posterior, interval_summaries
+)
 from addhaz.data_model import (
     BaselineIncrementPosterior,
     BetaPrior,
@@ -21,7 +23,9 @@ from addhaz.data_model import (
     grid_from_quantiles,
 )
 from addhaz.dataio import read_dataset_csv
-from addhaz.hybrid_beta import hpd_interval, pseudo_posterior
+from addhaz.hybrid_beta import (
+    HpdInterval, hpd_interval, pseudo_posterior, sigma_hat, significance_flag
+)
 from addhaz.lin_ying import LYEstimate
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 from addhaz.simulate import SimConfig, run_baseline_experiment, run_beta_experiment
@@ -227,6 +231,10 @@ def test_beta_prior_isotropic_and_spd_check():
     np.testing.assert_allclose(prior.cov, 2.0 * np.eye(3))
     with pytest.raises(DimensionMismatch, match="k is required"):
         BetaPrior.isotropic(0.5, 1.0)
+    # a one-entry mean broadcasts as a scalar does; other lengths name both
+    assert BetaPrior.isotropic([0.5], 2.0, 3).mu.tolist() == [0.5, 0.5, 0.5]
+    with pytest.raises(DimensionMismatch, match="expected 1 or 3 entries"):
+        BetaPrior.isotropic([0.5, 1.0], 2.0, 3)
     # the factorization alone rejects a variance that is not positive and
     # finite, or whose inverse overflows
     for omega in (-1.0, 0.0, 1e-310, np.inf, np.nan):
@@ -385,6 +393,12 @@ NOT_REALS = {
     "scalar cuts": lambda: TimeGrid(0.5, 1.0),
     "two-d coverage": lambda: hpd_interval(_posterior(), [0.9]),
     "two-d shape": lambda: GammaProcessPrior.from_shape([[1.0, 2.0]], 1.0),
+    "exposure text": lambda: increment_posterior(
+        1, "2.0", 1.0, poly_from_factors([1.0]), GammaProcessPrior([1.0], 1.0)
+    ),
+    "width list": lambda: increment_moments(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
+    "interval coverage text": lambda: sigma_hat(HpdInterval(np.zeros(1), np.ones(1), "0.9")),
+    "interval end text": lambda: significance_flag(HpdInterval(["0.1"], [1.0], 0.9)),
 }
 
 
@@ -392,6 +406,40 @@ NOT_REALS = {
 def test_caller_numbers_other_than_reals_raise_dimension_mismatch(case):
     with pytest.raises(DimensionMismatch, match="rectangular .*array of real numbers"):
         NOT_REALS[case]()
+
+
+# each entry of the one domain rule, as a function of one value it reads
+DOMAIN = {
+    "times": lambda v: SurvivalDataset([v, 1.0], [True, True], [[1.0], [1.0]]),
+    "covariates": lambda v: SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [v]]),
+    "signed covariates": lambda v: SurvivalDataset(
+        [1.0, 2.0], [True, True], [[1.0], [v]], allow_signed=True
+    ),
+    "prior mean": lambda v: BetaPrior([0.5, v], np.eye(2)),
+    "prior increments": lambda v: GammaProcessPrior([1.0, v], 1.0),
+    "confidence parameter c": lambda v: GammaProcessPrior([1.0], v),
+    "offsets": lambda v: poly_from_factors([1.0, v]),
+    "quadrature offsets": lambda v: increment_moments(
+        1, 2.0, 1.0, [1.0, v], GammaProcessPrior([1.0], 1.0)
+    ),
+    "true coefficients": lambda v: SimConfig(10, 2, (0.5, v)),
+    "censor_rate": lambda v: SimConfig(10, 2, (0.5,), censor_rate=v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DOMAIN))
+def test_one_domain_rule_at_every_entry(entry):
+    # NaN and +-inf are out of range before any sign is read; then a
+    # negative value, and a zero c, leave the nonnegative domain
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange, match="must be finite"):
+            DOMAIN[entry](value)
+    if entry in ("signed covariates", "prior mean"):
+        DOMAIN[entry](-1.0)
+        return
+    for value in (-1.0, 0.0) if entry == "confidence parameter c" else (-1.0,):
+        with pytest.raises(NonNegativityViolation):
+            DOMAIN[entry](value)
 
 
 @pytest.mark.parametrize("flags", [[2, 1], [0.5, 1.0], [1.0, math.nan], [-1, 1]])
