@@ -267,16 +267,22 @@ class BetaPrior:
         return self.mu.shape[-1]
 
     @classmethod
-    def isotropic(cls, mu, omega: float, k: int | None = None) -> "BetaPrior":
-        """Prior N(mu, omega * I); mu is broadcast to dimension k as numpy does."""
+    def isotropic(cls, mu, omega, k: int | None = None) -> "BetaPrior":
+        """Prior N(mu, omega * I), or a stack: ``mu`` of shape (..., 1 or k), or
+        a scalar, is broadcast to (..., k) as numpy does, ``omega`` has shape
+        (...), and ``k``, an integer >= 1, defaults to ``mu.shape[-1]``."""
         mu = _reals(mu, "prior mean")
         if mu.ndim == 0 and k is None:
             raise DimensionMismatch("k is required when mu is scalar")
-        k = mu.size if k is None else k
-        if mu.ndim > 1 or mu.size not in (1, k):
-            raise DimensionMismatch(f"prior mean has shape {mu.shape}, expected 1 or {k} entries")
-        omega = _reals(omega, "prior variance", 0)
-        return cls(np.broadcast_to(mu, (k,)), np.diag(np.full(k, omega)))
+        k = mu.shape[-1] if k is None else k
+        if not (type(k) is int or isinstance(k, np.integer)) or k < 1:
+            raise DimensionMismatch(f"k must be an integer >= 1, got {k!r}")
+        if mu.shape[-1:] not in ((), (1,), (k,)):
+            lengths = "1 entry" if k == 1 else f"1 or {k} entries"
+            raise DimensionMismatch(f"prior mean has shape {mu.shape}, expected {lengths}")
+        omega = _reals(omega, "prior variance")
+        cov = np.where(np.eye(k, dtype=bool), omega[..., None, None], 0.0)
+        return cls(np.broadcast_to(mu, mu.shape[:-1] + (k,)), cov)
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,8 +62,11 @@ class HpdInterval:
     coverage: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _reals(self.lower, "lower ends"))
-        object.__setattr__(self, "upper", _reals(self.upper, "upper ends"))
+        lower, upper = _reals(self.lower, "lower ends"), _reals(self.upper, "upper ends")
+        if lower.shape != upper.shape:  # read as one array, ragged rows
+            raise DimensionMismatch("interval ends must be a rectangular array of real numbers")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "coverage", _coverage(self.coverage))
 
 

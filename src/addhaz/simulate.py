@@ -101,7 +101,7 @@ def _label(value) -> str:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated study output as one labelled cell table.
+    """Study output: the ``dropped`` replicate count and one labelled cell table.
 
     ``columns`` names the CSV columns; each entry of ``rows`` is a pair
     (labels, values) of plain Python str/int/float cells.  A coefficient
@@ -112,10 +112,7 @@ class SimReport:
     (mean increment, Monte Carlo sd of it, mean posterior sd).
     """
 
-    n: int
-    replicates: int
     dropped: int
-    seed: int
     columns: tuple[str, ...]
     rows: tuple[tuple[tuple, tuple], ...]
 
@@ -233,9 +230,8 @@ def run_beta_experiment(
     if not cells:
         raise DimensionMismatch("prior grids must not be empty")
     # every cell's prior N(mu * 1, omega * I) in one (cells, 1, k) stack
-    mu, omega = np.array(cells).T[:, :, None, None]
-    diagonal = np.eye(cfg.k, dtype=bool)
-    prior = BetaPrior(np.repeat(mu, cfg.k, axis=-1), np.where(diagonal, omega[..., None], 0.0))
+    mu, omega = np.array(cells).T[:, :, None]
+    prior = BetaPrior.isotropic(mu[..., None], omega, cfg.k)
     kept = [est for _, est in _chunks(cfg)]
     dropped = _check_drops(cfg, sum(len(est.m) for est in kept))
     estimate = LYEstimate(np.concatenate([e.m for e in kept]), np.concatenate([e.d for e in kept]))
@@ -252,10 +248,7 @@ def run_beta_experiment(
         for comp in range(cfg.k)
     ]
     return SimReport(
-        n=cfg.n,
-        replicates=cfg.replicates,
         dropped=dropped,
-        seed=cfg.seed,
         columns=("mu", "omega", "component", "mean_estimate", "mean_sigma_hat", "mc_sd_estimate"),
         rows=tuple(rows),
     )
@@ -310,10 +303,7 @@ def run_baseline_experiment(
     mean, post_sd, mc_sd = _cell_stats(means[:kept], np.sqrt(post_vars[:kept]), axis=0)
     stats = np.stack([mean, mc_sd, post_sd], axis=-1)
     return SimReport(
-        n=cfg.n,
-        replicates=cfg.replicates,
         dropped=dropped,
-        seed=cfg.seed,
         columns=("c", "interval", "mean_increment", "mc_sd_increment", "mean_posterior_sd"),
         rows=tuple(
             ((c, j + 1), tuple(stats[ic, j].tolist()))

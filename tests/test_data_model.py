@@ -235,6 +235,16 @@ def test_beta_prior_isotropic_and_spd_check():
     assert BetaPrior.isotropic([0.5], 2.0, 3).mu.tolist() == [0.5, 0.5, 0.5]
     with pytest.raises(DimensionMismatch, match="expected 1 or 3 entries"):
         BetaPrior.isotropic([0.5, 1.0], 2.0, 3)
+    with pytest.raises(DimensionMismatch, match=r"\(2,\), expected 1 entry$"):
+        BetaPrior.isotropic([0.5, 1.0], 2.0, 1)
+    # k is an integer >= 1, given or read from mu; a negative one raised a
+    # bare ValueError, a float a bare TypeError, and 0 built an empty prior
+    for k in (-1, 0, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(DimensionMismatch, match="k must be an integer >= 1"):
+            BetaPrior.isotropic(0.5, 1.0, k)
+    with pytest.raises(DimensionMismatch, match="k must be an integer >= 1"):
+        BetaPrior.isotropic([], 1.0)
+    assert BetaPrior.isotropic(0.5, 2.0, np.int32(2)).cov.tolist() == [[2.0, 0.0], [0.0, 2.0]]
     # the factorization alone rejects a variance that is not positive and
     # finite, or whose inverse overflows
     for omega in (-1.0, 0.0, 1e-310, np.inf, np.nan):
@@ -271,6 +281,20 @@ def test_a_stacked_beta_prior_holds_each_member_as_alone():
     BetaPrior(mu[:1], np.array([[[1e6, 1e-5], [0.0, 1e6]]]))
     with pytest.raises(SingularCovariance, match="symmetric"):
         BetaPrior(mu[:2], np.array([1e6 * np.eye(2), [[1.0, 1e-5], [0.0, 1.0]]]))
+    # the isotropic builder takes a (c, 1) grid of means and variances as a
+    # (c, 1, k) stack, each member with the bits of its own call
+    grid_mu, grid_omega = np.array([[0.0], [0.5], [2.0]]), np.array([[1e-3], [1.0], [1e8]])
+    for k in (1, 3):
+        stack = BetaPrior.isotropic(grid_mu[..., None], grid_omega, k)
+        assert stack.mu.shape == (3, 1, k) and stack.cov.shape == (3, 1, k, k)
+        for i in range(3):
+            alone = BetaPrior.isotropic(float(grid_mu[i, 0]), float(grid_omega[i, 0]), k)
+            for name in ("mu", "cov", "precision", "precision_mu"):
+                assert getattr(stack, name)[i, 0].tobytes() == getattr(alone, name).tobytes()
+    # means and variances whose leading axes disagree
+    for bad_mu, bad_omega in ((grid_mu, grid_omega), (grid_mu[:2, :, None], grid_omega)):
+        with pytest.raises(DimensionMismatch):
+            BetaPrior.isotropic(bad_mu, bad_omega, 2)
 
 
 def test_beta_prior_rejects_nonfinite_mean():
@@ -399,6 +423,7 @@ NOT_REALS = {
     "width list": lambda: increment_moments(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
     "interval coverage text": lambda: sigma_hat(HpdInterval(np.zeros(1), np.ones(1), "0.9")),
     "interval end text": lambda: significance_flag(HpdInterval(["0.1"], [1.0], 0.9)),
+    "interval ends of two shapes": lambda: sigma_hat(HpdInterval(np.zeros(2), np.ones(3), 0.9)),
 }
 
 
