@@ -247,6 +247,8 @@ class BetaPrior:
         mu, cov = _reals(self.mu, "prior mean"), _reals(self.cov, "prior covariance")
         if mu.ndim == 0 or cov.shape != mu.shape + mu.shape[-1:]:
             raise DimensionMismatch("prior mean and covariance dimensions disagree")
+        if mu.shape[-1] < 1:
+            raise DimensionMismatch("the prior needs k >= 1 coefficients")
         _finite(mu, "prior mean", nonneg=False)
         precision = _spd_inverse(cov, "prior covariance")
         # each matrix over max(1, its largest |entry|), so no difference overflows

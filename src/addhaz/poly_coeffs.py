@@ -1,26 +1,30 @@
-"""Log-domain coefficients of products prod_i (a + b_i).
+"""Coefficients of products prod_i (a + b_i), held as log values.
 
 Likelihood factors over one grid interval multiply into a polynomial in the
 local baseline level a:
 
-    prod_{i=1}^{N} (a + b_i) = sum_{k=0}^{N} d_k a^k,   b_i = beta'z_i >= 0.
+    prod_{i=1}^{N} (a + b_i) = sum_{k=0}^{N} d_k a^k,   b_i = beta'z_i >= 0,
 
-Coefficients grow combinatorially, so they are held as log values.  With
-nonnegative b_i every coefficient is nonnegative, so a zero coefficient is
-simply -inf and multiplying in one more factor only needs log-add-exp:
+built one factor at a time by d_k <- d_{k-1} + d_k * b.  Every term is a
+product of nonnegative numbers, so nothing cancels.  ``poly_from_factors``
+returns log d_k (-inf for a zero coefficient) by one of two paths.
 
-    d_k <- d_{k-1} + d_k * b     (0 <= k <= deg + 1; d_-1 = d_{deg+1} = 0)
+Linear path.  With lambda the median positive offset and R = sum_i
+|log(b_i / lambda)| over the positive ones, each partial coefficient of the
+factors (a + b_i / lambda) is 0 or in [e^-R, 2^N e^R].  When R + N log 2 <= 700
+none can overflow or go subnormal, so the scaled factors, cut into about
+sqrt(N) blocks, are multiplied out in plain floats on all blocks at once, the
+blocks are joined by ``np.convolve``, and log d_k = log d'_k + (N - k) log
+lambda.  The zeros that pad the blocks are factors a, as a zero offset is, so
+they only shift the coefficients, and that shift is dropped.  Each d'_k has
+relative error at most gamma_{2N+1} (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, ch. 3), plus one rounding per offset from the
+division.  The median minimizes R, and as a data value it scales one offset
+to exactly 1, so a row with one positive offset keeps the log path's bits.
 
-where deg is the number of factors multiplied in so far.
-
-``poly_from_factors`` keeps two buffers of length N + 2 laid out as
-[d_-1, d_0, ..., d_N].  The leading -inf stands for d_-1 = 0, and the
--inf tail for the degrees not reached yet, so one whole-length pass per
-factor writes every new coefficient into the other buffer with no
-slicing, and the two buffers swap.  log-add-exp is exact against -inf,
-so the sentinels change no coefficient's bits.  Each log b_i reaches
-``np.add`` through one reused 0-d array: a Python float operand would be
-converted anew on every call, which costs about as much as the add itself.
+Log path.  Any other row may hold coefficients beyond the range of a double.
+It runs the recursion on log values with ``np.logaddexp``, one whole-length
+pass per factor between two buffers (see ``_log_domain``).
 
 The offsets may be any 1-d array-like of reals, copied once as float64 by
 ``data_model._reals``; what numpy cannot read so (ragged rows, text, a
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -40,6 +44,8 @@ from .data_model import _finite, _reals
 from .errors import DimensionMismatch, OutOfRange
 
 __all__ = ["PolyCoefficients", "poly_from_factors"]
+
+_LINEAR_RANGE = 700.0  # on R + N log 2; the normal doubles span (e^-708.4, e^709.8)
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,43 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     """Multiply out prod_i (a + b_i) over a 1-d array-like of offsets b_i,
     each finite and >= 0."""
     b = check_offsets(offsets)
+    n, positive = b.size, b[b > 0.0]
+    # sorted(), not np.partition, whose first call adds about 0.3 MB of RSS
+    scale = sorted(positive.tolist())[(positive.size - 1) // 2] if positive.size else 1.0
+    log_scale = math.log(scale)
+    spread = np.add.reduce(np.abs(np.log(positive) - log_scale))
+    if spread + n * math.log(2.0) > _LINEAR_RANGE:
+        return PolyCoefficients(_log_domain(b))
+    # step j multiplies factor j * blocks + i into block i; the padding is 0
+    blocks = max(1, round(math.sqrt(n)))
+    width = -(-n // blocks)
+    steps = np.zeros(blocks * width)
+    np.divide(b, scale, steps[:n])
+    # two buffers laid out as in _log_domain, [d_-1, d_0, ..., d_width] down
+    # each column, one column a block, so each step is two contiguous passes
+    src, dst = np.zeros((2, width + 2, blocks))
+    src[1] = 1.0
+    scaled = np.empty((width + 1, blocks))
+    cur, nxt = (src[:-1], src[1:]), (dst[:-1], dst[1:])
+    for step in steps.reshape(width, blocks):
+        np.multiply(cur[1], step, scaled)
+        np.add(cur[0], scaled, nxt[1])
+        cur, nxt = nxt, cur
+    d = reduce(np.convolve, cur[1].T)  # the blocks' polynomials, joined
+    with np.errstate(divide="ignore"):  # a zero coefficient's log is -inf
+        log_d = np.log(d[blocks * width - n :])
+    return PolyCoefficients(log_d + np.arange(n, -1.0, -1.0) * log_scale)
+
+
+def _log_domain(b: np.ndarray) -> np.ndarray:
+    """log d_0..d_N for checked offsets b, by the log-add-exp recursion."""
     # two buffers [d_-1, d_0, ..., d_N] from [-inf, 0, -inf, ...]: d_-1 = 0 is
     # never written, and the -inf tail holds the degrees not reached yet.
     # Each factor writes logaddexp(d_{k-1}, d_k + log b) for every k into the
     # other buffer, and the two swap.  logaddexp(x, -inf) is x and
-    # logaddexp(-inf, -inf) is -inf exactly, so the sentinels keep every bit
+    # logaddexp(-inf, -inf) is -inf exactly, so the sentinels keep every bit.
+    # Each log b reaches np.add through one reused 0-d array: a Python float
+    # operand would be converted anew on every call
     src, dst = np.full((2, b.size + 2), -math.inf)
     src[1] = 0.0
     scaled = np.empty(b.size + 1)
@@ -98,4 +136,4 @@ def poly_from_factors(offsets) -> PolyCoefficients:
         add(cur[1], log_b, scaled)
         logaddexp(cur[0], scaled, nxt[1])
         cur, nxt = nxt, cur
-    return PolyCoefficients(cur[1])
+    return cur[1]

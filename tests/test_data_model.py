@@ -252,6 +252,11 @@ def test_beta_prior_isotropic_and_spd_check():
             BetaPrior.isotropic(0.5, omega, 2)
     with pytest.raises(SingularCovariance):
         BetaPrior(mu=(0.0, 0.0), cov=((1.0, 2.0), (2.0, 1.0)))  # not SPD
+    # the constructor holds k >= 1 too, alone and stacked: k = 0 built a
+    # prior with an empty precision
+    for mu, cov in ((np.zeros(0), np.zeros((0, 0))), (np.zeros((3, 0)), np.zeros((3, 0, 0)))):
+        with pytest.raises(DimensionMismatch, match="k >= 1"):
+            BetaPrior(mu, cov)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

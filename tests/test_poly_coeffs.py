@@ -2,17 +2,19 @@
 
 The oracle expands prod_i (a + b_i) by schoolbook convolution in Fraction
 arithmetic (floats are dyadic rationals, so the expansion is exact), fully
-independent of the log-domain recursion under test.
+independent of the recursion under test on either of its paths.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addhaz import poly_coeffs
 from addhaz.errors import DimensionMismatch, NonNegativityViolation, OutOfRange
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
@@ -114,6 +116,64 @@ def test_two_buffer_recursion_keeps_the_sliced_recursions_bits(seed, n, zero_sha
     offsets[rng.random(n) < zero_share] = 0.0
     got, want = poly_from_factors(offsets), poly_by_slices(offsets)
     assert got.log_abs.tobytes() == want.log_abs.tobytes()
+
+
+def _log_exact(offsets):
+    """log of each exact coefficient, -inf for a zero one; each is scaled
+    by an exact power of 2 into [1/2, 2] first, so none under- or overflows."""
+    logs = []
+    for c in exact_coefficients(offsets):
+        e = c.numerator.bit_length() - c.denominator.bit_length()
+        logs.append(math.log(c / Fraction(2) ** e) + e * math.log(2.0) if c else -math.inf)
+    return np.array(logs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 120),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_linear_path_matches_exact_convolution(seed, n, zero_share):
+    # offsets log-uniform over [1e-6, 1e2], about zero_share of them 0
+    rng = np.random.default_rng(seed)
+    offsets = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), size=n))
+    offsets[rng.random(n) < zero_share] = 0.0
+    # R + N log 2 about their median stays below 700: the linear path
+    logs = np.log(offsets[offsets > 0.0])
+    if logs.size:
+        assert np.abs(logs - np.median(logs)).sum() + n * math.log(2.0) < 690.0
+    got, want = poly_from_factors(offsets).log_abs, _log_exact(offsets)
+    assert np.array_equal(got == -math.inf, want == -math.inf)
+    live = want > -math.inf
+    np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-12)
+
+
+def test_rows_either_side_of_the_range_guard():
+    # logs +-t in 20 pairs and one 0, so the median and the mean are both 0,
+    # and R + N log 2 = 40 t + 41 log 2 is 700 -+ 1e-6
+    rng = np.random.default_rng(5)
+    signs = np.concatenate(([0.0], np.ones(20), -np.ones(20)))
+    for gap, path in ((1e-6, "linear"), (-1e-6, "log")):
+        t = (700.0 - gap - 41 * math.log(2.0)) / 40
+        offsets = rng.permutation(np.exp(signs * t))
+        with mock.patch.object(poly_coeffs, "_log_domain", wraps=poly_coeffs._log_domain) as log_path:
+            got = poly_from_factors(offsets)
+        assert log_path.call_count == (path == "log")
+        if path == "log":
+            assert got.log_abs.tobytes() == poly_by_slices(offsets).log_abs.tobytes()
+        else:
+            np.testing.assert_allclose(got.log_abs, _log_exact(offsets), rtol=1e-12, atol=1e-12)
+
+
+def test_one_positive_offset_keeps_the_log_paths_bits():
+    # lambda is that offset, so it scales to exactly 1 on the linear path
+    for offset in (1e-300, 3.7e-5, 1.0, 2.5, 1e300):
+        for zeros in range(4):
+            offsets = [0.0] * zeros + [offset] + [0.0] * (3 - zeros)
+            got, want = poly_from_factors(offsets), poly_by_slices(offsets)
+            assert got.log_abs.tobytes() == want.log_abs.tobytes()
 
 
 def test_eval_log_matches_factored_form_200_factors():
