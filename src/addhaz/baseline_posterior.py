@@ -30,14 +30,16 @@ closed-form bound of the log density has dropped far enough, and places its
 nodes on a trapezoid rule whose step grows away from the mode: a few dozen
 to a few hundred nodes, each one pass over the offsets.  Both kernels take
 interval j as three numbers, (j, exposure_j, w_j), share one helper for
-its prior shape, rate and improper cases and one builder that divides u's
-moments by c_j, and take those moments in offsets from the prior shape, so
-that no large s0 cancels.  The whole baseline stage,
+its prior shape, rate and improper cases, and take u's moments in offsets
+from the prior shape, so that no large s0 cancels.  The exact kernel takes
+m intervals under p priors in one pass over (p, m, L) arrays, the live
+coefficients padded to the longest, and returns a ``BaselineMixtures``
+whose mixtures lie end to end in flat arrays; one interval under one prior
+is the batch of one.  The whole baseline stage,
 ``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
-interval for every prior at once, reading the exposures from
-``interval_summaries`` and the offsets from ``event_offsets_by_interval``.
-Each interval's polynomial, and its per-polynomial work
-(``PolyCoefficients.live``), is made once and shared by every prior.
+interval, reading the exposures from ``interval_summaries`` and the offsets
+from ``event_offsets_by_interval``, builds one polynomial an exact interval
+and calls the exact kernel once, for all of them under every prior.
 """
 
 from __future__ import annotations
@@ -47,9 +49,12 @@ import math
 import numpy as np
 
 from .data_model import (
-    BaselineIncrementPosterior, GammaProcessPrior, SurvivalDataset, TimeGrid, _reals
+    BaselineIncrementPosterior, BaselineMixtures, GammaProcessPrior, SurvivalDataset, TimeGrid,
+    _reals,
 )
-from .errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
+from .errors import (
+    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
+)
 from .poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
 
 __all__ = [
@@ -159,60 +164,102 @@ def _interval_prior(
     return shape0, rate
 
 
-def _posterior(
-    j: int, rate: float, mean_u: float, var_u: float, log_weights=(), shape_offsets=()
-) -> BaselineIncrementPosterior:
-    """The posterior of the increment L = u / c_j from the mean and variance
-    of u: the variance is divided by the rate twice, so that no c_j^2
-    overflows, and a moment that overflows all the same raises OutOfRange."""
-    mean, variance = mean_u / rate, var_u / rate / rate
-    if not (mean < math.inf and variance < math.inf):
-        raise OutOfRange(f"interval {j}: the posterior moments overflow")
-    return BaselineIncrementPosterior(j, log_weights, shape_offsets, float(rate), mean, variance)
+def increment_posterior(js, exposures, widths, polys, priors):
+    """Gamma-mixture posteriors of the increments over m intervals, under
+    each of p priors, as one ``BaselineMixtures``.
 
-
-def increment_posterior(
-    j: int, exposure: float, width: float, poly: PolyCoefficients, prior: GammaProcessPrior
-) -> BaselineIncrementPosterior:
-    """Gamma-mixture posterior of the cumulative increment over interval j,
-    of the given exposure and width.
-
-    The polynomial must be the product of (a + beta'z_i) over the uncensored
-    observations inside the interval (the constant 1 when there are none).
+    Interval i is number js[i], of exposure exposures[i] and width widths[i];
+    polys[i] must be the product of (a + beta'z) over the uncensored
+    observations inside it (the constant 1 when there are none).  One
+    interval under one prior, ``increment_posterior(j, exposure, width,
+    poly, prior)``, gives its ``BaselineIncrementPosterior``.  The first
+    (interval, prior) that fails, interval by interval, raises.
     """
+    scalar = isinstance(polys, PolyCoefficients)
+    if scalar:
+        js, exposures, widths, polys, priors = [js], [exposures], [widths], [polys], [priors]
+    try:
+        m, p = len(polys), len(priors)
+        sized = len(js) == len(exposures) == len(widths) == m >= 1 and p >= 1
+    except TypeError:  # one of them is no sequence
+        sized = False
+    if not sized:
+        raise DimensionMismatch("need sequences of one j, exposure, width and polynomial "
+                                "an interval, and at least one interval and one prior")
     # with nonnegative offsets the zero coefficients are the leading ones,
     # one per zero offset, whose factor a is one more unit of prior shape
-    dead, log_d, k = poly.live
-    shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
-    n = log_d.size
-    shapes = k + shape0
-    log_scale = math.log(width) + math.log(rate)
-    # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
-    # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
-    # leaves too few absolute digits for the weights at large s0.  The
-    # buffer has a spare slot, so that n = 1 still has room for the 0
-    log_rising = np.empty(n + 1)
-    log_rising[0] = -np.log(shape0)
-    log_rising[1] = 0.0
-    np.add.accumulate(np.log(shapes[1:-1]), out=log_rising[2:n])
-    log_w = log_d - k * log_scale
-    log_w += log_rising[:n]
-    # the ufuncs' reduce, not the methods, which add a Python-level wrapper
-    top = np.maximum.reduce(log_w)
-    if not math.isfinite(top):
-        raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
-    w = np.exp(log_w - top)
-    total = float(np.add.reduce(w))
-    log_w -= top + math.log(total)
-    # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
-    # away once s0 is far above 2^53
-    k_mean = float(w.dot(k)) / total
-    dev = k - k_mean
-    shape_mean = shape0 + k_mean
-    return _posterior(
-        j, rate, shape_mean, float(w.dot(dev * dev)) / total + shape_mean,
-        tuple(log_w.tolist()), tuple(shapes.tolist()),
+    lives = [poly.live for poly in polys]
+    params, failed = [], None  # s0, c_j and log(w_j c_j), interval by interval
+    try:
+        for j, exposure, width, poly, (dead, _, _) in zip(js, exposures, widths, polys, lives):
+            for prior in priors:
+                shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
+                params += shape0, rate, math.log(width) + math.log(rate)
+    except AddhazError as exc:
+        failed = exc  # the mixtures before it may fail first; the rest are NaN
+    valid = len(params) // 3
+    params += [math.nan] * (3 * (m * p - valid))
+    shape0, rate, log_scale = np.array(params).reshape(m, p, 3).transpose(2, 1, 0)
+    # the live log coefficients padded with -inf to (m, L), and k = 0, 1, ...
+    lengths = [log_d.size for _, log_d, _ in lives]
+    size = max(lengths)
+    k = lives[lengths.index(size)][2]
+    padded = np.full((m, size), -math.inf)
+    for row, (_, log_d, _) in zip(padded, lives):
+        row[: log_d.size] = log_d
+    with np.errstate(invalid="ignore", over="ignore"):  # in rows read below
+        shapes = k + shape0[..., None]
+        # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
+        # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
+        # leaves too few absolute digits for the weights at large s0.  The
+        # buffer has a spare slot, so that L = 1 still has room for the 0
+        log_shapes = np.log(shapes)
+        log_rising = np.empty((p, m, size + 1))
+        np.negative(log_shapes[..., 0], out=log_rising[..., 0])
+        log_rising[..., 1] = 0.0
+        np.add.accumulate(log_shapes[..., 1:-1], axis=-1, out=log_rising[..., 2:size])
+        log_w = padded - k * log_scale[..., None]
+        log_w += log_rising[..., :size]
+        top = np.maximum.reduce(log_w, axis=-1)
+        # w and w k, each mixture summed over its own live length, as a lone
+        # row is: a sum over the padding, or a BLAS product, rounds otherwise
+        w = np.empty((2, p, m, size))
+        np.exp(log_w - top[..., None], out=w[0])
+        np.multiply(w[0], k, out=w[1])
+        sums = np.empty((3, p, m))
+        for i, n in enumerate(lengths):
+            np.add.reduce(w[..., i, :n], axis=-1, out=sums[:2, :, i])
+        totals = sums[0]
+        log_total = np.array([math.log(t) for t in totals.ravel().tolist()]).reshape(p, m)
+        log_w -= (top + log_total)[..., None]
+        # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
+        # away once s0 is far above 2^53
+        k_mean = sums[1] / totals
+        dev = k - k_mean[..., None]
+        dev *= dev
+        dev *= w[0]
+        for i, n in enumerate(lengths):
+            np.add.reduce(dev[:, i, :n], axis=-1, out=sums[2, :, i])
+        shape_mean = shape0 + k_mean
+        # the variance is divided by the rate twice, so that no c_j^2 overflows
+        mean = shape_mean / rate
+        variance = (sums[2] / totals + shape_mean) / rate / rate
+    finite = (mean < math.inf) & (variance < math.inf)  # NaN where weights vanished
+    if failed is not None or not finite.all():
+        bad = np.flatnonzero(~finite.T.ravel()[:valid])
+        if bad.size:
+            i, q = divmod(int(bad[0]), p)
+            if top[q, i] == -math.inf:
+                raise ImproperPosterior(f"interval {js[i]}: all mixture weights vanished")
+            raise OutOfRange(f"interval {js[i]}: the posterior moments overflow")
+        raise failed
+    live = (k < np.array(lengths)[:, None]).ravel()
+    mixtures = BaselineMixtures(
+        np.array(js), rate, mean, variance,
+        *(a.reshape(p, -1).compress(live, axis=1).ravel() for a in (log_w, shapes)),
+        np.cumsum([0] + lengths * p),  # the lengths, once per prior
     )
+    return mixtures[0][0] if scalar else mixtures
 
 
 def increment_moments(
@@ -243,7 +290,11 @@ def increment_moments(
             )
         if tilt >= 1e-290:
             mean_u, var_u = _tilted_gamma_moments(j, shape0, positive, x)
-    return _posterior(j, rate, mean_u, var_u)
+    # L = u / c_j: the variance is divided by the rate twice, as in the mixture
+    mean, variance = mean_u / rate, var_u / rate / rate
+    if not (mean < math.inf and variance < math.inf):
+        raise OutOfRange(f"interval {j}: the posterior moments overflow")
+    return BaselineIncrementPosterior(j, (), (), float(rate), mean, variance)
 
 
 def _expm1_minus_t(t: np.ndarray) -> np.ndarray:
@@ -419,32 +470,52 @@ def _tilted_gamma_moments(j: int, s0: float, b: np.ndarray, x: float) -> tuple[f
     return s0 + p * gap, (1.0 - p) * s0 + p * var_r + p * (1.0 - p) * gap * gap
 
 
-def increment_posteriors(
-    ds: SurvivalDataset, grid: TimeGrid, beta, priors
-) -> list[tuple[BaselineIncrementPosterior, ...]]:
+def increment_posteriors(ds: SurvivalDataset, grid: TimeGrid, beta, priors) -> BaselineMixtures:
     """Posterior of the increment over each of the first m grid intervals,
     m the priors' common length, under each prior, given coefficients beta.
 
     Entry [p][j] is interval j + 1's posterior under priors[p].  An interval
-    with more than EXACT_MAX_FACTORS events gets its moments by quadrature;
-    any other gets the exact mixture, from one polynomial shared by all priors.
+    with more than EXACT_MAX_FACTORS events gets its moments by quadrature
+    and an empty mixture; the others get their mixtures from one
+    ``increment_posterior`` call, with one polynomial an interval.
     """
     if not priors:
         raise DimensionMismatch("need at least one prior")
-    m = priors[0].m
-    if any(p.m != m for p in priors):
+    m, p = priors[0].m, len(priors)
+    if any(prior.m != m for prior in priors):
         raise DimensionMismatch("the priors differ in their number of increments")
     if grid.m < m:
         raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
     # plain floats, so that the posteriors hold no numpy scalars
     exposures = interval_summaries(ds, grid).tolist()
     widths = grid.widths().tolist()
-    columns = []
+    exact, quadrature = ([], [], [], []), {}  # (j, exposure, width, poly) lists
     for j, factors in enumerate(event_offsets_by_interval(ds, grid, beta)[:m]):
         interval = (j + 1, exposures[j], widths[j])
-        if len(factors) > EXACT_MAX_FACTORS:
-            columns.append([increment_moments(*interval, factors, p) for p in priors])
-        else:
-            poly = poly_from_factors(factors)
-            columns.append([increment_posterior(*interval, poly, p) for p in priors])
-    return [tuple(column[p] for column in columns) for p in range(len(priors))]
+        try:
+            if len(factors) > EXACT_MAX_FACTORS:
+                quadrature[j] = [increment_moments(*interval, factors, q) for q in priors]
+            else:
+                for column, value in zip(exact, (*interval, poly_from_factors(factors))):
+                    column.append(value)
+        except AddhazError:
+            if exact[0]:  # an earlier exact interval may fail first
+                increment_posterior(*exact, priors)
+            raise
+    mixtures = increment_posterior(*exact, priors) if exact[0] else None
+    if not quadrature:
+        return mixtures
+    # the quadrature's moments beside the mixtures, whose flat arrays keep
+    # their order, since the quadrature's mixtures are empty
+    columns = np.zeros((4, p, m))  # rate, mean, variance and mixture length
+    for j, posts in quadrature.items():
+        columns[:3, :, j] = np.array([(q.rate, q.mean, q.variance) for q in posts]).T
+    flat = (np.empty(0),) * 2
+    if mixtures is not None:
+        lengths = np.diff(mixtures.indptr).reshape(p, -1)
+        at = [j - 1 for j in exact[0]]
+        columns[..., at] = mixtures.rate, mixtures.mean, mixtures.variance, lengths
+        flat = mixtures.log_weights, mixtures.shape_offsets
+    rate, mean, variance, lengths = columns
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+    return BaselineMixtures(np.arange(1, m + 1), rate, mean, variance, *flat, indptr)

@@ -35,6 +35,7 @@ __all__ = [
     "BetaPrior",
     "GammaProcessPrior",
     "BaselineIncrementPosterior",
+    "BaselineMixtures",
     "FitResult",
     "DEFAULT_QUANTILES",
     "grid_from_quantiles",
@@ -343,6 +344,49 @@ class BaselineIncrementPosterior:
     rate: float
     mean: float
     variance: float
+
+
+@dataclass(frozen=True, eq=False)
+class BaselineMixtures:
+    """Gamma-mixture posteriors of m increments under each of p priors, as arrays.
+
+    ``intervals`` holds the m interval numbers j, and ``rate``, ``mean`` and
+    ``variance`` are (p, m).  The mixtures lie end to end in the flat
+    ``log_weights`` and ``shape_offsets``: the one of interval i under prior
+    q is ``[indptr[q * m + i], indptr[q * m + i + 1])``, empty where the
+    moments came by quadrature.  The arrays are frozen in place.  Entry
+    [q][i] reads as that ``BaselineIncrementPosterior``, built on access.
+    """
+
+    intervals: np.ndarray
+    rate: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    log_weights: np.ndarray
+    shape_offsets: np.ndarray
+    indptr: np.ndarray
+
+    def __post_init__(self):
+        for values in vars(self).values():
+            values.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.rate.shape[0]
+
+    def __getitem__(self, q: int) -> tuple[BaselineIncrementPosterior, ...]:
+        """The m posteriors under prior q."""
+        q, m = range(len(self))[q], self.intervals.size
+        ends = self.indptr[q * m : (q + 1) * m + 1].tolist()
+        log_w, shapes = self.log_weights, self.shape_offsets
+        return tuple(
+            BaselineIncrementPosterior(
+                j, tuple(log_w[a:b].tolist()), tuple(shapes[a:b].tolist()), rate, mean, variance
+            )
+            for j, a, b, rate, mean, variance in zip(
+                self.intervals.tolist(), ends, ends[1:],
+                self.rate[q].tolist(), self.mean[q].tolist(), self.variance[q].tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)

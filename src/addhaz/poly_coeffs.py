@@ -72,10 +72,24 @@ class PolyCoefficients:
         """(dead, log_d, k): the count of leading zero coefficients, the log
         coefficients after them, and k = 0, 1, ... as read-only floats;
         worked out on first use and kept for every later one."""
-        dead = int((self.log_abs > -math.inf).argmax())
-        k = np.arange(self.log_abs.size - dead, dtype=float)
-        k.setflags(write=False)
-        return dead, self.log_abs[dead:], k
+        return _live(self.log_abs, int((self.log_abs > -math.inf).argmax()))
+
+
+def _live(log_abs: np.ndarray, dead: int) -> tuple[int, np.ndarray, np.ndarray]:
+    k = np.arange(log_abs.size - dead, dtype=float)
+    k.setflags(write=False)
+    return dead, log_abs[dead:], k
+
+
+def _built(log_abs: np.ndarray, dead: int) -> PolyCoefficients:
+    """The kernel's array, finite by construction but for its ``dead``
+    leading -infs, as coefficients frozen in place, with ``live`` from that
+    count: no copy, no second check and no search for the zeros."""
+    poly = object.__new__(PolyCoefficients)
+    log_abs.setflags(write=False)
+    object.__setattr__(poly, "log_abs", log_abs)
+    poly.__dict__["live"] = _live(log_abs, dead)
+    return poly
 
 
 def check_offsets(offsets) -> np.ndarray:
@@ -88,12 +102,13 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     each finite and >= 0."""
     b = check_offsets(offsets)
     n, positive = b.size, b[b > 0.0]
+    zeros = n - positive.size  # the leading zero coefficients, one per zero offset
     # sorted(), not np.partition, whose first call adds about 0.3 MB of RSS
     scale = sorted(positive.tolist())[(positive.size - 1) // 2] if positive.size else 1.0
     log_scale = math.log(scale)
     spread = np.add.reduce(np.abs(np.log(positive) - log_scale))
     if spread + n * math.log(2.0) > _LINEAR_RANGE:
-        return PolyCoefficients(_log_domain(b))
+        return _built(_log_domain(b), zeros)
     # step j multiplies factor j * blocks + i into block i; the padding is 0
     blocks = max(1, round(math.sqrt(n)))
     width = -(-n // blocks)
@@ -110,9 +125,10 @@ def poly_from_factors(offsets) -> PolyCoefficients:
         np.add(cur[0], scaled, nxt[1])
         cur, nxt = nxt, cur
     d = reduce(np.convolve, cur[1].T)  # the blocks' polynomials, joined
-    with np.errstate(divide="ignore"):  # a zero coefficient's log is -inf
-        log_d = np.log(d[blocks * width - n :])
-    return PolyCoefficients(log_d + np.arange(n, -1.0, -1.0) * log_scale)
+    log_d = np.full(n + 1, -math.inf)  # the guard keeps the others positive and normal
+    powers = np.arange(n - zeros, -1.0, -1.0)
+    log_d[zeros:] = np.log(d[blocks * width - n + zeros :]) + powers * log_scale
+    return _built(log_d, zeros)
 
 
 def _log_domain(b: np.ndarray) -> np.ndarray:

@@ -296,8 +296,7 @@ def run_baseline_experiment(
                 if rep_grid.m < m:  # quantile cuts collapsed
                     continue
             posts = increment_posteriors(ds, rep_grid, bhat, priors)
-            means[kept] = [[post.mean for post in row] for row in posts]
-            post_vars[kept] = [[post.variance for post in row] for row in posts]
+            means[kept], post_vars[kept] = posts.mean, posts.variance
             kept += 1
     dropped = _check_drops(cfg, kept)
     mean, post_sd, mc_sd = _cell_stats(means[:kept], np.sqrt(post_vars[:kept]), axis=0)

@@ -6,7 +6,14 @@ import math
 import mpmath
 import numpy as np
 
-from addhaz.baseline_posterior import _interval_prior
+from addhaz.baseline_posterior import (
+    EXACT_MAX_FACTORS,
+    _interval_prior,
+    event_offsets_by_interval,
+    increment_moments,
+    increment_posterior,
+    interval_summaries,
+)
 from addhaz.data_model import BaselineIncrementPosterior, SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
@@ -18,7 +25,7 @@ from addhaz.errors import (
     SingularDesign,
 )
 from addhaz.lin_ying import LYStatistics, compute_statistics, ly_solve
-from addhaz.poly_coeffs import PolyCoefficients, check_offsets
+from addhaz.poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
 
 
 def validate_dataset(records, *, allow_signed=False):
@@ -102,6 +109,23 @@ def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPoste
         mean=shape_mean / rate,
         variance=(shape_var + shape_mean) / (rate * rate),
     )
+
+
+def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[BaselineIncrementPosterior, ...]]:
+    """The baseline stage as loops of scalar kernel calls, interval by
+    interval and each prior in turn, entry [p][j] for interval j + 1 under
+    priors[p]: the reference that ``increment_posteriors`` is held to."""
+    m = priors[0].m
+    exposures, widths = interval_summaries(ds, grid).tolist(), grid.widths().tolist()
+    columns = []
+    for j, factors in enumerate(event_offsets_by_interval(ds, grid, beta)[:m]):
+        interval = (j + 1, exposures[j], widths[j])
+        if len(factors) > EXACT_MAX_FACTORS:
+            columns.append([increment_moments(*interval, factors, p) for p in priors])
+        else:
+            poly = poly_from_factors(factors)
+            columns.append([increment_posterior(*interval, poly, p) for p in priors])
+    return [tuple(column[p] for column in columns) for p in range(len(priors))]
 
 
 def mixture_moments(log_d, s0, width, rate):

@@ -29,11 +29,11 @@ from addhaz.baseline_posterior import (
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import (
-    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation
+    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 )
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
-from oracles import mixture_moments, mixture_posterior, offsets_by_mask
+from oracles import mixture_moments, mixture_posterior, offsets_by_mask, stage_by_intervals
 
 
 def quadrature_moments(offsets, alpha, c, exposure, width):
@@ -295,6 +295,29 @@ def test_improper_posterior_cases():
             increment_moments(j, 2.0, 1.0, [1.0], proper)
 
 
+def test_batch_raises_the_first_failure_interval_by_interval():
+    # interval 1's moments overflow under c = 5e-324 at exposure 0, or its
+    # weights vanish, before interval 2's zero width is read under the first
+    # prior; the scalar calls meet the same error first
+    tiny, proper = GammaProcessPrior([1.0, 1.0], 5e-324), GammaProcessPrior([1.0, 1.0], 1.0)
+    for priors, poly, error, message in (
+        ([proper, tiny], poly_from_factors([1.0]), OutOfRange, "moments overflow"),
+        ([proper], PolyCoefficients([-math.inf]), ImproperPosterior, "weights vanished"),
+    ):
+        with pytest.raises(error, match=f"interval 1: .*{message}"):
+            increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [poly, poly], priors)
+        with pytest.raises(error, match=f"interval 1: .*{message}"):
+            increment_posterior(1, 0.0, 1.0, poly, priors[-1])
+    poly = poly_from_factors([1.0])
+    for args in (
+        ([1, 2], [1.0], [1.0], [poly], [proper]),  # unequal lengths
+        ([], [], [], [], [proper]),  # no interval
+        ([1], [1.0], [1.0], [poly], proper),  # a prior not in a sequence
+    ):
+        with pytest.raises(DimensionMismatch, match="need sequences"):
+            increment_posterior(*args)
+
+
 def _outcome(kernel, *args):
     """(repr of the kernel's posterior without its mean and variance, which
     shows every other float's bits, and those two moments), or the type and
@@ -531,3 +554,71 @@ def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
         for post, other in zip(posts, scaled_posts):
             assert other.mean == pytest.approx(post.mean, rel=1e-10)
             assert other.variance == pytest.approx(post.variance, rel=1e-10)
+
+
+def _stage_outcome(stage, *args):
+    """The posteriors [p][j] of a stage as lists, or the type and message of
+    the error it raised."""
+    try:
+        return [list(row) for row in stage(*args)]
+    except AddhazError as exc:
+        return type(exc), str(exc)
+
+
+ALPHA = st.one_of(st.just(0.0), *[st.floats(1e-3, 1e2)] * 4)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(0, 150), min_size=1, max_size=5),
+    big_at=st.none() | st.integers(0, 5),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    empty_tail=st.booleans(),
+    weights=st.lists(
+        st.tuples(st.floats(1e-3, 1e3), st.lists(ALPHA, min_size=7, max_size=7)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_stage_is_its_scalar_calls_interval_by_interval(
+    seed, counts, big_at, zero_share, empty_tail, weights
+):
+    # interval i + 1 = (i, i + 1] holds counts[i] events, one of them more
+    # events than the exact path takes; an empty tail interval has exposure
+    # 0; a zero alpha_j with no zero offset among the events is improper,
+    # and the stage must raise the error the loops meet first
+    rng = np.random.default_rng(seed)
+    if big_at is not None:
+        counts.insert(big_at, EXACT_MAX_FACTORS + 1)
+    counts[0] += not any(counts)
+    m = len(counts) + empty_tail
+    times = np.concatenate(
+        [i + rng.uniform(0.01, 0.99, n) for i, n in enumerate(counts)]
+        + [rng.uniform(0.0, len(counts), 20)]  # censored
+    )
+    z = rng.exponential(size=(times.size, 1))
+    z[rng.random(times.size) < zero_share] = 0.0
+    ds = SurvivalDataset(times, np.arange(times.size) < sum(counts), z)
+    grid = TimeGrid(tuple(map(float, range(1, m))), float(m))
+    priors = [GammaProcessPrior(alphas[:m], c) for c, alphas in weights]
+    beta = np.array([0.7])
+    got = _stage_outcome(increment_posteriors, ds, grid, beta, priors)
+    assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, priors)
+    if isinstance(got, tuple):
+        return
+    stage = increment_posteriors(ds, grid, beta, priors)
+    components = sum(len(post.log_weights) for row in got for post in row)
+    assert len(stage.log_weights) == stage.indptr[-1] == components
+    assert stage.mean.shape == (len(priors), m) and stage.intervals.tolist() == [*range(1, m + 1)]
+    assert not any(array.flags.writeable for array in vars(stage).values())
+    # the batch over the exact intervals alone, row by row
+    exposures, widths = interval_summaries(ds, grid), grid.widths()
+    exact = [
+        (j + 1, exposures[j], widths[j], poly_from_factors(offsets))
+        for j, offsets in enumerate(event_offsets_by_interval(ds, grid, beta))
+        if offsets.size <= EXACT_MAX_FACTORS
+    ]
+    if exact:
+        batch = increment_posterior(*map(list, zip(*exact)), priors)
+        for row, prior in zip(batch, priors):
+            assert list(row) == [increment_posterior(*interval, prior) for interval in exact]

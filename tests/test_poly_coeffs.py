@@ -110,12 +110,37 @@ def test_recursion_matches_exact_convolution_at_study_sizes():
     zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
 )
 def test_two_buffer_recursion_keeps_the_sliced_recursions_bits(seed, n, zero_share):
-    # offsets log-uniform over [1e-300, 1e300], about zero_share of them 0
+    # offsets log-uniform over [1e-300, 1e300], about zero_share of them 0; the
+    # log path itself on every row, also the rows the range guard would admit
+    # to the linear path, which is held to exact products instead
     rng = np.random.default_rng(seed)
     offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
     offsets[rng.random(n) < zero_share] = 0.0
-    got, want = poly_from_factors(offsets), poly_by_slices(offsets)
+    got = poly_coeffs._log_domain(poly_coeffs.check_offsets(offsets))
+    assert got.tobytes() == poly_by_slices(offsets).log_abs.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 120),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    log_span=st.sampled_from([1.0, 10.0, 690.0]),
+)
+def test_kernel_hands_over_what_the_public_constructor_builds(seed, n, zero_share, log_span):
+    # the kernel's coefficients skip the constructor's copy and check, and
+    # know their leading zeros from the zero offsets; both paths of the guard
+    rng = np.random.default_rng(seed)
+    offsets = np.exp(rng.uniform(-log_span, log_span, size=n))
+    offsets[rng.random(n) < zero_share] = 0.0
+    got = poly_from_factors(offsets)
+    want = PolyCoefficients(got.log_abs)
     assert got.log_abs.tobytes() == want.log_abs.tobytes()
+    (dead, log_d, k), (want_dead, want_log_d, want_k) = got.live, want.live
+    assert dead == want_dead == np.count_nonzero(offsets == 0.0)
+    assert log_d.tobytes() == want_log_d.tobytes() and k.tobytes() == want_k.tobytes()
+    for array in (got.log_abs, log_d, k):
+        assert not array.flags.writeable
 
 
 def _log_exact(offsets):
