@@ -28,18 +28,24 @@ the exact mixture (``increment_posterior``).  The quadrature finds the
 density's mode by safeguarded Newton steps, ends its window where a
 closed-form bound of the log density has dropped far enough, and places its
 nodes on a trapezoid rule whose step grows away from the mode: a few dozen
-to a few hundred nodes, each one pass over the offsets.  Both kernels take
-interval j as three numbers, (j, exposure_j, w_j), share one helper for
-its prior shape, rate and improper cases, and take u's moments in offsets
-from the prior shape, so that no large s0 cancels.  The exact kernel takes
-m intervals under p priors in one pass over (p, m, L) arrays, the live
-coefficients padded to the longest, and returns a ``BaselineMixtures``
-whose mixtures lie end to end in flat arrays; one interval under one prior
-is the batch of one.  The whole baseline stage,
-``increment_posteriors(ds, grid, beta, priors)``, makes that choice per
-interval, reading the exposures from ``interval_summaries`` and the offsets
-from ``event_offsets_by_interval``, builds one polynomial an exact interval
-and calls the exact kernel once, for all of them under every prior.
+to a few hundred nodes, each one pass over the offsets.  Both take u's
+moments in offsets from the prior shape, so that no large s0 cancels.
+
+One kernel, ``increment_posterior``, takes R rows, each interval j as three
+numbers (j, exposure_j, w_j) and its polynomial, or its offsets for the
+quadrature, under p priors.  It checks each row's own numbers once and the
+priors' shapes, rates and improper cases over the (p, R) grid at once;
+the first failing (row, prior) in row-major order raises.  The exact rows
+go through (p, rows, L) arrays, the live coefficients padded to the
+longest, in runs of rows that keep them within _BLOCK_ELEMENTS; the term
+log Gamma(k + s0) / Gamma(1 + s0) is built once per distinct s0.  It
+returns a ``BaselineMixtures`` whose mixtures lie end to end in flat
+arrays; one interval under one prior is the batch of one.  The whole
+baseline stage, ``increment_posteriors(datasets, grids, betas, priors)``,
+takes a chunk of r datasets: it reads the exposures of all r m rows, in
+(dataset, interval) order, from one ``interval_summaries`` call and their
+offsets from one ``event_offsets_by_interval`` call, builds one polynomial
+an exact row, and calls the kernel once, for every row under every prior.
 """
 
 from __future__ import annotations
@@ -48,10 +54,7 @@ import math
 
 import numpy as np
 
-from .data_model import (
-    BaselineIncrementPosterior, BaselineMixtures, GammaProcessPrior, SurvivalDataset, TimeGrid,
-    _reals,
-)
+from .data_model import BaselineIncrementPosterior, BaselineMixtures, GammaProcessPrior, _reals
 from .errors import (
     AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 )
@@ -76,68 +79,100 @@ _SPAN_RATIO = 1.05
 _MAX_NODES = 1 << 16
 # (nodes x factors) temporaries of the quadrature stay within 2 MB
 _CHUNK_ELEMENTS = 1 << 18
+# the exact kernel's (p, rows, L) temporaries stay within this many elements
+# (64 kB each), so that a chunk of datasets raises the peak RSS little
+_BLOCK_ELEMENTS = 1 << 13
 # Taylor coefficients 1/k! for k = 12 down to 2, for exp(t) - 1 - t
 _EXPM1_MINUS_T = tuple(1.0 / math.factorial(k) for k in range(12, 1, -1))
 
 
-def interval_summaries(ds: SurvivalDataset, grid: TimeGrid) -> np.ndarray:
-    """(m,) exposure of every grid interval: the total time at risk that all
-    subjects accumulate inside it, sum_i clip(min(t_i, s_j) - s_{j-1}, 0).
+def _row_intervals(datasets, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, keys): the (r, m + 1) edges 0, s_1, ..., s_m of each dataset,
+    and for every row of the chunk, dataset by dataset, its key
+    i (m + 1) + j - 1 when its time lies in interval j of dataset i, or
+    i (m + 1) + m beyond s_m.  A time on a boundary lies in the interval to
+    its left, and a time of 0 in the first."""
+    bounds = _reals(bounds, "interval bounds", 2)
+    r, m = bounds.shape
+    if not (r == len(datasets) >= 1 and m >= 1):
+        raise DimensionMismatch("need one row of at least one interval bound a dataset")
+    keys = np.concatenate([
+        np.searchsorted(b, ds.times, side="left") + i * (m + 1)
+        for i, (ds, b) in enumerate(zip(datasets, bounds))
+    ])
+    edges = np.zeros((r, m + 1))
+    edges[:, 1:] = bounds
+    return edges, keys
 
-    Times beyond t_F are allowed: estimation is truncated at t_F, so such
+
+def interval_summaries(datasets, bounds) -> np.ndarray:
+    """(r, m) exposure of every grid interval of each dataset: the total time
+    at risk that all its subjects accumulate inside it,
+    sum_i clip(min(t_i, s_j) - s_{j-1}, 0), where row i of ``bounds`` holds
+    dataset i's right endpoints s_1..s_m.
+
+    Times beyond s_m are allowed: estimation is truncated there, so such
     observations stay at risk through every interval (full-width exposure)
-    but lie inside none of them.  A time on a boundary lies in the interval
-    to its left, and a time of exactly 0 in the first.
+    but lie inside none of them.
     """
-    t = ds.times
-    bounds = np.asarray(grid.boundaries)
-    left = np.concatenate(([0.0], bounds[:-1]))
-    idx = np.searchsorted(bounds, t, side="left")
-    inside = idx < grid.m
-    at = idx[inside]
-    beyond = ds.n - np.cumsum(np.bincount(at, minlength=grid.m))  # t <= s_j lies in 1..j
-    inside_sums = np.bincount(at, weights=t[inside] - left[at], minlength=grid.m)
-    return inside_sums + beyond * (bounds - left)
+    edges, keys = _row_intervals(datasets, bounds)
+    # one bin a key, each summed in row order as one dataset's alone is;
+    # the bin past s_m, whose left edge is s_m, is not read
+    times = np.concatenate([ds.times for ds in datasets])
+    sums = np.bincount(keys, weights=times - edges.ravel()[keys], minlength=edges.size)
+    counts = np.bincount(keys, minlength=edges.size).reshape(edges.shape)[:, :-1]
+    beyond = np.array([[ds.n] for ds in datasets]) - np.cumsum(counts, axis=1)  # t <= s_j in 1..j
+    return sums.reshape(edges.shape)[:, :-1] + beyond * (edges[:, 1:] - edges[:, :-1])
 
 
-def event_offsets_by_interval(
-    ds: SurvivalDataset, grid: TimeGrid, beta: np.ndarray
-) -> list[np.ndarray]:
-    """beta'z of the uncensored observations in each interval.
+def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.ndarray]:
+    """beta'z of the uncensored observations in each interval of each
+    dataset, as (factors, indptr): interval j of dataset i, row i * m + j - 1,
+    holds ``factors[indptr[row]:indptr[row + 1]]``, in row order.
 
-    These are the offsets of the likelihood polynomial factors; entry j-1
-    of the returned list feeds the interval-j polynomial.  Events beyond
-    t_F involve only the unmodeled hazard past the grid, so they
-    contribute no factor to any interval.  Negative offsets (possible only
-    with signed covariates) put the data outside the mixture posterior's
-    domain and are rejected.
+    These are the offsets of the likelihood polynomial factors, with row i
+    of ``betas`` dataset i's coefficients.  Events beyond s_m involve only
+    the hazard past the intervals, so they contribute no factor.  Negative
+    offsets (possible only with signed covariates) put the data outside the
+    mixture posterior's domain and are rejected.
     """
-    beta = _reals(beta, "beta")
-    if beta.shape != (ds.k,):
+    betas = _reals(betas, "beta", 2)
+    if betas.shape[0] != len(datasets) or any(ds.k != betas.shape[1] for ds in datasets):
         raise DimensionMismatch("beta dimension does not match the dataset")
-    offsets = ds.covariates @ beta
-    rows = np.flatnonzero(ds.events)
-    idx = np.searchsorted(np.asarray(grid.boundaries), ds.times[rows], side="left")
-    # events by interval, in row order within each; index m lies beyond t_F
-    order = np.argsort(idx, kind="stable")
-    ends = np.cumsum(np.bincount(idx, minlength=grid.m + 1))
-    factors = offsets[rows[order[: ends[grid.m - 1]]]]
-    if factors.size and float(np.min(factors)) < 0.0:
+    edges, keys = _row_intervals(datasets, bounds)
+    # each dataset's own (n, k) @ (k,) product: a stacked one may round otherwise
+    offsets = np.concatenate([ds.covariates @ beta for ds, beta in zip(datasets, betas)])
+    events = np.concatenate([ds.events for ds in datasets])
+    events &= keys % edges.shape[1] != edges.shape[1] - 1  # inside the m intervals
+    at = keys[events]
+    # in row order within each row; keys of one or two bytes take a radix sort
+    order = np.argsort(at.astype(np.min_scalar_type(edges.size)), kind="stable")
+    factors = offsets[events][order]
+    if (factors < 0.0).any():
         raise NonNegativityViolation(
             "negative beta'z among events; baseline increments need "
             "nonnegative offsets"
         )
-    cuts = ends[: grid.m].tolist()
-    return [factors[a:b] for a, b in zip([0, *cuts], cuts)]
+    counts = np.bincount(at, minlength=edges.size).reshape(edges.shape)[:, :-1]
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return factors, indptr
 
 
-def _interval_prior(
-    j: int, exposure: float, width: float, prior: GammaProcessPrior, zeros: int, n_factors: int
-):
-    """(s0, c_j) of interval j: its prior shape c alpha_j plus one unit per
-    zero offset, and its posterior rate, after checking the interval's
-    numbers and that the posterior is proper: the one place the kernels
-    read them; the stage's plain int and floats skip their conversion."""
+def _row(j, exposure, width, poly, prior: GammaProcessPrior):
+    """(j, exposure, width, zeros, factors, body) of one row after its own
+    checks, which come before any prior's: a quadrature row's offsets, then
+    j an integer within the first prior, then a finite exposure >= 0 and
+    width > 0, which it returns as plain floats.  zeros counts the leading
+    zero coefficients and factors the events; body is a polynomial's live
+    (log d, k), or the positive offsets."""
+    if isinstance(poly, PolyCoefficients):
+        zeros, log_d, k = poly.live
+        factors, body = poly.degree, (log_d, k)
+    else:
+        b = check_offsets(poly)
+        body = b[b > 0.0]
+        zeros, factors = b.size - body.size, b.size
     if type(j) is not int and not isinstance(j, np.integer):
         raise DimensionMismatch(f"interval index must be an integer, got {j!r}")
     if type(exposure) is not float or type(width) is not float:
@@ -146,96 +181,92 @@ def _interval_prior(
         raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
     if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included
         raise OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0")
-    c, alpha = prior.c, float(prior.increments[j - 1])
-    shape0, rate = c * alpha + zeros, exposure / width + c
-    if not (shape0 < math.inf and rate < math.inf):
-        raise OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
-    if shape0 == 0.0 and alpha > 0.0:
-        raise OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
-    if shape0 == 0.0:
+    return j, exposure, width, zeros, factors, body
+
+
+def _interval_prior(js, exposures, widths, zeros, factors, priors):
+    """(s0, c_j, failure) of R checked rows under p priors: (p, R) arrays of
+    each interval's prior shape c alpha_j plus one unit per zero offset and
+    its posterior rate, and the first (row, prior), in row-major order, whose
+    index is beyond the prior or whose posterior is not proper, as
+    (row * p + prior, its error), else None."""
+    p, j = len(priors), np.array(js)
+    alpha = np.array([prior.increments.take(j - 1, mode="clip") for prior in priors])
+    c = np.array([[prior.c] for prior in priors])
+    with np.errstate(over="ignore"):  # overflow fails below
+        shape0 = c * alpha + np.array(zeros)
+        rate = np.array(exposures) / np.array(widths) + c
+    bad = (j > np.array([[prior.m] for prior in priors])) | (shape0 == 0.0)
+    bad |= ~((shape0 < math.inf) & (rate < math.inf))
+    if not bad.any():
+        return shape0, rate, None
+    i, q = divmod(int(np.flatnonzero(bad.T.ravel())[0]), p)
+    j, prior = js[i], priors[q]
+    if j > prior.m:
+        exc = DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
+    elif not (shape0[q, i] < math.inf and rate[q, i] < math.inf):
+        exc = OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
+    elif alpha[q, i] > 0.0:
+        exc = OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
+    elif factors[i] == 0:
+        exc = ImproperPosterior(f"interval {j}: zero prior increment and no events")
+    else:
         # a zero prior shape with a positive constant coefficient leaves a 1/a
-        # factor near 0, which does not integrate; no factors is the no-events case
-        if n_factors == 0:
-            raise ImproperPosterior(f"interval {j}: zero prior increment and no events")
-        raise ImproperPosterior(
+        # factor near 0, which does not integrate
+        exc = ImproperPosterior(
             f"interval {j}: zero prior increment with a positive "
             "constant likelihood coefficient"
         )
-    return shape0, rate
+    return shape0, rate, (i * p + q, exc)
 
 
-def increment_posterior(js, exposures, widths, polys, priors):
-    """Gamma-mixture posteriors of the increments over m intervals, under
-    each of p priors, as one ``BaselineMixtures``.
-
-    Interval i is number js[i], of exposure exposures[i] and width widths[i];
-    polys[i] must be the product of (a + beta'z) over the uncensored
-    observations inside it (the constant 1 when there are none).  One
-    interval under one prior, ``increment_posterior(j, exposure, width,
-    poly, prior)``, gives its ``BaselineIncrementPosterior``.  The first
-    (interval, prior) that fails, interval by interval, raises.
-    """
-    scalar = isinstance(polys, PolyCoefficients)
-    if scalar:
-        js, exposures, widths, polys, priors = [js], [exposures], [widths], [polys], [priors]
-    try:
-        m, p = len(polys), len(priors)
-        sized = len(js) == len(exposures) == len(widths) == m >= 1 and p >= 1
-    except TypeError:  # one of them is no sequence
-        sized = False
-    if not sized:
-        raise DimensionMismatch("need sequences of one j, exposure, width and polynomial "
-                                "an interval, and at least one interval and one prior")
-    # with nonnegative offsets the zero coefficients are the leading ones,
-    # one per zero offset, whose factor a is one more unit of prior shape
-    lives = [poly.live for poly in polys]
-    params, failed = [], None  # s0, c_j and log(w_j c_j), interval by interval
-    try:
-        for j, exposure, width, poly, (dead, _, _) in zip(js, exposures, widths, polys, lives):
-            for prior in priors:
-                shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
-                params += shape0, rate, math.log(width) + math.log(rate)
-    except AddhazError as exc:
-        failed = exc  # the mixtures before it may fail first; the rest are NaN
-    valid = len(params) // 3
-    params += [math.nan] * (3 * (m * p - valid))
-    shape0, rate, log_scale = np.array(params).reshape(m, p, 3).transpose(2, 1, 0)
-    # the live log coefficients padded with -inf to (m, L), and k = 0, 1, ...
-    lengths = [log_d.size for _, log_d, _ in lives]
+def _mixtures(lives, shape0, rate, log_scale):
+    """(mean, variance, top, log_w, shapes) of B exact rows under p priors,
+    from each row's live (log d, k) and its (p, B) s0, c_j and log(w_j c_j):
+    (p, B) moments and largest log weight, and the normalized log weights
+    and shapes s0 + k of the live components, (p, N) in row order."""
+    # the live log coefficients padded with -inf to (B, L), and k = 0, 1, ...
+    lengths = [log_d.size for log_d, _ in lives]
     size = max(lengths)
-    k = lives[lengths.index(size)][2]
-    padded = np.full((m, size), -math.inf)
-    for row, (_, log_d, _) in zip(padded, lives):
+    k = lives[lengths.index(size)][1]
+    padded = np.full((len(lives), size), -math.inf)
+    for row, (log_d, _) in zip(padded, lives):
         row[: log_d.size] = log_d
-    with np.errstate(invalid="ignore", over="ignore"):  # in rows read below
-        shapes = k + shape0[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # in rows read below
         # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
         # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
-        # leaves too few absolute digits for the weights at large s0.  The
-        # buffer has a spare slot, so that L = 1 still has room for the 0
-        log_shapes = np.log(shapes)
-        log_rising = np.empty((p, m, size + 1))
-        np.negative(log_shapes[..., 0], out=log_rising[..., 0])
-        log_rising[..., 1] = 0.0
-        np.add.accumulate(log_shapes[..., 1:-1], axis=-1, out=log_rising[..., 2:size])
-        log_w = padded - k * log_scale[..., None]
-        log_w += log_rising[..., :size]
+        # leaves too few absolute digits for the weights at large s0.  It
+        # depends on a row only through s0, so it is built once a distinct s0,
+        # with a spare slot, so that L = 1 still has room for the 0
+        distinct, at = np.unique(shape0.ravel(), return_inverse=True)
+        log_shapes = np.log(k + distinct[:, None])
+        log_rising = np.empty((distinct.size, size + 1))
+        # not np.negative(..., out=): numpy 2.4 reads a column 8 floats
+        # apart as if contiguous when the output is strided too
+        log_rising[:, 0] = -log_shapes[:, 0]
+        log_rising[:, 1] = 0.0
+        np.add.accumulate(log_shapes[:, 1:-1], axis=-1, out=log_rising[:, 2:size])
+        # three (p, B, L) buffers in all: log_w, and w below, which serves as
+        # scratch before and after it holds the weights
+        log_w = np.take(log_rising[:, :size], at.reshape(shape0.shape), axis=0)
+        w = np.empty((2, *log_w.shape))
+        np.multiply(k, log_scale[..., None], out=w[1])
+        log_w += np.subtract(padded, w[1], out=w[1])
         top = np.maximum.reduce(log_w, axis=-1)
         # w and w k, each mixture summed over its own live length, as a lone
         # row is: a sum over the padding, or a BLAS product, rounds otherwise
-        w = np.empty((2, p, m, size))
-        np.exp(log_w - top[..., None], out=w[0])
+        np.exp(np.subtract(log_w, top[..., None], out=w[0]), out=w[0])
         np.multiply(w[0], k, out=w[1])
-        sums = np.empty((3, p, m))
+        sums = np.empty((3, *shape0.shape))
         for i, n in enumerate(lengths):
             np.add.reduce(w[..., i, :n], axis=-1, out=sums[:2, :, i])
         totals = sums[0]
-        log_total = np.array([math.log(t) for t in totals.ravel().tolist()]).reshape(p, m)
+        log_total = np.array([math.log(t) for t in totals.ravel().tolist()]).reshape(totals.shape)
         log_w -= (top + log_total)[..., None]
         # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
         # away once s0 is far above 2^53
         k_mean = sums[1] / totals
-        dev = k - k_mean[..., None]
+        dev = np.subtract(k, k_mean[..., None], out=w[1])
         dev *= dev
         dev *= w[0]
         for i, n in enumerate(lengths):
@@ -244,19 +275,98 @@ def increment_posterior(js, exposures, widths, polys, priors):
         # the variance is divided by the rate twice, so that no c_j^2 overflows
         mean = shape_mean / rate
         variance = (sums[2] / totals + shape_mean) / rate / rate
-    finite = (mean < math.inf) & (variance < math.inf)  # NaN where weights vanished
-    if failed is not None or not finite.all():
-        bad = np.flatnonzero(~finite.T.ravel()[:valid])
-        if bad.size:
-            i, q = divmod(int(bad[0]), p)
-            if top[q, i] == -math.inf:
-                raise ImproperPosterior(f"interval {js[i]}: all mixture weights vanished")
-            raise OutOfRange(f"interval {js[i]}: the posterior moments overflow")
-        raise failed
-    live = (k < np.array(lengths)[:, None]).ravel()
+    del w, dev  # freed before the outputs are built, to keep the peak down
+    live = k < np.array(lengths)[:, None]
+    live_k = np.broadcast_to(k, live.shape)[live]
+    shapes = np.repeat(shape0, lengths, axis=-1) + live_k
+    return mean, variance, top, log_w[:, live], shapes
+
+
+def increment_posterior(js, exposures, widths, polys, priors):
+    """Posteriors of the increments over R rows, under each of p priors, as
+    one ``BaselineMixtures``.
+
+    Row i is interval js[i], of exposure exposures[i] and width widths[i].
+    polys[i] is the product of (a + beta'z) over the uncensored
+    observations inside it (the constant 1 when there are none), whose
+    Gamma mixture the row gets; or those offsets beta'z themselves, and
+    the row gets its moments by quadrature and an empty mixture.  One
+    interval under one prior, ``increment_posterior(j, exposure, width,
+    poly, prior)``, gives its ``BaselineIncrementPosterior``.  The first
+    (row, prior) that fails, in row-major order, raises.
+    """
+    scalar = isinstance(polys, PolyCoefficients)
+    if scalar:
+        js, exposures, widths, polys, priors = [js], [exposures], [widths], [polys], [priors]
+    try:
+        count, p = len(polys), len(priors)
+        sized = len(js) == len(exposures) == len(widths) == count >= 1 and p >= 1
+    except TypeError:  # one of them is no sequence
+        sized = False
+    if not sized:
+        raise DimensionMismatch("need sequences of one j, exposure, width and polynomial "
+                                "a row, and at least one row and one prior")
+    rows = []
+    for i, row in enumerate(zip(js, exposures, widths, polys)):
+        try:
+            rows.append(_row(*row, priors[0]))
+        except AddhazError:
+            if i:  # an earlier row may fail first
+                increment_posterior(js[:i], exposures[:i], widths[:i], polys[:i], priors)
+            raise
+    js, exposures, widths, zeros, factors, bodies = zip(*rows)
+    shape0, rate, failure = _interval_prior(js, exposures, widths, zeros, factors, priors)
+    # (row, prior) entries from row-major index ``limit`` on are not read
+    limit = failure[0] if failure else count * p
+    log_scale = np.array(
+        [[math.log(w) + math.log(c) for c in cs] for w, cs in zip(widths, rate.T.tolist())]
+    ).T
+    mean, variance, top = np.zeros((3, p, count))
+    exact = [i for i, poly in enumerate(polys) if isinstance(poly, PolyCoefficients)]
+    lengths = [0] * count
+    # the exact rows in runs whose (p, rows, L) temporaries fit the budget
+    runs, longest = [], 0
+    for i in exact:
+        lengths[i] = n = bodies[i][0].size
+        longest = max(longest, n)
+        if not runs or p * (len(runs[-1]) + 1) * longest > _BLOCK_ELEMENTS:
+            runs.append([])
+            longest = n
+        runs[-1].append(i)
+    pieces = []  # (log weights, shapes) of each run, (p, N) in row order
+    for run in runs:
+        *moments, log_w, shapes = _mixtures(
+            [bodies[i] for i in run], shape0[:, run], rate[:, run], log_scale[:, run]
+        )
+        mean[:, run], variance[:, run], top[:, run] = moments
+        pieces.append((log_w, shapes))
+    flat = [
+        np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in zip(*pieces)
+    ] or [np.empty((p, 0))] * 2
+    bad = np.flatnonzero(~((mean < math.inf) & (variance < math.inf)).T.ravel()[:limit])
+    if bad.size:  # NaN where the weights vanished
+        i, q = divmod(int(bad[0]), p)
+        if top[q, i] == -math.inf:
+            failure = bad[0], ImproperPosterior(f"interval {js[i]}: all mixture weights vanished")
+        else:
+            failure = bad[0], OutOfRange(f"interval {js[i]}: the posterior moments overflow")
+        limit = bad[0]
+    quadrature = [i for i, poly in enumerate(polys) if not isinstance(poly, PolyCoefficients)]
+    s0, c_j = (shape0.tolist(), rate.tolist()) if quadrature else ((), ())
+    for i in quadrature:
+        for q in range(min(p, limit - i * p)):
+            try:
+                mean[q, i], variance[q, i] = _quadrature_moments(
+                    js[i], s0[q][i], c_j[q][i], widths[i], bodies[i]
+                )
+            except AddhazError as exc:
+                failure = i * p + q, exc
+                limit = failure[0]
+                break
+    if failure:
+        raise failure[1]
     mixtures = BaselineMixtures(
-        np.array(js), rate, mean, variance,
-        *(a.reshape(p, -1).compress(live, axis=1).ravel() for a in (log_w, shapes)),
+        np.array(js), rate, mean, variance, *(a.ravel() for a in flat),
         np.cumsum([0] + lengths * p),  # the lengths, once per prior
     )
     return mixtures[0][0] if scalar else mixtures
@@ -270,13 +380,16 @@ def increment_moments(
     Takes the same interval as ``increment_posterior`` but the factor
     offsets b_i themselves instead of their polynomial, and returns empty
     ``log_weights`` and ``shape_offsets``: the mixture is not built.  The
-    improper cases and the offset check are those of the exact path.  The
-    quadrature takes a prior shape s0 up to 1e300 and u x / b_i up to 1e300
-    at u = s0 + N, x = 1 / (width c_j), and raises OutOfRange beyond them.
+    improper cases and the offset check are those of the exact path.
     """
-    b = check_offsets(offsets)
-    positive = b[b > 0.0]
-    shape0, rate = _interval_prior(j, exposure, width, prior, b.size - positive.size, b.size)
+    return increment_posterior([j], [exposure], [width], [check_offsets(offsets)], [prior])[0][0]
+
+
+def _quadrature_moments(j, shape0: float, rate: float, width: float, positive: np.ndarray):
+    """(mean, variance) of the increment of checked interval j, of prior
+    shape s0 and rate c_j, by quadrature over its positive offsets.  It
+    takes s0 up to 1e300 and u x / b_i up to 1e300 at u = s0 + N,
+    x = 1 / (width c_j), and raises OutOfRange beyond them."""
     mean_u = var_u = shape0  # the prior's Gamma(s0, 1) in u
     if positive.size:
         x = 1.0 / width / rate
@@ -294,7 +407,7 @@ def increment_moments(
     mean, variance = mean_u / rate, var_u / rate / rate
     if not (mean < math.inf and variance < math.inf):
         raise OutOfRange(f"interval {j}: the posterior moments overflow")
-    return BaselineIncrementPosterior(j, (), (), float(rate), mean, variance)
+    return mean, variance
 
 
 def _expm1_minus_t(t: np.ndarray) -> np.ndarray:
@@ -470,52 +583,46 @@ def _tilted_gamma_moments(j: int, s0: float, b: np.ndarray, x: float) -> tuple[f
     return s0 + p * gap, (1.0 - p) * s0 + p * var_r + p * (1.0 - p) * gap * gap
 
 
-def increment_posteriors(ds: SurvivalDataset, grid: TimeGrid, beta, priors) -> BaselineMixtures:
-    """Posterior of the increment over each of the first m grid intervals,
-    m the priors' common length, under each prior, given coefficients beta.
+def increment_posteriors(datasets, grids, betas, priors) -> BaselineMixtures:
+    """Posterior of the increment over each of the first m intervals of r
+    datasets, m the priors' common length, under each prior: dataset i on
+    grids[i] given its coefficients betas[i], of shape (r, k).
 
-    Entry [p][j] is interval j + 1's posterior under priors[p].  An interval
-    with more than EXACT_MAX_FACTORS events gets its moments by quadrature
-    and an empty mixture; the others get their mixtures from one
-    ``increment_posterior`` call, with one polynomial an interval.
+    Row i * m + j - 1 of the result is interval j of dataset i.  A row with
+    more than EXACT_MAX_FACTORS events gets its moments by quadrature and
+    an empty mixture; the others get their mixtures from one polynomial a
+    row.  One ``increment_posterior`` call takes every row, and the first
+    failure in (dataset, interval, prior) order raises.
     """
     if not priors:
         raise DimensionMismatch("need at least one prior")
-    m, p = priors[0].m, len(priors)
+    m = priors[0].m
     if any(prior.m != m for prior in priors):
         raise DimensionMismatch("the priors differ in their number of increments")
-    if grid.m < m:
-        raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
-    # plain floats, so that the posteriors hold no numpy scalars
-    exposures = interval_summaries(ds, grid).tolist()
-    widths = grid.widths().tolist()
-    exact, quadrature = ([], [], [], []), {}  # (j, exposure, width, poly) lists
-    for j, factors in enumerate(event_offsets_by_interval(ds, grid, beta)[:m]):
-        interval = (j + 1, exposures[j], widths[j])
+    if len(grids) != len(datasets):
+        raise DimensionMismatch("need one grid a dataset")
+    for grid in grids:
+        if grid.m < m:
+            raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
+    bounds = np.array([grid.boundaries[:m] for grid in grids])
+    # plain floats and ints, which the kernel's row checks take as they are
+    exposures = interval_summaries(datasets, bounds).ravel().tolist()
+    widths = np.diff(bounds, prepend=0.0).ravel().tolist()
+    try:
+        factors, indptr = event_offsets_by_interval(datasets, bounds, betas)
+    except NonNegativityViolation:
+        if len(datasets) > 1:  # an earlier dataset may fail first
+            for one in zip(datasets, grids, betas):
+                increment_posteriors(*([x] for x in one), priors)
+        raise
+    js = list(range(1, m + 1)) * len(datasets)
+    polys = []
+    for i, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+        offsets = factors[a:b]
         try:
-            if len(factors) > EXACT_MAX_FACTORS:
-                quadrature[j] = [increment_moments(*interval, factors, q) for q in priors]
-            else:
-                for column, value in zip(exact, (*interval, poly_from_factors(factors))):
-                    column.append(value)
+            polys.append(offsets if b - a > EXACT_MAX_FACTORS else poly_from_factors(offsets))
         except AddhazError:
-            if exact[0]:  # an earlier exact interval may fail first
-                increment_posterior(*exact, priors)
+            if i:  # an earlier row may fail first
+                increment_posterior(js[:i], exposures[:i], widths[:i], polys, priors)
             raise
-    mixtures = increment_posterior(*exact, priors) if exact[0] else None
-    if not quadrature:
-        return mixtures
-    # the quadrature's moments beside the mixtures, whose flat arrays keep
-    # their order, since the quadrature's mixtures are empty
-    columns = np.zeros((4, p, m))  # rate, mean, variance and mixture length
-    for j, posts in quadrature.items():
-        columns[:3, :, j] = np.array([(q.rate, q.mean, q.variance) for q in posts]).T
-    flat = (np.empty(0),) * 2
-    if mixtures is not None:
-        lengths = np.diff(mixtures.indptr).reshape(p, -1)
-        at = [j - 1 for j in exact[0]]
-        columns[..., at] = mixtures.rate, mixtures.mean, mixtures.variance, lengths
-        flat = mixtures.log_weights, mixtures.shape_offsets
-    rate, mean, variance, lengths = columns
-    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
-    return BaselineMixtures(np.arange(1, m + 1), rate, mean, variance, *flat, indptr)
+    return increment_posterior(js, exposures, widths, polys, priors)

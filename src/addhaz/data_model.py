@@ -169,8 +169,8 @@ class TimeGrid:
         return self.cuts + (self.t_final,)
 
     def widths(self) -> np.ndarray:
-        b = np.asarray((0.0,) + self.boundaries)
-        return np.diff(b)
+        b = np.array((0.0,) + self.boundaries)
+        return b[1:] - b[:-1]
 
 
 # the default grid's cut probabilities, for a fit and a baseline study alike
@@ -348,14 +348,14 @@ class BaselineIncrementPosterior:
 
 @dataclass(frozen=True, eq=False)
 class BaselineMixtures:
-    """Gamma-mixture posteriors of m increments under each of p priors, as arrays.
+    """Gamma-mixture posteriors of R increments under each of p priors, as arrays.
 
-    ``intervals`` holds the m interval numbers j, and ``rate``, ``mean`` and
-    ``variance`` are (p, m).  The mixtures lie end to end in the flat
-    ``log_weights`` and ``shape_offsets``: the one of interval i under prior
-    q is ``[indptr[q * m + i], indptr[q * m + i + 1])``, empty where the
-    moments came by quadrature.  The arrays are frozen in place.  Entry
-    [q][i] reads as that ``BaselineIncrementPosterior``, built on access.
+    ``intervals`` holds each row's interval number j, and ``rate``, ``mean``
+    and ``variance`` are (p, R).  The mixtures lie end to end in the flat
+    ``log_weights`` and ``shape_offsets``: the one of row i under prior q is
+    ``[indptr[q * R + i], indptr[q * R + i + 1])``, empty where the moments
+    came by quadrature.  The arrays are frozen in place.  Entry [q][i] reads
+    as that ``BaselineIncrementPosterior``, built on access.
     """
 
     intervals: np.ndarray
@@ -374,7 +374,7 @@ class BaselineMixtures:
         return self.rate.shape[0]
 
     def __getitem__(self, q: int) -> tuple[BaselineIncrementPosterior, ...]:
-        """The m posteriors under prior q."""
+        """The R posteriors under prior q."""
         q, m = range(len(self))[q], self.intervals.size
         ends = self.indptr[q * m : (q + 1) * m + 1].tolist()
         log_w, shapes = self.log_weights, self.shape_offsets

@@ -54,7 +54,7 @@ def fit(
             gamma_prior = GammaProcessPrior.from_shape(grid.boundaries, DEFAULT_GAMMA_C)
         elif gamma_prior.m != grid.m:
             raise DimensionMismatch(f"gamma prior needs one increment per grid interval ({grid.m})")
-        (baseline,) = increment_posteriors(ds, grid, beta_hat, [gamma_prior])
+        baseline = increment_posteriors([ds], [grid], beta_hat[None], [gamma_prior])[0]
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

@@ -286,6 +286,7 @@ def run_baseline_experiment(
     post_vars = np.empty_like(means)
     kept = 0
     for datasets, est in _chunks(cfg):
+        chunk = []  # the chunk's (dataset, grid, beta) of the kept replicates
         for ds, bhat in zip(datasets, beta_mode(pseudo_posterior(est, beta_prior))):
             rep_grid = grid
             if grid is None:
@@ -295,9 +296,14 @@ def run_baseline_experiment(
                     continue
                 if rep_grid.m < m:  # quantile cuts collapsed
                     continue
-            posts = increment_posteriors(ds, rep_grid, bhat, priors)
-            means[kept], post_vars[kept] = posts.mean, posts.variance
-            kept += 1
+            chunk.append((ds, rep_grid, bhat))
+        if chunk:
+            kept_ds, grids, betas = zip(*chunk)
+            posts = increment_posteriors(kept_ds, grids, np.array(betas), priors)
+            r = len(chunk)
+            for out, moment in ((means, posts.mean), (post_vars, posts.variance)):
+                out[kept : kept + r] = moment.reshape(-1, r, m).swapaxes(0, 1)
+            kept += r
     dropped = _check_drops(cfg, kept)
     mean, post_sd, mc_sd = _cell_stats(means[:kept], np.sqrt(post_vars[:kept]), axis=0)
     stats = np.stack([mean, mc_sd, post_sd], axis=-1)

@@ -9,6 +9,7 @@ import numpy as np
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
     _interval_prior,
+    _row,
     event_offsets_by_interval,
     increment_moments,
     increment_posterior,
@@ -82,12 +83,27 @@ def poly_by_slices(offsets) -> PolyCoefficients:
     return PolyCoefficients(buf)
 
 
+def interval_exposures(ds: SurvivalDataset, grid) -> np.ndarray:
+    """(m,) exposures of one dataset over every interval of its grid."""
+    return interval_summaries([ds], [grid.boundaries])[0]
+
+
+def interval_offsets(ds: SurvivalDataset, grid, beta) -> list[np.ndarray]:
+    """beta'z of one dataset's events, one array an interval of its grid."""
+    factors, indptr = event_offsets_by_interval([ds], [grid.boundaries], [beta])
+    return np.split(factors, indptr[1:-1])
+
+
 def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPosterior:
     """The Gamma-mixture posterior written with numpy's module functions and
     a concatenated log-rising sum: the reference that ``increment_posterior``
     is held to bit for bit in all but its mean and variance."""
     dead = int(np.argmax(poly.log_abs > -math.inf))
-    shape0, rate = _interval_prior(j, exposure, width, prior, dead, poly.degree)
+    j, exposure, width = _row(j, exposure, width, poly, prior)[:3]
+    shape0, rate, failure = _interval_prior([j], [exposure], [width], [dead], [poly.degree], [prior])
+    if failure:
+        raise failure[1]
+    shape0, rate = shape0.item(), rate.item()
     log_d = poly.log_abs[dead:]
     k = np.arange(log_d.size)
     shapes = k + shape0
@@ -116,9 +132,9 @@ def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[BaselineIncrementPo
     interval and each prior in turn, entry [p][j] for interval j + 1 under
     priors[p]: the reference that ``increment_posteriors`` is held to."""
     m = priors[0].m
-    exposures, widths = interval_summaries(ds, grid).tolist(), grid.widths().tolist()
+    exposures, widths = interval_exposures(ds, grid).tolist(), grid.widths().tolist()
     columns = []
-    for j, factors in enumerate(event_offsets_by_interval(ds, grid, beta)[:m]):
+    for j, factors in enumerate(interval_offsets(ds, grid, beta)[:m]):
         interval = (j + 1, exposures[j], widths[j])
         if len(factors) > EXACT_MAX_FACTORS:
             columns.append([increment_moments(*interval, factors, p) for p in priors])
@@ -207,6 +223,27 @@ def draw_event_times(offsets, rng: np.random.Generator):
     draws = rng.exponential(size=len(offsets))
     offsets = np.asarray(offsets, dtype=float).tolist()
     return np.array([e / (1.0 + offset) for e, offset in zip(draws.tolist(), offsets)])
+
+
+def draw_piecewise_times(levels, bounds, offsets, rng: np.random.Generator):
+    """Event times under the additive hazard a_j + offsets[i] on interval j
+    of the grid with right endpoints ``bounds``, and a_m past its end, by
+    inverting the cumulative hazard at one Exp(1) draw a row.
+
+    The cumulative hazard at s_j is A_j + b s_j, with A_j the baseline's
+    sum of a_l w_l over l <= j; a draw E falls in the first interval whose
+    end the hazard passes, and inside it the hazard is linear in t.
+    """
+    a, s = np.asarray(levels, dtype=float), np.asarray(bounds, dtype=float)
+    b = np.asarray(offsets, dtype=float)
+    left = np.concatenate(([0.0], s[:-1]))
+    base = np.concatenate(([0.0], np.cumsum(a * (s - left))))  # A_0, ..., A_m
+    draws = rng.exponential(size=b.size)
+    at_ends = base[1:] + b[:, None] * s  # (n, m) cumulative hazard at s_1..s_m
+    j = np.sum(at_ends < draws[:, None], axis=1)  # 0-based interval, m beyond s_m
+    start = np.concatenate(([0.0], s))[j]
+    level = np.append(a, a[-1])[j]
+    return start + (draws - base[j] - b * start) / (level + b)
 
 
 def draw_event_time(z, beta, rng: np.random.Generator) -> float:

@@ -18,11 +18,7 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from addhaz.baseline_posterior import (
-    event_offsets_by_interval,
-    increment_posterior,
-    interval_summaries,
-)
+from addhaz.baseline_posterior import increment_posterior
 from addhaz.data_model import BetaPrior, GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.hybrid_beta import (
     PseudoPosterior,
@@ -40,7 +36,7 @@ from addhaz.simulate import (
     run_beta_experiment,
 )
 
-from oracles import poly_eval_log
+from oracles import interval_exposures, interval_offsets, poly_eval_log
 
 MC_SEED = 20260819
 
@@ -228,8 +224,8 @@ def test_criterion_07_infinite_confidence_returns_prior_increments():
         for base in (0.01, 0.3, 1.0, 5.0):
             increments = [base * (j + 1) for j in range(grid.m)]
             prior = GammaProcessPrior(increments, c=1e6)
-            exposures = interval_summaries(ds, grid)
-            offsets = event_offsets_by_interval(ds, grid, beta)
+            exposures = interval_exposures(ds, grid)
+            offsets = interval_offsets(ds, grid, beta)
             for j in range(grid.m):
                 post = increment_posterior(
                     j + 1, exposures[j], grid.widths()[j], poly_from_factors(offsets[j]), prior
@@ -244,8 +240,8 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
     times = np.full(20, 0.05)
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
-    interval = (1, interval_summaries(ds, grid)[0], grid.widths()[0])
-    poly = poly_from_factors(event_offsets_by_interval(ds, grid, np.array([1.0]))[0])
+    interval = (1, interval_exposures(ds, grid)[0], grid.widths()[0])
+    poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
     for alpha in (0.5, 2.0):
         prior_a = GammaProcessPrior((alpha,), c=1e-8)
         prior_b = GammaProcessPrior((10.0 * alpha,), c=1e-8)

@@ -21,11 +21,9 @@ from scipy import integrate
 
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
-    event_offsets_by_interval,
     increment_moments,
     increment_posterior,
     increment_posteriors,
-    interval_summaries,
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import (
@@ -33,7 +31,14 @@ from addhaz.errors import (
 )
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
-from oracles import mixture_moments, mixture_posterior, offsets_by_mask, stage_by_intervals
+from oracles import (
+    interval_exposures,
+    interval_offsets,
+    mixture_moments,
+    mixture_posterior,
+    offsets_by_mask,
+    stage_by_intervals,
+)
 
 
 def quadrature_moments(offsets, alpha, c, exposure, width):
@@ -95,13 +100,13 @@ def exact_coefficients(offsets):
 
 def offsets_by_interval(ds, grid):
     """Event offsets per interval at beta = 1, as lists."""
-    return [list(o) for o in event_offsets_by_interval(ds, grid, np.ones(ds.k))]
+    return [list(o) for o in interval_offsets(ds, grid, np.ones(ds.k))]
 
 
 def test_interval_summaries_single_observation():
     ds = SurvivalDataset([1.5], [True], [[1.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
-    exposure = interval_summaries(ds, grid)
+    exposure = interval_exposures(ds, grid)
     assert exposure.shape == (3,) and exposure.dtype == np.float64
     # at risk through interval 1, for half of interval 2, an event there
     assert exposure.tolist() == [1.0, 0.5, 0.0]
@@ -112,7 +117,7 @@ def test_interval_summaries_all_beyond():
     ds = SurvivalDataset([2.5, 2.7, 3.0], [1, 1, 1], [[1.0]] * 3)
     grid = TimeGrid((1.0, 2.0), 3.0)
     # all three outlast interval 1 (full width each) and none ends in it
-    assert interval_summaries(ds, grid)[0] == pytest.approx(3 * 1.0)
+    assert interval_exposures(ds, grid)[0] == pytest.approx(3 * 1.0)
     assert offsets_by_interval(ds, grid) == [[], [], [1.0, 1.0, 1.0]]
 
 
@@ -121,7 +126,7 @@ def test_interval_summaries_counts_and_monotone_m():
     times = rng.uniform(0.0, 4.0, size=60)
     ds = SurvivalDataset(times, np.ones(60, dtype=bool), np.ones((60, 1)))
     grid = TimeGrid((0.5, 1.5, 3.0), 4.0)
-    exposure = interval_summaries(ds, grid)
+    exposure = interval_exposures(ds, grid)
     assert sum(map(len, offsets_by_interval(ds, grid))) == 60
     # exposure / width, the mean number at risk over an interval, is at
     # least the number at risk at its end and so never grows with j
@@ -138,14 +143,14 @@ def test_boundary_time_belongs_to_left_interval():
     ds = SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
     assert offsets_by_interval(ds, grid) == [[1.0], [2.0], []]
-    assert interval_summaries(ds, grid).tolist() == [2.0, 1.0, 0.0]
+    assert interval_exposures(ds, grid).tolist() == [2.0, 1.0, 0.0]
 
 
 def test_zero_time_counts_in_first_interval():
     ds = SurvivalDataset([0.0, 0.5], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0,), 2.0)
     assert offsets_by_interval(ds, grid) == [[1.0, 2.0], []]
-    assert interval_summaries(ds, grid).tolist() == [0.5, 0.0]
+    assert interval_exposures(ds, grid).tolist() == [0.5, 0.0]
 
 
 def test_truncated_grid_keeps_late_observations_at_risk():
@@ -153,11 +158,11 @@ def test_truncated_grid_keeps_late_observations_at_risk():
     # exposure everywhere but belongs to no interval and yields no factor
     ds = SurvivalDataset([0.5, 5.0], [True, True], [[1.0], [2.0]])
     grid = TimeGrid((1.0, 2.0), 3.0)
-    exposure = interval_summaries(ds, grid)
+    exposure = interval_exposures(ds, grid)
     assert exposure[0] == pytest.approx(0.5 + 1.0)
     assert exposure[1] == pytest.approx(1.0)
     assert exposure[2] == pytest.approx(1.0)
-    offsets = event_offsets_by_interval(ds, grid, np.array([0.7]))
+    offsets = interval_offsets(ds, grid, np.array([0.7]))
     assert [len(o) for o in offsets] == [1, 0, 0]
     assert offsets[0][0] == pytest.approx(0.7)
 
@@ -169,11 +174,11 @@ def test_event_offsets_split_by_interval():
         [[1.0], [9.0], [2.0], [3.0]],
     )
     grid = TimeGrid((1.0, 2.0), 3.0)
-    offsets = event_offsets_by_interval(ds, grid, np.array([2.0]))
+    offsets = interval_offsets(ds, grid, np.array([2.0]))
     assert [list(o) for o in offsets] == [[2.0], [4.0], [6.0]]
     for beta in ([], [2.0, 1.0]):
         with pytest.raises(DimensionMismatch, match="beta dimension"):
-            event_offsets_by_interval(ds, grid, beta)
+            interval_offsets(ds, grid, beta)
 
 
 def test_no_events_posterior_is_prior_gamma():
@@ -245,8 +250,8 @@ def test_vanishing_confidence_forgets_prior_shape():
     times = np.full(20, 0.05)
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
-    interval = (1, interval_summaries(ds, grid)[0], 0.9)
-    poly = poly_from_factors(event_offsets_by_interval(ds, grid, np.array([1.0]))[0])
+    interval = (1, interval_exposures(ds, grid)[0], 0.9)
+    poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
     mean_small = increment_posterior(*interval, poly, GammaProcessPrior((0.5,), c=1e-8)).mean
     mean_large = increment_posterior(*interval, poly, GammaProcessPrior((5.0,), c=1e-8)).mean
     assert mean_small == pytest.approx(mean_large, rel=1e-6)
@@ -316,6 +321,73 @@ def test_batch_raises_the_first_failure_interval_by_interval():
     ):
         with pytest.raises(DimensionMismatch, match="need sequences"):
             increment_posterior(*args)
+
+
+def test_chunk_raises_the_first_failure_row_by_row():
+    one = poly_from_factors([1.0])  # a positive constant coefficient
+    none = poly_from_factors([])  # no events
+    # (row 1, prior 2) and (row 2, prior 1) are both improper; row 1 comes first
+    priors = [GammaProcessPrior([1.0, 0.0], 1.0), GammaProcessPrior([0.0, 1.0], 1.0)]
+    with pytest.raises(ImproperPosterior, match="interval 1: .*constant likelihood coefficient"):
+        increment_posterior([1, 2], [1.0, 1.0], [1.0, 1.0], [one, none], priors)
+    with pytest.raises(ImproperPosterior, match="interval 2: .*no events"):
+        increment_posterior([1, 2], [1.0, 1.0], [1.0, 1.0], [none, none], priors[:1])
+    # a prior failure on row 1 beats row 3's zero width, read before any prior
+    with pytest.raises(ImproperPosterior, match="interval 1: "):
+        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
+                            [GammaProcessPrior([0.0, 1.0, 1.0], 1.0)])
+    with pytest.raises(OutOfRange, match="interval 3: needs a finite exposure"):
+        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
+                            [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)])
+    # three datasets on the grid (1, 2]: the first has only zero offsets in
+    # interval 2, so alpha_2 = 0 is proper there; the second has no event
+    # in it, which is improper; the third's beta'z is NaN, which the
+    # polynomial of its first interval rejects
+    grid = TimeGrid((1.0,), 2.0)
+    first = SurvivalDataset([0.5, 1.5], [True, True], [[1.0, 0.0], [0.0, 1.0]])
+    second = SurvivalDataset([0.5, 1.5], [True, False], [[1.0, 0.0], [0.0, 1.0]])
+    prior = [GammaProcessPrior([1.0, 0.0], 1.0)]
+    betas = [[1.0, 0.0], [1.0, 0.0], [math.nan, 0.0]]
+    chunk = [first, second, first], [grid] * 3
+    with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
+        increment_posteriors(*chunk, betas, prior)
+    with pytest.raises(OutOfRange, match="factor offsets must be finite"):
+        increment_posteriors([first, first], [grid] * 2, betas[1:], prior)
+    assert len(increment_posteriors([first, first], [grid] * 2, betas[:2], prior)[0]) == 4
+    # a negative beta'z in a later dataset loses to an earlier dataset's failure
+    signed = SurvivalDataset(
+        [0.5, 1.5], [True, True], [[1.0, 0.0], [-1.0, 0.0]], allow_signed=True
+    )
+    with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
+        increment_posteriors([second, signed], [grid] * 2, betas[:2], prior)
+    with pytest.raises(NonNegativityViolation, match="negative beta'z"):
+        increment_posteriors([first, signed], [grid] * 2, betas[:2], prior)
+    # a malformed chunk: grids, or rows of betas, other than one a dataset
+    for grids, betas in (
+        ([grid], [[1.0, 0.0]] * 2),
+        ([grid] * 3, [[1.0, 0.0]] * 2),
+        ([grid] * 2, [[1.0, 0.0]] * 3),
+        ([grid] * 2, [[1.0]] * 2),
+        ([grid] * 2, [1.0, 0.0]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            increment_posteriors([first, first], grids, betas, prior)
+
+
+@pytest.mark.parametrize("longest", [7, 8, 9])
+def test_each_row_of_a_batch_is_its_own_call_at_every_padded_length(longest):
+    # rows padded to L = longest + 1 live coefficients, 8 among them: the
+    # k = 0 term of a strided (rows, L) table once read its column as if it
+    # were contiguous at L = 8, and every row but the first got wrong weights
+    rng = np.random.default_rng(longest)
+    polys = [poly_from_factors(rng.uniform(0.1, 2.0, n)) for n in (1, longest, 3, 0)]
+    priors = [GammaProcessPrior([1.0, 3.0, 0.5, 2.0], c) for c in (0.5, 4.0)]
+    args = [1, 2, 3, 4], [2.0, 1.5, 0.7, 0.3], [0.5, 0.5, 0.25, 0.25]
+    batch = increment_posterior(*args, polys, priors)
+    for row, prior in zip(batch, priors):
+        assert list(row) == [
+            increment_posterior(*interval, prior) for interval in zip(*args, polys)
+        ]
 
 
 def _outcome(kernel, *args):
@@ -403,10 +475,10 @@ def test_full_pipeline_matches_quadrature():
     grid = TimeGrid((0.8, 1.8), 3.0)
     beta = np.array([0.4, 0.9])
     prior = GammaProcessPrior([1.5, 0.7, 0.2], c=2.0)
-    exposures = interval_summaries(ds, grid)
+    exposures = interval_exposures(ds, grid)
     widths = grid.widths()
-    offset_lists = event_offsets_by_interval(ds, grid, beta)
-    (stage,) = increment_posteriors(ds, grid, beta, [prior])
+    offset_lists = interval_offsets(ds, grid, beta)
+    (stage,) = increment_posteriors([ds], [grid], [beta], [prior])
     for j in range(3):
         post = increment_posterior(
             j + 1, exposures[j], widths[j], poly_from_factors(offset_lists[j]), prior
@@ -425,7 +497,7 @@ def test_stage_covers_the_priors_increments():
     beta = np.array([0.4])
     # the first m intervals of a longer grid, m from the priors
     longer = TimeGrid((1.0, 2.5), 3.0)
-    (posts,) = increment_posteriors(ds, longer, beta, [GammaProcessPrior([1.0], 1.0)])
+    (posts,) = increment_posteriors([ds], [longer], [beta], [GammaProcessPrior([1.0], 1.0)])
     assert [p.interval for p in posts] == [1]
     for priors in (
         [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)],  # longer than the grid
@@ -433,7 +505,7 @@ def test_stage_covers_the_priors_increments():
         [],
     ):
         with pytest.raises(DimensionMismatch):
-            increment_posteriors(ds, grid, beta, priors)
+            increment_posteriors([ds], [grid], [beta], priors)
 
 
 def test_adding_zero_offset_event_tracks_quadrature():
@@ -467,11 +539,11 @@ def test_exposure_and_offsets_follow_the_interval_conventions(times, events, cut
     ds = SurvivalDataset(t, events, np.arange(1.0, t.size + 1)[:, None])
     lows, highs = (0.0,) + grid.boundaries[:-1], grid.boundaries
     want = [np.clip(np.minimum(t, hi) - lo, 0.0, None).sum() for lo, hi in zip(lows, highs)]
-    got = interval_summaries(ds, grid)
+    got = interval_exposures(ds, grid)
     assert got.shape == (grid.m,) and got.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * t.size * grid.t_final)
     # the interval (s_{j-1}, s_j] holds an event, the first also one at 0
-    offsets = event_offsets_by_interval(ds, grid, np.ones(1))
+    offsets = interval_offsets(ds, grid, np.ones(1))
     for j, (lo, hi) in enumerate(zip(lows, highs)):
         rows = [i + 1 for i in range(t.size) if events[i] and (t[i] > lo or j == 0) and t[i] <= hi]
         assert offsets[j].tolist() == rows  # in row order: it fixes the factor order
@@ -498,7 +570,7 @@ def test_event_partition_keeps_row_order_within_each_interval(n, m, tied, seed):
     ds = SurvivalDataset(times, events, rng.exponential(size=(n, 2)))
     grid = TimeGrid(tuple(np.linspace(0.0, 1.0, m + 1)[1:-1].tolist()), 1.0)
     beta = np.array([0.5, 0.25])
-    got, want = event_offsets_by_interval(ds, grid, beta), offsets_by_mask(ds, grid, beta)
+    got, want = interval_offsets(ds, grid, beta), offsets_by_mask(ds, grid, beta)
     assert len(got) == len(want) == m
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
@@ -510,10 +582,10 @@ def test_only_events_inside_the_grid_need_nonnegative_offsets():
         [3.0, 0.5, 1.5, 2.5], [True, True, False, True], [[-4.0], [1.0], [-2.0], [2.0]],
         allow_signed=True,
     )
-    offsets = event_offsets_by_interval(ds, TimeGrid((1.0,), 2.5), np.ones(1))
+    offsets = interval_offsets(ds, TimeGrid((1.0,), 2.5), np.ones(1))
     assert [o.tolist() for o in offsets] == [[1.0], [2.0]]
     with pytest.raises(NonNegativityViolation):
-        event_offsets_by_interval(ds, TimeGrid((1.0,), 3.0), np.ones(1))
+        interval_offsets(ds, TimeGrid((1.0,), 3.0), np.ones(1))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -542,11 +614,11 @@ def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
     cuts = tuple(t_final * np.sort(rng.uniform(0.1, 0.99, n_cuts)))
     priors = [GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), c) for c in (1e-2, 1.0, 1e2)]
     grid = TimeGrid(cuts, t_final)
-    base = increment_posteriors(SurvivalDataset(times, events, z), grid, beta, priors)
+    base = increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], priors)
     scaled = increment_posteriors(
-        SurvivalDataset(tau * times, events, z),
-        TimeGrid(tuple(tau * s for s in cuts), tau * t_final),
-        beta / tau,
+        [SurvivalDataset(tau * times, events, z)],
+        [TimeGrid(tuple(tau * s for s in cuts), tau * t_final)],
+        [beta / tau],
         priors,
     )
     assert (base[0][0].log_weights == ()) == crowd  # quadrature, else exact
@@ -602,23 +674,87 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     grid = TimeGrid(tuple(map(float, range(1, m))), float(m))
     priors = [GammaProcessPrior(alphas[:m], c) for c, alphas in weights]
     beta = np.array([0.7])
-    got = _stage_outcome(increment_posteriors, ds, grid, beta, priors)
+    got = _stage_outcome(increment_posteriors, [ds], [grid], [beta], priors)
     assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, priors)
     if isinstance(got, tuple):
         return
-    stage = increment_posteriors(ds, grid, beta, priors)
+    stage = increment_posteriors([ds], [grid], [beta], priors)
     components = sum(len(post.log_weights) for row in got for post in row)
     assert len(stage.log_weights) == stage.indptr[-1] == components
     assert stage.mean.shape == (len(priors), m) and stage.intervals.tolist() == [*range(1, m + 1)]
     assert not any(array.flags.writeable for array in vars(stage).values())
     # the batch over the exact intervals alone, row by row
-    exposures, widths = interval_summaries(ds, grid), grid.widths()
+    exposures, widths = interval_exposures(ds, grid), grid.widths()
     exact = [
         (j + 1, exposures[j], widths[j], poly_from_factors(offsets))
-        for j, offsets in enumerate(event_offsets_by_interval(ds, grid, beta))
+        for j, offsets in enumerate(interval_offsets(ds, grid, beta))
         if offsets.size <= EXACT_MAX_FACTORS
     ]
     if exact:
         batch = increment_posterior(*map(list, zip(*exact)), priors)
         for row, prior in zip(batch, priors):
             assert list(row) == [increment_posterior(*interval, prior) for interval in exact]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    shared=st.booleans(),
+    crowd_at=st.none() | st.integers(0, 5),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5]),
+    weights=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),
+            st.lists(st.floats(1e-3, 1e2), min_size=3, max_size=3),
+            st.one_of(*[st.none()] * 4, st.integers(0, 2)),  # alpha_j = 0 one time in five
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_chunk_is_its_datasets_stage_by_stage(seed, sizes, shared, crowd_at, zero_share, weights):
+    # r datasets on one grid or on a grid each, of 3 or 4 intervals, with
+    # times on a boundary, at 0 and beyond t_F drawn often; the one at
+    # crowd_at has more events in interval 1 than the exact path takes.  The
+    # chunk must give each dataset's posteriors, row after row, or raise the
+    # error that the first failing dataset raises on its own
+    rng = np.random.default_rng(seed)
+
+    def draw_grid():
+        cuts = np.sort(rng.choice(np.arange(0.25, 2.0, 0.25), rng.integers(2, 4), replace=False))
+        return TimeGrid(tuple(cuts.tolist()), float(cuts[-1]) + 0.5)
+
+    grids = [draw_grid()] * len(sizes) if shared else [draw_grid() for _ in sizes]
+    datasets, betas = [], []
+    for i, (n, grid) in enumerate(zip(sizes, grids)):
+        times = rng.uniform(0.0, 1.2 * grid.t_final, n)
+        pick = rng.random(n)
+        times[pick < 0.2] = rng.choice((0.0,) + grid.boundaries, int((pick < 0.2).sum()))
+        if i == crowd_at:
+            times = np.concatenate([times, rng.uniform(0.0, grid.cuts[0], EXACT_MAX_FACTORS + 1)])
+        events = rng.random(times.size) < 0.8
+        events[0] = True
+        if i == crowd_at:
+            events[n:] = True
+        z = rng.exponential(size=(times.size, 2))
+        z[rng.random(times.size) < zero_share] = 0.0
+        datasets.append(SurvivalDataset(times, events, z))
+        betas.append(rng.uniform(0.0, 2.0, 2))
+    for _, alphas, zero_at in weights:
+        if zero_at is not None:
+            alphas[zero_at] = 0.0
+    priors = [GammaProcessPrior(alphas, c) for c, alphas, _ in weights]
+    got = _stage_outcome(increment_posteriors, datasets, grids, np.array(betas), priors)
+    want = [[] for _ in priors]
+    for args in zip(datasets, grids, betas):
+        one = _stage_outcome(stage_by_intervals, *args, priors)
+        if isinstance(one, tuple):
+            assert got == one
+            return
+        for rows, row in zip(want, one):
+            rows += row
+    assert got == want
+    stage = increment_posteriors(datasets, grids, np.array(betas), priors)
+    components = sum(len(post.log_weights) for row in want for post in row)
+    assert len(stage.log_weights) == stage.indptr[-1] == components
+    assert stage.intervals.tolist() == [1, 2, 3] * len(sizes)

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz.baseline_posterior import (
-    event_offsets_by_interval, increment_moments, increment_posterior, interval_summaries
-)
+from addhaz.baseline_posterior import increment_moments, increment_posterior
 from addhaz.data_model import (
     BaselineIncrementPosterior,
     BetaPrior,
@@ -37,7 +35,7 @@ from addhaz.errors import (
     OutOfRange,
     SingularCovariance,
 )
-from oracles import validate_dataset, write_dataset_csv
+from oracles import interval_exposures, interval_offsets, validate_dataset, write_dataset_csv
 
 
 def test_minimal_valid_dataset():
@@ -138,6 +136,22 @@ def test_grid_median_of_five():
     np.testing.assert_allclose(grid.widths(), [3.0, 2.0])
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 300),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+)
+def test_grid_widths_are_np_diff_bit_for_bit(seed, m, scale):
+    rng = np.random.default_rng(seed)
+    bounds = np.unique(rng.uniform(0.0, 1.0, m) * scale)
+    bounds = bounds[bounds > 0.0]
+    if bounds.size:
+        grid = TimeGrid(tuple(bounds[:-1].tolist()), float(bounds[-1]))
+        want = np.diff(np.array((0.0,) + grid.boundaries))
+        assert grid.widths().tobytes() == want.tobytes()
+
+
 def test_grid_nearest_rank_convention():
     # nearest-rank: the p-quantile of n points is the ceil(p*n)-th smallest
     ds = validate_dataset([(t, True, [0.5]) for t in range(1, 11)])
@@ -200,8 +214,8 @@ def interval_of(grid, t):
     """1-based interval whose offsets hold a lone event at time t, or None
     when none does; the event's exposure, over the whole grid, is min(t, t_F)."""
     ds = SurvivalDataset([t], [True], [[1.0]])
-    assert interval_summaries(ds, grid).sum() == pytest.approx(min(t, grid.t_final))
-    sizes = [o.size for o in event_offsets_by_interval(ds, grid, np.ones(1))]
+    assert interval_exposures(ds, grid).sum() == pytest.approx(min(t, grid.t_final))
+    sizes = [o.size for o in interval_offsets(ds, grid, np.ones(1))]
     return sizes.index(1) + 1 if 1 in sizes else None
 
 
@@ -401,7 +415,7 @@ NOT_REALS = {
     "isotropic text": lambda: BetaPrior.isotropic("x", 1.0, 1),
     "coefficient text": lambda: SimConfig(10, 2, ("a",)),
     "quantile text": lambda: grid_from_quantiles(DS, ["a"]),
-    "beta text": lambda: event_offsets_by_interval(DS, GRID, ["a"]),
+    "beta text": lambda: interval_offsets(DS, GRID, ["a"]),
     "estimate text": lambda: pseudo_posterior(LYEstimate(["a"], [[1.0]]), PRIOR),
     "cut text": lambda: TimeGrid(("0.5",), 1.0),
     "coverage text": lambda: hpd_interval(_posterior(), "0.9"),

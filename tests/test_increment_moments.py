@@ -23,19 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addhaz import baseline_posterior
-from addhaz.baseline_posterior import (
-    EXACT_MAX_FACTORS,
-    event_offsets_by_interval,
-    increment_moments,
-    increment_posterior,
-    interval_summaries,
-)
+from addhaz.baseline_posterior import EXACT_MAX_FACTORS, increment_moments, increment_posterior
 from addhaz.cli import main
 from addhaz.data_model import FitResult, GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
-from oracles import mixture_moments, write_dataset_csv
+from oracles import interval_exposures, interval_offsets, mixture_moments, write_dataset_csv
 
 PRIOR_SHAPES = (1e-3, 0.5, 1.0, 50.0)  # s0 = c * alpha_j
 CONFIDENCES = (1e-12, 1.0, 1e12)  # c
@@ -463,8 +457,8 @@ def test_fit_routes_large_intervals_to_quadrature():
     assert len(small.log_weights) == len(small.shape_offsets) == n_small + 1
 
     prior = GammaProcessPrior.from_shape(grid.boundaries, 1.0)  # fit's default prior
-    exposures, widths = interval_summaries(ds, grid), grid.widths()
-    offsets = event_offsets_by_interval(ds, grid, np.asarray(result.beta_hat))
+    exposures, widths = interval_exposures(ds, grid), grid.widths()
+    offsets = interval_offsets(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size
     assert_same_moments(
         large, increment_posterior(1, exposures[0], widths[0], poly_from_factors(offsets[0]), prior)

@@ -180,9 +180,9 @@ def test_baseline_study_hands_over_the_requested_increments(monkeypatch):
     seen = []
     original = simulate.increment_posteriors
 
-    def spy(ds, grid, beta, priors):
-        seen.append(priors)
-        return original(ds, grid, beta, priors)
+    def spy(datasets, grids, betas, priors):
+        seen.extend([priors] * len(datasets))
+        return original(datasets, grids, betas, priors)
 
     monkeypatch.setattr(simulate, "increment_posteriors", spy)
     grid = TimeGrid((0.125, 0.3, 0.6, 0.9), 1.15)
