@@ -23,13 +23,13 @@ so the posterior mean is E[u] / c_j and the variance Var[u] / c_j^2.
 Building the mixture costs O(N^2) in the N events of the interval, while
 quadrature of this 1-d density costs O(N Q) for Q nodes.  Intervals with
 more than EXACT_MAX_FACTORS events therefore get their moments by
-quadrature (``increment_moments``) and report no mixture; smaller ones keep
-the exact mixture (``increment_posterior``).  The quadrature finds the
-density's mode by safeguarded Newton steps, ends its window where a
-closed-form bound of the log density has dropped far enough, and places its
-nodes on a trapezoid rule whose step grows away from the mode: a few dozen
-to a few hundred nodes, each one pass over the offsets.  Both take u's
-moments in offsets from the prior shape, so that no large s0 cancels.
+quadrature and report no mixture; smaller ones keep the exact mixture.
+The quadrature finds the density's mode by safeguarded Newton steps, ends
+its window where a closed-form bound of the log density has dropped far
+enough, and places its nodes on a trapezoid rule whose step grows away
+from the mode: a few dozen to a few hundred nodes, each one pass over the
+offsets.  Both take u's moments in offsets from the prior shape, so that
+no large s0 cancels.
 
 One kernel, ``increment_posterior``, takes R rows, each interval j as three
 numbers (j, exposure_j, w_j) and its polynomial, or its offsets for the
@@ -40,7 +40,7 @@ go through (p, rows, L) arrays, the live coefficients padded to the
 longest, in runs of rows that keep them within _BLOCK_ELEMENTS; the term
 log Gamma(k + s0) / Gamma(1 + s0) is built once per distinct s0.  It
 returns a ``BaselineMixtures`` whose mixtures lie end to end in flat
-arrays; one interval under one prior is the batch of one.  The whole
+arrays, which is also what a fit keeps as its baseline.  The whole
 baseline stage, ``increment_posteriors(datasets, grids, betas, priors)``,
 takes a chunk of r datasets: it reads the exposures of all r m rows, in
 (dataset, interval) order, from one ``interval_summaries`` call and their
@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .data_model import BaselineIncrementPosterior, BaselineMixtures, GammaProcessPrior, _reals
+from .data_model import BaselineMixtures, GammaProcessPrior, _reals
 from .errors import (
     AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 )
@@ -64,7 +64,6 @@ __all__ = [
     "EXACT_MAX_FACTORS",
     "interval_summaries",
     "event_offsets_by_interval",
-    "increment_moments",
     "increment_posterior",
     "increment_posteriors",
 ]
@@ -290,14 +289,9 @@ def increment_posterior(js, exposures, widths, polys, priors):
     polys[i] is the product of (a + beta'z) over the uncensored
     observations inside it (the constant 1 when there are none), whose
     Gamma mixture the row gets; or those offsets beta'z themselves, and
-    the row gets its moments by quadrature and an empty mixture.  One
-    interval under one prior, ``increment_posterior(j, exposure, width,
-    poly, prior)``, gives its ``BaselineIncrementPosterior``.  The first
+    the row gets its moments by quadrature and an empty mixture.  The first
     (row, prior) that fails, in row-major order, raises.
     """
-    scalar = isinstance(polys, PolyCoefficients)
-    if scalar:
-        js, exposures, widths, polys, priors = [js], [exposures], [widths], [polys], [priors]
     try:
         count, p = len(polys), len(priors)
         sized = len(js) == len(exposures) == len(widths) == count >= 1 and p >= 1
@@ -365,24 +359,10 @@ def increment_posterior(js, exposures, widths, polys, priors):
                 break
     if failure:
         raise failure[1]
-    mixtures = BaselineMixtures(
+    return BaselineMixtures(
         np.array(js), rate, mean, variance, *(a.ravel() for a in flat),
         np.cumsum([0] + lengths * p),  # the lengths, once per prior
     )
-    return mixtures[0][0] if scalar else mixtures
-
-
-def increment_moments(
-    j: int, exposure: float, width: float, offsets, prior: GammaProcessPrior
-) -> BaselineIncrementPosterior:
-    """Posterior mean and variance of the increment by quadrature.
-
-    Takes the same interval as ``increment_posterior`` but the factor
-    offsets b_i themselves instead of their polynomial, and returns empty
-    ``log_weights`` and ``shape_offsets``: the mixture is not built.  The
-    improper cases and the offset check are those of the exact path.
-    """
-    return increment_posterior([j], [exposure], [width], [check_offsets(offsets)], [prior])[0][0]
 
 
 def _quadrature_moments(j, shape0: float, rate: float, width: float, positive: np.ndarray):

@@ -75,21 +75,25 @@ def _fit_text(result, names, grid) -> str:
             f"  {_fmt(result.sigma_hat[i]):<9}  {_fmt(low):<9}  {_fmt(high):<9}"
             f"  {'yes' if low > 0 else 'no'}"
         )
-    if result.baseline:
+    if result.baseline is not None:
         lines.append("")
         lines.append("interval  up_to      mean       sd")
-        for post, bound in zip(result.baseline, grid.boundaries):
+        for j, bound, mean, variance in _baseline_rows(result, grid):
             lines.append(
-                f"{post.interval:<8}  {_fmt(bound):<9}  {_fmt(post.mean):<9}"
-                f"  {_fmt(math.sqrt(post.variance))}"
+                f"{j:<8}  {_fmt(bound):<9}  {_fmt(mean):<9}  {_fmt(math.sqrt(variance))}"
             )
     return "\n".join(lines) + "\n"
 
 
+def _baseline_rows(result, grid):
+    b = result.baseline
+    return zip(b.intervals.tolist(), grid.boundaries, b.mean[0].tolist(), b.variance[0].tolist())
+
+
 def _baseline_csv(result, grid) -> str:
     lines = ["interval,up_to,mean,variance"]
-    for post, bound in zip(result.baseline, grid.boundaries):
-        lines.append(f"{post.interval},{bound!r},{post.mean!r},{post.variance!r}")
+    for j, bound, mean, variance in _baseline_rows(result, grid):
+        lines.append(f"{j},{bound!r},{mean!r},{variance!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
-"""Core value types: datasets, time grids, priors, and fit results.
+"""Core value types: datasets, time grids, priors, and fit results, whose
+baseline posteriors are one ``BaselineMixtures`` of arrays over rows and priors.
 
 The hazard model is lambda(t) = lambda0(t) + beta'z with nonnegative
 regression coefficients and nonnegative covariates, observed under right
@@ -34,7 +35,6 @@ __all__ = [
     "TimeGrid",
     "BetaPrior",
     "GammaProcessPrior",
-    "BaselineIncrementPosterior",
     "BaselineMixtures",
     "FitResult",
     "DEFAULT_QUANTILES",
@@ -326,36 +326,17 @@ class GammaProcessPrior:
             return cls(np.diff(_reals(alpha_at_cuts, "prior shape", 1), prepend=0.0), c)
 
 
-@dataclass(frozen=True)
-class BaselineIncrementPosterior:
-    """Gamma-mixture posterior of one cumulative-hazard increment.
-
-    The posterior of the increment over interval j is a finite mixture whose
-    component k is Gamma(shape_offsets[k], rate) with normalized mixing
-    weights exp(log_weights).  Empty log_weights and shape_offsets mean the
-    mixture was not built: the interval had more events than
-    baseline_posterior.EXACT_MAX_FACTORS, and mean and variance come from
-    quadrature of the same posterior density.
-    """
-
-    interval: int
-    log_weights: tuple[float, ...]
-    shape_offsets: tuple[float, ...]
-    rate: float
-    mean: float
-    variance: float
-
-
 @dataclass(frozen=True, eq=False)
 class BaselineMixtures:
     """Gamma-mixture posteriors of R increments under each of p priors, as arrays.
 
     ``intervals`` holds each row's interval number j, and ``rate``, ``mean``
-    and ``variance`` are (p, R).  The mixtures lie end to end in the flat
-    ``log_weights`` and ``shape_offsets``: the one of row i under prior q is
-    ``[indptr[q * R + i], indptr[q * R + i + 1])``, empty where the moments
-    came by quadrature.  The arrays are frozen in place.  Entry [q][i] reads
-    as that ``BaselineIncrementPosterior``, built on access.
+    and ``variance`` are (p, R).  Row i's posterior under prior q mixes
+    Gamma(shape_offsets[k], rate[q, i]) with weights exp(log_weights[k]) over
+    k in ``[indptr[q * R + i], indptr[q * R + i + 1])`` of the flat arrays, a
+    range left empty where the moments came by quadrature (an interval of
+    more than baseline_posterior.EXACT_MAX_FACTORS events).  The arrays are
+    frozen in place; two results are equal when all their arrays are.
     """
 
     intervals: np.ndarray
@@ -370,53 +351,61 @@ class BaselineMixtures:
         for values in vars(self).values():
             values.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.rate.shape[0]
-
-    def __getitem__(self, q: int) -> tuple[BaselineIncrementPosterior, ...]:
-        """The R posteriors under prior q."""
-        q, m = range(len(self))[q], self.intervals.size
-        ends = self.indptr[q * m : (q + 1) * m + 1].tolist()
-        log_w, shapes = self.log_weights, self.shape_offsets
-        return tuple(
-            BaselineIncrementPosterior(
-                j, tuple(log_w[a:b].tolist()), tuple(shapes[a:b].tolist()), rate, mean, variance
-            )
-            for j, a, b, rate, mean, variance in zip(
-                self.intervals.tolist(), ends, ends[1:],
-                self.rate[q].tolist(), self.mean[q].tolist(), self.variance[q].tolist(),
-            )
+    def __eq__(self, other) -> bool:
+        return type(other) is BaselineMixtures and all(
+            np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values())
         )
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Output of the full fit: coefficients, intervals, baseline posteriors."""
+    """Output of the full fit: coefficients, intervals, and the baseline
+    posteriors under one prior, or None when the baseline was skipped."""
 
     beta_hat: tuple[float, ...]
     ly_beta: tuple[float, ...]
     sigma_hat: tuple[float, ...]
     hpd: tuple[tuple[float, float], ...]
     coverage: float
-    baseline: tuple[BaselineIncrementPosterior, ...] = field(default_factory=tuple)
+    baseline: BaselineMixtures | None = None
 
     def to_dict(self) -> dict:
-        """Every field by name, shallowly; ``json.dumps`` writes tuples as lists."""
-        out = _fields_dict(self)
-        out["baseline"] = tuple(_fields_dict(p) for p in self.baseline)
+        """Every field by name, shallowly, with ``baseline`` as one dict an
+        interval (none when skipped); ``json.dumps`` writes tuples as lists."""
+        # shallow, unlike dataclasses.asdict, which deep-copies every float
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        b, out["baseline"] = self.baseline, ()
+        if b is not None:
+            ends = b.indptr.tolist()
+            out["baseline"] = tuple(
+                {"interval": j, "log_weights": tuple(b.log_weights[start:end].tolist()),
+                 "shape_offsets": tuple(b.shape_offsets[start:end].tolist()),
+                 "rate": rate, "mean": mean, "variance": variance}
+                for j, start, end, rate, mean, variance in zip(
+                    b.intervals.tolist(), ends, ends[1:],
+                    b.rate[0].tolist(), b.mean[0].tolist(), b.variance[0].tolist(),
+                )
+            )
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitResult":
         """Inverse of ``to_dict``; also reads its output parsed from JSON."""
         out = _tuples(data)
-        out["baseline"] = tuple(BaselineIncrementPosterior(**p) for p in out["baseline"])
+        posts, out["baseline"] = out["baseline"], None
+        if posts:
+            column = {key: [p[key] for p in posts] for key in posts[0]}
+            lengths = [len(mixture) for mixture in column["log_weights"]]
+            if lengths != [len(mixture) for mixture in column["shape_offsets"]]:
+                raise DimensionMismatch("each interval needs one shape offset a log weight")
+            out["baseline"] = BaselineMixtures(
+                np.array(column["interval"]),
+                *np.array([[column[key]] for key in ("rate", "mean", "variance")], dtype=float),
+                *(np.array([x for mixture in column[key] for x in mixture], dtype=float)
+                  for key in ("log_weights", "shape_offsets")),
+                np.cumsum([0] + lengths),
+            )
         return cls(**out)
-
-
-def _fields_dict(obj) -> dict:
-    # shallow, unlike dataclasses.asdict, which deep-copies every float
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _tuples(value):

@@ -45,7 +45,7 @@ def fit(
     beta_hat = beta_mode(posterior, orthant_qp=orthant_qp)
     interval = hpd_interval(posterior, coverage)
 
-    baseline = ()
+    baseline = None
     if not skip_baseline:
         if grid is None:
             grid = grid_from_quantiles(ds)
@@ -54,7 +54,7 @@ def fit(
             gamma_prior = GammaProcessPrior.from_shape(grid.boundaries, DEFAULT_GAMMA_C)
         elif gamma_prior.m != grid.m:
             raise DimensionMismatch(f"gamma prior needs one increment per grid interval ({grid.m})")
-        baseline = increment_posteriors([ds], [grid], beta_hat[None], [gamma_prior])[0]
+        baseline = increment_posteriors([ds], [grid], beta_hat[None], [gamma_prior])
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

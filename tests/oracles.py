@@ -2,6 +2,7 @@
 
 import csv
 import math
+from collections import namedtuple
 
 import mpmath
 import numpy as np
@@ -11,11 +12,10 @@ from addhaz.baseline_posterior import (
     _interval_prior,
     _row,
     event_offsets_by_interval,
-    increment_moments,
     increment_posterior,
     interval_summaries,
 )
-from addhaz.data_model import BaselineIncrementPosterior, SurvivalDataset
+from addhaz.data_model import SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
     DimensionMismatch,
@@ -94,7 +94,33 @@ def interval_offsets(ds: SurvivalDataset, grid, beta) -> list[np.ndarray]:
     return np.split(factors, indptr[1:-1])
 
 
-def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPosterior:
+# one interval's posterior under one prior, read out of BaselineMixtures
+Posterior = namedtuple("Posterior", "interval log_weights shape_offsets rate mean variance")
+
+
+def posteriors(mixtures) -> list[tuple[Posterior, ...]]:
+    """Entry [q][i]: row i's posterior under prior q, its mixture as tuples."""
+    b, r, ends = mixtures, mixtures.intervals.size, mixtures.indptr.tolist()
+    return [
+        tuple(
+            Posterior(j, tuple(b.log_weights[start:end].tolist()),
+                      tuple(b.shape_offsets[start:end].tolist()), *moments)
+            for j, start, end, *moments in zip(
+                b.intervals.tolist(), ends[q * r :], ends[q * r + 1 :],
+                b.rate[q].tolist(), b.mean[q].tolist(), b.variance[q].tolist(),
+            )
+        )
+        for q in range(b.rate.shape[0])
+    ]
+
+
+def one_interval(j, exposure, width, poly, prior) -> Posterior:
+    """The kernel's batch of one: interval j under one prior, from its
+    polynomial (the mixture) or its offsets (quadrature, no mixture)."""
+    return posteriors(increment_posterior([j], [exposure], [width], [poly], [prior]))[0][0]
+
+
+def mixture_posterior(j, exposure, width, poly, prior) -> Posterior:
     """The Gamma-mixture posterior written with numpy's module functions and
     a concatenated log-rising sum: the reference that ``increment_posterior``
     is held to bit for bit in all but its mean and variance."""
@@ -117,7 +143,7 @@ def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPoste
     w = np.exp(log_w)
     shape_mean = float(np.dot(w, shapes))
     shape_var = float(np.dot(w, (shapes - shape_mean) ** 2))
-    return BaselineIncrementPosterior(
+    return Posterior(
         interval=j,
         log_weights=tuple(log_w.tolist()),
         shape_offsets=tuple(shapes.tolist()),
@@ -127,8 +153,8 @@ def mixture_posterior(j, exposure, width, poly, prior) -> BaselineIncrementPoste
     )
 
 
-def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[BaselineIncrementPosterior, ...]]:
-    """The baseline stage as loops of scalar kernel calls, interval by
+def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[Posterior, ...]]:
+    """The baseline stage as loops of one-interval kernel calls, interval by
     interval and each prior in turn, entry [p][j] for interval j + 1 under
     priors[p]: the reference that ``increment_posteriors`` is held to."""
     m = priors[0].m
@@ -136,11 +162,8 @@ def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[BaselineIncrementPo
     columns = []
     for j, factors in enumerate(interval_offsets(ds, grid, beta)[:m]):
         interval = (j + 1, exposures[j], widths[j])
-        if len(factors) > EXACT_MAX_FACTORS:
-            columns.append([increment_moments(*interval, factors, p) for p in priors])
-        else:
-            poly = poly_from_factors(factors)
-            columns.append([increment_posterior(*interval, poly, p) for p in priors])
+        poly = factors if len(factors) > EXACT_MAX_FACTORS else poly_from_factors(factors)
+        columns.append([one_interval(*interval, poly, p) for p in priors])
     return [tuple(column[p] for column in columns) for p in range(len(priors))]
 
 

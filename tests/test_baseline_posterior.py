@@ -9,7 +9,6 @@ which shares nothing with the log-weight implementation.  The integration
 range [0, U] doubles until the tail beyond U/2 is negligible.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from scipy import integrate
 
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
-    increment_moments,
     increment_posterior,
     increment_posteriors,
 )
@@ -37,6 +35,8 @@ from oracles import (
     mixture_moments,
     mixture_posterior,
     offsets_by_mask,
+    one_interval,
+    posteriors,
     stage_by_intervals,
 )
 
@@ -183,7 +183,7 @@ def test_event_offsets_split_by_interval():
 
 def test_no_events_posterior_is_prior_gamma():
     prior = GammaProcessPrior((2.0,), c=0.7)
-    post = increment_posterior(1, 3.0, 1.5, poly_from_factors([]), prior)
+    post = one_interval(1, 3.0, 1.5, poly_from_factors([]), prior)
     c_rate = 3.0 / 1.5 + 0.7
     assert post.mean == pytest.approx(0.7 * 2.0 / c_rate)
     assert post.variance == pytest.approx(0.7 * 2.0 / c_rate**2)
@@ -201,7 +201,7 @@ def test_moments_match_quadrature_on_random_intervals():
         c = float(rng.uniform(0.05, 20.0))
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
-        post = increment_posterior(
+        post = one_interval(
             1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
         )
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
@@ -216,7 +216,7 @@ def test_weights_match_component_integrals():
     offsets = rng.uniform(0.3, 3.0, size=4)
     alpha, c, exposure, width = 1.2, 0.8, 6.0, 1.4
     c_rate = exposure / width + c
-    post = increment_posterior(
+    post = one_interval(
         1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
     )
     d_exact = [float(v) for v in exact_coefficients(offsets)]
@@ -239,7 +239,7 @@ def test_large_confidence_pins_mean_to_prior_shape():
     offsets = rng.uniform(0.0, 3.0, size=12)
     poly = poly_from_factors(offsets)
     for alpha in (0.01, 0.3, 1.0, 5.0):
-        post = increment_posterior(1, 25.0, 0.8, poly, GammaProcessPrior((alpha,), c=1e6))
+        post = one_interval(1, 25.0, 0.8, poly, GammaProcessPrior((alpha,), c=1e6))
         assert abs(post.mean - alpha) < 1e-3
         assert post.variance < 1e-3
 
@@ -252,8 +252,8 @@ def test_vanishing_confidence_forgets_prior_shape():
     grid = TimeGrid((0.9,), 1.0)
     interval = (1, interval_exposures(ds, grid)[0], 0.9)
     poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
-    mean_small = increment_posterior(*interval, poly, GammaProcessPrior((0.5,), c=1e-8)).mean
-    mean_large = increment_posterior(*interval, poly, GammaProcessPrior((5.0,), c=1e-8)).mean
+    mean_small = one_interval(*interval, poly, GammaProcessPrior((0.5,), c=1e-8)).mean
+    mean_large = one_interval(*interval, poly, GammaProcessPrior((5.0,), c=1e-8)).mean
     assert mean_small == pytest.approx(mean_large, rel=1e-6)
 
 
@@ -262,13 +262,13 @@ def test_informative_confidence_separates_prior_shapes():
     poly = poly_from_factors([1.0, 2.0])
     # an identical prior reproduces the mean exactly
     same = [
-        increment_posterior(*interval, poly, GammaProcessPrior((1.0,), c=1e-8)).mean
+        one_interval(*interval, poly, GammaProcessPrior((1.0,), c=1e-8)).mean
         for _ in range(2)
     ]
     assert same[0] == same[1]
     # informative c separates different shapes
-    a = increment_posterior(*interval, poly, GammaProcessPrior((0.5,), c=10.0)).mean
-    b = increment_posterior(*interval, poly, GammaProcessPrior((5.0,), c=10.0)).mean
+    a = one_interval(*interval, poly, GammaProcessPrior((0.5,), c=10.0)).mean
+    b = one_interval(*interval, poly, GammaProcessPrior((5.0,), c=10.0)).mean
     assert abs(a - b) > 1e-3
 
 
@@ -276,12 +276,12 @@ def test_improper_posterior_cases():
     interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([0.0], c=1.0)
     with pytest.raises(ImproperPosterior):
-        increment_posterior(*interval, poly_from_factors([]), prior)  # no events, alpha=0
+        one_interval(*interval, poly_from_factors([]), prior)  # no events, alpha=0
     with pytest.raises(ImproperPosterior):
         # positive constant coefficient: prod b_i > 0 leaves an L^-1 factor
-        increment_posterior(*interval, poly_from_factors([1.0, 2.0]), prior)
+        one_interval(*interval, poly_from_factors([1.0, 2.0]), prior)
     # an event with b = 0 zeroes the constant term and restores properness
-    post = increment_posterior(*interval, poly_from_factors([0.0, 2.0]), prior)
+    post = one_interval(*interval, poly_from_factors([0.0, 2.0]), prior)
     assert post.mean > 0.0
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
@@ -289,21 +289,21 @@ def test_improper_posterior_cases():
     # the zero polynomial, and an interval the prior has no increment for
     proper = GammaProcessPrior([1.0], c=1.0)
     with pytest.raises(ImproperPosterior, match="all mixture weights vanished"):
-        increment_posterior(*interval, PolyCoefficients([-math.inf]), proper)
+        one_interval(*interval, PolyCoefficients([-math.inf]), proper)
     with pytest.raises(DimensionMismatch, match="outside the prior"):
-        increment_posterior(0, 2.0, 1.0, poly_from_factors([1.0]), proper)
+        one_interval(0, 2.0, 1.0, poly_from_factors([1.0]), proper)
     # an index that is no integer
     for j in (1.0, "1"):
         with pytest.raises(DimensionMismatch, match="interval index"):
-            increment_posterior(j, 2.0, 1.0, poly_from_factors([1.0]), proper)
+            one_interval(j, 2.0, 1.0, poly_from_factors([1.0]), proper)
         with pytest.raises(DimensionMismatch, match="interval index"):
-            increment_moments(j, 2.0, 1.0, [1.0], proper)
+            one_interval(j, 2.0, 1.0, [1.0], proper)
 
 
 def test_batch_raises_the_first_failure_interval_by_interval():
     # interval 1's moments overflow under c = 5e-324 at exposure 0, or its
     # weights vanish, before interval 2's zero width is read under the first
-    # prior; the scalar calls meet the same error first
+    # prior; the one-interval calls meet the same error first
     tiny, proper = GammaProcessPrior([1.0, 1.0], 5e-324), GammaProcessPrior([1.0, 1.0], 1.0)
     for priors, poly, error, message in (
         ([proper, tiny], poly_from_factors([1.0]), OutOfRange, "moments overflow"),
@@ -312,12 +312,13 @@ def test_batch_raises_the_first_failure_interval_by_interval():
         with pytest.raises(error, match=f"interval 1: .*{message}"):
             increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [poly, poly], priors)
         with pytest.raises(error, match=f"interval 1: .*{message}"):
-            increment_posterior(1, 0.0, 1.0, poly, priors[-1])
+            one_interval(1, 0.0, 1.0, poly, priors[-1])
     poly = poly_from_factors([1.0])
     for args in (
         ([1, 2], [1.0], [1.0], [poly], [proper]),  # unequal lengths
         ([], [], [], [], [proper]),  # no interval
         ([1], [1.0], [1.0], [poly], proper),  # a prior not in a sequence
+        (1, 0.5, 1.0, poly, proper),  # one interval's numbers, not sequences of them
     ):
         with pytest.raises(DimensionMismatch, match="need sequences"):
             increment_posterior(*args)
@@ -353,7 +354,8 @@ def test_chunk_raises_the_first_failure_row_by_row():
         increment_posteriors(*chunk, betas, prior)
     with pytest.raises(OutOfRange, match="factor offsets must be finite"):
         increment_posteriors([first, first], [grid] * 2, betas[1:], prior)
-    assert len(increment_posteriors([first, first], [grid] * 2, betas[:2], prior)[0]) == 4
+    stage = increment_posteriors([first, first], [grid] * 2, betas[:2], prior)
+    assert len(posteriors(stage)[0]) == 4
     # a negative beta'z in a later dataset loses to an earlier dataset's failure
     signed = SurvivalDataset(
         [0.5, 1.5], [True, True], [[1.0, 0.0], [-1.0, 0.0]], allow_signed=True
@@ -384,9 +386,9 @@ def test_each_row_of_a_batch_is_its_own_call_at_every_padded_length(longest):
     priors = [GammaProcessPrior([1.0, 3.0, 0.5, 2.0], c) for c in (0.5, 4.0)]
     args = [1, 2, 3, 4], [2.0, 1.5, 0.7, 0.3], [0.5, 0.5, 0.25, 0.25]
     batch = increment_posterior(*args, polys, priors)
-    for row, prior in zip(batch, priors):
+    for row, prior in zip(posteriors(batch), priors):
         assert list(row) == [
-            increment_posterior(*interval, prior) for interval in zip(*args, polys)
+            one_interval(*interval, prior) for interval in zip(*args, polys)
         ]
 
 
@@ -398,7 +400,7 @@ def _outcome(kernel, *args):
         post = kernel(*args)
     except AddhazError as exc:
         return (type(exc), str(exc)), None
-    return repr(dataclasses.replace(post, mean=0.0, variance=0.0)), (post.mean, post.variance)
+    return repr(post._replace(mean=0.0, variance=0.0)), (post.mean, post.variance)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -423,7 +425,7 @@ def test_mixture_keeps_the_reference_kernels_bits(
     # the kernel takes its moments in k from unnormalized weights and divides
     # by the rate twice, so they differ from the reference kernel's, which
     # are up to 1e-12 off the mpmath mixture; they are held to that instead
-    got, moments = _outcome(increment_posterior, *args)
+    got, moments = _outcome(one_interval, *args)
     assert got == _outcome(mixture_posterior, *args)[0]
     if moments is not None:
         log_d, shape0 = args[3].log_abs, c * alpha
@@ -459,8 +461,8 @@ def test_one_polynomial_serves_every_prior_in_any_order(
         c, alpha = weights[i]
         prior = GammaProcessPrior([alpha], c)
         fresh = poly_from_factors(offsets)
-        got = _outcome(increment_posterior, 1, exposure, width, shared, prior)
-        assert got == _outcome(increment_posterior, 1, exposure, width, fresh, prior)
+        got = _outcome(one_interval, 1, exposure, width, shared, prior)
+        assert got == _outcome(one_interval, 1, exposure, width, fresh, prior)
         assert got[0] == _outcome(mixture_posterior, 1, exposure, width, fresh, prior)[0]
 
 
@@ -478,9 +480,9 @@ def test_full_pipeline_matches_quadrature():
     exposures = interval_exposures(ds, grid)
     widths = grid.widths()
     offset_lists = interval_offsets(ds, grid, beta)
-    (stage,) = increment_posteriors([ds], [grid], [beta], [prior])
+    (stage,) = posteriors(increment_posteriors([ds], [grid], [beta], [prior]))
     for j in range(3):
-        post = increment_posterior(
+        post = one_interval(
             j + 1, exposures[j], widths[j], poly_from_factors(offset_lists[j]), prior
         )
         assert stage[j] == post
@@ -497,7 +499,9 @@ def test_stage_covers_the_priors_increments():
     beta = np.array([0.4])
     # the first m intervals of a longer grid, m from the priors
     longer = TimeGrid((1.0, 2.5), 3.0)
-    (posts,) = increment_posteriors([ds], [longer], [beta], [GammaProcessPrior([1.0], 1.0)])
+    (posts,) = posteriors(
+        increment_posteriors([ds], [longer], [beta], [GammaProcessPrior([1.0], 1.0)])
+    )
     assert [p.interval for p in posts] == [1]
     for priors in (
         [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)],  # longer than the grid
@@ -512,8 +516,8 @@ def test_adding_zero_offset_event_tracks_quadrature():
     base = [1.0, 0.7]
     added = base + [0.0]
     prior = GammaProcessPrior((0.8,), c=1.5)
-    before = increment_posterior(1, 5.0, 1.0, poly_from_factors(base), prior).mean
-    after = increment_posterior(1, 5.0, 1.0, poly_from_factors(added), prior).mean
+    before = one_interval(1, 5.0, 1.0, poly_from_factors(base), prior).mean
+    after = one_interval(1, 5.0, 1.0, poly_from_factors(added), prior).mean
     assert before != after
     mean_q, _ = quadrature_moments(added, 0.8, 1.5, 5.0, 1.0)
     assert after == pytest.approx(mean_q, rel=1e-6)
@@ -614,18 +618,25 @@ def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
     cuts = tuple(t_final * np.sort(rng.uniform(0.1, 0.99, n_cuts)))
     priors = [GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), c) for c in (1e-2, 1.0, 1e2)]
     grid = TimeGrid(cuts, t_final)
-    base = increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], priors)
-    scaled = increment_posteriors(
+    base = posteriors(
+        increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], priors)
+    )
+    scaled = posteriors(increment_posteriors(
         [SurvivalDataset(tau * times, events, z)],
         [TimeGrid(tuple(tau * s for s in cuts), tau * t_final)],
         [beta / tau],
         priors,
-    )
+    ))
     assert (base[0][0].log_weights == ()) == crowd  # quadrature, else exact
     for posts, scaled_posts in zip(base, scaled):
         for post, other in zip(posts, scaled_posts):
             assert other.mean == pytest.approx(post.mean, rel=1e-10)
             assert other.variance == pytest.approx(post.variance, rel=1e-10)
+
+
+def _stage_posteriors(*args):
+    """increment_posteriors(*args) read out as posteriors [p][j]."""
+    return posteriors(increment_posteriors(*args))
 
 
 def _stage_outcome(stage, *args):
@@ -674,7 +685,7 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     grid = TimeGrid(tuple(map(float, range(1, m))), float(m))
     priors = [GammaProcessPrior(alphas[:m], c) for c, alphas in weights]
     beta = np.array([0.7])
-    got = _stage_outcome(increment_posteriors, [ds], [grid], [beta], priors)
+    got = _stage_outcome(_stage_posteriors, [ds], [grid], [beta], priors)
     assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, priors)
     if isinstance(got, tuple):
         return
@@ -692,8 +703,8 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     ]
     if exact:
         batch = increment_posterior(*map(list, zip(*exact)), priors)
-        for row, prior in zip(batch, priors):
-            assert list(row) == [increment_posterior(*interval, prior) for interval in exact]
+        for row, prior in zip(posteriors(batch), priors):
+            assert list(row) == [one_interval(*interval, prior) for interval in exact]
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -744,7 +755,7 @@ def test_chunk_is_its_datasets_stage_by_stage(seed, sizes, shared, crowd_at, zer
         if zero_at is not None:
             alphas[zero_at] = 0.0
     priors = [GammaProcessPrior(alphas, c) for c, alphas, _ in weights]
-    got = _stage_outcome(increment_posteriors, datasets, grids, np.array(betas), priors)
+    got = _stage_outcome(_stage_posteriors, datasets, grids, np.array(betas), priors)
     want = [[] for _ in priors]
     for args in zip(datasets, grids, betas):
         one = _stage_outcome(stage_by_intervals, *args, priors)

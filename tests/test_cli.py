@@ -294,6 +294,72 @@ def test_preset_cells_match_golden_file(tmp_path, capsys, preset):
             assert float(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def fit_golden_csv() -> str:
+    """A dataset of arithmetic sequences, on the grid (0, 1], (1, 2], (2, 3]:
+    EXACT_MAX_FACTORS events in interval 1, one more in interval 2, and in
+    interval 3 ten events, five of them with z = 0, between ten censored
+    rows.  500 rows censored at 3 with z = 0 keep the coefficient positive."""
+    n = EXACT_MAX_FACTORS
+    rows = [((i + 0.5) / n, 1, 0.1 + (i % 10) * 0.2) for i in range(n)]
+    rows += [(1.0 + (i + 0.5) / (n + 1), 1, 0.1 + (i % 10) * 0.2) for i in range(n + 1)]
+    rows += [(2.0 + (i + 0.5) / 20, int(i % 2 == 0), (i % 4) * 0.5) for i in range(20)]
+    rows += [(3.0, 0, 0.0)] * 500
+    return "time,event,z1\n" + "".join(f"{t!r},{e},{z!r}\n" for t, e, z in rows)
+
+
+def assert_same_json(got, want, path=()):
+    """got has want's structure, keys, types and text, and its numbers
+    within rel 1e-12; log weights, near 0 of no relative scale, within abs
+    1e-12 too."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_json(got[key], want[key], path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for a, b in zip(got, want):
+            assert_same_json(a, b, path)
+    elif isinstance(want, float):
+        tol = 1e-12 if "log_weights" in path else 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=tol), path
+    else:
+        assert got == want, path
+
+
+def assert_same_text(got, want):
+    """got has want's lines, separators and words, and its numbers within rel 1e-12."""
+    got, want = (
+        [re.split(r"([\s,]+)", line) for line in text.splitlines()] for text in (got, want)
+    )
+    assert [len(line) for line in got] == [len(line) for line in want]
+    for a, b in zip([t for line in got for t in line], [t for line in want for t in line]):
+        try:
+            expected = float(b)
+        except ValueError:
+            assert a == b
+            continue
+        assert float(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_fit_outputs_match_golden_files(tmp_path, capsys):
+    # tests/data/fit_golden holds the fit --out files of fit_golden_csv() on
+    # --grid-cuts 1,2 --t-final 3.  Interval 1 takes the mixture at exactly
+    # EXACT_MAX_FACTORS events, interval 2 the quadrature at one event more
+    # (an empty mixture), and interval 3 counts zero offsets as prior shape
+    csv_path, out_dir = tmp_path / "ds.csv", tmp_path / "out"
+    csv_path.write_text(fit_golden_csv())
+    argv = ["fit", "--input", str(csv_path), "--grid-cuts", "1,2", "--t-final", "3"]
+    code, _, err = run(capsys, argv + ["--out", str(out_dir)])
+    assert code == 0 and err == ""
+    want_dir = GOLDEN / "fit_golden"
+    want = json.loads((want_dir / "fit.json").read_text())
+    assert_same_json(json.loads((out_dir / "fit.json").read_text()), want)
+    lengths = [len(post["log_weights"]) for post in want["fit"]["baseline"]]
+    assert lengths == [EXACT_MAX_FACTORS + 1, 0, 6]
+    for name in ("fit.txt", "baseline.csv"):
+        assert_same_text((out_dir / name).read_text(), (want_dir / name).read_text())
+
 def test_hpd_command_json(capsys):
     code, out, err = run(capsys, ["hpd", "--mean", "0", "--sd", "1"])
     assert code == 0 and err == ""

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz.baseline_posterior import increment_moments, increment_posterior
 from addhaz.data_model import (
-    BaselineIncrementPosterior,
+    BaselineMixtures,
     BetaPrior,
     FitResult,
     GammaProcessPrior,
@@ -35,7 +34,14 @@ from addhaz.errors import (
     OutOfRange,
     SingularCovariance,
 )
-from oracles import interval_exposures, interval_offsets, validate_dataset, write_dataset_csv
+from oracles import (
+    Posterior,
+    interval_exposures,
+    interval_offsets,
+    one_interval,
+    validate_dataset,
+    write_dataset_csv,
+)
 
 
 def test_minimal_valid_dataset():
@@ -436,10 +442,10 @@ NOT_REALS = {
     "scalar cuts": lambda: TimeGrid(0.5, 1.0),
     "two-d coverage": lambda: hpd_interval(_posterior(), [0.9]),
     "two-d shape": lambda: GammaProcessPrior.from_shape([[1.0, 2.0]], 1.0),
-    "exposure text": lambda: increment_posterior(
+    "exposure text": lambda: one_interval(
         1, "2.0", 1.0, poly_from_factors([1.0]), GammaProcessPrior([1.0], 1.0)
     ),
-    "width list": lambda: increment_moments(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
+    "width list": lambda: one_interval(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
     "interval coverage text": lambda: sigma_hat(HpdInterval(np.zeros(1), np.ones(1), "0.9")),
     "interval end text": lambda: significance_flag(HpdInterval(["0.1"], [1.0], 0.9)),
     "interval ends of two shapes": lambda: sigma_hat(HpdInterval(np.zeros(2), np.ones(3), 0.9)),
@@ -463,7 +469,7 @@ DOMAIN = {
     "prior increments": lambda v: GammaProcessPrior([1.0, v], 1.0),
     "confidence parameter c": lambda v: GammaProcessPrior([1.0], v),
     "offsets": lambda v: poly_from_factors([1.0, v]),
-    "quadrature offsets": lambda v: increment_moments(
+    "quadrature offsets": lambda v: one_interval(
         1, 2.0, 1.0, [1.0, v], GammaProcessPrior([1.0], 1.0)
     ),
     "true coefficients": lambda v: SimConfig(10, 2, (0.5, v)),
@@ -529,8 +535,23 @@ def test_csv_round_trip_is_identity(tmp_path):
     np.testing.assert_array_equal(back.covariates, ds.covariates)
 
 
+def one_prior_mixtures(posts):
+    """The BaselineMixtures of one prior whose rows are the Posterior
+    records ``posts``, or None for no record."""
+    if not posts:
+        return None
+    moments = [[[getattr(p, name) for p in posts]] for name in ("rate", "mean", "variance")]
+    return BaselineMixtures(
+        np.array([p.interval for p in posts]),
+        *np.array(moments, dtype=float),
+        np.array([x for p in posts for x in p.log_weights], dtype=float),
+        np.array([x for p in posts for x in p.shape_offsets], dtype=float),
+        np.cumsum([0] + [len(p.log_weights) for p in posts]),
+    )
+
+
 def test_fit_result_dict_round_trip():
-    post = BaselineIncrementPosterior(
+    post = Posterior(
         interval=1,
         log_weights=(-0.5, -1.2),
         shape_offsets=(0.3, 1.3),
@@ -544,10 +565,15 @@ def test_fit_result_dict_round_trip():
         sigma_hat=(0.1, 0.2),
         hpd=((0.3, 0.7), (0.0, 0.4)),
         coverage=0.95,
-        baseline=(post,),
+        baseline=one_prior_mixtures([post]),
     )
     back = FitResult.from_dict(result.to_dict())
     assert back == result
+    # a mixture of fewer shapes than weights is rejected, not realigned
+    data = result.to_dict()
+    data["baseline"] = [{**data["baseline"][0], "shape_offsets": (0.3,)}]
+    with pytest.raises(DimensionMismatch, match="one shape offset a log weight"):
+        FitResult.from_dict(data)
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -562,9 +588,7 @@ def fit_results(draw):
         size = draw(st.integers(0, 4))
         mixture = st.lists(FLOATS, min_size=size, max_size=size).map(tuple)
         posts.append(
-            BaselineIncrementPosterior(
-                j + 1, draw(mixture), draw(mixture), draw(FLOATS), draw(FLOATS), draw(FLOATS)
-            )
+            Posterior(j + 1, draw(mixture), draw(mixture), draw(FLOATS), draw(FLOATS), draw(FLOATS))
         )
     return FitResult(
         beta_hat=draw(floats),
@@ -572,7 +596,7 @@ def fit_results(draw):
         sigma_hat=draw(floats),
         hpd=tuple(zip(draw(floats), draw(floats))),
         coverage=draw(FLOATS),
-        baseline=tuple(posts),
+        baseline=one_prior_mixtures(posts),
     )
 
 

@@ -16,7 +16,7 @@ from addhaz.data_model import (
 from addhaz.dataio import read_dataset_csv
 from addhaz.errors import DimensionMismatch
 from addhaz.simulate import SimConfig, _draw_chunk
-from oracles import write_dataset_csv
+from oracles import posteriors, write_dataset_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,7 +46,7 @@ def test_readme_library_example_runs_on_the_default_grid():
     assert len(result.beta_hat) == len(result.sigma_hat) == len(result.hpd) == ds.k
     assert all(type(v) is float for pair in result.hpd for v in pair)
     assert all(type(v) is float for v in result.sigma_hat)
-    assert len(result.baseline) == grid.m
+    assert len(posteriors(result.baseline)[0]) == grid.m
 
 
 def test_gamma_prior_must_cover_every_grid_interval():

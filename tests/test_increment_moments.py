@@ -1,11 +1,11 @@
 """Increment moments by quadrature, checked against the exact Gamma mixture.
 
-``increment_moments`` integrates the posterior density of the increment
-numerically; ``increment_posterior`` builds the finite mixture from the
-likelihood polynomial.  The two share only the interval bookkeeping and
-the division by the rate, so agreement to 1e-10 relative over the grid
-below, and over intervals that hypothesis draws, is an oracle check of the
-quadrature.  Both paths are also held to an mpmath sum of the mixture at
+Given an interval's offsets, the kernel ``increment_posterior`` integrates
+the posterior density of the increment numerically; given their likelihood
+polynomial, it builds the finite mixture.  The two share only the interval
+bookkeeping and the division by the rate, so agreement to 1e-10 relative
+over the grid below, and over intervals that hypothesis draws, is an oracle
+check of the quadrature.  Both paths are also held to an mpmath sum of the mixture at
 prior weights c alpha from 1e-300 to 1e300.  Broad posteriors check the
 quadrature's node count.  The last tests cover the routing of ``fit`` between
 the two paths and the serialized form of a quadrature result.
@@ -23,13 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addhaz import baseline_posterior
-from addhaz.baseline_posterior import EXACT_MAX_FACTORS, increment_moments, increment_posterior
+from addhaz.baseline_posterior import EXACT_MAX_FACTORS
 from addhaz.cli import main
 from addhaz.data_model import FitResult, GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
-from oracles import interval_exposures, interval_offsets, mixture_moments, write_dataset_csv
+from oracles import (
+    interval_exposures,
+    interval_offsets,
+    mixture_moments,
+    one_interval,
+    posteriors,
+    write_dataset_csv,
+)
 
 PRIOR_SHAPES = (1e-3, 0.5, 1.0, 50.0)  # s0 = c * alpha_j
 CONFIDENCES = (1e-12, 1.0, 1e12)  # c
@@ -65,9 +72,9 @@ def test_quadrature_matches_exact_mixture(n, kind):
     for s0, c, ratio in itertools.product(PRIOR_SHAPES, CONFIDENCES, EXPOSURE_RATIOS):
         interval = (1, ratio * WIDTH, WIDTH)
         prior = GammaProcessPrior((s0 / c,), c)
-        quad = increment_moments(*interval, b, prior)
+        quad = one_interval(*interval, b, prior)
         assert quad.log_weights == () and quad.shape_offsets == ()
-        assert_same_moments(quad, increment_posterior(*interval, poly, prior))
+        assert_same_moments(quad, one_interval(*interval, poly, prior))
 
 
 def test_improper_cases_match_exact_path():
@@ -77,14 +84,14 @@ def test_improper_cases_match_exact_path():
     # alpha_j = 0 with every offset > 0 (or no offsets) does not integrate
     for b in ([], [1.0, 2.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(ImproperPosterior):
-            increment_posterior(*interval, poly_from_factors(b), zero_shape)
+            one_interval(*interval, poly_from_factors(b), zero_shape)
         with pytest.raises(ImproperPosterior):
-            increment_moments(*interval, b, zero_shape)
+            one_interval(*interval, b, zero_shape)
     # one zero offset removes the constant term and makes it proper
     for b in ([0.0], [0.0, 2.0], np.concatenate(([0.0], rng.uniform(0.1, 4.0, 1500)))):
         assert_same_moments(
-            increment_moments(*interval, b, zero_shape),
-            increment_posterior(*interval, poly_from_factors(b), zero_shape),
+            one_interval(*interval, b, zero_shape),
+            one_interval(*interval, poly_from_factors(b), zero_shape),
         )
     # a positive alpha_j whose c alpha_j underflows to 0 is out of range, not
     # improper, in both kernels; a zero offset still adds a unit of shape
@@ -92,17 +99,17 @@ def test_improper_cases_match_exact_path():
     underflow = "^interval 1: the prior shape c alpha_j underflows to 0$"
     for b in ([], [1.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(OutOfRange, match=underflow):
-            increment_posterior(*interval, poly_from_factors(b), tiny)
+            one_interval(*interval, poly_from_factors(b), tiny)
         with pytest.raises(OutOfRange, match=underflow):
-            increment_moments(*interval, b, tiny)
+            one_interval(*interval, b, tiny)
     assert_same_moments(
-        increment_moments(*interval, [0.0, 2.0], tiny),
-        increment_posterior(*interval, poly_from_factors([0.0, 2.0]), tiny),
+        one_interval(*interval, [0.0, 2.0], tiny),
+        one_interval(*interval, poly_from_factors([0.0, 2.0]), tiny),
     )
     # no events under a proper prior: the prior Gamma itself
     prior = GammaProcessPrior((2.0,), c=0.7)
-    quad = increment_moments(*interval, [], prior)
-    exact = increment_posterior(*interval, poly_from_factors([]), prior)
+    quad = one_interval(*interval, [], prior)
+    exact = one_interval(*interval, poly_from_factors([]), prior)
     assert (quad.mean, quad.variance) == (exact.mean, exact.variance)
 
 
@@ -118,9 +125,9 @@ def test_bad_offsets_rejected_like_the_polynomial():
         with pytest.raises(error):
             poly_from_factors(b)
         with pytest.raises(error):
-            increment_moments(*interval, b, prior)
+            one_interval(*interval, b, prior)
     with pytest.raises(DimensionMismatch):
-        increment_moments(*interval, [[1.0, 2.0]], prior)
+        one_interval(*interval, [[1.0, 2.0]], prior)
 
 
 def test_malformed_offsets_raise_dimension_mismatch_in_both_kernels():
@@ -134,13 +141,13 @@ def test_malformed_offsets_raise_dimension_mismatch_in_both_kernels():
         with pytest.raises(DimensionMismatch):
             poly_from_factors(b)
         with pytest.raises(DimensionMismatch):
-            increment_moments(*interval, b, prior)
+            one_interval(*interval, b, prior)
     # a non-finite offset is named before a negative one, wherever each sits
     for b in ([math.nan, -1.0], [-1.0, math.inf]):
         with pytest.raises(OutOfRange):
             poly_from_factors(b)
         with pytest.raises(OutOfRange):
-            increment_moments(*interval, b, prior)
+            one_interval(*interval, b, prior)
 
 
 @pytest.mark.parametrize(
@@ -153,9 +160,9 @@ def test_bad_interval_numbers_raise_a_typed_error(exposure, width):
     # reach a division, a log or the root finder
     prior = GammaProcessPrior([1.0], 1.0)
     with pytest.raises(OutOfRange, match="interval 1"):
-        increment_posterior(1, exposure, width, poly_from_factors([1.0]), prior)
+        one_interval(1, exposure, width, poly_from_factors([1.0]), prior)
     with pytest.raises(OutOfRange, match="interval 1"):
-        increment_moments(1, exposure, width, [1.0], prior)
+        one_interval(1, exposure, width, [1.0], prior)
 
 
 @pytest.mark.parametrize(
@@ -165,16 +172,16 @@ def test_quadrature_raises_above_its_1e300(exposure, offsets, c):
     # a prior shape c alpha, or a largest u x / b, above 1e300
     prior = GammaProcessPrior([1.0], c)
     with pytest.raises(OutOfRange, match="above the quadrature's 1e300"):
-        increment_moments(1, exposure, 1.0, offsets, prior)
+        one_interval(1, exposure, 1.0, offsets, prior)
 
 
 def test_edge_interval_numbers_are_accepted():
     # no time at risk is a valid interval: the posterior is then a Gamma
     # mixture at rate c alone
     prior = GammaProcessPrior([1.0], 1.0)
-    exact = increment_posterior(1, 0.0, 2.0, poly_from_factors([1.0]), prior)
+    exact = one_interval(1, 0.0, 2.0, poly_from_factors([1.0]), prior)
     assert exact.rate == 1.0
-    assert_same_moments(increment_moments(1, 0.0, 2.0, [1.0], prior), exact)
+    assert_same_moments(one_interval(1, 0.0, 2.0, [1.0], prior), exact)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -191,8 +198,8 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     offsets = [0.0] * zeros + b
     interval = (1, ratio * WIDTH, WIDTH)
     prior = GammaProcessPrior([alpha], c)
-    post = increment_posterior(*interval, poly_from_factors(offsets), prior)
-    raised = increment_posterior(
+    post = one_interval(*interval, poly_from_factors(offsets), prior)
+    raised = one_interval(
         *interval, poly_from_factors(b), GammaProcessPrior([alpha + zeros / c], c)
     )
     assert len(post.log_weights) == len(post.shape_offsets) == len(b) + 1
@@ -202,7 +209,7 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     np.testing.assert_allclose(post.log_weights, raised.log_weights, rtol=1e-12, atol=1e-12)
     assert post.mean == pytest.approx(raised.mean, rel=1e-12)
     assert post.variance == pytest.approx(raised.variance, rel=1e-12)
-    assert_same_moments(increment_moments(*interval, offsets, prior), post)
+    assert_same_moments(one_interval(*interval, offsets, prior), post)
 
 
 def log_uniform(low, high):
@@ -225,8 +232,8 @@ def test_quadrature_matches_exact_mixture_on_drawn_intervals(n, seed, decades, s
     b = 10.0 ** np.random.default_rng(seed).uniform(*decades, n)
     interval = (1, ratio * WIDTH, WIDTH)
     prior = GammaProcessPrior((s0 / c,), c)
-    quad = increment_moments(*interval, b, prior)
-    assert_same_moments(quad, increment_posterior(*interval, poly_from_factors(b), prior))
+    quad = one_interval(*interval, b, prior)
+    assert_same_moments(quad, one_interval(*interval, poly_from_factors(b), prior))
 
 
 def broad_interval(n, s0, spread):
@@ -254,7 +261,7 @@ def test_quadrature_nodes_stay_few_on_broad_posteriors(monkeypatch):
         (1001, 2000, 30000), (1e-3, 0.5, 50.0), (0.5, 0.9, 1.0, 1.01, 2.0, 10.0)
     ):
         rows.append(0)
-        increment_moments(*broad_interval(n, s0, spread))
+        one_interval(*broad_interval(n, s0, spread))
         assert 0 < rows[-1] <= 400, (n, s0, spread, rows[-1])
 
 
@@ -269,7 +276,7 @@ def test_quadrature_nodes_stay_few_on_broad_posteriors(monkeypatch):
 def test_broadest_posteriors_keep_their_moments(s0, mean, variance):
     # reference moments from a trapezoid rule with one uniform step over the
     # whole window, which took up to 13,629 rows here
-    post = increment_moments(*broad_interval(30000, s0, 1.0))
+    post = one_interval(*broad_interval(30000, s0, 1.0))
     assert post.mean == pytest.approx(mean, rel=1e-10)
     assert post.variance == pytest.approx(variance, rel=1e-10)
 
@@ -281,8 +288,8 @@ def test_extreme_offsets_leave_no_warning(b):
     # 1e300 of it underflows log P(u) / P(0) to 0; RuntimeWarnings are errors
     interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([1e-3], 1.0)
-    exact = increment_posterior(*interval, poly_from_factors(b), prior)
-    assert_same_moments(increment_moments(*interval, b, prior), exact)
+    exact = one_interval(*interval, poly_from_factors(b), prior)
+    assert_same_moments(one_interval(*interval, b, prior), exact)
 
 
 def rising_factorial_moments(b, s0, rate, width):
@@ -308,7 +315,7 @@ def test_quadrature_keeps_precision_at_large_prior_shape(n, alpha):
     b = np.random.default_rng(n).uniform(0.1, 4.0, n)
     c = 1e12
     interval = (1, 1.3, 1.3)
-    quad = increment_moments(*interval, b, GammaProcessPrior((alpha,), c))
+    quad = one_interval(*interval, b, GammaProcessPrior((alpha,), c))
     mean, variance = rising_factorial_moments(b, c * alpha, 1.0 + c, 1.3)
     assert quad.mean == pytest.approx(mean, rel=1e-12)
     assert quad.variance == pytest.approx(variance, rel=1e-12)
@@ -323,8 +330,8 @@ def test_mixture_keeps_precision_at_large_confidence(n):
     interval = (1, 1.0, 1.0)
     for c in (1e-2, 1.0, 1e3, 1e6, 1e9, 1e12):
         prior = GammaProcessPrior((0.5,), c)
-        exact = increment_posterior(*interval, poly, prior)
-        assert_same_moments(increment_moments(*interval, b, prior), exact)
+        exact = one_interval(*interval, poly, prior)
+        assert_same_moments(one_interval(*interval, b, prior), exact)
 
 
 @st.composite
@@ -390,7 +397,7 @@ interval_draws = dict(
 def test_mixture_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
     interval, b = drawn_interval(n, **draws)
     poly = poly_from_factors(b)
-    assert_right_or_typed(increment_posterior, interval, poly, poly.log_abs, prior)
+    assert_right_or_typed(one_interval, interval, poly, poly.log_abs, prior)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -402,7 +409,7 @@ def test_mixture_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
 def test_quadrature_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
     interval, b = drawn_interval(n, **draws)
     log_d = poly_from_factors(b).log_abs
-    assert_right_or_typed(increment_moments, interval, b, log_d, prior)
+    assert_right_or_typed(one_interval, interval, b, log_d, prior)
 
 
 @pytest.mark.parametrize("c", [1e30, 1e40, 1e80, 1e200, 1e300])
@@ -419,7 +426,7 @@ def test_quadrature_window_stays_small_at_huge_prior_weights(c, monkeypatch):
     monkeypatch.setattr(baseline_posterior, "_sum_log1p", counted)
     b = np.random.default_rng(4).uniform(0.1, 4.0, 1200)
     log_d, prior = poly_from_factors(b).log_abs, GammaProcessPrior((1.0,), c)
-    post = assert_right_or_typed(increment_moments, (1, 40.0, 1.0), b, log_d, prior)
+    post = assert_right_or_typed(one_interval, (1, 40.0, 1.0), b, log_d, prior)
     assert not isinstance(post, OutOfRange)
     assert 0 < rows[0] <= 60
 
@@ -430,7 +437,7 @@ def test_quadrature_temporaries_stay_small():
     interval = (1, 0.9 * b.size, 0.2)
     tracemalloc.start()
     try:
-        increment_moments(*interval, b, GammaProcessPrior((0.2,), 1.0))
+        one_interval(*interval, b, GammaProcessPrior((0.2,), 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,7 +459,7 @@ def routing_dataset():
 def test_fit_routes_large_intervals_to_quadrature():
     ds, grid, n_small = routing_dataset()
     result = fit(ds, grid)
-    large, small = result.baseline
+    large, small = posteriors(result.baseline)[0]
     assert large.log_weights == () and large.shape_offsets == ()
     assert len(small.log_weights) == len(small.shape_offsets) == n_small + 1
 
@@ -461,9 +468,9 @@ def test_fit_routes_large_intervals_to_quadrature():
     offsets = interval_offsets(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size
     assert_same_moments(
-        large, increment_posterior(1, exposures[0], widths[0], poly_from_factors(offsets[0]), prior)
+        large, one_interval(1, exposures[0], widths[0], poly_from_factors(offsets[0]), prior)
     )
-    assert small == increment_posterior(
+    assert small == one_interval(
         2, exposures[1], widths[1], poly_from_factors(offsets[1]), prior
     )
 
@@ -485,4 +492,4 @@ def test_quadrature_result_round_trips_through_fit_json(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "interval,up_to,mean,variance"
     assert [line.split(",")[:2] for line in lines[1:]] == [["1", "1.0"], ["2", "2.0"]]
-    assert float(lines[1].split(",")[2]) == restored.baseline[0].mean
+    assert float(lines[1].split(",")[2]) == posteriors(restored.baseline)[0][0].mean
