@@ -33,19 +33,19 @@ no large s0 cancels.
 
 One kernel, ``increment_posterior``, takes R rows, each interval j as three
 numbers (j, exposure_j, w_j) and its polynomial, or its offsets for the
-quadrature, under p priors.  It checks each row's own numbers once and the
-priors' shapes, rates and improper cases over the (p, R) grid at once;
-the first failing (row, prior) in row-major order raises.  The exact rows
-go through (p, rows, L) arrays, the live coefficients padded to the
-longest, in runs of rows that keep them within _BLOCK_ELEMENTS; the term
-log Gamma(k + s0) / Gamma(1 + s0) is built once per distinct s0.  It
-returns a ``BaselineMixtures`` whose mixtures lie end to end in flat
-arrays, which is also what a fit keeps as its baseline.  The whole
-baseline stage, ``increment_posteriors(datasets, grids, betas, priors)``,
+quadrature, under a ``GammaProcessPrior`` stack of p weights c.  It checks
+each row's own numbers once and the shapes, rates and improper cases over
+the (p, R) grid at once; the first failing (row, c) in row-major order
+raises.  The exact rows go through (p, rows, L) arrays, the live
+coefficients padded to the longest, in runs of rows that keep them within
+_BLOCK_ELEMENTS; the term log Gamma(k + s0) / Gamma(1 + s0) is built once
+per distinct s0.  It returns a ``BaselineMixtures`` whose mixtures lie end
+to end in flat arrays, which is also what a fit keeps as its baseline.  The
+whole baseline stage, ``increment_posteriors(datasets, grids, betas, prior)``,
 takes a chunk of r datasets: it reads the exposures of all r m rows, in
 (dataset, interval) order, from one ``interval_summaries`` call and their
 offsets from one ``event_offsets_by_interval`` call, builds one polynomial
-an exact row, and calls the kernel once, for every row under every prior.
+an exact row, and calls the kernel once, for every row under every c.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ import math
 import numpy as np
 
 from .data_model import BaselineMixtures, GammaProcessPrior, _reals
-from .errors import (
-    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
-)
+from .errors import AddhazError, DimensionMismatch, ImproperPosterior, OutOfRange
 from .poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
 
 __all__ = [
@@ -131,9 +129,7 @@ def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.n
 
     These are the offsets of the likelihood polynomial factors, with row i
     of ``betas`` dataset i's coefficients.  Events beyond s_m involve only
-    the hazard past the intervals, so they contribute no factor.  Negative
-    offsets (possible only with signed covariates) put the data outside the
-    mixture posterior's domain and are rejected.
+    the hazard past the intervals, so they contribute no factor.
     """
     betas = _reals(betas, "beta", 2)
     if betas.shape[0] != len(datasets) or any(ds.k != betas.shape[1] for ds in datasets):
@@ -147,11 +143,6 @@ def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.n
     # in row order within each row; keys of one or two bytes take a radix sort
     order = np.argsort(at.astype(np.min_scalar_type(edges.size)), kind="stable")
     factors = offsets[events][order]
-    if (factors < 0.0).any():
-        raise NonNegativityViolation(
-            "negative beta'z among events; baseline increments need "
-            "nonnegative offsets"
-        )
     counts = np.bincount(at, minlength=edges.size).reshape(edges.shape)[:, :-1]
     indptr = np.zeros(counts.size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
@@ -160,9 +151,9 @@ def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.n
 
 def _row(j, exposure, width, poly, prior: GammaProcessPrior):
     """(j, exposure, width, zeros, factors, body) of one row after its own
-    checks, which come before any prior's: a quadrature row's offsets, then
-    j an integer within the first prior, then a finite exposure >= 0 and
-    width > 0, which it returns as plain floats.  zeros counts the leading
+    checks, which come before any c's: a quadrature row's offsets, then j
+    an integer within the prior's increments, then a finite exposure >= 0
+    and width > 0, which it returns as plain floats.  zeros counts the leading
     zero coefficients and factors the events; body is a polynomial's live
     (log d, k), or the positive offsets."""
     if isinstance(poly, PolyCoefficients):
@@ -183,29 +174,25 @@ def _row(j, exposure, width, poly, prior: GammaProcessPrior):
     return j, exposure, width, zeros, factors, body
 
 
-def _interval_prior(js, exposures, widths, zeros, factors, priors):
-    """(s0, c_j, failure) of R checked rows under p priors: (p, R) arrays of
-    each interval's prior shape c alpha_j plus one unit per zero offset and
-    its posterior rate, and the first (row, prior), in row-major order, whose
-    index is beyond the prior or whose posterior is not proper, as
-    (row * p + prior, its error), else None."""
-    p, j = len(priors), np.array(js)
-    alpha = np.array([prior.increments.take(j - 1, mode="clip") for prior in priors])
-    c = np.array([[prior.c] for prior in priors])
+def _interval_prior(js, exposures, widths, zeros, factors, prior):
+    """(s0, c_j, failure) of R checked rows under a stack of p weights c:
+    (p, R) arrays of each interval's prior shape c alpha_j plus one unit per
+    zero offset and its posterior rate, and the first (row, c), in row-major
+    order, whose posterior is not proper, as (row * p + q, its error), else None."""
+    c = prior.c.reshape(-1, 1)
+    alpha = prior.increments[np.array(js) - 1]
     with np.errstate(over="ignore"):  # overflow fails below
         shape0 = c * alpha + np.array(zeros)
         rate = np.array(exposures) / np.array(widths) + c
-    bad = (j > np.array([[prior.m] for prior in priors])) | (shape0 == 0.0)
-    bad |= ~((shape0 < math.inf) & (rate < math.inf))
+    bad = (shape0 == 0.0) | ~((shape0 < math.inf) & (rate < math.inf))
     if not bad.any():
         return shape0, rate, None
-    i, q = divmod(int(np.flatnonzero(bad.T.ravel())[0]), p)
-    j, prior = js[i], priors[q]
-    if j > prior.m:
-        exc = DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
-    elif not (shape0[q, i] < math.inf and rate[q, i] < math.inf):
+    first = int(np.flatnonzero(bad.T.ravel())[0])
+    i, q = divmod(first, c.size)
+    j = js[i]
+    if not (shape0[q, i] < math.inf and rate[q, i] < math.inf):
         exc = OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
-    elif alpha[q, i] > 0.0:
+    elif alpha[i] > 0.0:
         exc = OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
     elif factors[i] == 0:
         exc = ImproperPosterior(f"interval {j}: zero prior increment and no events")
@@ -216,7 +203,7 @@ def _interval_prior(js, exposures, widths, zeros, factors, priors):
             f"interval {j}: zero prior increment with a positive "
             "constant likelihood coefficient"
         )
-    return shape0, rate, (i * p + q, exc)
+    return shape0, rate, (first, exc)
 
 
 def _mixtures(lives, shape0, rate, log_scale):
@@ -281,36 +268,37 @@ def _mixtures(lives, shape0, rate, log_scale):
     return mean, variance, top, log_w[:, live], shapes
 
 
-def increment_posterior(js, exposures, widths, polys, priors):
-    """Posteriors of the increments over R rows, under each of p priors, as
-    one ``BaselineMixtures``.
+def increment_posterior(js, exposures, widths, polys, prior):
+    """Posteriors of the increments over R rows, under each of the p weights
+    c of the ``GammaProcessPrior`` stack ``prior``, as one ``BaselineMixtures``.
 
     Row i is interval js[i], of exposure exposures[i] and width widths[i].
     polys[i] is the product of (a + beta'z) over the uncensored
     observations inside it (the constant 1 when there are none), whose
     Gamma mixture the row gets; or those offsets beta'z themselves, and
     the row gets its moments by quadrature and an empty mixture.  The first
-    (row, prior) that fails, in row-major order, raises.
+    (row, c) that fails, in row-major order, raises.
     """
     try:
-        count, p = len(polys), len(priors)
-        sized = len(js) == len(exposures) == len(widths) == count >= 1 and p >= 1
+        count = len(polys)
+        sized = len(js) == len(exposures) == len(widths) == count >= 1
     except TypeError:  # one of them is no sequence
         sized = False
-    if not sized:
+    if not (sized and isinstance(prior, GammaProcessPrior)):
         raise DimensionMismatch("need sequences of one j, exposure, width and polynomial "
-                                "a row, and at least one row and one prior")
+                                "a row, at least one row, and one GammaProcessPrior")
+    p = prior.c.size
     rows = []
     for i, row in enumerate(zip(js, exposures, widths, polys)):
         try:
-            rows.append(_row(*row, priors[0]))
+            rows.append(_row(*row, prior))
         except AddhazError:
             if i:  # an earlier row may fail first
-                increment_posterior(js[:i], exposures[:i], widths[:i], polys[:i], priors)
+                increment_posterior(js[:i], exposures[:i], widths[:i], polys[:i], prior)
             raise
     js, exposures, widths, zeros, factors, bodies = zip(*rows)
-    shape0, rate, failure = _interval_prior(js, exposures, widths, zeros, factors, priors)
-    # (row, prior) entries from row-major index ``limit`` on are not read
+    shape0, rate, failure = _interval_prior(js, exposures, widths, zeros, factors, prior)
+    # (row, c) entries from row-major index ``limit`` on are not read
     limit = failure[0] if failure else count * p
     log_scale = np.array(
         [[math.log(w) + math.log(c) for c in cs] for w, cs in zip(widths, rate.T.tolist())]
@@ -361,7 +349,7 @@ def increment_posterior(js, exposures, widths, polys, priors):
         raise failure[1]
     return BaselineMixtures(
         np.array(js), rate, mean, variance, *(a.ravel() for a in flat),
-        np.cumsum([0] + lengths * p),  # the lengths, once per prior
+        np.cumsum([0] + lengths * p),  # the lengths, once per c
     )
 
 
@@ -563,22 +551,21 @@ def _tilted_gamma_moments(j: int, s0: float, b: np.ndarray, x: float) -> tuple[f
     return s0 + p * gap, (1.0 - p) * s0 + p * var_r + p * (1.0 - p) * gap * gap
 
 
-def increment_posteriors(datasets, grids, betas, priors) -> BaselineMixtures:
+def increment_posteriors(datasets, grids, betas, prior) -> BaselineMixtures:
     """Posterior of the increment over each of the first m intervals of r
-    datasets, m the priors' common length, under each prior: dataset i on
-    grids[i] given its coefficients betas[i], of shape (r, k).
+    datasets, m the prior's length, under each weight c of the
+    ``GammaProcessPrior`` stack ``prior``: dataset i on grids[i] given its
+    coefficients betas[i], of shape (r, k).
 
     Row i * m + j - 1 of the result is interval j of dataset i.  A row with
     more than EXACT_MAX_FACTORS events gets its moments by quadrature and
     an empty mixture; the others get their mixtures from one polynomial a
     row.  One ``increment_posterior`` call takes every row, and the first
-    failure in (dataset, interval, prior) order raises.
+    failure in (dataset, interval, c) order raises.
     """
-    if not priors:
-        raise DimensionMismatch("need at least one prior")
-    m = priors[0].m
-    if any(prior.m != m for prior in priors):
-        raise DimensionMismatch("the priors differ in their number of increments")
+    if not isinstance(prior, GammaProcessPrior):
+        raise DimensionMismatch("need one GammaProcessPrior, a stack of weights c")
+    m = prior.m
     if len(grids) != len(datasets):
         raise DimensionMismatch("need one grid a dataset")
     for grid in grids:
@@ -588,13 +575,7 @@ def increment_posteriors(datasets, grids, betas, priors) -> BaselineMixtures:
     # plain floats and ints, which the kernel's row checks take as they are
     exposures = interval_summaries(datasets, bounds).ravel().tolist()
     widths = np.diff(bounds, prepend=0.0).ravel().tolist()
-    try:
-        factors, indptr = event_offsets_by_interval(datasets, bounds, betas)
-    except NonNegativityViolation:
-        if len(datasets) > 1:  # an earlier dataset may fail first
-            for one in zip(datasets, grids, betas):
-                increment_posteriors(*([x] for x in one), priors)
-        raise
+    factors, indptr = event_offsets_by_interval(datasets, bounds, betas)
     js = list(range(1, m + 1)) * len(datasets)
     polys = []
     for i, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
@@ -603,6 +584,6 @@ def increment_posteriors(datasets, grids, betas, priors) -> BaselineMixtures:
             polys.append(offsets if b - a > EXACT_MAX_FACTORS else poly_from_factors(offsets))
         except AddhazError:
             if i:  # an earlier row may fail first
-                increment_posterior(js[:i], exposures[:i], widths[:i], polys, priors)
+                increment_posterior(js[:i], exposures[:i], widths[:i], polys, prior)
             raise
-    return increment_posterior(js, exposures, widths, polys, priors)
+    return increment_posterior(js, exposures, widths, polys, prior)

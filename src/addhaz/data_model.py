@@ -168,10 +168,6 @@ class TimeGrid:
         """Right endpoints s_1, ..., s_m."""
         return self.cuts + (self.t_final,)
 
-    def widths(self) -> np.ndarray:
-        b = np.array((0.0,) + self.boundaries)
-        return b[1:] - b[:-1]
-
 
 # the default grid's cut probabilities, for a fit and a baseline study alike
 DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
@@ -295,30 +291,34 @@ class GammaProcessPrior:
     The increment over interval j has shape c * alpha_j and rate adjusted by
     the interval's exposure.  ``increments`` is the read-only (m,) array of
     the alpha_j >= 0, one per grid interval; ``from_shape`` builds it from a
-    shape function evaluated at the grid boundaries.
+    shape function evaluated at the grid boundaries.  ``c`` is a read-only
+    float array of shape () or (p,): a stack of p priors that share the
+    alpha_j, accepted when each member would be alone.
     """
 
     increments: np.ndarray
-    c: float
+    c: np.ndarray
 
     def __post_init__(self):
         inc = _reals(self.increments, "prior increments", 1)
+        c = _reals(self.c, "confidence parameter c")
         if inc.size == 0:
             raise DimensionMismatch("prior increments must form a non-empty 1-d array")
+        if c.ndim > 1 or c.size == 0:
+            raise DimensionMismatch("confidence parameter c must be a 0-d or non-empty 1-d array")
         _finite(inc, "prior increments alpha_j, the rises of a nondecreasing shape,")
-        c = float(_finite(_reals(self.c, "confidence parameter c", 0), "confidence parameter c"))
-        if c == 0.0:
+        if (_finite(c, "confidence parameter c") == 0.0).any():
             raise NonNegativityViolation("confidence parameter c must be > 0")
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "c", c)
+        for name, values in (("increments", inc), ("c", c)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def m(self) -> int:
         return self.increments.size
 
     @classmethod
-    def from_shape(cls, alpha_at_cuts, c: float) -> "GammaProcessPrior":
+    def from_shape(cls, alpha_at_cuts, c) -> "GammaProcessPrior":
         """Prior whose alpha_j = alpha(s_j) - alpha(s_{j-1}), from the shape
         function alpha at the boundaries s_1..s_m, with alpha(0) = 0."""
         # inf - inf and overflow leave non-finite increments, rejected above

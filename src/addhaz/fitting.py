@@ -52,9 +52,11 @@ def fit(
         if gamma_prior is None:
             # unit-rate prior guess: shape function alpha(t) = t
             gamma_prior = GammaProcessPrior.from_shape(grid.boundaries, DEFAULT_GAMMA_C)
-        elif gamma_prior.m != grid.m:
-            raise DimensionMismatch(f"gamma prior needs one increment per grid interval ({grid.m})")
-        baseline = increment_posteriors([ds], [grid], beta_hat[None], [gamma_prior])
+        elif gamma_prior.m != grid.m or gamma_prior.c.size != 1:
+            raise DimensionMismatch(
+                f"gamma prior needs one weight c and one increment per grid interval ({grid.m})"
+            )
+        baseline = increment_posteriors([ds], [grid], beta_hat[None], gamma_prior)
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

@@ -273,16 +273,13 @@ def run_baseline_experiment(
     report holds the posterior mean of each of the first
     len(alpha_increments) increments for every confidence weight in c_grid.
     """
-    c_grid = tuple(_reals(c_grid, "confidence weights", 1).tolist())
-    if not c_grid:
-        raise DimensionMismatch("confidence weights must not be empty")
-    priors = [GammaProcessPrior(alpha_increments, c) for c in c_grid]
-    m = priors[0].m
+    prior = GammaProcessPrior(alpha_increments, _reals(c_grid, "confidence weights", 1))
+    m = prior.m
     if (grid.m if grid is not None else len(DEFAULT_QUANTILES) + 1) < m:
         raise DimensionMismatch("the grid has fewer intervals than reported increments")
     beta_prior = BetaPrior.isotropic(0.5, 1e8, cfg.k)
 
-    means = np.empty((cfg.replicates, len(c_grid), m))
+    means = np.empty((cfg.replicates, prior.c.size, m))
     post_vars = np.empty_like(means)
     kept = 0
     for datasets, est in _chunks(cfg):
@@ -299,7 +296,7 @@ def run_baseline_experiment(
             chunk.append((ds, rep_grid, bhat))
         if chunk:
             kept_ds, grids, betas = zip(*chunk)
-            posts = increment_posteriors(kept_ds, grids, np.array(betas), priors)
+            posts = increment_posteriors(kept_ds, grids, np.array(betas), prior)
             r = len(chunk)
             for out, moment in ((means, posts.mean), (post_vars, posts.variance)):
                 out[kept : kept + r] = moment.reshape(-1, r, m).swapaxes(0, 1)
@@ -312,7 +309,7 @@ def run_baseline_experiment(
         columns=("c", "interval", "mean_increment", "mc_sd_increment", "mean_posterior_sd"),
         rows=tuple(
             ((c, j + 1), tuple(stats[ic, j].tolist()))
-            for ic, c in enumerate(c_grid)
+            for ic, c in enumerate(prior.c.tolist())
             for j in range(m)
         ),
     )

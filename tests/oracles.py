@@ -15,7 +15,7 @@ from addhaz.baseline_posterior import (
     increment_posterior,
     interval_summaries,
 )
-from addhaz.data_model import SurvivalDataset
+from addhaz.data_model import GammaProcessPrior, SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
     DimensionMismatch,
@@ -88,6 +88,11 @@ def interval_exposures(ds: SurvivalDataset, grid) -> np.ndarray:
     return interval_summaries([ds], [grid.boundaries])[0]
 
 
+def interval_widths(grid) -> np.ndarray:
+    """(m,) widths s_j - s_{j-1} of a grid's intervals, s_0 = 0."""
+    return np.diff(grid.boundaries, prepend=0.0)
+
+
 def interval_offsets(ds: SurvivalDataset, grid, beta) -> list[np.ndarray]:
     """beta'z of one dataset's events, one array an interval of its grid."""
     factors, indptr = event_offsets_by_interval([ds], [grid.boundaries], [beta])
@@ -114,19 +119,36 @@ def posteriors(mixtures) -> list[tuple[Posterior, ...]]:
     ]
 
 
+def members(prior) -> list[GammaProcessPrior]:
+    """The priors of a stack, one each c, each built on its own."""
+    return [GammaProcessPrior(prior.increments, c) for c in prior.c.reshape(-1).tolist()]
+
+
+def each_member(kernel):
+    """``kernel``, a reference for one prior, over every member of a stack:
+    one result for a c of shape (), and a tuple of them for shape (p,)."""
+    def over_members(*args):
+        *args, prior = args
+        out = tuple(kernel(*args, member) for member in members(prior))
+        return out if prior.c.ndim else out[0]
+    return over_members
+
+
+@each_member
 def one_interval(j, exposure, width, poly, prior) -> Posterior:
     """The kernel's batch of one: interval j under one prior, from its
     polynomial (the mixture) or its offsets (quadrature, no mixture)."""
-    return posteriors(increment_posterior([j], [exposure], [width], [poly], [prior]))[0][0]
+    return posteriors(increment_posterior([j], [exposure], [width], [poly], prior))[0][0]
 
 
+@each_member
 def mixture_posterior(j, exposure, width, poly, prior) -> Posterior:
     """The Gamma-mixture posterior written with numpy's module functions and
     a concatenated log-rising sum: the reference that ``increment_posterior``
     is held to bit for bit in all but its mean and variance."""
     dead = int(np.argmax(poly.log_abs > -math.inf))
     j, exposure, width = _row(j, exposure, width, poly, prior)[:3]
-    shape0, rate, failure = _interval_prior([j], [exposure], [width], [dead], [poly.degree], [prior])
+    shape0, rate, failure = _interval_prior([j], [exposure], [width], [dead], [poly.degree], prior)
     if failure:
         raise failure[1]
     shape0, rate = shape0.item(), rate.item()
@@ -153,18 +175,18 @@ def mixture_posterior(j, exposure, width, poly, prior) -> Posterior:
     )
 
 
-def stage_by_intervals(ds, grid, beta, priors) -> list[tuple[Posterior, ...]]:
+def stage_by_intervals(ds, grid, beta, prior) -> list[tuple[Posterior, ...]]:
     """The baseline stage as loops of one-interval kernel calls, interval by
-    interval and each prior in turn, entry [p][j] for interval j + 1 under
-    priors[p]: the reference that ``increment_posteriors`` is held to."""
-    m = priors[0].m
-    exposures, widths = interval_exposures(ds, grid).tolist(), grid.widths().tolist()
+    interval and each member of the prior stack in turn, entry [q][j] for
+    interval j + 1 under member q: the reference that ``increment_posteriors``
+    is held to."""
+    exposures, widths = interval_exposures(ds, grid).tolist(), interval_widths(grid).tolist()
     columns = []
-    for j, factors in enumerate(interval_offsets(ds, grid, beta)[:m]):
+    for j, factors in enumerate(interval_offsets(ds, grid, beta)[: prior.m]):
         interval = (j + 1, exposures[j], widths[j])
         poly = factors if len(factors) > EXACT_MAX_FACTORS else poly_from_factors(factors)
-        columns.append([one_interval(*interval, poly, p) for p in priors])
-    return [tuple(column[p] for column in columns) for p in range(len(priors))]
+        columns.append([one_interval(*interval, poly, member) for member in members(prior)])
+    return list(zip(*columns))
 
 
 def mixture_moments(log_d, s0, width, rate):

@@ -35,7 +35,9 @@ from addhaz.simulate import (
     run_beta_experiment,
 )
 
-from oracles import interval_exposures, interval_offsets, one_interval, poly_eval_log
+from oracles import (
+    interval_exposures, interval_offsets, interval_widths, one_interval, poly_eval_log
+)
 
 MC_SEED = 20260819
 
@@ -223,11 +225,11 @@ def test_criterion_07_infinite_confidence_returns_prior_increments():
         for base in (0.01, 0.3, 1.0, 5.0):
             increments = [base * (j + 1) for j in range(grid.m)]
             prior = GammaProcessPrior(increments, c=1e6)
-            exposures = interval_exposures(ds, grid)
+            exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
             offsets = interval_offsets(ds, grid, beta)
             for j in range(grid.m):
                 post = one_interval(
-                    j + 1, exposures[j], grid.widths()[j], poly_from_factors(offsets[j]), prior
+                    j + 1, exposures[j], widths[j], poly_from_factors(offsets[j]), prior
                 )
                 assert abs(post.mean - increments[j]) < 1e-3
     print("CRITERION 7: PASS")
@@ -239,7 +241,7 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
     times = np.full(20, 0.05)
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
-    interval = (1, interval_exposures(ds, grid)[0], grid.widths()[0])
+    interval = (1, interval_exposures(ds, grid)[0], interval_widths(grid)[0])
     poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
     for alpha in (0.5, 2.0):
         prior_a = GammaProcessPrior((alpha,), c=1e-8)

@@ -32,6 +32,8 @@ from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 from oracles import (
     interval_exposures,
     interval_offsets,
+    interval_widths,
+    members,
     mixture_moments,
     mixture_posterior,
     offsets_by_mask,
@@ -130,7 +132,7 @@ def test_interval_summaries_counts_and_monotone_m():
     assert sum(map(len, offsets_by_interval(ds, grid))) == 60
     # exposure / width, the mean number at risk over an interval, is at
     # least the number at risk at its end and so never grows with j
-    at_risk = exposure / grid.widths()
+    at_risk = exposure / interval_widths(grid)
     assert all(a >= b for a, b in zip(at_risk, at_risk[1:]))
     assert np.all(exposure >= 0)
     # exposure identity: each subject is at risk min(t, s_j) - s_{j-1} when positive
@@ -303,21 +305,23 @@ def test_improper_posterior_cases():
 def test_batch_raises_the_first_failure_interval_by_interval():
     # interval 1's moments overflow under c = 5e-324 at exposure 0, or its
     # weights vanish, before interval 2's zero width is read under the first
-    # prior; the one-interval calls meet the same error first
+    # c; the one-interval calls meet the same error first
     tiny, proper = GammaProcessPrior([1.0, 1.0], 5e-324), GammaProcessPrior([1.0, 1.0], 1.0)
-    for priors, poly, error, message in (
-        ([proper, tiny], poly_from_factors([1.0]), OutOfRange, "moments overflow"),
-        ([proper], PolyCoefficients([-math.inf]), ImproperPosterior, "weights vanished"),
+    for prior, last, poly, error, message in (
+        (GammaProcessPrior([1.0, 1.0], [1.0, 5e-324]), tiny, poly_from_factors([1.0]),
+         OutOfRange, "moments overflow"),
+        (proper, proper, PolyCoefficients([-math.inf]), ImproperPosterior, "weights vanished"),
     ):
         with pytest.raises(error, match=f"interval 1: .*{message}"):
-            increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [poly, poly], priors)
+            increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [poly, poly], prior)
         with pytest.raises(error, match=f"interval 1: .*{message}"):
-            one_interval(1, 0.0, 1.0, poly, priors[-1])
+            one_interval(1, 0.0, 1.0, poly, last)
     poly = poly_from_factors([1.0])
     for args in (
-        ([1, 2], [1.0], [1.0], [poly], [proper]),  # unequal lengths
-        ([], [], [], [], [proper]),  # no interval
-        ([1], [1.0], [1.0], [poly], proper),  # a prior not in a sequence
+        ([1, 2], [1.0], [1.0], [poly], proper),  # unequal lengths
+        ([], [], [], [], proper),  # no interval
+        ([1], [1.0], [1.0], [poly], [proper]),  # a list of priors, not one stack
+        ([1], [1.0], [1.0], [poly], None),  # no prior
         (1, 0.5, 1.0, poly, proper),  # one interval's numbers, not sequences of them
     ):
         with pytest.raises(DimensionMismatch, match="need sequences"):
@@ -327,19 +331,20 @@ def test_batch_raises_the_first_failure_interval_by_interval():
 def test_chunk_raises_the_first_failure_row_by_row():
     one = poly_from_factors([1.0])  # a positive constant coefficient
     none = poly_from_factors([])  # no events
-    # (row 1, prior 2) and (row 2, prior 1) are both improper; row 1 comes first
-    priors = [GammaProcessPrior([1.0, 0.0], 1.0), GammaProcessPrior([0.0, 1.0], 1.0)]
-    with pytest.raises(ImproperPosterior, match="interval 1: .*constant likelihood coefficient"):
-        increment_posterior([1, 2], [1.0, 1.0], [1.0, 1.0], [one, none], priors)
-    with pytest.raises(ImproperPosterior, match="interval 2: .*no events"):
-        increment_posterior([1, 2], [1.0, 1.0], [1.0, 1.0], [none, none], priors[:1])
-    # a prior failure on row 1 beats row 3's zero width, read before any prior
+    # (row 1, c 2) and (row 2, c 1) both fail; row 1 comes first: the tiny c
+    # takes row 1's shape c alpha_1 to 0, and the huge c row 2's rate c_2 to inf
+    args = [1, 2], [1.0, 1e308], [1.0, 1.0], [one, one]
+    with pytest.raises(OutOfRange, match="interval 1: .*underflows to 0"):
+        increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], [1e308, 5e-324]))
+    with pytest.raises(OutOfRange, match="interval 2: .*rate c_j overflows"):
+        increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], 1e308))
+    # a prior failure on row 1 beats row 3's zero width, read before any c
     with pytest.raises(ImproperPosterior, match="interval 1: "):
         increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
-                            [GammaProcessPrior([0.0, 1.0, 1.0], 1.0)])
+                            GammaProcessPrior([0.0, 1.0, 1.0], 1.0))
     with pytest.raises(OutOfRange, match="interval 3: needs a finite exposure"):
         increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
-                            [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)])
+                            GammaProcessPrior([1.0, 1.0, 1.0], 1.0))
     # three datasets on the grid (1, 2]: the first has only zero offsets in
     # interval 2, so alpha_2 = 0 is proper there; the second has no event
     # in it, which is improper; the third's beta'z is NaN, which the
@@ -347,7 +352,7 @@ def test_chunk_raises_the_first_failure_row_by_row():
     grid = TimeGrid((1.0,), 2.0)
     first = SurvivalDataset([0.5, 1.5], [True, True], [[1.0, 0.0], [0.0, 1.0]])
     second = SurvivalDataset([0.5, 1.5], [True, False], [[1.0, 0.0], [0.0, 1.0]])
-    prior = [GammaProcessPrior([1.0, 0.0], 1.0)]
+    prior = GammaProcessPrior([1.0, 0.0], 1.0)
     betas = [[1.0, 0.0], [1.0, 0.0], [math.nan, 0.0]]
     chunk = [first, second, first], [grid] * 3
     with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
@@ -362,7 +367,7 @@ def test_chunk_raises_the_first_failure_row_by_row():
     )
     with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
         increment_posteriors([second, signed], [grid] * 2, betas[:2], prior)
-    with pytest.raises(NonNegativityViolation, match="negative beta'z"):
+    with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
         increment_posteriors([first, signed], [grid] * 2, betas[:2], prior)
     # a malformed chunk: grids, or rows of betas, other than one a dataset
     for grids, betas in (
@@ -383,13 +388,11 @@ def test_each_row_of_a_batch_is_its_own_call_at_every_padded_length(longest):
     # were contiguous at L = 8, and every row but the first got wrong weights
     rng = np.random.default_rng(longest)
     polys = [poly_from_factors(rng.uniform(0.1, 2.0, n)) for n in (1, longest, 3, 0)]
-    priors = [GammaProcessPrior([1.0, 3.0, 0.5, 2.0], c) for c in (0.5, 4.0)]
+    prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0], [0.5, 4.0])
     args = [1, 2, 3, 4], [2.0, 1.5, 0.7, 0.3], [0.5, 0.5, 0.25, 0.25]
-    batch = increment_posterior(*args, polys, priors)
-    for row, prior in zip(posteriors(batch), priors):
-        assert list(row) == [
-            one_interval(*interval, prior) for interval in zip(*args, polys)
-        ]
+    batch = increment_posterior(*args, polys, prior)
+    columns = [one_interval(*interval, prior) for interval in zip(*args, polys)]
+    assert posteriors(batch) == list(zip(*columns))
 
 
 def _outcome(kernel, *args):
@@ -478,16 +481,16 @@ def test_full_pipeline_matches_quadrature():
     beta = np.array([0.4, 0.9])
     prior = GammaProcessPrior([1.5, 0.7, 0.2], c=2.0)
     exposures = interval_exposures(ds, grid)
-    widths = grid.widths()
+    widths = interval_widths(grid)
     offset_lists = interval_offsets(ds, grid, beta)
-    (stage,) = posteriors(increment_posteriors([ds], [grid], [beta], [prior]))
+    (stage,) = posteriors(increment_posteriors([ds], [grid], [beta], prior))
     for j in range(3):
         post = one_interval(
             j + 1, exposures[j], widths[j], poly_from_factors(offset_lists[j]), prior
         )
         assert stage[j] == post
         mean_q, var_q = quadrature_moments(
-            list(offset_lists[j]), prior.increments[j], prior.c, exposures[j], widths[j]
+            list(offset_lists[j]), prior.increments[j], float(prior.c), exposures[j], widths[j]
         )
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
         assert post.variance == pytest.approx(var_q, rel=1e-6)
@@ -497,19 +500,22 @@ def test_stage_covers_the_priors_increments():
     ds = SurvivalDataset([0.5, 1.2, 2.0], [True, True, False], [[0.5], [0.2], [0.3]])
     grid = TimeGrid((1.0,), 3.0)
     beta = np.array([0.4])
-    # the first m intervals of a longer grid, m from the priors
+    # the first m intervals of a longer grid, m from the prior
     longer = TimeGrid((1.0, 2.5), 3.0)
     (posts,) = posteriors(
-        increment_posteriors([ds], [longer], [beta], [GammaProcessPrior([1.0], 1.0)])
+        increment_posteriors([ds], [longer], [beta], GammaProcessPrior([1.0], 1.0))
     )
     assert [p.interval for p in posts] == [1]
-    for priors in (
-        [GammaProcessPrior([1.0, 1.0, 1.0], 1.0)],  # longer than the grid
-        [GammaProcessPrior([1.0, 1.0], 1.0), GammaProcessPrior([1.0], 2.0)],
+    for prior in (
+        GammaProcessPrior([1.0, 1.0, 1.0], 1.0),  # longer than the grid
+        [GammaProcessPrior([1.0], 1.0)],  # a list of priors, not one stack
         [],
     ):
         with pytest.raises(DimensionMismatch):
-            increment_posteriors([ds], [grid], [beta], priors)
+            increment_posteriors([ds], [grid], [beta], prior)
+    # a stack shares one alpha: increments a member, of unequal m once, are no prior
+    with pytest.raises(DimensionMismatch, match="prior increments"):
+        GammaProcessPrior([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
 
 
 def test_adding_zero_offset_event_tracks_quadrature():
@@ -581,15 +587,35 @@ def test_event_partition_keeps_row_order_within_each_interval(n, m, tied, seed):
 
 def test_only_events_inside_the_grid_need_nonnegative_offsets():
     # signed covariates: an event beyond t_F contributes no factor, so its
-    # negative offset is never checked; one inside the grid is rejected
+    # negative offset is never checked; one inside the grid is rejected by
+    # the stage, while the partition passes it on in row order
     ds = SurvivalDataset(
         [3.0, 0.5, 1.5, 2.5], [True, True, False, True], [[-4.0], [1.0], [-2.0], [2.0]],
         allow_signed=True,
     )
-    offsets = interval_offsets(ds, TimeGrid((1.0,), 2.5), np.ones(1))
-    assert [o.tolist() for o in offsets] == [[1.0], [2.0]]
-    with pytest.raises(NonNegativityViolation):
-        interval_offsets(ds, TimeGrid((1.0,), 3.0), np.ones(1))
+    prior = GammaProcessPrior([1.0, 1.0], 1.0)
+    for t_final, want in ((2.5, [[1.0], [2.0]]), (3.0, [[1.0], [-4.0, 2.0]])):
+        grid = TimeGrid((1.0,), t_final)
+        assert [o.tolist() for o in interval_offsets(ds, grid, np.ones(1))] == want
+    increment_posteriors([ds], [TimeGrid((1.0,), 2.5)], [np.ones(1)], prior)
+    with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
+        increment_posteriors([ds], [grid], [np.ones(1)], prior)
+
+
+def test_a_negative_offset_raises_in_row_order():
+    # interval 1 is improper (alpha_1 = 0 and a positive constant coefficient)
+    # before interval 2's negative offset is read, on the exact path; on the
+    # quadrature path one negative offset among 1001 events is rejected too
+    ds = SurvivalDataset([0.5, 1.5], [True, True], [[1.0], [-1.0]], allow_signed=True)
+    grid, prior = TimeGrid((1.0,), 2.0), GammaProcessPrior([0.0, 1.0], 1.0)
+    with pytest.raises(ImproperPosterior, match="interval 1: .*constant likelihood coefficient"):
+        increment_posteriors([ds], [grid], [[1.0]], prior)
+    z = np.ones((EXACT_MAX_FACTORS + 1, 1))
+    z[700] = -1.0
+    crowd = SurvivalDataset(np.linspace(0.1, 0.9, z.shape[0]), np.ones(z.shape[0]), z,
+                            allow_signed=True)
+    with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
+        increment_posteriors([crowd], [grid], [[1.0]], GammaProcessPrior([1.0, 1.0], 1.0))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -616,16 +642,16 @@ def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
     # t_F may fall short of the largest time, and cuts lie above the crowd
     t_final = float(rng.uniform(0.5, 1.5) * max(times.max(), 1.0))
     cuts = tuple(t_final * np.sort(rng.uniform(0.1, 0.99, n_cuts)))
-    priors = [GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), c) for c in (1e-2, 1.0, 1e2)]
+    prior = GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), [1e-2, 1.0, 1e2])
     grid = TimeGrid(cuts, t_final)
     base = posteriors(
-        increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], priors)
+        increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], prior)
     )
     scaled = posteriors(increment_posteriors(
         [SurvivalDataset(tau * times, events, z)],
         [TimeGrid(tuple(tau * s for s in cuts), tau * t_final)],
         [beta / tau],
-        priors,
+        prior,
     ))
     assert (base[0][0].log_weights == ()) == crowd  # quadrature, else exact
     for posts, scaled_posts in zip(base, scaled):
@@ -658,13 +684,11 @@ ALPHA = st.one_of(st.just(0.0), *[st.floats(1e-3, 1e2)] * 4)
     big_at=st.none() | st.integers(0, 5),
     zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     empty_tail=st.booleans(),
-    weights=st.lists(
-        st.tuples(st.floats(1e-3, 1e3), st.lists(ALPHA, min_size=7, max_size=7)),
-        min_size=1, max_size=4,
-    ),
+    alphas=st.lists(ALPHA, min_size=7, max_size=7),
+    c=st.floats(1e-3, 1e3) | st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
 )
 def test_stage_is_its_scalar_calls_interval_by_interval(
-    seed, counts, big_at, zero_share, empty_tail, weights
+    seed, counts, big_at, zero_share, empty_tail, alphas, c
 ):
     # interval i + 1 = (i, i + 1] holds counts[i] events, one of them more
     # events than the exact path takes; an empty tail interval has exposure
@@ -683,28 +707,28 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     z[rng.random(times.size) < zero_share] = 0.0
     ds = SurvivalDataset(times, np.arange(times.size) < sum(counts), z)
     grid = TimeGrid(tuple(map(float, range(1, m))), float(m))
-    priors = [GammaProcessPrior(alphas[:m], c) for c, alphas in weights]
+    prior = GammaProcessPrior(alphas[:m], c)
     beta = np.array([0.7])
-    got = _stage_outcome(_stage_posteriors, [ds], [grid], [beta], priors)
-    assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, priors)
+    got = _stage_outcome(_stage_posteriors, [ds], [grid], [beta], prior)
+    assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, prior)
     if isinstance(got, tuple):
         return
-    stage = increment_posteriors([ds], [grid], [beta], priors)
+    stage = increment_posteriors([ds], [grid], [beta], prior)
     components = sum(len(post.log_weights) for row in got for post in row)
     assert len(stage.log_weights) == stage.indptr[-1] == components
-    assert stage.mean.shape == (len(priors), m) and stage.intervals.tolist() == [*range(1, m + 1)]
+    assert stage.mean.shape == (prior.c.size, m) and stage.intervals.tolist() == [*range(1, m + 1)]
     assert not any(array.flags.writeable for array in vars(stage).values())
     # the batch over the exact intervals alone, row by row
-    exposures, widths = interval_exposures(ds, grid), grid.widths()
+    exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
     exact = [
         (j + 1, exposures[j], widths[j], poly_from_factors(offsets))
         for j, offsets in enumerate(interval_offsets(ds, grid, beta))
         if offsets.size <= EXACT_MAX_FACTORS
     ]
     if exact:
-        batch = increment_posterior(*map(list, zip(*exact)), priors)
-        for row, prior in zip(posteriors(batch), priors):
-            assert list(row) == [one_interval(*interval, prior) for interval in exact]
+        batch = increment_posterior(*map(list, zip(*exact)), prior)
+        for row, member in zip(posteriors(batch), members(prior)):
+            assert list(row) == [one_interval(*interval, member) for interval in exact]
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -714,16 +738,13 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     shared=st.booleans(),
     crowd_at=st.none() | st.integers(0, 5),
     zero_share=st.sampled_from([0.0, 0.1, 0.5]),
-    weights=st.lists(
-        st.tuples(
-            st.floats(1e-3, 1e3),
-            st.lists(st.floats(1e-3, 1e2), min_size=3, max_size=3),
-            st.one_of(*[st.none()] * 4, st.integers(0, 2)),  # alpha_j = 0 one time in five
-        ),
-        min_size=1, max_size=4,
-    ),
+    alphas=st.lists(st.floats(1e-3, 1e2), min_size=3, max_size=3),
+    zero_at=st.one_of(*[st.none()] * 4, st.integers(0, 2)),  # alpha_j = 0 one time in five
+    c=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
 )
-def test_chunk_is_its_datasets_stage_by_stage(seed, sizes, shared, crowd_at, zero_share, weights):
+def test_chunk_is_its_datasets_stage_by_stage(
+    seed, sizes, shared, crowd_at, zero_share, alphas, zero_at, c
+):
     # r datasets on one grid or on a grid each, of 3 or 4 intervals, with
     # times on a boundary, at 0 and beyond t_F drawn often; the one at
     # crowd_at has more events in interval 1 than the exact path takes.  The
@@ -751,21 +772,20 @@ def test_chunk_is_its_datasets_stage_by_stage(seed, sizes, shared, crowd_at, zer
         z[rng.random(times.size) < zero_share] = 0.0
         datasets.append(SurvivalDataset(times, events, z))
         betas.append(rng.uniform(0.0, 2.0, 2))
-    for _, alphas, zero_at in weights:
-        if zero_at is not None:
-            alphas[zero_at] = 0.0
-    priors = [GammaProcessPrior(alphas, c) for c, alphas, _ in weights]
-    got = _stage_outcome(_stage_posteriors, datasets, grids, np.array(betas), priors)
-    want = [[] for _ in priors]
+    if zero_at is not None:
+        alphas[zero_at] = 0.0
+    prior = GammaProcessPrior(alphas, c)
+    got = _stage_outcome(_stage_posteriors, datasets, grids, np.array(betas), prior)
+    want = [[] for _ in c]
     for args in zip(datasets, grids, betas):
-        one = _stage_outcome(stage_by_intervals, *args, priors)
+        one = _stage_outcome(stage_by_intervals, *args, prior)
         if isinstance(one, tuple):
             assert got == one
             return
         for rows, row in zip(want, one):
             rows += row
     assert got == want
-    stage = increment_posteriors(datasets, grids, np.array(betas), priors)
+    stage = increment_posteriors(datasets, grids, np.array(betas), prior)
     components = sum(len(post.log_weights) for row in want for post in row)
     assert len(stage.log_weights) == stage.indptr[-1] == components
     assert stage.intervals.tolist() == [1, 2, 3] * len(sizes)

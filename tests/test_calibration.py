@@ -17,7 +17,7 @@ import numpy as np
 from addhaz.baseline_posterior import increment_posteriors
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
 
-from oracles import draw_piecewise_times
+from oracles import draw_piecewise_times, interval_widths
 
 Z_BOUND = 4.5
 CHI2_BOUND = 40.0
@@ -29,7 +29,7 @@ def run_study(seed, n, c, alphas, grid, beta, replicates, chunk):
     chunk of replicates under the one prior Gamma(c alpha_j, c)."""
     rng = np.random.default_rng(seed)
     prior = GammaProcessPrior(alphas, c)
-    widths = grid.widths()
+    widths = interval_widths(grid)
     truth = rng.gamma(c * prior.increments, 1.0 / c, size=(replicates, prior.m))
     stages = []
     for start in range(0, replicates, chunk):
@@ -41,7 +41,7 @@ def run_study(seed, n, c, alphas, grid, beta, replicates, chunk):
             events = event_times <= censor_times
             datasets.append(SurvivalDataset(np.minimum(event_times, censor_times), events, z))
         betas = np.tile(beta, (len(datasets), 1))
-        stages.append(increment_posteriors(datasets, [grid] * len(datasets), betas, [prior]))
+        stages.append(increment_posteriors(datasets, [grid] * len(datasets), betas, prior))
     return truth, stages
 
 

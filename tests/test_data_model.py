@@ -139,23 +139,6 @@ def test_grid_median_of_five():
     assert grid.cuts == (3.0,)
     assert grid.m == 2
     assert grid.boundaries == (3.0, 5.0)
-    np.testing.assert_allclose(grid.widths(), [3.0, 2.0])
-
-
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 300),
-    scale=st.sampled_from([1e-300, 1.0, 1e300]),
-)
-def test_grid_widths_are_np_diff_bit_for_bit(seed, m, scale):
-    rng = np.random.default_rng(seed)
-    bounds = np.unique(rng.uniform(0.0, 1.0, m) * scale)
-    bounds = bounds[bounds > 0.0]
-    if bounds.size:
-        grid = TimeGrid(tuple(bounds[:-1].tolist()), float(bounds[-1]))
-        want = np.diff(np.array((0.0,) + grid.boundaries))
-        assert grid.widths().tobytes() == want.tobytes()
 
 
 def test_grid_nearest_rank_convention():
@@ -361,21 +344,22 @@ def test_gamma_prior_increments_roundtrip():
     # alpha(t) = t at the boundaries gives the interval widths bit for bit
     grid = TimeGrid((0.125, 0.3, 0.6), 1.15)
     assert GammaProcessPrior.from_shape(grid.boundaries, 1.0).increments.tolist() == (
-        grid.widths().tolist()
+        np.diff(grid.boundaries, prepend=0.0).tolist()
     )
 
 
 def test_priors_hold_read_only_copies():
-    mu, cov, inc = np.zeros(2), np.eye(2), np.array([1.0, 2.0])
+    mu, cov, inc, c = np.zeros(2), np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0])
     beta = BetaPrior(mu, cov)
-    gamma = GammaProcessPrior(inc, c=1.0)
+    gamma = GammaProcessPrior(inc, c=c)
     assert beta.mu.shape == (2,) and beta.cov.shape == (2, 2) and beta.k == 2
-    for held in (beta.mu, beta.cov, gamma.increments):
+    for held in (beta.mu, beta.cov, gamma.increments, gamma.c):
         assert held.dtype == float
         with pytest.raises(ValueError):
             held[0] = 9.0
-    mu[0] = cov[0, 0] = inc[0] = 3.0  # the caller's arrays stay writable
+    mu[0] = cov[0, 0] = inc[0] = c[0] = 3.0  # the caller's arrays stay writable
     assert beta.mu[0] == 0.0 and beta.cov[0, 0] == 1.0 and gamma.increments[0] == 1.0
+    assert gamma.c[0] == 1.0
 
 
 def test_gamma_prior_validation():
@@ -390,6 +374,18 @@ def test_gamma_prior_validation():
     for empty in ((), [[]]):
         with pytest.raises(DimensionMismatch):
             GammaProcessPrior(empty, c=1.0)
+
+
+def test_gamma_prior_stack_is_accepted_when_each_member_is():
+    # c of shape () or (p,), one alpha for all: one domain rule over all of c
+    # (a non-finite member before a negative one, whatever their order), then c = 0
+    assert GammaProcessPrior((1.0, 2.0), c=[0.5, 4.0]).c.tolist() == [0.5, 4.0]
+    assert GammaProcessPrior((1.0, 2.0), c=0.5).c.shape == ()
+    for c, error in (([1.0, 0.0], NonNegativityViolation), ([1.0, -1.0], NonNegativityViolation),
+                     ([-1.0, math.inf], OutOfRange), ([math.nan, 1.0], OutOfRange),
+                     ([], DimensionMismatch), ([[1.0]], DimensionMismatch)):
+        with pytest.raises(error):
+            GammaProcessPrior((1.0, 2.0), c=c)
 
 
 def test_gamma_prior_rejects_nonfinite_shape():
@@ -508,7 +504,8 @@ def test_bools_and_integers_keep_the_bits_of_floats():
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert TimeGrid((1, np.float32(2.5)), np.int64(3)) == TimeGrid((1.0, 2.5), 3.0)
     gamma = GammaProcessPrior(np.array([1, 2]), np.float32(0.5))
-    assert gamma.increments.tolist() == [1.0, 2.0] and type(gamma.c) is float
+    assert gamma.increments.tolist() == [1.0, 2.0]
+    assert gamma.c.dtype == float and gamma.c.shape == () and gamma.c == 0.5
     assert BetaPrior.isotropic(np.int64(1), 2, 2).cov.tobytes() == (
         BetaPrior.isotropic(1.0, 2.0, 2).cov.tobytes()
     )

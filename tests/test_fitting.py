@@ -53,6 +53,10 @@ def test_gamma_prior_must_cover_every_grid_interval():
     ds = sample_dataset()
     with pytest.raises(DimensionMismatch, match="one increment per grid interval"):
         addhaz.fit(ds, gamma_prior=GammaProcessPrior([1.0, 1.0], 1.0))
+    # a stack of two weights c would leave fit.json with the first alone
+    grid = grid_from_quantiles(ds)
+    with pytest.raises(DimensionMismatch, match="one weight c"):
+        addhaz.fit(ds, grid, gamma_prior=GammaProcessPrior.from_shape(grid.boundaries, [1.0, 2.0]))
 
 
 def floats_in(value):

@@ -32,6 +32,7 @@ from addhaz.poly_coeffs import poly_from_factors
 from oracles import (
     interval_exposures,
     interval_offsets,
+    interval_widths,
     mixture_moments,
     one_interval,
     posteriors,
@@ -464,7 +465,7 @@ def test_fit_routes_large_intervals_to_quadrature():
     assert len(small.log_weights) == len(small.shape_offsets) == n_small + 1
 
     prior = GammaProcessPrior.from_shape(grid.boundaries, 1.0)  # fit's default prior
-    exposures, widths = interval_exposures(ds, grid), grid.widths()
+    exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
     offsets = interval_offsets(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size
     assert_same_moments(

@@ -175,23 +175,22 @@ def test_baseline_study_prior_to_data_ordering():
 
 
 def test_baseline_study_hands_over_the_requested_increments(monkeypatch):
-    # the priors reach the posterior holding the increments as given, with
-    # no cumsum/diff round trip and no padding past the reported intervals
+    # the prior stack reaches the posterior holding the increments as given,
+    # with no cumsum/diff round trip and no padding past the reported intervals
     seen = []
     original = simulate.increment_posteriors
 
-    def spy(datasets, grids, betas, priors):
-        seen.extend([priors] * len(datasets))
-        return original(datasets, grids, betas, priors)
+    def spy(datasets, grids, betas, prior):
+        seen.extend([prior] * len(datasets))
+        return original(datasets, grids, betas, prior)
 
     monkeypatch.setattr(simulate, "increment_posteriors", spy)
     grid = TimeGrid((0.125, 0.3, 0.6, 0.9), 1.15)
     cfg = config(n=60, replicates=3, seed=2)
     simulate.run_baseline_experiment(cfg, (10.0, 0.1), (5.0, 1.0, 0.3, 0.01), grid=grid)
-    assert len(seen) == 3 and all(priors is seen[0] for priors in seen)
-    assert [p.c for p in seen[0]] == [10.0, 0.1]
-    for prior in seen[0]:
-        assert prior.increments.tolist() == [5.0, 1.0, 0.3, 0.01]
+    assert len(seen) == 3 and all(prior is seen[0] for prior in seen)
+    assert seen[0].c.tolist() == [10.0, 0.1]
+    assert seen[0].increments.tolist() == [5.0, 1.0, 0.3, 0.01]
 
 
 def test_baseline_sd_grows_with_interval_index():
