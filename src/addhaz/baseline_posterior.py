@@ -31,21 +31,18 @@ from the mode: a few dozen to a few hundred nodes, each one pass over the
 offsets.  Both take u's moments in offsets from the prior shape, so that
 no large s0 cancels.
 
-One kernel, ``increment_posterior``, takes R rows, each interval j as three
-numbers (j, exposure_j, w_j) and its polynomial, or its offsets for the
-quadrature, under a ``GammaProcessPrior`` stack of p weights c.  It checks
-each row's own numbers once and the shapes, rates and improper cases over
-the (p, R) grid at once; the first failing (row, c) in row-major order
-raises.  The exact rows go through (p, rows, L) arrays, the live
-coefficients padded to the longest, in runs of rows that keep them within
-_BLOCK_ELEMENTS; the term log Gamma(k + s0) / Gamma(1 + s0) is built once
-per distinct s0.  It returns a ``BaselineMixtures`` whose mixtures lie end
-to end in flat arrays, which is also what a fit keeps as its baseline.  The
-whole baseline stage, ``increment_posteriors(datasets, grids, betas, prior)``,
-takes a chunk of r datasets: it reads the exposures of all r m rows, in
-(dataset, interval) order, from one ``interval_summaries`` call and their
-offsets from one ``event_offsets_by_interval`` call, builds one polynomial
-an exact row, and calls the kernel once, for every row under every c.
+One kernel, ``increment_posterior``, takes R rows under a
+``GammaProcessPrior`` stack of p weights c: interval j as (j, exposure_j,
+w_j) and its event offsets in the partition's CSR form (factors, indptr).
+It checks every row's own numbers and the (p, R) shapes, rates and
+improper cases at once, and the first failing (row, c) in row-major order
+raises.  The exact rows get their polynomials from ``poly_from_factors``
+and go through (p, rows, L) arrays in runs within _BLOCK_ELEMENTS, with
+log Gamma(k + s0) / Gamma(1 + s0) built once per distinct s0.  It returns a
+``BaselineMixtures``, which a fit keeps as its baseline.  The stage,
+``increment_posteriors(datasets, grids, betas, prior)``, partitions a chunk
+of r datasets into its r m rows, in (dataset, interval) order, and calls
+the kernel once.
 """
 
 from __future__ import annotations
@@ -54,9 +51,12 @@ import math
 
 import numpy as np
 
-from .data_model import BaselineMixtures, GammaProcessPrior, _reals
-from .errors import AddhazError, DimensionMismatch, ImproperPosterior, OutOfRange
-from .poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
+from .data_model import BaselineMixtures, GammaProcessPrior, SurvivalDataset, TimeGrid, _reals
+from .errors import (
+    AddhazError, DegenerateGrid, DimensionMismatch, ImproperPosterior, NonNegativityViolation,
+    OutOfRange,
+)
+from .poly_coeffs import poly_from_factors
 
 __all__ = [
     "EXACT_MAX_FACTORS",
@@ -83,22 +83,33 @@ _BLOCK_ELEMENTS = 1 << 13
 _EXPM1_MINUS_T = tuple(1.0 / math.factorial(k) for k in range(12, 1, -1))
 
 
+def _typed(items, kind, what) -> None:
+    """DimensionMismatch unless ``items`` is a list or tuple of at least one ``kind``."""
+    if not (isinstance(items, (list, tuple)) and items and all(isinstance(x, kind) for x in items)):
+        raise DimensionMismatch(f"need a list or tuple of at least one {what}")
+
+
 def _row_intervals(datasets, bounds) -> tuple[np.ndarray, np.ndarray]:
     """(edges, keys): the (r, m + 1) edges 0, s_1, ..., s_m of each dataset,
     and for every row of the chunk, dataset by dataset, its key
     i (m + 1) + j - 1 when its time lies in interval j of dataset i, or
     i (m + 1) + m beyond s_m.  A time on a boundary lies in the interval to
-    its left, and a time of 0 in the first."""
+    its left, and a time of 0 in the first.  Each row of bounds must be
+    finite, > 0 and strictly increasing, as a TimeGrid's are."""
+    _typed(datasets, SurvivalDataset, "SurvivalDataset")
     bounds = _reals(bounds, "interval bounds", 2)
     r, m = bounds.shape
-    if not (r == len(datasets) >= 1 and m >= 1):
+    if not (r == len(datasets) and m >= 1):
         raise DimensionMismatch("need one row of at least one interval bound a dataset")
+    edges = np.zeros((r, m + 1))
+    edges[:, 1:] = bounds
+    # a NaN fails the comparison, and a finite last bound keeps every bound finite
+    if not ((edges[:, 1:] > edges[:, :-1]).all() and (bounds[:, -1] < math.inf).all()):
+        raise DegenerateGrid("interval bounds must be finite, > 0 and strictly increasing")
     keys = np.concatenate([
         np.searchsorted(b, ds.times, side="left") + i * (m + 1)
         for i, (ds, b) in enumerate(zip(datasets, bounds))
     ])
-    edges = np.zeros((r, m + 1))
-    edges[:, 1:] = bounds
     return edges, keys
 
 
@@ -131,10 +142,10 @@ def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.n
     of ``betas`` dataset i's coefficients.  Events beyond s_m involve only
     the hazard past the intervals, so they contribute no factor.
     """
+    edges, keys = _row_intervals(datasets, bounds)
     betas = _reals(betas, "beta", 2)
     if betas.shape[0] != len(datasets) or any(ds.k != betas.shape[1] for ds in datasets):
         raise DimensionMismatch("beta dimension does not match the dataset")
-    edges, keys = _row_intervals(datasets, bounds)
     # each dataset's own (n, k) @ (k,) product: a stacked one may round otherwise
     offsets = np.concatenate([ds.covariates @ beta for ds, beta in zip(datasets, betas)])
     events = np.concatenate([ds.events for ds in datasets])
@@ -149,75 +160,66 @@ def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.n
     return factors, indptr
 
 
-def _row(j, exposure, width, poly, prior: GammaProcessPrior):
-    """(j, exposure, width, zeros, factors, body) of one row after its own
-    checks, which come before any c's: a quadrature row's offsets, then j
-    an integer within the prior's increments, then a finite exposure >= 0
-    and width > 0, which it returns as plain floats.  zeros counts the leading
-    zero coefficients and factors the events; body is a polynomial's live
-    (log d, k), or the positive offsets."""
-    if isinstance(poly, PolyCoefficients):
-        zeros, log_d, k = poly.live
-        factors, body = poly.degree, (log_d, k)
-    else:
-        b = check_offsets(poly)
-        body = b[b > 0.0]
-        zeros, factors = b.size - body.size, b.size
-    if type(j) is not int and not isinstance(j, np.integer):
-        raise DimensionMismatch(f"interval index must be an integer, got {j!r}")
-    if type(exposure) is not float or type(width) is not float:
-        exposure, width = _reals([exposure, width], "exposure and width", 1).tolist()
-    if not 1 <= j <= prior.m:
-        raise DimensionMismatch(f"interval {j} outside the prior's {prior.m} increments")
-    if not (0.0 <= exposure < math.inf and 0.0 < width < math.inf):  # NaN included
-        raise OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0")
-    return j, exposure, width, zeros, factors, body
-
-
-def _interval_prior(js, exposures, widths, zeros, factors, prior):
-    """(s0, c_j, failure) of R checked rows under a stack of p weights c:
-    (p, R) arrays of each interval's prior shape c alpha_j plus one unit per
-    zero offset and its posterior rate, and the first (row, c), in row-major
-    order, whose posterior is not proper, as (row * p + q, its error), else None."""
-    c = prior.c.reshape(-1, 1)
-    alpha = prior.increments[np.array(js) - 1]
-    with np.errstate(over="ignore"):  # overflow fails below
-        shape0 = c * alpha + np.array(zeros)
-        rate = np.array(exposures) / np.array(widths) + c
-    bad = (shape0 == 0.0) | ~((shape0 < math.inf) & (rate < math.inf))
-    if not bad.any():
+def _first_failure(js, exposures, widths, b, indptr, zeros, prior):
+    """(s0, c_j, failure) of R rows under a stack of p weights c: (p, R)
+    arrays of each interval's prior shape c alpha_j plus one unit per zero
+    offset and its posterior rate, and the first failing (row, c), in
+    row-major order, as (row * p + q, its error), else None.  A row's own
+    numbers fail before any c's, in this order: a non-finite offset, a
+    negative one, a j outside the prior's m increments, and an exposure not
+    finite and >= 0 or a width not finite and > 0."""
+    m, c = prior.m, prior.c.reshape(-1, 1)
+    outside = (js < 1) | (js > m)
+    # the first failing offset by each of two checks, then the first failing row by two more
+    firsts = [np.flatnonzero(mask)[:1] for mask in (
+        ~np.isfinite(b), b < 0.0, outside,
+        ~((0.0 <= exposures) & (exposures < math.inf) & (0.0 < widths) & (widths < math.inf)),
+    )]
+    rows = [np.searchsorted(indptr, at, side="right") - 1 for at in firsts[:2]] + firsts[2:]
+    rows = [int(at[0]) if at.size else js.size for at in rows]
+    row = min(rows)
+    alpha = prior.increments[np.where(outside, 0, js - 1)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # fails below
+        shape0 = c * alpha + zeros
+        rate = exposures / widths + c
+    bad = np.flatnonzero(((shape0 == 0.0) | ~((shape0 < math.inf) & (rate < math.inf))).T.ravel())
+    if bad.size and bad[0] < row * c.size:  # in a row whose own numbers pass
+        i, q = divmod(int(bad[0]), c.size)
+        j = js[i]
+        if not (shape0[q, i] < math.inf and rate[q, i] < math.inf):
+            exc = OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
+        elif alpha[i] > 0.0:
+            exc = OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
+        elif indptr[i] == indptr[i + 1]:
+            exc = ImproperPosterior(f"interval {j}: zero prior increment and no events")
+        else:  # a zero shape and a positive constant coefficient leave a 1/a factor near 0
+            exc = ImproperPosterior(f"interval {j}: zero prior increment with a positive "
+                                    "constant likelihood coefficient")
+        return shape0, rate, (int(bad[0]), exc)
+    if row == js.size:
         return shape0, rate, None
-    first = int(np.flatnonzero(bad.T.ravel())[0])
-    i, q = divmod(first, c.size)
-    j = js[i]
-    if not (shape0[q, i] < math.inf and rate[q, i] < math.inf):
-        exc = OutOfRange(f"interval {j}: the prior shape c alpha_j or the rate c_j overflows")
-    elif alpha[i] > 0.0:
-        exc = OutOfRange(f"interval {j}: the prior shape c alpha_j underflows to 0")
-    elif factors[i] == 0:
-        exc = ImproperPosterior(f"interval {j}: zero prior increment and no events")
-    else:
-        # a zero prior shape with a positive constant coefficient leaves a 1/a
-        # factor near 0, which does not integrate
-        exc = ImproperPosterior(
-            f"interval {j}: zero prior increment with a positive "
-            "constant likelihood coefficient"
-        )
-    return shape0, rate, (first, exc)
+    j = js[row]
+    return shape0, rate, (row * c.size, (
+        OutOfRange("factor offsets must be finite"),
+        NonNegativityViolation("factor offsets must be >= 0"),
+        DimensionMismatch(f"interval {j} outside the prior's {m} increments"),
+        OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0"),
+    )[rows.index(row)])
 
 
-def _mixtures(lives, shape0, rate, log_scale):
-    """(mean, variance, top, log_w, shapes) of B exact rows under p priors,
-    from each row's live (log d, k) and its (p, B) s0, c_j and log(w_j c_j):
-    (p, B) moments and largest log weight, and the normalized log weights
-    and shapes s0 + k of the live components, (p, N) in row order."""
-    # the live log coefficients padded with -inf to (B, L), and k = 0, 1, ...
-    lengths = [log_d.size for log_d, _ in lives]
-    size = max(lengths)
-    k = lives[lengths.index(size)][1]
-    padded = np.full((len(lives), size), -math.inf)
-    for row, (log_d, _) in zip(padded, lives):
-        row[: log_d.size] = log_d
+def _mixtures(log_ds, k, shape0, rate, log_scale):
+    """(mean, variance, log_w, shapes) of B exact rows under p priors, from
+    each row's live log coefficients, k = 0, 1, ... at least as long as the
+    longest, and their (p, B) s0, c_j and log(w_j c_j): (p, B) moments, and
+    the normalized log weights and shapes s0 + k of the live components,
+    (p, N) in row order.  Every live log coefficient is finite, and so is
+    every log weight."""
+    # the live log coefficients padded with -inf to (B, L)
+    lengths = [log_d.size for log_d in log_ds]
+    k = k[: max(lengths)]
+    live = k < np.array(lengths)[:, None]
+    padded = np.full(live.shape, -math.inf)
+    padded[live] = np.concatenate(log_ds)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # in rows read below
         # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
         # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
@@ -226,15 +228,15 @@ def _mixtures(lives, shape0, rate, log_scale):
         # with a spare slot, so that L = 1 still has room for the 0
         distinct, at = np.unique(shape0.ravel(), return_inverse=True)
         log_shapes = np.log(k + distinct[:, None])
-        log_rising = np.empty((distinct.size, size + 1))
+        log_rising = np.empty((distinct.size, k.size + 1))
         # not np.negative(..., out=): numpy 2.4 reads a column 8 floats
         # apart as if contiguous when the output is strided too
         log_rising[:, 0] = -log_shapes[:, 0]
         log_rising[:, 1] = 0.0
-        np.add.accumulate(log_shapes[:, 1:-1], axis=-1, out=log_rising[:, 2:size])
+        np.add.accumulate(log_shapes[:, 1:-1], axis=-1, out=log_rising[:, 2 : k.size])
         # three (p, B, L) buffers in all: log_w, and w below, which serves as
         # scratch before and after it holds the weights
-        log_w = np.take(log_rising[:, :size], at.reshape(shape0.shape), axis=0)
+        log_w = np.take(log_rising[:, : k.size], at.reshape(shape0.shape), axis=0)
         w = np.empty((2, *log_w.shape))
         np.multiply(k, log_scale[..., None], out=w[1])
         log_w += np.subtract(padded, w[1], out=w[1])
@@ -262,94 +264,95 @@ def _mixtures(lives, shape0, rate, log_scale):
         mean = shape_mean / rate
         variance = (sums[2] / totals + shape_mean) / rate / rate
     del w, dev  # freed before the outputs are built, to keep the peak down
-    live = k < np.array(lengths)[:, None]
     live_k = np.broadcast_to(k, live.shape)[live]
     shapes = np.repeat(shape0, lengths, axis=-1) + live_k
-    return mean, variance, top, log_w[:, live], shapes
+    return mean, variance, log_w[:, live], shapes
 
 
-def increment_posterior(js, exposures, widths, polys, prior):
+def increment_posterior(js, exposures, widths, factors, indptr, prior):
     """Posteriors of the increments over R rows, under each of the p weights
     c of the ``GammaProcessPrior`` stack ``prior``, as one ``BaselineMixtures``.
 
-    Row i is interval js[i], of exposure exposures[i] and width widths[i].
-    polys[i] is the product of (a + beta'z) over the uncensored
-    observations inside it (the constant 1 when there are none), whose
-    Gamma mixture the row gets; or those offsets beta'z themselves, and
-    the row gets its moments by quadrature and an empty mixture.  The first
+    Row i is interval js[i], of exposure exposures[i] and width widths[i],
+    and its events' offsets beta'z are ``factors[indptr[i]:indptr[i + 1]]``,
+    the partition's CSR form.  A row of more than EXACT_MAX_FACTORS events
+    gets its moments by quadrature and an empty mixture; any other gets the
+    Gamma mixture of the product of (a + beta'z) over its events.  The first
     (row, c) that fails, in row-major order, raises.
     """
     try:
-        count = len(polys)
-        sized = len(js) == len(exposures) == len(widths) == count >= 1
+        sized = len(exposures) == len(widths) == len(indptr) - 1 == len(js) >= 1
     except TypeError:  # one of them is no sequence
         sized = False
     if not (sized and isinstance(prior, GammaProcessPrior)):
-        raise DimensionMismatch("need sequences of one j, exposure, width and polynomial "
-                                "a row, at least one row, and one GammaProcessPrior")
-    p = prior.c.size
-    rows = []
-    for i, row in enumerate(zip(js, exposures, widths, polys)):
-        try:
-            rows.append(_row(*row, prior))
-        except AddhazError:
-            if i:  # an earlier row may fail first
-                increment_posterior(js[:i], exposures[:i], widths[:i], polys[:i], prior)
-            raise
-    js, exposures, widths, zeros, factors, bodies = zip(*rows)
-    shape0, rate, failure = _interval_prior(js, exposures, widths, zeros, factors, prior)
-    # (row, c) entries from row-major index ``limit`` on are not read
+        raise DimensionMismatch("need sequences of one j, exposure and width a row and R + 1 "
+                                "row offsets, at least one row, and one GammaProcessPrior")
+    b = _reals(factors, "factor offsets", 1)
+    exposures, widths = _reals(exposures, "exposures", 1), _reals(widths, "widths", 1)
+    js, indptr = _reals(js, "interval index", 1, None), _reals(indptr, "row offsets", 1, None)
+    if js.dtype.kind not in "iu":
+        raise DimensionMismatch(f"interval index must be an integer, got {js.dtype}")
+    if not (indptr.dtype.kind in "iu" and indptr[0] == 0 and indptr[-1] == b.size
+            and (indptr[1:] >= indptr[:-1]).all()):
+        raise DimensionMismatch("row offsets must be integers rising from 0 to the offsets' count")
+    p, count, indptr = prior.c.size, js.size, indptr.astype(np.intp)
+    sizes, bounds = np.diff(indptr), indptr.tolist()
+    # a zero offset is a factor a: one more unit of prior shape, not a live term
+    zero_at = np.searchsorted(indptr, np.flatnonzero(b == 0.0), side="right") - 1
+    zeros = np.bincount(zero_at, minlength=count)
+    shape0, rate, failure = _first_failure(js, exposures, widths, b, indptr, zeros, prior)
+    # (row, c) entries from row-major index ``limit`` on are not read, nor
+    # rows from ``needed`` on
     limit = failure[0] if failure else count * p
-    log_scale = np.array(
-        [[math.log(w) + math.log(c) for c in cs] for w, cs in zip(widths, rate.T.tolist())]
-    ).T
-    mean, variance, top = np.zeros((3, p, count))
-    exact = [i for i, poly in enumerate(polys) if isinstance(poly, PolyCoefficients)]
-    lengths = [0] * count
+    needed = -(-limit // p)
+    # live coefficients of a row's mixture, at least 1; 0 for the quadrature
+    lengths = np.where(sizes <= EXACT_MAX_FACTORS, sizes - zeros + 1, 0)
+    n_live, dead = lengths.tolist(), zeros.tolist()
+    mean, variance = np.zeros((2, p, count))
     # the exact rows in runs whose (p, rows, L) temporaries fit the budget
     runs, longest = [], 0
-    for i in exact:
-        lengths[i] = n = bodies[i][0].size
+    for i in np.flatnonzero(lengths[:needed]).tolist():
+        n = n_live[i]
         longest = max(longest, n)
         if not runs or p * (len(runs[-1]) + 1) * longest > _BLOCK_ELEMENTS:
             runs.append([])
             longest = n
         runs[-1].append(i)
+    k = np.arange(lengths.max(), dtype=float)
     pieces = []  # (log weights, shapes) of each run, (p, N) in row order
     for run in runs:
-        *moments, log_w, shapes = _mixtures(
-            [bodies[i] for i in run], shape0[:, run], rate[:, run], log_scale[:, run]
-        )
-        mean[:, run], variance[:, run], top[:, run] = moments
+        log_ds = [poly_from_factors(b[bounds[i] : bounds[i + 1]]).log_abs[dead[i] :] for i in run]
+        log_scale = np.array([
+            [math.log(w) + math.log(c) for c in cs]
+            for w, cs in zip(widths[run].tolist(), rate[:, run].T.tolist())
+        ]).T
+        *moments, log_w, shapes = _mixtures(log_ds, k, shape0[:, run], rate[:, run], log_scale)
+        mean[:, run], variance[:, run] = moments
         pieces.append((log_w, shapes))
     flat = [
         np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in zip(*pieces)
     ] or [np.empty((p, 0))] * 2
-    bad = np.flatnonzero(~((mean < math.inf) & (variance < math.inf)).T.ravel()[:limit])
-    if bad.size:  # NaN where the weights vanished
-        i, q = divmod(int(bad[0]), p)
-        if top[q, i] == -math.inf:
-            failure = bad[0], ImproperPosterior(f"interval {js[i]}: all mixture weights vanished")
-        else:
-            failure = bad[0], OutOfRange(f"interval {js[i]}: the posterior moments overflow")
-        limit = bad[0]
-    quadrature = [i for i, poly in enumerate(polys) if not isinstance(poly, PolyCoefficients)]
-    s0, c_j = (shape0.tolist(), rate.tolist()) if quadrature else ((), ())
-    for i in quadrature:
+    for i in np.flatnonzero(lengths[:needed] == 0).tolist():
+        offsets = b[bounds[i] : bounds[i + 1]]
+        positive, width = offsets[offsets > 0.0], widths[i].item()
         for q in range(min(p, limit - i * p)):
             try:
                 mean[q, i], variance[q, i] = _quadrature_moments(
-                    js[i], s0[q][i], c_j[q][i], widths[i], bodies[i]
+                    js[i], shape0[q, i].item(), rate[q, i].item(), width, positive
                 )
             except AddhazError as exc:
                 failure = i * p + q, exc
                 limit = failure[0]
                 break
+    # a moment that overflows, on either path, fails at its (row, c)
+    bad = np.flatnonzero(~((mean < math.inf) & (variance < math.inf)).T.ravel()[:limit])
+    if bad.size:
+        failure = bad[0], OutOfRange(f"interval {js[bad[0] // p]}: the posterior moments overflow")
     if failure:
         raise failure[1]
     return BaselineMixtures(
-        np.array(js), rate, mean, variance, *(a.ravel() for a in flat),
-        np.cumsum([0] + lengths * p),  # the lengths, once per c
+        js, rate, mean, variance, *(a.ravel() for a in flat),
+        np.concatenate(([0], np.cumsum(np.tile(lengths, p)))),  # the lengths, once per c
     )
 
 
@@ -372,10 +375,7 @@ def _quadrature_moments(j, shape0: float, rate: float, width: float, positive: n
         if tilt >= 1e-290:
             mean_u, var_u = _tilted_gamma_moments(j, shape0, positive, x)
     # L = u / c_j: the variance is divided by the rate twice, as in the mixture
-    mean, variance = mean_u / rate, var_u / rate / rate
-    if not (mean < math.inf and variance < math.inf):
-        raise OutOfRange(f"interval {j}: the posterior moments overflow")
-    return mean, variance
+    return mean_u / rate, var_u / rate / rate
 
 
 def _expm1_minus_t(t: np.ndarray) -> np.ndarray:
@@ -557,33 +557,25 @@ def increment_posteriors(datasets, grids, betas, prior) -> BaselineMixtures:
     ``GammaProcessPrior`` stack ``prior``: dataset i on grids[i] given its
     coefficients betas[i], of shape (r, k).
 
-    Row i * m + j - 1 of the result is interval j of dataset i.  A row with
-    more than EXACT_MAX_FACTORS events gets its moments by quadrature and
-    an empty mixture; the others get their mixtures from one polynomial a
-    row.  One ``increment_posterior`` call takes every row, and the first
-    failure in (dataset, interval, c) order raises.
+    Row i * m + j - 1 of the result is interval j of dataset i.  The
+    partition of the chunk goes to one ``increment_posterior`` call, which
+    takes every row under every c; the first failure in (dataset, interval,
+    c) order raises.
     """
     if not isinstance(prior, GammaProcessPrior):
         raise DimensionMismatch("need one GammaProcessPrior, a stack of weights c")
     m = prior.m
+    _typed(datasets, SurvivalDataset, "SurvivalDataset")
+    _typed(grids, TimeGrid, "TimeGrid")
     if len(grids) != len(datasets):
         raise DimensionMismatch("need one grid a dataset")
     for grid in grids:
         if grid.m < m:
             raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
     bounds = np.array([grid.boundaries[:m] for grid in grids])
-    # plain floats and ints, which the kernel's row checks take as they are
-    exposures = interval_summaries(datasets, bounds).ravel().tolist()
-    widths = np.diff(bounds, prepend=0.0).ravel().tolist()
-    factors, indptr = event_offsets_by_interval(datasets, bounds, betas)
-    js = list(range(1, m + 1)) * len(datasets)
-    polys = []
-    for i, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
-        offsets = factors[a:b]
-        try:
-            polys.append(offsets if b - a > EXACT_MAX_FACTORS else poly_from_factors(offsets))
-        except AddhazError:
-            if i:  # an earlier row may fail first
-                increment_posterior(js[:i], exposures[:i], widths[:i], polys, prior)
-            raise
-    return increment_posterior(js, exposures, widths, polys, prior)
+    exposures = interval_summaries(datasets, bounds).ravel()
+    widths = np.diff(bounds, prepend=0.0).ravel()
+    js = np.tile(np.arange(1, m + 1), len(datasets))
+    return increment_posterior(
+        js, exposures, widths, *event_offsets_by_interval(datasets, bounds, betas), prior
+    )

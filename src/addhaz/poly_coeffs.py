@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -67,40 +67,21 @@ class PolyCoefficients:
     def degree(self) -> int:
         return self.log_abs.size - 1
 
-    @cached_property
-    def live(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(dead, log_d, k): the count of leading zero coefficients, the log
-        coefficients after them, and k = 0, 1, ... as read-only floats;
-        worked out on first use and kept for every later one."""
-        return _live(self.log_abs, int((self.log_abs > -math.inf).argmax()))
 
-
-def _live(log_abs: np.ndarray, dead: int) -> tuple[int, np.ndarray, np.ndarray]:
-    k = np.arange(log_abs.size - dead, dtype=float)
-    k.setflags(write=False)
-    return dead, log_abs[dead:], k
-
-
-def _built(log_abs: np.ndarray, dead: int) -> PolyCoefficients:
-    """The kernel's array, finite by construction but for its ``dead``
-    leading -infs, as coefficients frozen in place, with ``live`` from that
-    count: no copy, no second check and no search for the zeros."""
+def _built(log_abs: np.ndarray) -> PolyCoefficients:
+    """The kernel's array, finite by construction but for its leading -infs,
+    one per zero offset, as coefficients frozen in place: no copy and no
+    second check."""
     poly = object.__new__(PolyCoefficients)
     log_abs.setflags(write=False)
     object.__setattr__(poly, "log_abs", log_abs)
-    poly.__dict__["live"] = _live(log_abs, dead)
     return poly
-
-
-def check_offsets(offsets) -> np.ndarray:
-    """The offsets as a new 1-d float64 array, checked finite and >= 0."""
-    return _finite(_reals(offsets, "factor offsets", 1), "factor offsets")
 
 
 def poly_from_factors(offsets) -> PolyCoefficients:
     """Multiply out prod_i (a + b_i) over a 1-d array-like of offsets b_i,
     each finite and >= 0."""
-    b = check_offsets(offsets)
+    b = _finite(_reals(offsets, "factor offsets", 1), "factor offsets")  # a new array
     n, positive = b.size, b[b > 0.0]
     zeros = n - positive.size  # the leading zero coefficients, one per zero offset
     # sorted(), not np.partition, whose first call adds about 0.3 MB of RSS
@@ -108,7 +89,7 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     log_scale = math.log(scale)
     spread = np.add.reduce(np.abs(np.log(positive) - log_scale))
     if spread + n * math.log(2.0) > _LINEAR_RANGE:
-        return _built(_log_domain(b), zeros)
+        return _built(_log_domain(b))
     # step j multiplies factor j * blocks + i into block i; the padding is 0
     blocks = max(1, round(math.sqrt(n)))
     width = -(-n // blocks)
@@ -128,7 +109,7 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     log_d = np.full(n + 1, -math.inf)  # the guard keeps the others positive and normal
     powers = np.arange(n - zeros, -1.0, -1.0)
     log_d[zeros:] = np.log(d[blocks * width - n + zeros :]) + powers * log_scale
-    return _built(log_d, zeros)
+    return _built(log_d)
 
 
 def _log_domain(b: np.ndarray) -> np.ndarray:

@@ -3,14 +3,14 @@
 import csv
 import math
 from collections import namedtuple
+from unittest import mock
 
 import mpmath
 import numpy as np
 
+from addhaz import baseline_posterior
 from addhaz.baseline_posterior import (
-    EXACT_MAX_FACTORS,
-    _interval_prior,
-    _row,
+    _first_failure,
     event_offsets_by_interval,
     increment_posterior,
     interval_summaries,
@@ -19,14 +19,13 @@ from addhaz.data_model import GammaProcessPrior, SurvivalDataset
 from addhaz.errors import (
     DatasetFormatError,
     DimensionMismatch,
-    ImproperPosterior,
     NoEvents,
     NonNegativityViolation,
     OutOfRange,
     SingularDesign,
 )
 from addhaz.lin_ying import LYStatistics, compute_statistics, ly_solve
-from addhaz.poly_coeffs import PolyCoefficients, check_offsets, poly_from_factors
+from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 
 
 def validate_dataset(records, *, allow_signed=False):
@@ -72,7 +71,7 @@ def poly_by_slices(offsets) -> PolyCoefficients:
     """The likelihood polynomial by an in-place recursion that slices its one
     buffer per factor: the reference that ``poly_from_factors`` is held to
     bit for bit."""
-    b = check_offsets(np.fromiter(offsets, dtype=float))
+    b = np.fromiter(offsets, dtype=float)
     # after deg factors, buf[:deg + 1] holds log d_0..d_deg
     buf = np.zeros(b.size + 1)
     for deg, offset in enumerate(b.tolist()):
@@ -134,21 +133,51 @@ def each_member(kernel):
     return over_members
 
 
+def csr(rows):
+    """(factors, indptr) of a list of offset rows: the partition's form, in
+    which the kernel reads them."""
+    factors = np.concatenate([np.asarray(row, dtype=float) for row in rows])
+    return factors, np.cumsum([0] + [len(row) for row in rows])
+
+
 @each_member
-def one_interval(j, exposure, width, poly, prior) -> Posterior:
+def one_interval(j, exposure, width, offsets, prior) -> Posterior:
     """The kernel's batch of one: interval j under one prior, from its
-    polynomial (the mixture) or its offsets (quadrature, no mixture)."""
-    return posteriors(increment_posterior([j], [exposure], [width], [poly], prior))[0][0]
+    event offsets; the mixture up to EXACT_MAX_FACTORS of them, else
+    quadrature and no mixture."""
+    try:
+        size = len(offsets)
+    except TypeError:  # no sequence: the kernel rejects the offsets first
+        size = 0
+    return posteriors(
+        increment_posterior([j], [exposure], [width], offsets, [0, size], prior)
+    )[0][0]
+
+
+def _on_one_path(limit):
+    def kernel(*args):
+        with mock.patch.object(baseline_posterior, "EXACT_MAX_FACTORS", limit):
+            return one_interval(*args)
+    return kernel
+
+
+# one_interval with its row on one path, whatever its event count: the
+# test-side seam that holds the mixture and the quadrature to each other
+by_mixture, by_quadrature = _on_one_path(math.inf), _on_one_path(-1)
 
 
 @each_member
-def mixture_posterior(j, exposure, width, poly, prior) -> Posterior:
+def mixture_posterior(j, exposure, width, offsets, prior) -> Posterior:
     """The Gamma-mixture posterior written with numpy's module functions and
     a concatenated log-rising sum: the reference that ``increment_posterior``
-    is held to bit for bit in all but its mean and variance."""
+    is held to bit for bit in all but its mean and variance, for rows of
+    valid numbers."""
+    poly = poly_from_factors(offsets)
     dead = int(np.argmax(poly.log_abs > -math.inf))
-    j, exposure, width = _row(j, exposure, width, poly, prior)[:3]
-    shape0, rate, failure = _interval_prior([j], [exposure], [width], [dead], [poly.degree], prior)
+    shape0, rate, failure = _first_failure(
+        np.array([j]), np.array([exposure]), np.array([width]), np.asarray(offsets, dtype=float),
+        np.array([0, poly.degree]), np.array([dead]), prior,
+    )
     if failure:
         raise failure[1]
     shape0, rate = shape0.item(), rate.item()
@@ -159,8 +188,6 @@ def mixture_posterior(j, exposure, width, poly, prior) -> Posterior:
     log_rising = np.concatenate(([-np.log(shape0), 0.0], np.cumsum(np.log(shapes[1:-1]))))
     log_w = log_d - k * log_scale + log_rising[: log_d.size]
     top = np.max(log_w)
-    if not np.isfinite(top):
-        raise ImproperPosterior(f"interval {j}: all mixture weights vanished")
     log_w = log_w - (top + math.log(np.sum(np.exp(log_w - top))))
     w = np.exp(log_w)
     shape_mean = float(np.dot(w, shapes))
@@ -184,8 +211,7 @@ def stage_by_intervals(ds, grid, beta, prior) -> list[tuple[Posterior, ...]]:
     columns = []
     for j, factors in enumerate(interval_offsets(ds, grid, beta)[: prior.m]):
         interval = (j + 1, exposures[j], widths[j])
-        poly = factors if len(factors) > EXACT_MAX_FACTORS else poly_from_factors(factors)
-        columns.append([one_interval(*interval, poly, member) for member in members(prior)])
+        columns.append([one_interval(*interval, factors, member) for member in members(prior)])
     return list(zip(*columns))
 
 

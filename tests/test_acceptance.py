@@ -196,9 +196,7 @@ def test_criterion_06_increment_moments_match_quadrature():
         c = float(rng.uniform(0.05, 20.0))
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
-        post = one_interval(
-            1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
-        )
+        post = one_interval(1, exposure, width, offsets, GammaProcessPrior((alpha,), c=c))
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
         assert post.variance == pytest.approx(var_q, rel=1e-6)
@@ -228,9 +226,7 @@ def test_criterion_07_infinite_confidence_returns_prior_increments():
             exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
             offsets = interval_offsets(ds, grid, beta)
             for j in range(grid.m):
-                post = one_interval(
-                    j + 1, exposures[j], widths[j], poly_from_factors(offsets[j]), prior
-                )
+                post = one_interval(j + 1, exposures[j], widths[j], offsets[j], prior)
                 assert abs(post.mean - increments[j]) < 1e-3
     print("CRITERION 7: PASS")
 
@@ -242,12 +238,12 @@ def test_criterion_08_vanishing_confidence_forgets_prior_shape():
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
     interval = (1, interval_exposures(ds, grid)[0], interval_widths(grid)[0])
-    poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
+    offsets = interval_offsets(ds, grid, np.array([1.0]))[0]
     for alpha in (0.5, 2.0):
         prior_a = GammaProcessPrior((alpha,), c=1e-8)
         prior_b = GammaProcessPrior((10.0 * alpha,), c=1e-8)
-        mean_a = one_interval(*interval, poly, prior_a).mean
-        mean_b = one_interval(*interval, poly, prior_b).mean
+        mean_a = one_interval(*interval, offsets, prior_a).mean
+        mean_b = one_interval(*interval, offsets, prior_b).mean
         assert mean_a == pytest.approx(mean_b, rel=1e-6)
         assert abs(mean_a - mean_b) < 1e-6 * max(abs(mean_a), abs(mean_b))
     print("CRITERION 8: PASS")

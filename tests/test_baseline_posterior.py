@@ -10,6 +10,7 @@ range [0, U] doubles until the tail beyond U/2 is negligible.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,16 +21,21 @@ from scipy import integrate
 
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
+    event_offsets_by_interval,
     increment_posterior,
     increment_posteriors,
+    interval_summaries,
 )
 from addhaz.data_model import GammaProcessPrior, SurvivalDataset, TimeGrid
 from addhaz.errors import (
-    AddhazError, DimensionMismatch, ImproperPosterior, NonNegativityViolation, OutOfRange
+    AddhazError, DegenerateGrid, DimensionMismatch, ImproperPosterior, NonNegativityViolation,
+    OutOfRange,
 )
-from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
+from addhaz.poly_coeffs import poly_from_factors
 
 from oracles import (
+    by_quadrature,
+    csr,
     interval_exposures,
     interval_offsets,
     interval_widths,
@@ -185,7 +191,7 @@ def test_event_offsets_split_by_interval():
 
 def test_no_events_posterior_is_prior_gamma():
     prior = GammaProcessPrior((2.0,), c=0.7)
-    post = one_interval(1, 3.0, 1.5, poly_from_factors([]), prior)
+    post = one_interval(1, 3.0, 1.5, [], prior)
     c_rate = 3.0 / 1.5 + 0.7
     assert post.mean == pytest.approx(0.7 * 2.0 / c_rate)
     assert post.variance == pytest.approx(0.7 * 2.0 / c_rate**2)
@@ -203,9 +209,7 @@ def test_moments_match_quadrature_on_random_intervals():
         c = float(rng.uniform(0.05, 20.0))
         exposure = float(rng.uniform(0.5, 40.0))
         width = float(rng.uniform(0.2, 3.0))
-        post = one_interval(
-            1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
-        )
+        post = one_interval(1, exposure, width, offsets, GammaProcessPrior((alpha,), c=c))
         mean_q, var_q = quadrature_moments(offsets, alpha, c, exposure, width)
         assert post.mean == pytest.approx(mean_q, rel=1e-6)
         assert post.variance == pytest.approx(var_q, rel=1e-6)
@@ -218,9 +222,7 @@ def test_weights_match_component_integrals():
     offsets = rng.uniform(0.3, 3.0, size=4)
     alpha, c, exposure, width = 1.2, 0.8, 6.0, 1.4
     c_rate = exposure / width + c
-    post = one_interval(
-        1, exposure, width, poly_from_factors(offsets), GammaProcessPrior((alpha,), c=c)
-    )
+    post = one_interval(1, exposure, width, offsets, GammaProcessPrior((alpha,), c=c))
     d_exact = [float(v) for v in exact_coefficients(offsets)]
     masses = []
     for k, d_k in enumerate(d_exact):
@@ -239,9 +241,8 @@ def test_weights_match_component_integrals():
 def test_large_confidence_pins_mean_to_prior_shape():
     rng = np.random.default_rng(31)
     offsets = rng.uniform(0.0, 3.0, size=12)
-    poly = poly_from_factors(offsets)
     for alpha in (0.01, 0.3, 1.0, 5.0):
-        post = one_interval(1, 25.0, 0.8, poly, GammaProcessPrior((alpha,), c=1e6))
+        post = one_interval(1, 25.0, 0.8, offsets, GammaProcessPrior((alpha,), c=1e6))
         assert abs(post.mean - alpha) < 1e-3
         assert post.variance < 1e-3
 
@@ -253,24 +254,24 @@ def test_vanishing_confidence_forgets_prior_shape():
     ds = SurvivalDataset(times, np.ones(20, dtype=bool), np.ones((20, 1)))
     grid = TimeGrid((0.9,), 1.0)
     interval = (1, interval_exposures(ds, grid)[0], 0.9)
-    poly = poly_from_factors(interval_offsets(ds, grid, np.array([1.0]))[0])
-    mean_small = one_interval(*interval, poly, GammaProcessPrior((0.5,), c=1e-8)).mean
-    mean_large = one_interval(*interval, poly, GammaProcessPrior((5.0,), c=1e-8)).mean
+    offsets = interval_offsets(ds, grid, np.array([1.0]))[0]
+    mean_small = one_interval(*interval, offsets, GammaProcessPrior((0.5,), c=1e-8)).mean
+    mean_large = one_interval(*interval, offsets, GammaProcessPrior((5.0,), c=1e-8)).mean
     assert mean_small == pytest.approx(mean_large, rel=1e-6)
 
 
 def test_informative_confidence_separates_prior_shapes():
     interval = (1, 4.0, 1.0)
-    poly = poly_from_factors([1.0, 2.0])
+    offsets = [1.0, 2.0]
     # an identical prior reproduces the mean exactly
     same = [
-        one_interval(*interval, poly, GammaProcessPrior((1.0,), c=1e-8)).mean
+        one_interval(*interval, offsets, GammaProcessPrior((1.0,), c=1e-8)).mean
         for _ in range(2)
     ]
     assert same[0] == same[1]
     # informative c separates different shapes
-    a = one_interval(*interval, poly, GammaProcessPrior((0.5,), c=10.0)).mean
-    b = one_interval(*interval, poly, GammaProcessPrior((5.0,), c=10.0)).mean
+    a = one_interval(*interval, offsets, GammaProcessPrior((0.5,), c=10.0)).mean
+    b = one_interval(*interval, offsets, GammaProcessPrior((5.0,), c=10.0)).mean
     assert abs(a - b) > 1e-3
 
 
@@ -278,72 +279,65 @@ def test_improper_posterior_cases():
     interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([0.0], c=1.0)
     with pytest.raises(ImproperPosterior):
-        one_interval(*interval, poly_from_factors([]), prior)  # no events, alpha=0
+        one_interval(*interval, [], prior)  # no events, alpha=0
     with pytest.raises(ImproperPosterior):
         # positive constant coefficient: prod b_i > 0 leaves an L^-1 factor
-        one_interval(*interval, poly_from_factors([1.0, 2.0]), prior)
+        one_interval(*interval, [1.0, 2.0], prior)
     # an event with b = 0 zeroes the constant term and restores properness
-    post = one_interval(*interval, poly_from_factors([0.0, 2.0]), prior)
+    post = one_interval(*interval, [0.0, 2.0], prior)
     assert post.mean > 0.0
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
     assert post.variance == pytest.approx(var_q, rel=1e-6)
-    # the zero polynomial, and an interval the prior has no increment for
+    # an interval the prior has no increment for
     proper = GammaProcessPrior([1.0], c=1.0)
-    with pytest.raises(ImproperPosterior, match="all mixture weights vanished"):
-        one_interval(*interval, PolyCoefficients([-math.inf]), proper)
     with pytest.raises(DimensionMismatch, match="outside the prior"):
-        one_interval(0, 2.0, 1.0, poly_from_factors([1.0]), proper)
-    # an index that is no integer
+        one_interval(0, 2.0, 1.0, [1.0], proper)
+    # an index that is no integer, on either path
     for j in (1.0, "1"):
         with pytest.raises(DimensionMismatch, match="interval index"):
-            one_interval(j, 2.0, 1.0, poly_from_factors([1.0]), proper)
-        with pytest.raises(DimensionMismatch, match="interval index"):
             one_interval(j, 2.0, 1.0, [1.0], proper)
+        with pytest.raises(DimensionMismatch, match="interval index"):
+            by_quadrature(j, 2.0, 1.0, [1.0], proper)
 
 
 def test_batch_raises_the_first_failure_interval_by_interval():
-    # interval 1's moments overflow under c = 5e-324 at exposure 0, or its
-    # weights vanish, before interval 2's zero width is read under the first
-    # c; the one-interval calls meet the same error first
+    # interval 1's moments overflow under c = 5e-324 at exposure 0 before
+    # interval 2's zero width is read under the first c; the one-interval
+    # call meets the same error first
     tiny, proper = GammaProcessPrior([1.0, 1.0], 5e-324), GammaProcessPrior([1.0, 1.0], 1.0)
-    for prior, last, poly, error, message in (
-        (GammaProcessPrior([1.0, 1.0], [1.0, 5e-324]), tiny, poly_from_factors([1.0]),
-         OutOfRange, "moments overflow"),
-        (proper, proper, PolyCoefficients([-math.inf]), ImproperPosterior, "weights vanished"),
-    ):
-        with pytest.raises(error, match=f"interval 1: .*{message}"):
-            increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [poly, poly], prior)
-        with pytest.raises(error, match=f"interval 1: .*{message}"):
-            one_interval(1, 0.0, 1.0, poly, last)
-    poly = poly_from_factors([1.0])
+    with pytest.raises(OutOfRange, match="interval 1: .*moments overflow"):
+        increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0, 1, 2],
+                            GammaProcessPrior([1.0, 1.0], [1.0, 5e-324]))
+    with pytest.raises(OutOfRange, match="interval 1: .*moments overflow"):
+        one_interval(1, 0.0, 1.0, [1.0], tiny)
     for args in (
-        ([1, 2], [1.0], [1.0], [poly], proper),  # unequal lengths
-        ([], [], [], [], proper),  # no interval
-        ([1], [1.0], [1.0], [poly], [proper]),  # a list of priors, not one stack
-        ([1], [1.0], [1.0], [poly], None),  # no prior
-        (1, 0.5, 1.0, poly, proper),  # one interval's numbers, not sequences of them
+        ([1, 2], [1.0], [1.0], [1.0], [0, 1], proper),  # unequal lengths
+        ([], [], [], [], [0], proper),  # no interval
+        ([1], [1.0], [1.0], [1.0], [0, 1], [proper]),  # a list of priors, not one stack
+        ([1], [1.0], [1.0], [1.0], [0, 1], None),  # no prior
+        (1, 0.5, 1.0, [1.0], [0, 1], proper),  # one interval's numbers, not sequences of them
     ):
         with pytest.raises(DimensionMismatch, match="need sequences"):
             increment_posterior(*args)
 
 
 def test_chunk_raises_the_first_failure_row_by_row():
-    one = poly_from_factors([1.0])  # a positive constant coefficient
-    none = poly_from_factors([])  # no events
+    # one event of offset 1 a row: a positive constant coefficient
+    one = [1.0] * 3, [0, 1, 2, 3]
     # (row 1, c 2) and (row 2, c 1) both fail; row 1 comes first: the tiny c
     # takes row 1's shape c alpha_1 to 0, and the huge c row 2's rate c_2 to inf
-    args = [1, 2], [1.0, 1e308], [1.0, 1.0], [one, one]
+    args = [1, 2], [1.0, 1e308], [1.0, 1.0], [1.0, 1.0], [0, 1, 2]
     with pytest.raises(OutOfRange, match="interval 1: .*underflows to 0"):
         increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], [1e308, 5e-324]))
     with pytest.raises(OutOfRange, match="interval 2: .*rate c_j overflows"):
         increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], 1e308))
     # a prior failure on row 1 beats row 3's zero width, read before any c
     with pytest.raises(ImproperPosterior, match="interval 1: "):
-        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
+        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], *one,
                             GammaProcessPrior([0.0, 1.0, 1.0], 1.0))
     with pytest.raises(OutOfRange, match="interval 3: needs a finite exposure"):
-        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], [one] * 3,
+        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], *one,
                             GammaProcessPrior([1.0, 1.0, 1.0], 1.0))
     # three datasets on the grid (1, 2]: the first has only zero offsets in
     # interval 2, so alpha_2 = 0 is proper there; the second has no event
@@ -369,16 +363,73 @@ def test_chunk_raises_the_first_failure_row_by_row():
         increment_posteriors([second, signed], [grid] * 2, betas[:2], prior)
     with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
         increment_posteriors([first, signed], [grid] * 2, betas[:2], prior)
-    # a malformed chunk: grids, or rows of betas, other than one a dataset
-    for grids, betas in (
-        ([grid], [[1.0, 0.0]] * 2),
-        ([grid] * 3, [[1.0, 0.0]] * 2),
-        ([grid] * 2, [[1.0, 0.0]] * 3),
-        ([grid] * 2, [[1.0]] * 2),
-        ([grid] * 2, [1.0, 0.0]),
+    # a malformed chunk: grids, or rows of betas, other than one a dataset,
+    # and grids or datasets that are none
+    for datasets, grids, betas in (
+        ([first, first], [grid], [[1.0, 0.0]] * 2),
+        ([first, first], [grid] * 3, [[1.0, 0.0]] * 2),
+        ([first, first], [grid] * 2, [[1.0, 0.0]] * 3),
+        ([first, first], [grid] * 2, [[1.0]] * 2),
+        ([first, first], [grid] * 2, [1.0, 0.0]),
+        ([first], [(1.0, 2.0)], [[1.0, 0.0]]),  # a tuple of bounds, not a TimeGrid
+        ([first], None, [[1.0, 0.0]]),
+        ([first, [0.5, 1.5]], [grid] * 2, [[1.0, 0.0]] * 2),  # a list, not a dataset
+        (None, [grid], [[1.0, 0.0]]),
+        ([], [], np.empty((0, 2))),
     ):
         with pytest.raises(DimensionMismatch):
-            increment_posteriors([first, first], grids, betas, prior)
+            increment_posteriors(datasets, grids, betas, prior)
+    # the partition types its datasets too
+    for datasets in ([[0.5, 1.5]], None, [first, "first"]):
+        with pytest.raises(DimensionMismatch, match="SurvivalDataset"):
+            interval_summaries(datasets, [[1.0, 2.0]] * 2)
+        with pytest.raises(DimensionMismatch, match="SurvivalDataset"):
+            event_offsets_by_interval(datasets, [[1.0, 2.0]] * 2, [[1.0, 0.0]] * 2)
+
+
+def test_kernel_reads_the_partitions_csr_offsets():
+    # row i's offsets are factors[indptr[i]:indptr[i + 1]]: any 1-d reals, and
+    # integer row offsets that rise from 0 to their count
+    prior = GammaProcessPrior([1.0, 1.0], 1.0)
+    args = [1, 2], [1.0, 1.0], [1.0, 1.0]
+    want = posteriors(increment_posterior(*args, [1.0, 2.0, 0.5], [0, 1, 3], prior))
+    got = increment_posterior(*args, (1, 2, 0.5), np.array([0, 1, 3], dtype=np.uint8), prior)
+    assert posteriors(got) == want
+    for indptr in ([1, 1, 3], [0, 1, 2], [0, 4, 3], [0.0, 1.0, 3.0], [False, True, True]):
+        with pytest.raises(DimensionMismatch, match="row offsets"):
+            increment_posterior(*args, [1.0, 2.0, 0.5], indptr, prior)
+    with pytest.raises(DimensionMismatch, match="factor offsets"):
+        increment_posterior(*args, [[1.0, 2.0, 0.5]], [0, 1, 3], prior)
+    # each row's own numbers, row by row: its offsets (a non-finite one
+    # before a negative one), then its j, then its exposure and width
+    nan, inf = math.nan, math.inf
+    for js, factors, error, message in (
+        ([3, 1], [1.0, nan], DimensionMismatch, "interval 3 outside"),
+        ([1, 3], [1.0, nan], OutOfRange, "factor offsets must be finite"),
+        ([3, 1], [-1.0, 1.0], NonNegativityViolation, "factor offsets must be >= 0"),
+        ([1, 1], [-1.0, inf], NonNegativityViolation, "factor offsets must be >= 0"),
+        ([1, 3], [1.0, -1.0, inf], OutOfRange, "factor offsets must be finite"),
+    ):
+        indptr = [0, 1, len(factors)]
+        with pytest.raises(error, match=message):
+            increment_posterior(js, [1.0, 1.0], [1.0, 1.0], factors, indptr, prior)
+    with pytest.raises(OutOfRange, match="interval 1: needs a finite exposure"):
+        increment_posterior([1, 3], [nan, 1.0], [1.0, 1.0], [1.0, 1.0], [0, 1, 2], prior)
+
+
+def test_partition_rejects_bounds_a_grid_would_not_take():
+    # bounds once gave an exposure of -2 when falling, a NaN, or a numpy
+    # warning at an infinite end; they raise as a TimeGrid's would
+    ds = SurvivalDataset([0.5, 1.5, 2.5], [True] * 3, [[1.0], [2.0], [3.0]])
+    for bounds in ([2.0, 1.0], [1.0, math.nan], [1.0, math.inf], [0.0, 1.0], [-1.0, 1.0],
+                   [1.0, 1.0], [math.nan]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGrid, match="interval bounds"):
+                interval_summaries([ds], [bounds])
+            with pytest.raises(DegenerateGrid, match="interval bounds"):
+                event_offsets_by_interval([ds], [bounds], [[1.0]])
+    assert interval_summaries([ds], [[1.0, 2.0]]).tolist() == [[2.5, 1.5]]
 
 
 @pytest.mark.parametrize("longest", [7, 8, 9])
@@ -387,11 +438,11 @@ def test_each_row_of_a_batch_is_its_own_call_at_every_padded_length(longest):
     # k = 0 term of a strided (rows, L) table once read its column as if it
     # were contiguous at L = 8, and every row but the first got wrong weights
     rng = np.random.default_rng(longest)
-    polys = [poly_from_factors(rng.uniform(0.1, 2.0, n)) for n in (1, longest, 3, 0)]
+    rows = [rng.uniform(0.1, 2.0, n) for n in (1, longest, 3, 0)]
     prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0], [0.5, 4.0])
     args = [1, 2, 3, 4], [2.0, 1.5, 0.7, 0.3], [0.5, 0.5, 0.25, 0.25]
-    batch = increment_posterior(*args, polys, prior)
-    columns = [one_interval(*interval, prior) for interval in zip(*args, polys)]
+    batch = increment_posterior(*args, *csr(rows), prior)
+    columns = [one_interval(*interval, prior) for interval in zip(*args, rows)]
     assert posteriors(batch) == list(zip(*columns))
 
 
@@ -424,14 +475,14 @@ def test_mixture_keeps_the_reference_kernels_bits(
     rng = np.random.default_rng(seed)
     offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
     offsets[rng.random(n) < zero_share] = 0.0
-    args = (1, exposure, width, poly_from_factors(offsets), GammaProcessPrior([alpha], c))
+    args = (1, exposure, width, offsets, GammaProcessPrior([alpha], c))
     # the kernel takes its moments in k from unnormalized weights and divides
     # by the rate twice, so they differ from the reference kernel's, which
     # are up to 1e-12 off the mpmath mixture; they are held to that instead
     got, moments = _outcome(one_interval, *args)
     assert got == _outcome(mixture_posterior, *args)[0]
     if moments is not None:
-        log_d, shape0 = args[3].log_abs, c * alpha
+        log_d, shape0 = poly_from_factors(offsets).log_abs, c * alpha
         reference = mixture_moments(log_d, shape0, width, exposure / width + c)
         np.testing.assert_allclose(moments, reference, rtol=1e-13, atol=0.0)
 
@@ -452,18 +503,18 @@ def test_mixture_keeps_the_reference_kernels_bits(
 def test_one_polynomial_serves_every_prior_in_any_order(
     seed, n, zero_share, exposure, width, weights, order
 ):
-    # the polynomial keeps its leading-zero count, live coefficients and powers
-    # after its first use; each prior, in whatever order it comes, must get
-    # the posterior (or error) of a polynomial used for it alone, and the
-    # reference kernel's bits; a zero alpha with no zero offset is improper
+    # one array of offsets serves every prior: each prior, in whatever order
+    # it comes, must get the posterior (or error) of offsets used for it
+    # alone, and the reference kernel's bits; a zero alpha with no zero
+    # offset is improper
     rng = np.random.default_rng(seed)
     offsets = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size=n))
     offsets[rng.random(n) < zero_share] = 0.0
-    shared = poly_from_factors(offsets)
+    shared = offsets
     for i in [i for i in order if i < len(weights)] * 2:
         c, alpha = weights[i]
         prior = GammaProcessPrior([alpha], c)
-        fresh = poly_from_factors(offsets)
+        fresh = offsets.copy()
         got = _outcome(one_interval, 1, exposure, width, shared, prior)
         assert got == _outcome(one_interval, 1, exposure, width, fresh, prior)
         assert got[0] == _outcome(mixture_posterior, 1, exposure, width, fresh, prior)[0]
@@ -485,9 +536,7 @@ def test_full_pipeline_matches_quadrature():
     offset_lists = interval_offsets(ds, grid, beta)
     (stage,) = posteriors(increment_posteriors([ds], [grid], [beta], prior))
     for j in range(3):
-        post = one_interval(
-            j + 1, exposures[j], widths[j], poly_from_factors(offset_lists[j]), prior
-        )
+        post = one_interval(j + 1, exposures[j], widths[j], offset_lists[j], prior)
         assert stage[j] == post
         mean_q, var_q = quadrature_moments(
             list(offset_lists[j]), prior.increments[j], float(prior.c), exposures[j], widths[j]
@@ -522,8 +571,8 @@ def test_adding_zero_offset_event_tracks_quadrature():
     base = [1.0, 0.7]
     added = base + [0.0]
     prior = GammaProcessPrior((0.8,), c=1.5)
-    before = one_interval(1, 5.0, 1.0, poly_from_factors(base), prior).mean
-    after = one_interval(1, 5.0, 1.0, poly_from_factors(added), prior).mean
+    before = one_interval(1, 5.0, 1.0, base, prior).mean
+    after = one_interval(1, 5.0, 1.0, added, prior).mean
     assert before != after
     mean_q, _ = quadrature_moments(added, 0.8, 1.5, 5.0, 1.0)
     assert after == pytest.approx(mean_q, rel=1e-6)
@@ -721,12 +770,13 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     # the batch over the exact intervals alone, row by row
     exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
     exact = [
-        (j + 1, exposures[j], widths[j], poly_from_factors(offsets))
+        (j + 1, exposures[j], widths[j], offsets)
         for j, offsets in enumerate(interval_offsets(ds, grid, beta))
         if offsets.size <= EXACT_MAX_FACTORS
     ]
     if exact:
-        batch = increment_posterior(*map(list, zip(*exact)), prior)
+        js, row_exposures, row_widths, rows = map(list, zip(*exact))
+        batch = increment_posterior(js, row_exposures, row_widths, *csr(rows), prior)
         for row, member in zip(posteriors(batch), members(prior)):
             assert list(row) == [one_interval(*interval, member) for interval in exact]
 

@@ -36,6 +36,7 @@ from addhaz.errors import (
 )
 from oracles import (
     Posterior,
+    by_quadrature,
     interval_exposures,
     interval_offsets,
     one_interval,
@@ -438,10 +439,8 @@ NOT_REALS = {
     "scalar cuts": lambda: TimeGrid(0.5, 1.0),
     "two-d coverage": lambda: hpd_interval(_posterior(), [0.9]),
     "two-d shape": lambda: GammaProcessPrior.from_shape([[1.0, 2.0]], 1.0),
-    "exposure text": lambda: one_interval(
-        1, "2.0", 1.0, poly_from_factors([1.0]), GammaProcessPrior([1.0], 1.0)
-    ),
-    "width list": lambda: one_interval(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
+    "exposure text": lambda: one_interval(1, "2.0", 1.0, [1.0], GammaProcessPrior([1.0], 1.0)),
+    "width list": lambda: by_quadrature(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
     "interval coverage text": lambda: sigma_hat(HpdInterval(np.zeros(1), np.ones(1), "0.9")),
     "interval end text": lambda: significance_flag(HpdInterval(["0.1"], [1.0], 0.9)),
     "interval ends of two shapes": lambda: sigma_hat(HpdInterval(np.zeros(2), np.ones(3), 0.9)),
@@ -465,7 +464,7 @@ DOMAIN = {
     "prior increments": lambda v: GammaProcessPrior([1.0, v], 1.0),
     "confidence parameter c": lambda v: GammaProcessPrior([1.0], v),
     "offsets": lambda v: poly_from_factors([1.0, v]),
-    "quadrature offsets": lambda v: one_interval(
+    "quadrature offsets": lambda v: by_quadrature(
         1, 2.0, 1.0, [1.0, v], GammaProcessPrior([1.0], 1.0)
     ),
     "true coefficients": lambda v: SimConfig(10, 2, (0.5, v)),

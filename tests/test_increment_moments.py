@@ -1,8 +1,11 @@
 """Increment moments by quadrature, checked against the exact Gamma mixture.
 
-Given an interval's offsets, the kernel ``increment_posterior`` integrates
-the posterior density of the increment numerically; given their likelihood
-polynomial, it builds the finite mixture.  The two share only the interval
+Given an interval of more than EXACT_MAX_FACTORS events, the kernel
+``increment_posterior`` integrates the posterior density of the increment
+numerically; given a smaller one, it builds the finite mixture from the
+likelihood polynomial.  A test-side seam (``oracles.by_quadrature`` and
+``oracles.by_mixture``) puts a row of any count on either path.  The two
+share only the interval
 bookkeeping and the division by the rate, so agreement to 1e-10 relative
 over the grid below, and over intervals that hypothesis draws, is an oracle
 check of the quadrature.  Both paths are also held to an mpmath sum of the mixture at
@@ -30,6 +33,8 @@ from addhaz.errors import DimensionMismatch, ImproperPosterior, NonNegativityVio
 from addhaz.fitting import fit
 from addhaz.poly_coeffs import poly_from_factors
 from oracles import (
+    by_mixture,
+    by_quadrature,
     interval_exposures,
     interval_offsets,
     interval_widths,
@@ -67,15 +72,17 @@ def assert_same_moments(quad, exact):
 
 @pytest.mark.parametrize("kind", ["zero", "mixed", "uniform", "large"])
 @pytest.mark.parametrize("n", [1, 2, 17, 200, 1000, 1001, 2000])
-def test_quadrature_matches_exact_mixture(n, kind):
+def test_quadrature_matches_exact_mixture(n, kind, monkeypatch):
     b = make_offsets(kind, n, np.random.default_rng(n))
+    # the kernel's one row is b under every prior below: its polynomial is built once
     poly = poly_from_factors(b)
+    monkeypatch.setattr(baseline_posterior, "poly_from_factors", lambda offsets: poly)
     for s0, c, ratio in itertools.product(PRIOR_SHAPES, CONFIDENCES, EXPOSURE_RATIOS):
         interval = (1, ratio * WIDTH, WIDTH)
         prior = GammaProcessPrior((s0 / c,), c)
-        quad = one_interval(*interval, b, prior)
+        quad = by_quadrature(*interval, b, prior)
         assert quad.log_weights == () and quad.shape_offsets == ()
-        assert_same_moments(quad, one_interval(*interval, poly, prior))
+        assert_same_moments(quad, by_mixture(*interval, b, prior))
 
 
 def test_improper_cases_match_exact_path():
@@ -85,14 +92,14 @@ def test_improper_cases_match_exact_path():
     # alpha_j = 0 with every offset > 0 (or no offsets) does not integrate
     for b in ([], [1.0, 2.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(ImproperPosterior):
-            one_interval(*interval, poly_from_factors(b), zero_shape)
+            by_mixture(*interval, b, zero_shape)
         with pytest.raises(ImproperPosterior):
-            one_interval(*interval, b, zero_shape)
+            by_quadrature(*interval, b, zero_shape)
     # one zero offset removes the constant term and makes it proper
     for b in ([0.0], [0.0, 2.0], np.concatenate(([0.0], rng.uniform(0.1, 4.0, 1500)))):
         assert_same_moments(
-            one_interval(*interval, b, zero_shape),
-            one_interval(*interval, poly_from_factors(b), zero_shape),
+            by_quadrature(*interval, b, zero_shape),
+            by_mixture(*interval, b, zero_shape),
         )
     # a positive alpha_j whose c alpha_j underflows to 0 is out of range, not
     # improper, in both kernels; a zero offset still adds a unit of shape
@@ -100,17 +107,17 @@ def test_improper_cases_match_exact_path():
     underflow = "^interval 1: the prior shape c alpha_j underflows to 0$"
     for b in ([], [1.0], rng.uniform(0.1, 4.0, 1500)):
         with pytest.raises(OutOfRange, match=underflow):
-            one_interval(*interval, poly_from_factors(b), tiny)
+            by_mixture(*interval, b, tiny)
         with pytest.raises(OutOfRange, match=underflow):
-            one_interval(*interval, b, tiny)
+            by_quadrature(*interval, b, tiny)
     assert_same_moments(
-        one_interval(*interval, [0.0, 2.0], tiny),
-        one_interval(*interval, poly_from_factors([0.0, 2.0]), tiny),
+        by_quadrature(*interval, [0.0, 2.0], tiny),
+        by_mixture(*interval, [0.0, 2.0], tiny),
     )
     # no events under a proper prior: the prior Gamma itself
     prior = GammaProcessPrior((2.0,), c=0.7)
-    quad = one_interval(*interval, [], prior)
-    exact = one_interval(*interval, poly_from_factors([]), prior)
+    quad = by_quadrature(*interval, [], prior)
+    exact = by_mixture(*interval, [], prior)
     assert (quad.mean, quad.variance) == (exact.mean, exact.variance)
 
 
@@ -126,7 +133,7 @@ def test_bad_offsets_rejected_like_the_polynomial():
         with pytest.raises(error):
             poly_from_factors(b)
         with pytest.raises(error):
-            one_interval(*interval, b, prior)
+            by_quadrature(*interval, b, prior)
     with pytest.raises(DimensionMismatch):
         one_interval(*interval, [[1.0, 2.0]], prior)
 
@@ -142,13 +149,13 @@ def test_malformed_offsets_raise_dimension_mismatch_in_both_kernels():
         with pytest.raises(DimensionMismatch):
             poly_from_factors(b)
         with pytest.raises(DimensionMismatch):
-            one_interval(*interval, b, prior)
+            by_quadrature(*interval, b, prior)
     # a non-finite offset is named before a negative one, wherever each sits
     for b in ([math.nan, -1.0], [-1.0, math.inf]):
         with pytest.raises(OutOfRange):
             poly_from_factors(b)
         with pytest.raises(OutOfRange):
-            one_interval(*interval, b, prior)
+            by_quadrature(*interval, b, prior)
 
 
 @pytest.mark.parametrize(
@@ -161,9 +168,9 @@ def test_bad_interval_numbers_raise_a_typed_error(exposure, width):
     # reach a division, a log or the root finder
     prior = GammaProcessPrior([1.0], 1.0)
     with pytest.raises(OutOfRange, match="interval 1"):
-        one_interval(1, exposure, width, poly_from_factors([1.0]), prior)
+        by_mixture(1, exposure, width, [1.0], prior)
     with pytest.raises(OutOfRange, match="interval 1"):
-        one_interval(1, exposure, width, [1.0], prior)
+        by_quadrature(1, exposure, width, [1.0], prior)
 
 
 @pytest.mark.parametrize(
@@ -173,16 +180,16 @@ def test_quadrature_raises_above_its_1e300(exposure, offsets, c):
     # a prior shape c alpha, or a largest u x / b, above 1e300
     prior = GammaProcessPrior([1.0], c)
     with pytest.raises(OutOfRange, match="above the quadrature's 1e300"):
-        one_interval(1, exposure, 1.0, offsets, prior)
+        by_quadrature(1, exposure, 1.0, offsets, prior)
 
 
 def test_edge_interval_numbers_are_accepted():
     # no time at risk is a valid interval: the posterior is then a Gamma
     # mixture at rate c alone
     prior = GammaProcessPrior([1.0], 1.0)
-    exact = one_interval(1, 0.0, 2.0, poly_from_factors([1.0]), prior)
+    exact = by_mixture(1, 0.0, 2.0, [1.0], prior)
     assert exact.rate == 1.0
-    assert_same_moments(one_interval(1, 0.0, 2.0, [1.0], prior), exact)
+    assert_same_moments(by_quadrature(1, 0.0, 2.0, [1.0], prior), exact)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -199,10 +206,8 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     offsets = [0.0] * zeros + b
     interval = (1, ratio * WIDTH, WIDTH)
     prior = GammaProcessPrior([alpha], c)
-    post = one_interval(*interval, poly_from_factors(offsets), prior)
-    raised = one_interval(
-        *interval, poly_from_factors(b), GammaProcessPrior([alpha + zeros / c], c)
-    )
+    post = by_mixture(*interval, offsets, prior)
+    raised = by_mixture(*interval, b, GammaProcessPrior([alpha + zeros / c], c))
     assert len(post.log_weights) == len(post.shape_offsets) == len(b) + 1
     assert np.all(np.isfinite(post.log_weights)) and np.all(np.isfinite(post.shape_offsets))
     assert post.shape_offsets[0] == c * alpha + zeros
@@ -210,7 +215,7 @@ def test_zero_offsets_are_prior_shape(b, zeros, alpha, c, ratio):
     np.testing.assert_allclose(post.log_weights, raised.log_weights, rtol=1e-12, atol=1e-12)
     assert post.mean == pytest.approx(raised.mean, rel=1e-12)
     assert post.variance == pytest.approx(raised.variance, rel=1e-12)
-    assert_same_moments(one_interval(*interval, offsets, prior), post)
+    assert_same_moments(by_quadrature(*interval, offsets, prior), post)
 
 
 def log_uniform(low, high):
@@ -233,8 +238,8 @@ def test_quadrature_matches_exact_mixture_on_drawn_intervals(n, seed, decades, s
     b = 10.0 ** np.random.default_rng(seed).uniform(*decades, n)
     interval = (1, ratio * WIDTH, WIDTH)
     prior = GammaProcessPrior((s0 / c,), c)
-    quad = one_interval(*interval, b, prior)
-    assert_same_moments(quad, one_interval(*interval, poly_from_factors(b), prior))
+    quad = by_quadrature(*interval, b, prior)
+    assert_same_moments(quad, by_mixture(*interval, b, prior))
 
 
 def broad_interval(n, s0, spread):
@@ -289,8 +294,8 @@ def test_extreme_offsets_leave_no_warning(b):
     # 1e300 of it underflows log P(u) / P(0) to 0; RuntimeWarnings are errors
     interval = (1, 2.0, 1.0)
     prior = GammaProcessPrior([1e-3], 1.0)
-    exact = one_interval(*interval, poly_from_factors(b), prior)
-    assert_same_moments(one_interval(*interval, b, prior), exact)
+    exact = by_mixture(*interval, b, prior)
+    assert_same_moments(by_quadrature(*interval, b, prior), exact)
 
 
 def rising_factorial_moments(b, s0, rate, width):
@@ -316,7 +321,7 @@ def test_quadrature_keeps_precision_at_large_prior_shape(n, alpha):
     b = np.random.default_rng(n).uniform(0.1, 4.0, n)
     c = 1e12
     interval = (1, 1.3, 1.3)
-    quad = one_interval(*interval, b, GammaProcessPrior((alpha,), c))
+    quad = by_quadrature(*interval, b, GammaProcessPrior((alpha,), c))
     mean, variance = rising_factorial_moments(b, c * alpha, 1.0 + c, 1.3)
     assert quad.mean == pytest.approx(mean, rel=1e-12)
     assert quad.variance == pytest.approx(variance, rel=1e-12)
@@ -327,12 +332,11 @@ def test_mixture_keeps_precision_at_large_confidence(n):
     # the mixture weights carry Gamma(k + c alpha); at c alpha up to 5e11
     # their normalization must not eat the digits that set the variance
     b = np.random.default_rng(n).uniform(0.1, 4.0, n)
-    poly = poly_from_factors(b)
     interval = (1, 1.0, 1.0)
     for c in (1e-2, 1.0, 1e3, 1e6, 1e9, 1e12):
         prior = GammaProcessPrior((0.5,), c)
-        exact = one_interval(*interval, poly, prior)
-        assert_same_moments(one_interval(*interval, b, prior), exact)
+        exact = by_mixture(*interval, b, prior)
+        assert_same_moments(by_quadrature(*interval, b, prior), exact)
 
 
 @st.composite
@@ -397,8 +401,7 @@ interval_draws = dict(
 @given(prior=heavy_priors(), n=st.integers(0, 60), **interval_draws)
 def test_mixture_is_right_or_typed_at_every_prior_weight(prior, n, **draws):
     interval, b = drawn_interval(n, **draws)
-    poly = poly_from_factors(b)
-    assert_right_or_typed(one_interval, interval, poly, poly.log_abs, prior)
+    assert_right_or_typed(by_mixture, interval, b, poly_from_factors(b).log_abs, prior)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -438,7 +441,7 @@ def test_quadrature_temporaries_stay_small():
     interval = (1, 0.9 * b.size, 0.2)
     tracemalloc.start()
     try:
-        one_interval(*interval, b, GammaProcessPrior((0.2,), 1.0))
+        by_quadrature(*interval, b, GammaProcessPrior((0.2,), 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,12 +471,8 @@ def test_fit_routes_large_intervals_to_quadrature():
     exposures, widths = interval_exposures(ds, grid), interval_widths(grid)
     offsets = interval_offsets(ds, grid, np.asarray(result.beta_hat))
     assert offsets[0].size > EXACT_MAX_FACTORS >= offsets[1].size
-    assert_same_moments(
-        large, one_interval(1, exposures[0], widths[0], poly_from_factors(offsets[0]), prior)
-    )
-    assert small == one_interval(
-        2, exposures[1], widths[1], poly_from_factors(offsets[1]), prior
-    )
+    assert_same_moments(large, by_mixture(1, exposures[0], widths[0], offsets[0], prior))
+    assert small == one_interval(2, exposures[1], widths[1], offsets[1], prior)
 
 
 def test_quadrature_result_round_trips_through_fit_json(tmp_path, capsys):
