@@ -37,9 +37,9 @@ w_j) and its event offsets in the partition's CSR form (factors, indptr).
 It checks every row's own numbers and the (p, R) shapes, rates and
 improper cases at once, and the first failing (row, c) in row-major order
 raises.  The exact rows get their polynomials from ``poly_from_factors``
-and go through (p, rows, L) arrays in runs within _BLOCK_ELEMENTS, with
-log Gamma(k + s0) / Gamma(1 + s0) built once per distinct s0.  It returns a
-``BaselineMixtures``, which a fit keeps as its baseline.  The stage,
+and their mixtures in the flat layout of the ``BaselineMixtures`` it
+returns, with log Gamma(k + s0) / Gamma(1 + s0) built once per distinct
+s0.  A fit keeps that result as its baseline.  The stage,
 ``increment_posteriors(datasets, grids, betas, prior)``, partitions a chunk
 of r datasets into its r m rows, in (dataset, interval) order, and calls
 the kernel once.
@@ -76,9 +76,6 @@ _SPAN_RATIO = 1.05
 _MAX_NODES = 1 << 16
 # (nodes x factors) temporaries of the quadrature stay within 2 MB
 _CHUNK_ELEMENTS = 1 << 18
-# the exact kernel's (p, rows, L) temporaries stay within this many elements
-# (64 kB each), so that a chunk of datasets raises the peak RSS little
-_BLOCK_ELEMENTS = 1 << 13
 # Taylor coefficients 1/k! for k = 12 down to 2, for exp(t) - 1 - t
 _EXPM1_MINUS_T = tuple(1.0 / math.factorial(k) for k in range(12, 1, -1))
 
@@ -207,66 +204,69 @@ def _first_failure(js, exposures, widths, b, indptr, zeros, prior):
     )[rows.index(row)])
 
 
-def _mixtures(log_ds, k, shape0, rate, log_scale):
+def _mixtures(log_d, lengths, shape0, rate, log_scale):
     """(mean, variance, log_w, shapes) of B exact rows under p priors, from
-    each row's live log coefficients, k = 0, 1, ... at least as long as the
-    longest, and their (p, B) s0, c_j and log(w_j c_j): (p, B) moments, and
-    the normalized log weights and shapes s0 + k of the live components,
-    (p, N) in row order.  Every live log coefficient is finite, and so is
-    every log weight."""
-    # the live log coefficients padded with -inf to (B, L)
-    lengths = [log_d.size for log_d in log_ds]
-    k = k[: max(lengths)]
-    live = k < np.array(lengths)[:, None]
-    padded = np.full(live.shape, -math.inf)
-    padded[live] = np.concatenate(log_ds)
+    their N live log coefficients end to end, their B lengths, each >= 1,
+    and their (p, B) s0, c_j and log(w_j c_j): (p, B) moments, and the
+    normalized log weights and shapes s0 + k of the live components, (p, N)
+    in row order.  Every live log coefficient is finite, and so is every
+    log weight.  The temporaries are a few (p, N) arrays."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    k_int = np.arange(log_d.size) - np.repeat(starts, lengths)  # each component's k in its row
+    k = k_int.astype(float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # in rows read below
         # log Gamma(k + s0) / Gamma(1 + s0) as -log s0 at k = 0 and a sum of
         # log(s0 + i) above it: gammaln(k + s0) alone is ~s0 log s0, which
         # leaves too few absolute digits for the weights at large s0.  It
         # depends on a row only through s0, so it is built once a distinct s0,
-        # with a spare slot, so that L = 1 still has room for the 0
+        # as long as the longest row under it: distinct s0 d holds
+        # log_rising[firsts[d] : firsts[d] + longest[d]]
         distinct, at = np.unique(shape0.ravel(), return_inverse=True)
-        log_shapes = np.log(k + distinct[:, None])
-        log_rising = np.empty((distinct.size, k.size + 1))
-        # not np.negative(..., out=): numpy 2.4 reads a column 8 floats
-        # apart as if contiguous when the output is strided too
-        log_rising[:, 0] = -log_shapes[:, 0]
-        log_rising[:, 1] = 0.0
-        np.add.accumulate(log_shapes[:, 1:-1], axis=-1, out=log_rising[:, 2 : k.size])
-        # three (p, B, L) buffers in all: log_w, and w below, which serves as
-        # scratch before and after it holds the weights
-        log_w = np.take(log_rising[:, : k.size], at.reshape(shape0.shape), axis=0)
+        longest = np.zeros(distinct.size, dtype=np.intp)
+        # the (p, B) lengths in full: numpy 2.4's ufunc.at misreads a broadcast
+        np.maximum.at(longest, at, np.tile(lengths, shape0.shape[0]))
+        firsts = np.cumsum(longest) - longest
+        log_shapes = np.repeat(distinct, longest)
+        log_shapes += np.arange(log_shapes.size) - np.repeat(firsts, longest)
+        np.log(log_shapes, out=log_shapes)
+        log_rising = np.zeros(log_shapes.size)
+        for i, n in zip(firsts.tolist(), longest.tolist()):
+            np.add.accumulate(log_shapes[i + 1 : i + n - 1], out=log_rising[i + 2 : i + n])
+        log_rising[firsts] = -log_shapes[firsts]
+        del log_shapes
+        log_w = log_rising[np.repeat(firsts[at].reshape(shape0.shape), lengths, axis=-1) + k_int]
+        del log_rising
+        # w, which serves as scratch before and after it holds the weights
         w = np.empty((2, *log_w.shape))
-        np.multiply(k, log_scale[..., None], out=w[1])
-        log_w += np.subtract(padded, w[1], out=w[1])
-        top = np.maximum.reduce(log_w, axis=-1)
-        # w and w k, each mixture summed over its own live length, as a lone
-        # row is: a sum over the padding, or a BLAS product, rounds otherwise
-        np.exp(np.subtract(log_w, top[..., None], out=w[0]), out=w[0])
+        np.multiply(k, np.repeat(log_scale, lengths, axis=-1), out=w[1])
+        log_w += np.subtract(log_d, w[1], out=w[1])
+        top = np.maximum.reduceat(log_w, starts, axis=-1)
+        # w and w k, each mixture summed over its own contiguous slice, as a
+        # lone row is: a segmented or BLAS sum rounds otherwise
+        np.exp(np.subtract(log_w, np.repeat(top, lengths, axis=-1), out=w[0]), out=w[0])
         np.multiply(w[0], k, out=w[1])
+        rows = list(zip(starts.tolist(), ends.tolist()))
         sums = np.empty((3, *shape0.shape))
-        for i, n in enumerate(lengths):
-            np.add.reduce(w[..., i, :n], axis=-1, out=sums[:2, :, i])
+        for i, (a, z) in enumerate(rows):
+            np.add.reduce(w[..., a:z], axis=-1, out=sums[:2, :, i])
         totals = sums[0]
         log_total = np.array([math.log(t) for t in totals.ravel().tolist()]).reshape(totals.shape)
-        log_w -= (top + log_total)[..., None]
+        log_w -= np.repeat(top + log_total, lengths, axis=-1)
         # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
         # away once s0 is far above 2^53
         k_mean = sums[1] / totals
-        dev = np.subtract(k, k_mean[..., None], out=w[1])
+        dev = np.subtract(k, np.repeat(k_mean, lengths, axis=-1), out=w[1])
         dev *= dev
         dev *= w[0]
-        for i, n in enumerate(lengths):
-            np.add.reduce(dev[:, i, :n], axis=-1, out=sums[2, :, i])
+        for i, (a, z) in enumerate(rows):
+            np.add.reduce(dev[:, a:z], axis=-1, out=sums[2, :, i])
         shape_mean = shape0 + k_mean
         # the variance is divided by the rate twice, so that no c_j^2 overflows
         mean = shape_mean / rate
         variance = (sums[2] / totals + shape_mean) / rate / rate
-    del w, dev  # freed before the outputs are built, to keep the peak down
-    live_k = np.broadcast_to(k, live.shape)[live]
-    shapes = np.repeat(shape0, lengths, axis=-1) + live_k
-    return mean, variance, log_w[:, live], shapes
+    del w, dev  # freed before the shapes are built, to keep the peak down
+    return mean, variance, log_w, np.repeat(shape0, lengths, axis=-1) + k
 
 
 def increment_posterior(js, exposures, widths, factors, indptr, prior):
@@ -307,31 +307,18 @@ def increment_posterior(js, exposures, widths, factors, indptr, prior):
     needed = -(-limit // p)
     # live coefficients of a row's mixture, at least 1; 0 for the quadrature
     lengths = np.where(sizes <= EXACT_MAX_FACTORS, sizes - zeros + 1, 0)
-    n_live, dead = lengths.tolist(), zeros.tolist()
     mean, variance = np.zeros((2, p, count))
-    # the exact rows in runs whose (p, rows, L) temporaries fit the budget
-    runs, longest = [], 0
-    for i in np.flatnonzero(lengths[:needed]).tolist():
-        n = n_live[i]
-        longest = max(longest, n)
-        if not runs or p * (len(runs[-1]) + 1) * longest > _BLOCK_ELEMENTS:
-            runs.append([])
-            longest = n
-        runs[-1].append(i)
-    k = np.arange(lengths.max(), dtype=float)
-    pieces = []  # (log weights, shapes) of each run, (p, N) in row order
-    for run in runs:
-        log_ds = [poly_from_factors(b[bounds[i] : bounds[i + 1]]).log_abs[dead[i] :] for i in run]
-        log_scale = np.array([
-            [math.log(w) + math.log(c) for c in cs]
-            for w, cs in zip(widths[run].tolist(), rate[:, run].T.tolist())
-        ]).T
-        *moments, log_w, shapes = _mixtures(log_ds, k, shape0[:, run], rate[:, run], log_scale)
-        mean[:, run], variance[:, run] = moments
-        pieces.append((log_w, shapes))
-    flat = [
-        np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] for parts in zip(*pieces)
-    ] or [np.empty((p, 0))] * 2
+    exact = np.flatnonzero(lengths[:needed])
+    spans = lengths[exact]
+    log_d = np.empty(spans.sum())  # the exact rows' live (last n) log coefficients, end to end
+    for i, n, end in zip(exact.tolist(), spans.tolist(), np.cumsum(spans).tolist()):
+        log_d[end - n : end] = poly_from_factors(b[bounds[i] : bounds[i + 1]]).log_abs[-n:]
+    log_scale = np.reshape([
+        [math.log(w) + math.log(c) for c in cs]
+        for w, cs in zip(widths[exact].tolist(), rate[:, exact].T.tolist())
+    ], (-1, p)).T
+    *moments, log_w, shapes = _mixtures(log_d, spans, shape0[:, exact], rate[:, exact], log_scale)
+    mean[:, exact], variance[:, exact] = moments
     for i in np.flatnonzero(lengths[:needed] == 0).tolist():
         offsets = b[bounds[i] : bounds[i + 1]]
         positive, width = offsets[offsets > 0.0], widths[i].item()
@@ -351,7 +338,7 @@ def increment_posterior(js, exposures, widths, factors, indptr, prior):
     if failure:
         raise failure[1]
     return BaselineMixtures(
-        js, rate, mean, variance, *(a.ravel() for a in flat),
+        js, rate, mean, variance, log_w.ravel(), shapes.ravel(),
         np.concatenate(([0], np.cumsum(np.tile(lengths, p)))),  # the lengths, once per c
     )
 

@@ -10,6 +10,7 @@ range [0, U] doubles until the tail beyond U/2 is negligible.
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -432,18 +433,42 @@ def test_partition_rejects_bounds_a_grid_would_not_take():
     assert interval_summaries([ds], [[1.0, 2.0]]).tolist() == [[2.5, 1.5]]
 
 
-@pytest.mark.parametrize("longest", [7, 8, 9])
-def test_each_row_of_a_batch_is_its_own_call_at_every_padded_length(longest):
-    # rows padded to L = longest + 1 live coefficients, 8 among them: the
-    # k = 0 term of a strided (rows, L) table once read its column as if it
-    # were contiguous at L = 8, and every row but the first got wrong weights
+@pytest.mark.parametrize("longest", [7, 8, 9, 127, 128, 129, EXACT_MAX_FACTORS])
+def test_each_row_of_a_batch_is_its_own_call_at_every_span(longest):
+    # rows of every span beside each other: at L = 8 live coefficients the
+    # k = 0 term of a strided (rows, L) table was once read as if contiguous,
+    # 128 is a block of numpy's pairwise sum, and the last two rows share
+    # one j, so one s0 and one log-rising table as long as the longer
     rng = np.random.default_rng(longest)
-    rows = [rng.uniform(0.1, 2.0, n) for n in (1, longest, 3, 0)]
-    prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0], [0.5, 4.0])
-    args = [1, 2, 3, 4], [2.0, 1.5, 0.7, 0.3], [0.5, 0.5, 0.25, 0.25]
+    rows = [rng.uniform(0.1, 2.0, n) for n in (1, longest, 3, 0, 3, longest)]
+    prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0, 1.5], [0.5, 4.0])
+    args = [1, 2, 3, 4, 5, 5], [2.0, 1.5, 0.7, 0.3, 0.9, 1.1], [0.5, 0.5, 0.25, 0.25, 0.4, 0.4]
     batch = increment_posterior(*args, *csr(rows), prior)
     columns = [one_interval(*interval, prior) for interval in zip(*args, rows)]
     assert posteriors(batch) == list(zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "sizes, p", [([1000] * 5, 1), ([1000] * 5, 6), ([1000] + [1] * 300, 3)],
+    ids=["5x1000-p1", "5x1000-p6", "1000-and-300x1-p3"],
+)
+def test_kernel_temporaries_stay_a_small_multiple_of_its_mixtures(sizes, p):
+    # the mixtures are built in the flat layout they are returned in; a
+    # (distinct s0) x (longest row) table of log-rising terms would take
+    # over 100 times the output on the last batch, whose rows each have
+    # their own alpha_j
+    rng = np.random.default_rng(p)
+    rows = [rng.uniform(0.1, 2.0, n) for n in sizes]
+    m = len(rows)
+    prior = GammaProcessPrior(rng.uniform(0.5, 2.0, m), np.geomspace(0.1, 10.0, p))
+    args = np.arange(1, m + 1), 2.0 * np.array(sizes, dtype=float), np.full(m, 0.5), *csr(rows)
+    tracemalloc.start()
+    try:
+        post = increment_posterior(*args, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (post.log_weights.nbytes + post.shape_offsets.nbytes)
 
 
 def _outcome(kernel, *args):
