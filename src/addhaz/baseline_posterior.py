@@ -40,9 +40,10 @@ raises.  The exact rows get their polynomials from ``poly_from_factors``
 and their mixtures in the flat layout of the ``BaselineMixtures`` it
 returns, with log Gamma(k + s0) / Gamma(1 + s0) built once per distinct
 s0.  A fit keeps that result as its baseline.  The stage,
-``increment_posteriors(datasets, grids, betas, prior)``, partitions a chunk
-of r datasets into its r m rows, in (dataset, interval) order, and calls
-the kernel once.
+``increment_posteriors(ds, bounds, betas, prior)``, places the times of a
+stack of r datasets in their intervals once, sums the exposures and sorts
+the event offsets of its r m rows, in (dataset, interval) order, from that
+one partition, and calls the kernel once.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from .data_model import BaselineMixtures, GammaProcessPrior, SurvivalDataset, TimeGrid, _reals
+from .data_model import BaselineMixtures, GammaProcessPrior, SurvivalDataset, _reals
 from .errors import (
     AddhazError, DegenerateGrid, DimensionMismatch, ImproperPosterior, NonNegativityViolation,
     OutOfRange,
@@ -60,8 +61,6 @@ from .poly_coeffs import poly_from_factors
 
 __all__ = [
     "EXACT_MAX_FACTORS",
-    "interval_summaries",
-    "event_offsets_by_interval",
     "increment_posterior",
     "increment_posteriors",
 ]
@@ -80,77 +79,75 @@ _CHUNK_ELEMENTS = 1 << 18
 _EXPM1_MINUS_T = tuple(1.0 / math.factorial(k) for k in range(12, 1, -1))
 
 
-def _typed(items, kind, what) -> None:
-    """DimensionMismatch unless ``items`` is a list or tuple of at least one ``kind``."""
-    if not (isinstance(items, (list, tuple)) and items and all(isinstance(x, kind) for x in items)):
-        raise DimensionMismatch(f"need a list or tuple of at least one {what}")
-
-
-def _row_intervals(datasets, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, keys): the (r, m + 1) edges 0, s_1, ..., s_m of each dataset,
-    and for every row of the chunk, dataset by dataset, its key
-    i (m + 1) + j - 1 when its time lies in interval j of dataset i, or
+def _row_intervals(ds, bounds, m) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, keys) of a stack of r datasets: the (r, m + 1) edges 0, s_1,
+    ..., s_m of each member, from the first m columns of ``bounds``, (m',)
+    shared or (r, m'); and for every row, member by member, its key
+    i (m + 1) + j - 1 when its time lies in interval j of member i, or
     i (m + 1) + m beyond s_m.  A time on a boundary lies in the interval to
-    its left, and a time of 0 in the first.  Each row of bounds must be
-    finite, > 0 and strictly increasing, as a TimeGrid's are."""
-    _typed(datasets, SurvivalDataset, "SurvivalDataset")
-    bounds = _reals(bounds, "interval bounds", 2)
-    r, m = bounds.shape
-    if not (r == len(datasets) and m >= 1):
-        raise DimensionMismatch("need one row of at least one interval bound a dataset")
+    its left, and a time of 0 in the first.  The bounds read must be finite,
+    > 0 and strictly increasing, as a TimeGrid's are."""
+    times = ds.times.reshape(-1, ds.n)
+    r = times.shape[0]
+    bounds = _reals(bounds, "interval bounds")
+    if bounds.ndim not in (1, 2) or bounds.shape[:-1] not in ((), (r,)) or bounds.shape[-1] < m:
+        raise DimensionMismatch(f"need bounds of shape (m',) or ({r}, m'), m' >= {m} increments")
+    bounds = bounds[..., :m]
     edges = np.zeros((r, m + 1))
     edges[:, 1:] = bounds
     # a NaN fails the comparison, and a finite last bound keeps every bound finite
-    if not ((edges[:, 1:] > edges[:, :-1]).all() and (bounds[:, -1] < math.inf).all()):
+    if not ((edges[:, 1:] > edges[:, :-1]).all() and (edges[:, -1] < math.inf).all()):
         raise DegenerateGrid("interval bounds must be finite, > 0 and strictly increasing")
-    keys = np.concatenate([
-        np.searchsorted(b, ds.times, side="left") + i * (m + 1)
-        for i, (ds, b) in enumerate(zip(datasets, bounds))
-    ])
-    return edges, keys
+    if bounds.ndim == 1:
+        keys = np.searchsorted(bounds, times, side="left")
+    else:
+        keys = np.array([np.searchsorted(b, t, side="left") for b, t in zip(bounds, times)])
+    keys += np.arange(0, edges.size, m + 1)[:, None]
+    return edges, keys.ravel()
 
 
-def interval_summaries(datasets, bounds) -> np.ndarray:
-    """(r, m) exposure of every grid interval of each dataset: the total time
-    at risk that all its subjects accumulate inside it,
-    sum_i clip(min(t_i, s_j) - s_{j-1}, 0), where row i of ``bounds`` holds
-    dataset i's right endpoints s_1..s_m.
+def interval_summaries(ds, edges, keys) -> np.ndarray:
+    """(r, m) exposure of every grid interval of each member of the stack
+    ``ds``, partitioned by ``_row_intervals`` into (edges, keys): the total
+    time at risk that all its subjects accumulate inside it,
+    sum_i clip(min(t_i, s_j) - s_{j-1}, 0).
 
     Times beyond s_m are allowed: estimation is truncated there, so such
     observations stay at risk through every interval (full-width exposure)
     but lie inside none of them.
     """
-    edges, keys = _row_intervals(datasets, bounds)
     # one bin a key, each summed in row order as one dataset's alone is;
     # the bin past s_m, whose left edge is s_m, is not read
-    times = np.concatenate([ds.times for ds in datasets])
+    times = ds.times.ravel()
     sums = np.bincount(keys, weights=times - edges.ravel()[keys], minlength=edges.size)
     counts = np.bincount(keys, minlength=edges.size).reshape(edges.shape)[:, :-1]
-    beyond = np.array([[ds.n] for ds in datasets]) - np.cumsum(counts, axis=1)  # t <= s_j in 1..j
+    beyond = ds.n - np.cumsum(counts, axis=1)  # t <= s_j in 1..j
     return sums.reshape(edges.shape)[:, :-1] + beyond * (edges[:, 1:] - edges[:, :-1])
 
 
-def event_offsets_by_interval(datasets, bounds, betas) -> tuple[np.ndarray, np.ndarray]:
-    """beta'z of the uncensored observations in each interval of each
-    dataset, as (factors, indptr): interval j of dataset i, row i * m + j - 1,
-    holds ``factors[indptr[row]:indptr[row + 1]]``, in row order.
+def event_offsets_by_interval(ds, edges, keys, betas) -> tuple[np.ndarray, np.ndarray]:
+    """beta'z of the uncensored observations in each interval of each member
+    of the stack ``ds``, partitioned by ``_row_intervals`` into (edges, keys),
+    as (factors, indptr): interval j of member i, row i * m + j - 1, holds
+    ``factors[indptr[row]:indptr[row + 1]]``, in row order.
 
     These are the offsets of the likelihood polynomial factors, with row i
-    of ``betas`` dataset i's coefficients.  Events beyond s_m involve only
-    the hazard past the intervals, so they contribute no factor.
+    of the (r, k) ``betas`` member i's coefficients.  Events beyond s_m
+    involve only the hazard past the intervals, so they contribute no factor.
     """
-    edges, keys = _row_intervals(datasets, bounds)
-    betas = _reals(betas, "beta", 2)
-    if betas.shape[0] != len(datasets) or any(ds.k != betas.shape[1] for ds in datasets):
+    r, m = edges.shape[0], edges.shape[1] - 1
+    betas = _reals(betas, "beta")
+    if betas.shape != (r, ds.k):
         raise DimensionMismatch("beta dimension does not match the dataset")
-    # each dataset's own (n, k) @ (k,) product: a stacked one may round otherwise
-    offsets = np.concatenate([ds.covariates @ beta for ds, beta in zip(datasets, betas)])
-    events = np.concatenate([ds.events for ds in datasets])
-    events &= keys % edges.shape[1] != edges.shape[1] - 1  # inside the m intervals
+    # each member's own (n, k) @ (k,) product: a stacked one may round otherwise
+    offsets = np.empty((r, ds.n))
+    for z, beta, out in zip(ds.covariates.reshape(r, ds.n, ds.k), betas, offsets):
+        np.matmul(z, beta, out=out)
+    events = ds.events.ravel() & (keys % (m + 1) != m)  # inside the m intervals
     at = keys[events]
     # in row order within each row; keys of one or two bytes take a radix sort
     order = np.argsort(at.astype(np.min_scalar_type(edges.size)), kind="stable")
-    factors = offsets[events][order]
+    factors = offsets.ravel()[events][order]
     counts = np.bincount(at, minlength=edges.size).reshape(edges.shape)[:, :-1]
     indptr = np.zeros(counts.size + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
@@ -538,31 +535,25 @@ def _tilted_gamma_moments(j: int, s0: float, b: np.ndarray, x: float) -> tuple[f
     return s0 + p * gap, (1.0 - p) * s0 + p * var_r + p * (1.0 - p) * gap * gap
 
 
-def increment_posteriors(datasets, grids, betas, prior) -> BaselineMixtures:
-    """Posterior of the increment over each of the first m intervals of r
-    datasets, m the prior's length, under each weight c of the
-    ``GammaProcessPrior`` stack ``prior``: dataset i on grids[i] given its
-    coefficients betas[i], of shape (r, k).
+def increment_posteriors(ds, bounds, betas, prior) -> BaselineMixtures:
+    """Posterior of the increment over each of the first m intervals of a
+    stack of r datasets ``ds``, one dataset being a stack of one, m the
+    prior's length, under each weight c of the ``GammaProcessPrior`` stack
+    ``prior``: member i given its coefficients betas[i], of shape (r, k), on
+    the right endpoints ``bounds``, (m',) for a grid that all members share
+    or (r, m') for one a member, m' >= m.
 
-    Row i * m + j - 1 of the result is interval j of dataset i.  The
-    partition of the chunk goes to one ``increment_posterior`` call, which
-    takes every row under every c; the first failure in (dataset, interval,
+    Row i * m + j - 1 of the result is interval j of member i.  The
+    partition of the stack goes to one ``increment_posterior`` call, which
+    takes every row under every c; the first failure in (member, interval,
     c) order raises.
     """
-    if not isinstance(prior, GammaProcessPrior):
-        raise DimensionMismatch("need one GammaProcessPrior, a stack of weights c")
-    m = prior.m
-    _typed(datasets, SurvivalDataset, "SurvivalDataset")
-    _typed(grids, TimeGrid, "TimeGrid")
-    if len(grids) != len(datasets):
-        raise DimensionMismatch("need one grid a dataset")
-    for grid in grids:
-        if grid.m < m:
-            raise DimensionMismatch(f"the grid's {grid.m} intervals are fewer than {m} increments")
-    bounds = np.array([grid.boundaries[:m] for grid in grids])
-    exposures = interval_summaries(datasets, bounds).ravel()
-    widths = np.diff(bounds, prepend=0.0).ravel()
-    js = np.tile(np.arange(1, m + 1), len(datasets))
+    if not (isinstance(ds, SurvivalDataset) and isinstance(prior, GammaProcessPrior)):
+        raise DimensionMismatch("need one SurvivalDataset and one GammaProcessPrior stack")
+    edges, keys = _row_intervals(ds, bounds, prior.m)
+    exposures = interval_summaries(ds, edges, keys).ravel()
+    widths = np.diff(edges).ravel()
+    js = np.tile(np.arange(1, prior.m + 1), edges.shape[0])
     return increment_posterior(
-        js, exposures, widths, *event_offsets_by_interval(datasets, bounds, betas), prior
+        js, exposures, widths, *event_offsets_by_interval(ds, edges, keys, betas), prior
     )

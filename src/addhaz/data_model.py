@@ -69,15 +69,16 @@ def _finite(array: np.ndarray, what: str, nonneg: bool = True) -> np.ndarray:
 
 
 class SurvivalDataset:
-    """Immutable collection of observations, stored as numpy arrays.
+    """Immutable observations, stored as numpy arrays: one dataset, or a stack
+    of r datasets of n rows each, accepted when each member would be alone.
 
     Attributes
     ----------
-    times : (n,) float array of follow-up times, all finite and >= 0.
-    events : (n,) bool array, True where the time is an observed event.
-    covariates : (n, k) float array, entries >= 0 unless the dataset was
-        built with ``allow_signed=True`` (used for pre-transformed data
-        whose analysis stays on the flat-prior path).
+    times : (n,) or (r, n) float array of follow-up times, all finite and >= 0.
+    events : (n,) or (r, n) bool array, True where the time is an observed event.
+    covariates : (n, k) or (r, n, k) float array, entries >= 0 unless the
+        dataset was built with ``allow_signed=True`` (used for pre-transformed
+        data whose analysis stays on the flat-prior path).
     """
 
     __slots__ = ("times", "events", "covariates")
@@ -85,54 +86,58 @@ class SurvivalDataset:
     def __init__(self, times, events, covariates, *, allow_signed=False):
         # copies, so freezing them leaves the caller's arrays writable; C order,
         # because sums over the rows depend on the memory layout in the last bits
-        times = _reals(times, "times", 1)
-        events = _reals(events, "event flags", 1, dtype=None)  # no float copy
-        covariates = _reals(covariates, "covariates", 2)
-        n = times.shape[0]
-        if events.shape != (n,) or covariates.shape[0] != n:
+        times = _reals(times, "times")
+        if times.ndim not in (1, 2):
+            raise DimensionMismatch("times must be a rectangular 1-d or 2-d array of real numbers")
+        events = _reals(events, "event flags", times.ndim, dtype=None)  # no float copy
+        covariates = _reals(covariates, "covariates", times.ndim + 1)
+        if events.shape != times.shape or covariates.shape[:-1] != times.shape:
             raise DimensionMismatch(
-                "times, events and covariates must agree on the number of rows"
+                "times, events and covariates must agree on the replicates and rows"
             )
-        if n == 0:
+        if times.size == 0:
             raise NoEvents("empty dataset")
-        if covariates.shape[1] < 1:
+        if covariates.shape[-1] < 1:
             raise DimensionMismatch("at least one covariate column is required")
         _finite(times, "follow-up times")
         _finite(covariates, "covariates (signed ones need allow_signed)", nonneg=not allow_signed)
         if events.dtype != bool and not np.all((events == 0) | (events == 1)):
             raise OutOfRange("event flags must be bools, or numbers equal to 0 or 1")
         events = events.astype(bool, copy=False)
-        if not np.any(events):
+        if not events.any(axis=-1).all():
             raise NoEvents("dataset contains no uncensored observations")
         for name, values in zip(self.__slots__, (times, events, covariates)):
             values.setflags(write=False)
             setattr(self, name, values)
 
+    def __getitem__(self, index) -> "SurvivalDataset":
+        """Member ``index`` of a stack, or the sub-stack a boolean mask picks:
+        read-only C-contiguous arrays, not checked again."""
+        if self.times.ndim != 2:
+            raise DimensionMismatch("only a stack of datasets is indexed")
+        out = object.__new__(SurvivalDataset)
+        for name in self.__slots__:
+            values = getattr(self, name)[index]  # a mask's copy is writable
+            values.setflags(write=False)
+            setattr(out, name, values)
+        return out
+
     @property
     def n(self) -> int:
-        return self.times.shape[0]
+        return self.times.shape[-1]
 
     @property
     def k(self) -> int:
-        return self.covariates.shape[1]
-
-    @property
-    def n_events(self) -> int:
-        return int(np.count_nonzero(self.events))
+        return self.covariates.shape[-1]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SurvivalDataset(n={self.n}, k={self.k}, events={self.n_events})"
+        return f"SurvivalDataset(times {self.times.shape}, k={self.k})"
 
 
-def _row_blocks(ds: SurvivalDataset, size: int) -> list[SurvivalDataset]:
-    """``ds`` cut into datasets of ``size`` rows, read-only C-contiguous views
-    of its arrays, not checked again: the caller makes sure each has an event."""
-    blocks = []
-    for start in range(0, ds.n, size):
-        blocks.append(object.__new__(SurvivalDataset))
-        for name in SurvivalDataset.__slots__:
-            setattr(blocks[-1], name, getattr(ds, name)[start : start + size])
-    return blocks
+def _single(ds: SurvivalDataset) -> None:
+    """DimensionMismatch unless ``ds`` holds one dataset."""
+    if ds.times.ndim != 1:
+        raise DimensionMismatch("need one dataset, not a stack of them")
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,14 @@ DEFAULT_QUANTILES = (0.2, 0.4, 0.6, 0.8)
 def grid_from_quantiles(
     ds: SurvivalDataset, probs: Sequence[float] = DEFAULT_QUANTILES, t_final: float | None = None
 ) -> TimeGrid:
-    """Grid whose cuts are nearest-rank quantiles of the uncensored times:
-    the p-quantile of n event times is the max(1, ceil(p n))-th smallest.
+    """Grid whose cuts are nearest-rank quantiles of one dataset's uncensored
+    times: the p-quantile of n event times is the max(1, ceil(p n))-th smallest.
 
     ``t_final=None`` ends the grid at the largest observed time.  Duplicate
     quantiles are collapsed, and quantiles falling on 0 or at or beyond
     ``t_final`` are discarded; at least one usable cut must remain.
     """
+    _single(ds)
     probs = _reals(probs, "quantile probabilities", 1).tolist()
     if not probs:
         raise DegenerateGrid("at least one quantile probability is required")

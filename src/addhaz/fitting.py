@@ -56,7 +56,7 @@ def fit(
             raise DimensionMismatch(
                 f"gamma prior needs one weight c and one increment per grid interval ({grid.m})"
             )
-        baseline = increment_posteriors([ds], [grid], beta_hat[None], gamma_prior)
+        baseline = increment_posteriors(ds, grid.boundaries, beta_hat[None], gamma_prior)
     return FitResult(
         beta_hat=tuple(float(v) for v in beta_hat),
         ly_beta=tuple(float(v) for v in estimate.m),

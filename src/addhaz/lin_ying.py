@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import SurvivalDataset
+from .data_model import SurvivalDataset, _single
 from .errors import OutOfRange, SingularCovariance, SingularDesign
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "ly_solve",
 ]
 
-# eigenvalue ratio below which V2 is declared singular
+# eigenvalue ratio at or below which V2 is declared singular
 _SINGULAR_RTOL = 1e-12
 
 
@@ -63,7 +63,8 @@ class LYEstimate:
 
 
 def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
-    """Exact V1, V2, V3 via suffix sums over the sorted times; OutOfRange if one overflows."""
+    """Exact V1, V2, V3 of one dataset via suffix sums; OutOfRange if one overflows."""
+    _single(ds)
     n = ds.n
     with np.errstate(over="ignore", invalid="ignore"):
         # each (n, k) temporary is dropped once used: at n = 1e6, k = 4 it is 32 MB
@@ -123,9 +124,11 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
 
 
 def _decompose(v2: np.ndarray):
-    """eigh of each V2 in a stack, and True where its eigenvalue ratio is below 1e-12."""
+    """eigh of each V2 in a stack, and True where its eigenvalue ratio is at most
+    1e-12, or its largest eigenvalue subnormal, where that ratio underflows."""
     eigs, vecs = np.linalg.eigh(v2)
-    singular = (eigs[..., -1] <= 0) | (eigs[..., 0] < _SINGULAR_RTOL * eigs[..., -1])
+    top = eigs[..., -1]
+    singular = (top < np.finfo(float).tiny) | (eigs[..., 0] <= _SINGULAR_RTOL * top)
     return eigs, vecs, singular
 
 

@@ -4,12 +4,13 @@ Event times follow the additive hazard lambda(t) = lambda0 + beta'z with the
 unit baseline hazard lambda0 = 1 of the paper's simulation experiment, so
 each is one Exp(1) draw over 1 + beta'z.  Censoring is exponential.  Replicate
 r of a study uses the dedicated substream seeded by (seed, r), so runs are
-reproducible and independent of execution order.
+reproducible and independent of execution order.  Replicates are drawn in
+chunks, each validated once as one ``SurvivalDataset`` stack.
 
 Two studies are provided: a coefficient study that sweeps a grid of prior
 means and variances over shared replicate datasets, and a baseline study
 that estimates cumulative-hazard increments on a quantile-based grid for
-several confidence weights c.
+several confidence weights c, with one baseline stage call per chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .data_model import (
     TimeGrid,
     _finite,
     _reals,
-    _row_blocks,
     grid_from_quantiles,
 )
 from .baseline_posterior import increment_posteriors
@@ -36,7 +36,6 @@ from .errors import (
     DegenerateGrid,
     DimensionMismatch,
     ExcessiveReplicateDrops,
-    NoEvents,
     NonNegativityViolation,
     OutOfRange,
 )
@@ -148,8 +147,8 @@ class SimReport:
 
 
 def _draw_chunk(cfg: SimConfig, start: int, count: int) -> SurvivalDataset:
-    """Replicates start, ..., start + count - 1 as one validated dataset of
-    n-row blocks.  Each fills its rows from its own (seed, r) stream; the
+    """Replicates start, ..., start + count - 1 as one validated stack of
+    datasets.  Each fills its rows from its own (seed, r) stream; the
     transforms then run once over the chunk, in place."""
     z = np.empty((count, cfg.n, cfg.k))
     times = np.empty((count, cfg.n))
@@ -172,26 +171,22 @@ def _draw_chunk(cfg: SimConfig, start: int, count: int) -> SurvivalDataset:
     events = times <= censor
     np.minimum(times, censor, out=times)
     del censor
-    chunk = SurvivalDataset(times.reshape(-1), events.reshape(-1), z.reshape(-1, cfg.k))
-    # the chunk has an event; each replicate must have one of its own
-    if not np.all(events.any(axis=1)):
-        raise NoEvents("dataset contains no uncensored observations")
-    return chunk
+    return SurvivalDataset(times, events, z)
 
 
 def _chunks(cfg: SimConfig):
-    """Yield (datasets, estimate) per chunk of max(1, _CHUNK_ROWS // n)
-    replicates: the datasets of those whose V2 is nonsingular, and their
+    """Yield (chunk, estimate) per chunk of max(1, _CHUNK_ROWS // n)
+    replicates: the stack of those whose V2 is nonsingular, and their
     estimating-equation solutions stacked; the study drops the others."""
     size = max(1, _CHUNK_ROWS // cfg.n)
     for start in range(0, cfg.replicates, size):
-        datasets = _row_blocks(_draw_chunk(cfg, start, min(size, cfg.replicates - start)), cfg.n)
-        stats = [compute_statistics(ds) for ds in datasets]
+        chunk = _draw_chunk(cfg, start, min(size, cfg.replicates - start))
+        stats = [compute_statistics(chunk[i]) for i in range(len(chunk.times))]
         v1, v2, v3 = (np.array([getattr(s, name) for s in stats]) for name in ("v1", "v2", "v3"))
         keep = ~_decompose(v2)[2]
         if keep.any():
             estimate = ly_solve(LYStatistics(v1[keep], v2[keep], v3[keep], cfg.n))
-            yield list(itertools.compress(datasets, keep)), estimate
+            yield chunk[keep], estimate
 
 
 def _cell_stats(estimates, spreads, axis: int) -> np.ndarray:
@@ -282,22 +277,22 @@ def run_baseline_experiment(
     means = np.empty((cfg.replicates, prior.c.size, m))
     post_vars = np.empty_like(means)
     kept = 0
-    for datasets, est in _chunks(cfg):
-        chunk = []  # the chunk's (dataset, grid, beta) of the kept replicates
-        for ds, bhat in zip(datasets, beta_mode(pseudo_posterior(est, beta_prior))):
-            rep_grid = grid
-            if grid is None:
+    for chunk, est in _chunks(cfg):
+        betas = beta_mode(pseudo_posterior(est, beta_prior))
+        keep = np.ones(len(betas), dtype=bool)
+        bounds = grid.boundaries if grid is not None else []
+        if grid is None:  # each replicate's own grid, kept if it has m intervals
+            for i in range(len(betas)):
                 try:
-                    rep_grid = grid_from_quantiles(ds)
+                    rep_grid = grid_from_quantiles(chunk[i])
                 except DegenerateGrid:
-                    continue
-                if rep_grid.m < m:  # quantile cuts collapsed
-                    continue
-            chunk.append((ds, rep_grid, bhat))
-        if chunk:
-            kept_ds, grids, betas = zip(*chunk)
-            posts = increment_posteriors(kept_ds, grids, np.array(betas), prior)
-            r = len(chunk)
+                    rep_grid = None
+                keep[i] = rep_grid is not None and rep_grid.m >= m  # else its cuts collapsed
+                if keep[i]:
+                    bounds.append(rep_grid.boundaries[:m])
+        if keep.any():
+            r = int(keep.sum())
+            posts = increment_posteriors(chunk[keep], bounds, betas[keep], prior)
             for out, moment in ((means, posts.mean), (post_vars, posts.variance)):
                 out[kept : kept + r] = moment.reshape(-1, r, m).swapaxes(0, 1)
             kept += r

@@ -11,6 +11,7 @@ import numpy as np
 from addhaz import baseline_posterior
 from addhaz.baseline_posterior import (
     _first_failure,
+    _row_intervals,
     event_offsets_by_interval,
     increment_posterior,
     interval_summaries,
@@ -82,9 +83,17 @@ def poly_by_slices(offsets) -> PolyCoefficients:
     return PolyCoefficients(buf)
 
 
+def stack(*datasets, allow_signed=False) -> SurvivalDataset:
+    """One SurvivalDataset stack of datasets that share n and k."""
+    return SurvivalDataset(
+        *([getattr(ds, name) for ds in datasets] for name in SurvivalDataset.__slots__),
+        allow_signed=allow_signed,
+    )
+
+
 def interval_exposures(ds: SurvivalDataset, grid) -> np.ndarray:
     """(m,) exposures of one dataset over every interval of its grid."""
-    return interval_summaries([ds], [grid.boundaries])[0]
+    return interval_summaries(ds, *_row_intervals(ds, grid.boundaries, grid.m))[0]
 
 
 def interval_widths(grid) -> np.ndarray:
@@ -94,7 +103,8 @@ def interval_widths(grid) -> np.ndarray:
 
 def interval_offsets(ds: SurvivalDataset, grid, beta) -> list[np.ndarray]:
     """beta'z of one dataset's events, one array an interval of its grid."""
-    factors, indptr = event_offsets_by_interval([ds], [grid.boundaries], [beta])
+    partition = _row_intervals(ds, grid.boundaries, grid.m)
+    factors, indptr = event_offsets_by_interval(ds, *partition, [beta])
     return np.split(factors, indptr[1:-1])
 
 

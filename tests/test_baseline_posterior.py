@@ -22,6 +22,7 @@ from scipy import integrate
 
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
+    _row_intervals,
     event_offsets_by_interval,
     increment_posterior,
     increment_posteriors,
@@ -46,6 +47,7 @@ from oracles import (
     offsets_by_mask,
     one_interval,
     posteriors,
+    stack,
     stage_by_intervals,
 )
 
@@ -344,48 +346,45 @@ def test_chunk_raises_the_first_failure_row_by_row():
     # interval 2, so alpha_2 = 0 is proper there; the second has no event
     # in it, which is improper; the third's beta'z is NaN, which the
     # polynomial of its first interval rejects
-    grid = TimeGrid((1.0,), 2.0)
+    bounds = (1.0, 2.0)
     first = SurvivalDataset([0.5, 1.5], [True, True], [[1.0, 0.0], [0.0, 1.0]])
     second = SurvivalDataset([0.5, 1.5], [True, False], [[1.0, 0.0], [0.0, 1.0]])
     prior = GammaProcessPrior([1.0, 0.0], 1.0)
     betas = [[1.0, 0.0], [1.0, 0.0], [math.nan, 0.0]]
-    chunk = [first, second, first], [grid] * 3
     with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
-        increment_posteriors(*chunk, betas, prior)
+        increment_posteriors(stack(first, second, first), bounds, betas, prior)
+    pair = stack(first, first)
     with pytest.raises(OutOfRange, match="factor offsets must be finite"):
-        increment_posteriors([first, first], [grid] * 2, betas[1:], prior)
-    stage = increment_posteriors([first, first], [grid] * 2, betas[:2], prior)
+        increment_posteriors(pair, bounds, betas[1:], prior)
+    stage = increment_posteriors(pair, bounds, betas[:2], prior)
     assert len(posteriors(stage)[0]) == 4
     # a negative beta'z in a later dataset loses to an earlier dataset's failure
     signed = SurvivalDataset(
         [0.5, 1.5], [True, True], [[1.0, 0.0], [-1.0, 0.0]], allow_signed=True
     )
     with pytest.raises(ImproperPosterior, match="interval 2: zero prior increment and no events"):
-        increment_posteriors([second, signed], [grid] * 2, betas[:2], prior)
+        increment_posteriors(stack(second, signed, allow_signed=True), bounds, betas[:2], prior)
     with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
-        increment_posteriors([first, signed], [grid] * 2, betas[:2], prior)
-    # a malformed chunk: grids, or rows of betas, other than one a dataset,
-    # and grids or datasets that are none
-    for datasets, grids, betas in (
-        ([first, first], [grid], [[1.0, 0.0]] * 2),
-        ([first, first], [grid] * 3, [[1.0, 0.0]] * 2),
-        ([first, first], [grid] * 2, [[1.0, 0.0]] * 3),
-        ([first, first], [grid] * 2, [[1.0]] * 2),
-        ([first, first], [grid] * 2, [1.0, 0.0]),
-        ([first], [(1.0, 2.0)], [[1.0, 0.0]]),  # a tuple of bounds, not a TimeGrid
-        ([first], None, [[1.0, 0.0]]),
-        ([first, [0.5, 1.5]], [grid] * 2, [[1.0, 0.0]] * 2),  # a list, not a dataset
-        (None, [grid], [[1.0, 0.0]]),
-        ([], [], np.empty((0, 2))),
+        increment_posteriors(stack(first, signed, allow_signed=True), bounds, betas[:2], prior)
+    # a malformed chunk: rows of bounds or of betas other than one a member,
+    # fewer bounds than the prior's increments, and a stack or prior that is none
+    two = [[1.0, 0.0]] * 2
+    for ds, rows, coefficients, stage_prior in (
+        (pair, [bounds] * 3, two, prior),
+        (pair, [[1.0]] * 2, two, prior),
+        (pair, [1.0], two, prior),
+        (pair, [[bounds]], two, prior),
+        (pair, None, two, prior),
+        (pair, bounds, [[1.0, 0.0]] * 3, prior),
+        (pair, bounds, [[1.0]] * 2, prior),
+        (pair, bounds, [1.0, 0.0], prior),
+        (first, bounds, [1.0, 0.0], prior),  # one dataset's betas are (1, k)
+        ([first, first], bounds, two, prior),  # a list, not a stack
+        (None, bounds, two, prior),
+        (pair, bounds, two, [prior]),
     ):
         with pytest.raises(DimensionMismatch):
-            increment_posteriors(datasets, grids, betas, prior)
-    # the partition types its datasets too
-    for datasets in ([[0.5, 1.5]], None, [first, "first"]):
-        with pytest.raises(DimensionMismatch, match="SurvivalDataset"):
-            interval_summaries(datasets, [[1.0, 2.0]] * 2)
-        with pytest.raises(DimensionMismatch, match="SurvivalDataset"):
-            event_offsets_by_interval(datasets, [[1.0, 2.0]] * 2, [[1.0, 0.0]] * 2)
+            increment_posteriors(ds, rows, coefficients, stage_prior)
 
 
 def test_kernel_reads_the_partitions_csr_offsets():
@@ -420,17 +419,70 @@ def test_kernel_reads_the_partitions_csr_offsets():
 
 def test_partition_rejects_bounds_a_grid_would_not_take():
     # bounds once gave an exposure of -2 when falling, a NaN, or a numpy
-    # warning at an infinite end; they raise as a TimeGrid's would
+    # warning at an infinite end; they raise as a TimeGrid's would, shared by
+    # a stack or as the second member's own row
     ds = SurvivalDataset([0.5, 1.5, 2.5], [True] * 3, [[1.0], [2.0], [3.0]])
     for bounds in ([2.0, 1.0], [1.0, math.nan], [1.0, math.inf], [0.0, 1.0], [-1.0, 1.0],
                    [1.0, 1.0], [math.nan]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateGrid, match="interval bounds"):
-                interval_summaries([ds], [bounds])
-            with pytest.raises(DegenerateGrid, match="interval bounds"):
-                event_offsets_by_interval([ds], [bounds], [[1.0]])
-    assert interval_summaries([ds], [[1.0, 2.0]]).tolist() == [[2.5, 1.5]]
+        prior = GammaProcessPrior(np.ones(len(bounds)), 1.0)
+        for chunk, rows in ((ds, bounds), (stack(ds, ds), [[1.0, 2.0][: len(bounds)], bounds])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateGrid, match="interval bounds"):
+                    increment_posteriors(chunk, rows, [[1.0]] * len(rows), prior)
+    # only the prior's m bounds are read
+    increment_posteriors(ds, [1.0, math.nan], [[1.0]], GammaProcessPrior([1.0], 1.0))
+    assert interval_exposures(ds, TimeGrid((1.0,), 2.0)).tolist() == [2.5, 1.5]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 5),
+    n=st.integers(1, 80),
+    m=st.integers(1, 4),
+)
+def test_stacked_partition_is_each_member_alone_bit_for_bit(seed, r, n, m):
+    # k = 4 and zero covariates drawn often; tied times, times of 0, on a
+    # boundary and beyond s_m; on one shared grid, (m,), and on a grid a member, (r, m)
+    rng = np.random.default_rng(seed)
+
+    def draw_bounds():
+        cuts = np.sort(rng.choice(np.arange(0.25, 2.0, 0.25), m - 1, replace=False))
+        return np.append(cuts, rng.choice([2.0, 2.25]))
+
+    shared, own = draw_bounds(), np.array([draw_bounds() for _ in range(r)])
+    times = np.round(rng.uniform(0.0, 2.6, (r, n)), 1)
+    pick = rng.random((r, n)) < 0.3
+    for i in range(r):
+        times[i, pick[i]] = rng.choice(np.r_[0.0, shared, own[i]], int(pick[i].sum()))
+    events = rng.random((r, n)) < 0.7
+    events[:, 0] = True
+    z = rng.exponential(size=(r, n, 4))
+    z[rng.random((r, n, 4)) < 0.3] = 0.0
+    betas = rng.uniform(0.0, 2.0, (r, 4))
+    ds = SurvivalDataset(times, events, z)
+    for bounds in (shared, own):
+        edges, keys = _row_intervals(ds, bounds, m)
+        exposures = interval_summaries(ds, edges, keys)
+        factors, indptr = event_offsets_by_interval(ds, edges, keys, betas)
+        offsets = np.split(factors, indptr[1:-1])
+        for i in range(r):
+            alone = SurvivalDataset(times[i], events[i], z[i])
+            ends = bounds if bounds.ndim == 1 else bounds[i]
+            grid = TimeGrid(tuple(ends[:-1].tolist()), float(ends[-1]))
+            assert exposures[i].tobytes() == interval_exposures(alone, grid).tobytes()
+            lows = np.r_[0.0, ends[:-1]]
+            want = [np.clip(np.minimum(times[i], hi) - lo, 0.0, None).sum()
+                    for lo, hi in zip(lows, ends)]
+            np.testing.assert_allclose(exposures[i], want, rtol=1e-12, atol=1e-12 * n)
+            got = offsets[i * m : (i + 1) * m]
+            assert [a.tobytes() for a in got] == [
+                b.tobytes() for b in interval_offsets(alone, grid, betas[i])
+            ]
+            assert [a.tobytes() for a in got] == [
+                b.tobytes() for b in offsets_by_mask(alone, grid, betas[i])
+            ]
 
 
 @pytest.mark.parametrize("longest", [7, 8, 9, 127, 128, 129, EXACT_MAX_FACTORS])
@@ -559,7 +611,7 @@ def test_full_pipeline_matches_quadrature():
     exposures = interval_exposures(ds, grid)
     widths = interval_widths(grid)
     offset_lists = interval_offsets(ds, grid, beta)
-    (stage,) = posteriors(increment_posteriors([ds], [grid], [beta], prior))
+    (stage,) = posteriors(increment_posteriors(ds, grid.boundaries, [beta], prior))
     for j in range(3):
         post = one_interval(j + 1, exposures[j], widths[j], offset_lists[j], prior)
         assert stage[j] == post
@@ -577,7 +629,7 @@ def test_stage_covers_the_priors_increments():
     # the first m intervals of a longer grid, m from the prior
     longer = TimeGrid((1.0, 2.5), 3.0)
     (posts,) = posteriors(
-        increment_posteriors([ds], [longer], [beta], GammaProcessPrior([1.0], 1.0))
+        increment_posteriors(ds, longer.boundaries, [beta], GammaProcessPrior([1.0], 1.0))
     )
     assert [p.interval for p in posts] == [1]
     for prior in (
@@ -586,7 +638,7 @@ def test_stage_covers_the_priors_increments():
         [],
     ):
         with pytest.raises(DimensionMismatch):
-            increment_posteriors([ds], [grid], [beta], prior)
+            increment_posteriors(ds, grid.boundaries, [beta], prior)
     # a stack shares one alpha: increments a member, of unequal m once, are no prior
     with pytest.raises(DimensionMismatch, match="prior increments"):
         GammaProcessPrior([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
@@ -671,9 +723,9 @@ def test_only_events_inside_the_grid_need_nonnegative_offsets():
     for t_final, want in ((2.5, [[1.0], [2.0]]), (3.0, [[1.0], [-4.0, 2.0]])):
         grid = TimeGrid((1.0,), t_final)
         assert [o.tolist() for o in interval_offsets(ds, grid, np.ones(1))] == want
-    increment_posteriors([ds], [TimeGrid((1.0,), 2.5)], [np.ones(1)], prior)
+    increment_posteriors(ds, (1.0, 2.5), [np.ones(1)], prior)
     with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
-        increment_posteriors([ds], [grid], [np.ones(1)], prior)
+        increment_posteriors(ds, grid.boundaries, [np.ones(1)], prior)
 
 
 def test_a_negative_offset_raises_in_row_order():
@@ -683,13 +735,13 @@ def test_a_negative_offset_raises_in_row_order():
     ds = SurvivalDataset([0.5, 1.5], [True, True], [[1.0], [-1.0]], allow_signed=True)
     grid, prior = TimeGrid((1.0,), 2.0), GammaProcessPrior([0.0, 1.0], 1.0)
     with pytest.raises(ImproperPosterior, match="interval 1: .*constant likelihood coefficient"):
-        increment_posteriors([ds], [grid], [[1.0]], prior)
+        increment_posteriors(ds, grid.boundaries, [[1.0]], prior)
     z = np.ones((EXACT_MAX_FACTORS + 1, 1))
     z[700] = -1.0
     crowd = SurvivalDataset(np.linspace(0.1, 0.9, z.shape[0]), np.ones(z.shape[0]), z,
                             allow_signed=True)
     with pytest.raises(NonNegativityViolation, match="factor offsets must be >= 0"):
-        increment_posteriors([crowd], [grid], [[1.0]], GammaProcessPrior([1.0, 1.0], 1.0))
+        increment_posteriors(crowd, grid.boundaries, [[1.0]], GammaProcessPrior([1.0, 1.0], 1.0))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -719,11 +771,11 @@ def test_posteriors_do_not_depend_on_the_time_unit(seed, n, n_cuts, crowd, tau):
     prior = GammaProcessPrior(rng.uniform(0.1, 3.0, n_cuts + 1), [1e-2, 1.0, 1e2])
     grid = TimeGrid(cuts, t_final)
     base = posteriors(
-        increment_posteriors([SurvivalDataset(times, events, z)], [grid], [beta], prior)
+        increment_posteriors(SurvivalDataset(times, events, z), grid.boundaries, [beta], prior)
     )
     scaled = posteriors(increment_posteriors(
-        [SurvivalDataset(tau * times, events, z)],
-        [TimeGrid(tuple(tau * s for s in cuts), tau * t_final)],
+        SurvivalDataset(tau * times, events, z),
+        TimeGrid(tuple(tau * s for s in cuts), tau * t_final).boundaries,
         [beta / tau],
         prior,
     ))
@@ -783,11 +835,11 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     grid = TimeGrid(tuple(map(float, range(1, m))), float(m))
     prior = GammaProcessPrior(alphas[:m], c)
     beta = np.array([0.7])
-    got = _stage_outcome(_stage_posteriors, [ds], [grid], [beta], prior)
+    got = _stage_outcome(_stage_posteriors, ds, grid.boundaries, [beta], prior)
     assert got == _stage_outcome(stage_by_intervals, ds, grid, beta, prior)
     if isinstance(got, tuple):
         return
-    stage = increment_posteriors([ds], [grid], [beta], prior)
+    stage = increment_posteriors(ds, grid.boundaries, [beta], prior)
     components = sum(len(post.log_weights) for row in got for post in row)
     assert len(stage.log_weights) == stage.indptr[-1] == components
     assert stage.mean.shape == (prior.c.size, m) and stage.intervals.tolist() == [*range(1, m + 1)]
@@ -809,7 +861,8 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    sizes=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    n=st.integers(1, 200),
+    r=st.integers(1, 6),
     shared=st.booleans(),
     crowd_at=st.none() | st.integers(0, 5),
     zero_share=st.sampled_from([0.0, 0.1, 0.5]),
@@ -818,41 +871,45 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     c=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
 )
 def test_chunk_is_its_datasets_stage_by_stage(
-    seed, sizes, shared, crowd_at, zero_share, alphas, zero_at, c
+    seed, n, r, shared, crowd_at, zero_share, alphas, zero_at, c
 ):
-    # r datasets on one grid or on a grid each, of 3 or 4 intervals, with
-    # times on a boundary, at 0 and beyond t_F drawn often; the one at
-    # crowd_at has more events in interval 1 than the exact path takes.  The
-    # chunk must give each dataset's posteriors, row after row, or raise the
-    # error that the first failing dataset raises on its own
+    # a stack of r datasets on one grid, (m',), or on a grid each, (r, 3),
+    # of 3 or 4 intervals, with times on a boundary, at 0 and beyond t_F
+    # drawn often; when crowd_at names a member, every member has
+    # EXACT_MAX_FACTORS + 1 more rows, all of that one's events in interval 1,
+    # more than the exact path takes.  The chunk must give each dataset's
+    # posteriors, row after row, or raise the error that the first failing
+    # dataset raises on its own
     rng = np.random.default_rng(seed)
 
     def draw_grid():
         cuts = np.sort(rng.choice(np.arange(0.25, 2.0, 0.25), rng.integers(2, 4), replace=False))
         return TimeGrid(tuple(cuts.tolist()), float(cuts[-1]) + 0.5)
 
-    grids = [draw_grid()] * len(sizes) if shared else [draw_grid() for _ in sizes]
-    datasets, betas = [], []
-    for i, (n, grid) in enumerate(zip(sizes, grids)):
-        times = rng.uniform(0.0, 1.2 * grid.t_final, n)
-        pick = rng.random(n)
+    grids = [draw_grid()] * r if shared else [draw_grid() for _ in range(r)]
+    crowd = EXACT_MAX_FACTORS + 1 if crowd_at is not None else 0
+    members, betas = [], []
+    for i, grid in enumerate(grids):
+        times = rng.uniform(0.0, 1.2 * grid.t_final, n + crowd)
+        pick = rng.random(n + crowd)
         times[pick < 0.2] = rng.choice((0.0,) + grid.boundaries, int((pick < 0.2).sum()))
-        if i == crowd_at:
-            times = np.concatenate([times, rng.uniform(0.0, grid.cuts[0], EXACT_MAX_FACTORS + 1)])
         events = rng.random(times.size) < 0.8
         events[0] = True
         if i == crowd_at:
+            times[n:] = rng.uniform(0.0, grid.cuts[0], crowd)
             events[n:] = True
         z = rng.exponential(size=(times.size, 2))
         z[rng.random(times.size) < zero_share] = 0.0
-        datasets.append(SurvivalDataset(times, events, z))
+        members.append(SurvivalDataset(times, events, z))
         betas.append(rng.uniform(0.0, 2.0, 2))
     if zero_at is not None:
         alphas[zero_at] = 0.0
     prior = GammaProcessPrior(alphas, c)
-    got = _stage_outcome(_stage_posteriors, datasets, grids, np.array(betas), prior)
+    chunk = stack(*members)
+    bounds = grids[0].boundaries if shared else [grid.boundaries[:3] for grid in grids]
+    got = _stage_outcome(_stage_posteriors, chunk, bounds, np.array(betas), prior)
     want = [[] for _ in c]
-    for args in zip(datasets, grids, betas):
+    for args in zip(members, grids, betas):
         one = _stage_outcome(stage_by_intervals, *args, prior)
         if isinstance(one, tuple):
             assert got == one
@@ -860,7 +917,7 @@ def test_chunk_is_its_datasets_stage_by_stage(
         for rows, row in zip(want, one):
             rows += row
     assert got == want
-    stage = increment_posteriors(datasets, grids, np.array(betas), prior)
+    stage = increment_posteriors(chunk, bounds, np.array(betas), prior)
     components = sum(len(post.log_weights) for row in want for post in row)
     assert len(stage.log_weights) == stage.indptr[-1] == components
-    assert stage.intervals.tolist() == [1, 2, 3] * len(sizes)
+    assert stage.intervals.tolist() == [1, 2, 3] * r

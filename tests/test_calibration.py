@@ -33,15 +33,15 @@ def run_study(seed, n, c, alphas, grid, beta, replicates, chunk):
     truth = rng.gamma(c * prior.increments, 1.0 / c, size=(replicates, prior.m))
     stages = []
     for start in range(0, replicates, chunk):
-        datasets = []
+        members = []  # (times, events, z) of each replicate
         for increments in truth[start : start + chunk]:
             z = rng.exponential(size=(n, len(beta)))
             event_times = draw_piecewise_times(increments / widths, grid.boundaries, z @ beta, rng)
             censor_times = rng.exponential(scale=4.0, size=n)
-            events = event_times <= censor_times
-            datasets.append(SurvivalDataset(np.minimum(event_times, censor_times), events, z))
-        betas = np.tile(beta, (len(datasets), 1))
-        stages.append(increment_posteriors(datasets, [grid] * len(datasets), betas, prior))
+            members.append((np.minimum(event_times, censor_times), event_times <= censor_times, z))
+        stack = SurvivalDataset(*map(np.array, zip(*members)))
+        betas = np.tile(beta, (len(members), 1))
+        stages.append(increment_posteriors(stack, grid.boundaries, betas, prior))
     return truth, stages
 
 

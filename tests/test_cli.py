@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ def run(capsys, argv):
 
 def write_dataset(path, n=60, seed=9, k=2):
     cfg = SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25)[:k], seed=seed)
-    ds = _draw_chunk(cfg, 0, 1)
+    ds = _draw_chunk(cfg, 0, 1)[0]
     write_dataset_csv(ds, path)
     return ds
 
@@ -769,6 +770,18 @@ def test_exit_codes(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["fit", "--input", str(flat)])
     assert code == 16
+
+    # 16: covariates near 1e-160 leave V2 with subnormal and zero eigenvalues,
+    # whose ratio test underflowed; with no numpy warning, only the record
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("time,event,z1,z2,z3\n1.7,0,1e-161,3e-160,5e-159\n"
+                    "0.0,1,2e-161,4e-160,1e-159\n0.2,0,3e-161,1e-160,2e-159\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["fit", "--input", str(tiny), "--grid-cuts", "0.5",
+                                    "--t-final", "2.0"])
+    assert code == 16 and len(err.splitlines()) == 1
+    assert error_record(err)["error"] == "SingularDesign"
 
     # 14: finite covariates whose V2 and V3 overflow
     huge = tmp_path / "huge.csv"

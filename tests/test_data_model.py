@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addhaz
 from addhaz.data_model import (
     BaselineMixtures,
     BetaPrior,
@@ -23,7 +24,7 @@ from addhaz.dataio import read_dataset_csv
 from addhaz.hybrid_beta import (
     HpdInterval, hpd_interval, pseudo_posterior, sigma_hat, significance_flag
 )
-from addhaz.lin_ying import LYEstimate
+from addhaz.lin_ying import LYEstimate, compute_statistics
 from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 from addhaz.simulate import SimConfig, run_baseline_experiment, run_beta_experiment
 from addhaz.errors import (
@@ -47,7 +48,7 @@ from oracles import (
 
 def test_minimal_valid_dataset():
     ds = validate_dataset([(1.0, True, [0.5])])
-    assert ds.n == 1 and ds.k == 1 and ds.n_events == 1
+    assert ds.n == 1 and ds.k == 1 and np.count_nonzero(ds.events) == 1
     assert (ds.times.tolist(), ds.events.tolist(), ds.covariates.tolist()) == (
         [1.0],
         [True],
@@ -75,6 +76,12 @@ def test_all_censored_rejected():
         validate_dataset([(1.0, False, [0.5]), (2.0, False, [0.3])])
     with pytest.raises(NoEvents):
         SurvivalDataset([], [], np.empty((0, 1)))
+    # a stack is accepted when each member would be: one without an event fails
+    with pytest.raises(NoEvents, match="^dataset contains no uncensored observations$"):
+        SurvivalDataset([[1.0, 2.0]] * 2, [[True, False], [False, False]], np.ones((2, 2, 1)))
+    for empty in ((0, 2), (2, 0)):
+        with pytest.raises(NoEvents, match="empty"):
+            SurvivalDataset(np.ones(empty), np.ones(empty, dtype=bool), np.ones(empty + (1,)))
 
 
 def test_ragged_covariates_rejected():
@@ -86,6 +93,22 @@ def test_ragged_covariates_rejected():
         SurvivalDataset([1.0], [True], [0.5])
     with pytest.raises(DimensionMismatch):
         SurvivalDataset([1.0], [True], np.empty((1, 0)))
+    # a stack's axes must agree too: replicates, rows, and one more for covariates
+    stack = np.ones((2, 3)), np.ones((2, 3), dtype=bool), np.ones((2, 3, 1))
+    for bad in ((np.ones((3, 2)), *stack[1:]), (stack[0], np.ones(3, dtype=bool), stack[2]),
+                (*stack[:2], np.ones((2, 3))), (*stack[:2], np.ones((3, 3, 1))),
+                (*stack[:2], np.ones((2, 3, 0))), (np.ones((1, 2, 3)), *stack[1:])):
+        with pytest.raises(DimensionMismatch):
+            SurvivalDataset(*bad)
+
+
+def test_a_stack_is_one_dataset_to_no_single_dataset_entry():
+    stack = SurvivalDataset([[1.0, 2.0, 3.0]] * 2, [[True, True, False]] * 2, np.ones((2, 3, 1)))
+    assert (stack.n, stack.k) == (3, 1)
+    for entry in (compute_statistics, grid_from_quantiles, addhaz.fit):
+        with pytest.raises(DimensionMismatch, match="not a stack"):
+            entry(stack)
+    grid_from_quantiles(stack[1])
 
 
 def test_ragged_rows_raise_typed_error():
@@ -459,6 +482,11 @@ DOMAIN = {
     "covariates": lambda v: SurvivalDataset([1.0, 2.0], [True, True], [[1.0], [v]]),
     "signed covariates": lambda v: SurvivalDataset(
         [1.0, 2.0], [True, True], [[1.0], [v]], allow_signed=True
+    ),
+    "stacked times": lambda v: SurvivalDataset([[1.0, 2.0], [v, 1.0]], [[True] * 2] * 2,
+                                               np.ones((2, 2, 1))),
+    "stacked covariates": lambda v: SurvivalDataset(
+        [[1.0, 2.0]] * 2, [[True] * 2] * 2, [[[1.0], [1.0]], [[1.0], [v]]]
     ),
     "prior mean": lambda v: BetaPrior([0.5, v], np.eye(2)),
     "prior increments": lambda v: GammaProcessPrior([1.0, v], 1.0),

@@ -23,7 +23,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def sample_dataset(k=2, n=200):
     cfg = SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25)[:k], seed=3)
-    return _draw_chunk(cfg, 0, 1)
+    return _draw_chunk(cfg, 0, 1)[0]
 
 
 def test_readme_library_example_runs_on_the_default_grid():

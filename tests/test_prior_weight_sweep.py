@@ -102,7 +102,7 @@ def test_baseline_study_is_right_or_typed_at_every_prior_weight(n, seed, replica
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(gamma_c=WEIGHTS, at_cuts=st.lists(WEIGHTS, min_size=2, max_size=2).map(sorted), **SMALL)
 def test_fit_is_right_or_typed_at_every_prior_weight(n, seed, gamma_c, at_cuts):
-    ds = _draw_chunk(SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25), seed=seed), 0, 1)
+    ds = _draw_chunk(SimConfig(n=n, replicates=2, beta_true=(0.5, 0.25), seed=seed), 0, 1)[0]
     with tempfile.TemporaryDirectory() as out:
         write_dataset_csv(ds, Path(out) / "ds.csv")
         code, err = run_main([

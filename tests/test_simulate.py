@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from addhaz import simulate
-from addhaz.data_model import SurvivalDataset, TimeGrid, _row_blocks
+from addhaz.data_model import SurvivalDataset, TimeGrid
 from addhaz.errors import (
     AddhazError,
     DimensionMismatch,
@@ -29,7 +29,7 @@ from addhaz.simulate import (
     run_beta_experiment,
 )
 
-from oracles import draw_dataset, draw_event_time, draw_event_times, replicate_estimates
+from oracles import draw_dataset, draw_event_time, draw_event_times, replicate_estimates, stack
 
 
 def config(**overrides):
@@ -180,9 +180,9 @@ def test_baseline_study_hands_over_the_requested_increments(monkeypatch):
     seen = []
     original = simulate.increment_posteriors
 
-    def spy(datasets, grids, betas, prior):
-        seen.extend([prior] * len(datasets))
-        return original(datasets, grids, betas, prior)
+    def spy(chunk, bounds, betas, prior):
+        seen.extend([prior] * len(chunk.times))
+        return original(chunk, bounds, betas, prior)
 
     monkeypatch.setattr(simulate, "increment_posteriors", spy)
     grid = TimeGrid((0.125, 0.3, 0.6, 0.9), 1.15)
@@ -237,9 +237,11 @@ def test_excessive_drops_abort():
 
 
 # every event at the largest time leaves no quantile cut below it
-NO_CUT = SurvivalDataset([1.0, 1.0, 1.0], [True] * 3, [[0.5], [0.2], [0.3]])
-# two distinct event times leave one cut: two intervals, fewer than three reported
-ONE_CUT = SurvivalDataset([0.5, 1.0, 1.0, 1.0], [True] * 4, [[0.5], [0.2], [0.3], [0.1]])
+NO_CUT = SurvivalDataset(np.ones(80), np.ones(80, dtype=bool), np.full((80, 1), 0.5))
+# two distinct event times, the smaller one up to the 0.25 quantile, leave one
+# cut: two intervals, fewer than three reported
+ONE_CUT = SurvivalDataset(np.repeat([0.5, 1.0], [20, 60]), np.ones(80, dtype=bool),
+                          np.full((80, 1), 0.5))
 
 
 @pytest.mark.parametrize(
@@ -249,15 +251,16 @@ ONE_CUT = SurvivalDataset([0.5, 1.0, 1.0, 1.0], [True] * 4, [[0.5], [0.2], [0.3]
 def test_baseline_study_drops_replicates_without_their_own_grid(monkeypatch, bad, dropped):
     # chunks of three replicates, so the replaced ones sit on both sides of
     # chunk boundaries; no replicate of this study is singular, so the r-th
-    # dataset seen is replicate r
+    # member seen is replicate r
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 3 * 80)
     original = simulate._chunks
 
     def chunks(cfg):
         r = 0
-        for datasets, estimate in original(cfg):
-            yield [bad.get(r + i, ds) for i, ds in enumerate(datasets)], estimate
-            r += len(datasets)
+        for chunk, estimate in original(cfg):
+            members = [bad.get(r + i, chunk[i]) for i in range(len(chunk.times))]
+            yield stack(*members), estimate
+            r += len(members)
         assert r == cfg.replicates
 
     monkeypatch.setattr(simulate, "_chunks", chunks)
@@ -364,13 +367,13 @@ def test_chunked_replicates_match_the_one_at_a_time_oracle(n, replicates, k, cen
                 list(simulate._chunks(cfg))
             return
         got = list(simulate._chunks(cfg))
-    assert all(len(datasets) <= per_chunk for datasets, _ in got)
+    assert all(len(chunk.times) <= per_chunk for chunk, _ in got)
     # every replicate's draws, kept or not, do not depend on the chunking
     whole = simulate._draw_chunk(cfg, 0, replicates)
     for name in ("times", "events", "covariates"):
-        assert same_bits(getattr(whole, name), np.concatenate([getattr(ds, name) for ds, _ in want]))
+        assert same_bits(getattr(whole, name), np.stack([getattr(ds, name) for ds, _ in want]))
     kept = [(ds, est) for ds, est in want if est is not None]
-    datasets = [ds for chunk, _ in got for ds in chunk]
+    datasets = [chunk[i] for chunk, _ in got for i in range(len(chunk.times))]
     assert len(datasets) == len(kept)  # the same replicates, hence the same drop count
     for ds, (want_ds, _) in zip(datasets, kept):
         for name in ("times", "events", "covariates"):
@@ -385,7 +388,7 @@ def test_a_replicate_without_events_stops_the_study_as_before():
     # other nine, drawn into the same chunk, have 16 between them
     cfg = config(n=20, replicates=10, censor_rate=20.0, seed=12)
     assert simulate._CHUNK_ROWS // cfg.n >= cfg.replicates
-    assert draw_dataset(cfg, np.random.default_rng([cfg.seed, 0])).n_events > 0
+    assert np.count_nonzero(draw_dataset(cfg, np.random.default_rng([cfg.seed, 0])).events) > 0
     with pytest.raises(NoEvents) as oracle:
         replicate_estimates(cfg)
     message = f"^{re.escape(str(oracle.value))}$"
@@ -396,20 +399,30 @@ def test_a_replicate_without_events_stops_the_study_as_before():
         run_baseline_experiment(cfg, (1.0,), (5.0, 1.0))
 
 
-def test_row_blocks_are_read_only_views_equal_to_datasets_of_their_rows():
+def test_members_of_a_stack_are_read_only_datasets_of_their_rows():
+    # ds[i] is a view of member i, ds[mask] a sub-stack; both as validated alone
     cfg = config(n=30, replicates=4, beta_true=(0.5, 0.25))
     chunk = _draw_chunk(cfg, 0, cfg.replicates)
-    blocks = _row_blocks(chunk, cfg.n)
-    assert len(blocks) == cfg.replicates
-    for i, block in enumerate(blocks):
-        rows = slice(i * cfg.n, (i + 1) * cfg.n)
-        alone = SurvivalDataset(chunk.times[rows], chunk.events[rows], chunk.covariates[rows])
+    assert chunk.times.shape == (cfg.replicates, cfg.n) and (chunk.n, chunk.k) == (cfg.n, cfg.k)
+    mask = np.array([True, False, True, True])
+    sub = chunk[mask]
+    for i in range(cfg.replicates):
+        member = chunk[i]
+        alone = SurvivalDataset(chunk.times[i], chunk.events[i], chunk.covariates[i])
         for name in ("times", "events", "covariates"):
-            got = getattr(block, name)
+            got = getattr(member, name)
             assert same_bits(got, getattr(alone, name))
             assert got.flags.c_contiguous and not got.flags.writeable
             assert np.shares_memory(got, getattr(chunk, name))
-        assert (block.n, block.k) == (cfg.n, cfg.k)
+        assert (member.n, member.k) == (cfg.n, cfg.k)
+    for name in ("times", "events", "covariates"):
+        got = getattr(sub, name)
+        assert same_bits(got, getattr(chunk, name)[mask])
+        assert got.flags.c_contiguous and not got.flags.writeable
+    assert (sub.n, sub.k) == (cfg.n, cfg.k)
+    # one dataset has no members
+    with pytest.raises(DimensionMismatch, match="stack"):
+        chunk[0][0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
