@@ -20,8 +20,9 @@ W_s = sqrt(L_s / c_s) S_z(s).  V3 sums over event terms only: the
 martingale-based variance.
 
 The times take numpy's default sort.  Distinct times have one ascending
-order; where two are equal, they are sorted again with a stable sort, so
-the bits are always a stable sort's.
+order, and each row is its own run of equal times, so no run bookkeeping
+is built.  Only where two are equal are they sorted again with a stable
+sort and grouped into runs, so the bits are always a stable sort's.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         starts = np.empty(n, dtype=bool)  # filled in place: fewer heap temporaries
         starts[0] = True
         np.not_equal(t[1:], t[:-1], out=starts[1:])
-        if not starts.all():
-            # ties: a stable sort keeps each run in row order (-0.0 and 0.0 too)
+        ties = not starts.all()
+        if ties:
+            # a stable sort keeps each run in row order (-0.0 and 0.0 too)
             order = ds.times.argsort(kind="stable")
             t = ds.times[order]
         events = ds.events[order]
@@ -86,22 +88,32 @@ def compute_statistics(ds: SurvivalDataset) -> LYStatistics:
         ztz = (z.T * t) @ z
 
         # t is sorted, so u_s starts the run of equal times at row first[s], and
-        # event row i sits at distinct index inv_events[i]
-        first = starts.nonzero()[0]
-        inv_events = (starts.cumsum() - 1)[events]
-        u = t[first]
+        # event row i sits at distinct index inv_events[i]; distinct times make
+        # every row its own run, so first is 0, ..., n - 1 and u is t
+        if ties:
+            first = starts.nonzero()[0]
+            inv_events = (starts.cumsum() - 1)[events]
+            u = t[first]
+            counts = n - first
+        else:
+            inv_events = events.nonzero()[0]
+            u = t
+            counts = np.arange(n, 0, -1)
+        del starts
         lengths = np.empty(u.size)  # L_s = u_s - u_{s-1}, with u_0 = 0
         lengths[0] = u[0]
         np.subtract(u[1:], u[:-1], lengths[1:])
         del t, u
 
         resid = z[events]  # the event rows, centered below
-        # suffix sums over sorted rows: everything with t >= u_s starts at first[s]
-        z_rev_cum = z[::-1].cumsum(axis=0)[::-1]
+        # suffix sums over sorted rows, written back to front into C order (a
+        # reversed view would change the bits of w.T @ w): everything with
+        # t >= u_s starts at first[s]
+        sum_z = np.empty_like(z)
+        z[::-1].cumsum(axis=0, out=sum_z[::-1])
         del z
-        sum_z = z_rev_cum[first]  # (K, k)
-        del z_rev_cum
-        counts = n - first
+        if ties:
+            sum_z = sum_z[first]  # (K, k)
 
         # center each event row by the risk-set mean z_bar at its own time
         zbar = sum_z[inv_events]

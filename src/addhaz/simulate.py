@@ -177,16 +177,21 @@ def _draw_chunk(cfg: SimConfig, start: int, count: int) -> SurvivalDataset:
 def _chunks(cfg: SimConfig):
     """Yield (chunk, estimate) per chunk of max(1, _CHUNK_ROWS // n)
     replicates: the stack of those whose V2 is nonsingular, and their
-    estimating-equation solutions stacked; the study drops the others."""
+    estimating-equation solutions stacked; the study drops the others.
+    A chunk that drops none is yielded as drawn, not copied."""
     size = max(1, _CHUNK_ROWS // cfg.n)
     for start in range(0, cfg.replicates, size):
         chunk = _draw_chunk(cfg, start, min(size, cfg.replicates - start))
-        stats = [compute_statistics(chunk[i]) for i in range(len(chunk.times))]
-        v1, v2, v3 = (np.array([getattr(s, name) for s in stats]) for name in ("v1", "v2", "v3"))
+        r, k = len(chunk.times), cfg.k
+        v1, v2, v3 = np.empty((r, k)), np.empty((r, k, k)), np.empty((r, k, k))
+        for i in range(r):
+            stats = compute_statistics(chunk[i])
+            v1[i], v2[i], v3[i] = stats.v1, stats.v2, stats.v3
         keep = ~_decompose(v2)[2]
+        if not keep.all():
+            chunk, v1, v2, v3 = chunk[keep], v1[keep], v2[keep], v3[keep]
         if keep.any():
-            estimate = ly_solve(LYStatistics(v1[keep], v2[keep], v3[keep], cfg.n))
-            yield chunk[keep], estimate
+            yield chunk, ly_solve(LYStatistics(v1, v2, v3, cfg.n))
 
 
 def _cell_stats(estimates, spreads, axis: int) -> np.ndarray:
@@ -292,7 +297,9 @@ def run_baseline_experiment(
                     bounds.append(rep_grid.boundaries[:m])
         if keep.any():
             r = int(keep.sum())
-            posts = increment_posteriors(chunk[keep], bounds, betas[keep], prior)
+            if r < len(betas):
+                chunk, betas = chunk[keep], betas[keep]
+            posts = increment_posteriors(chunk, bounds, betas, prior)
             for out, moment in ((means, posts.mean), (post_vars, posts.variance)):
                 out[kept : kept + r] = moment.reshape(-1, r, m).swapaxes(0, 1)
             kept += r

@@ -21,6 +21,7 @@ from addhaz.errors import (
     OutOfRange,
     SingularCovariance,
 )
+from addhaz.lin_ying import LYStatistics
 from addhaz.simulate import (
     SimConfig,
     _draw_chunk,
@@ -381,6 +382,40 @@ def test_chunked_replicates_match_the_one_at_a_time_oracle(n, replicates, k, cen
     if kept:
         assert same_bits(np.concatenate([est.m for _, est in got]), np.array([est.m for _, est in kept]))
         assert same_bits(np.concatenate([est.d for _, est in got]), np.array([est.d for _, est in kept]))
+
+
+@pytest.mark.parametrize("singular", [(), (1,), (0, 3, 4)])
+def test_a_chunk_that_drops_nothing_is_yielded_as_drawn(monkeypatch, singular):
+    # chunks of two replicates; those named in `singular` get a zero V2, so
+    # their chunk is a masked sub-stack, while every other chunk is the very
+    # stack that _draw_chunk returned
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 2 * 40)
+    draw, statistics = simulate._draw_chunk, simulate.compute_statistics
+    drawn, calls = [], iter(range(6))
+
+    def draw_chunk(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def compute_statistics(ds):
+        stats = statistics(ds)
+        if next(calls) in singular:
+            stats = LYStatistics(stats.v1, np.zeros_like(stats.v2), stats.v3, stats.n)
+        return stats
+
+    monkeypatch.setattr(simulate, "_draw_chunk", draw_chunk)
+    monkeypatch.setattr(simulate, "compute_statistics", compute_statistics)
+    got = list(simulate._chunks(config(n=40, replicates=6, beta_true=(0.5, 1.5))))
+    assert len(got) == len(drawn) == 3
+    for start, (chunk, estimate), whole in zip(range(0, 6, 2), got, drawn):
+        keep = np.array([start not in singular, start + 1 not in singular])
+        assert len(estimate.m) == keep.sum()
+        if keep.all():
+            assert chunk is whole
+            continue
+        assert chunk is not whole
+        for name in ("times", "events", "covariates"):
+            assert same_bits(getattr(chunk, name), getattr(whole, name)[keep])
 
 
 def test_a_replicate_without_events_stops_the_study_as_before():
