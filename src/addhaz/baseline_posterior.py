@@ -31,19 +31,21 @@ from the mode: a few dozen to a few hundred nodes, each one pass over the
 offsets.  Both take u's moments in offsets from the prior shape, so that
 no large s0 cancels.
 
-One kernel, ``increment_posterior``, takes R rows under a
-``GammaProcessPrior`` stack of p weights c: interval j as (j, exposure_j,
-w_j) and its event offsets in the partition's CSR form (factors, indptr).
-It checks every row's own numbers and the (p, R) shapes, rates and
-improper cases at once, and the first failing (row, c) in row-major order
+The one public entry is the stage, ``increment_posteriors(ds, bounds,
+betas, prior)``.  It places the times of a stack of r datasets in their
+intervals once, sums the exposures and sorts the event offsets of its r m
+rows, in (dataset, interval) order, from that one partition, and calls the
+kernel ``increment_posterior`` once, under a ``GammaProcessPrior`` stack of
+p weights c.  The kernel takes the partition's arrays as built: interval j
+as (j, exposure_j, w_j), j in 1..m, w_j finite and > 0, exposure_j >= 0,
+and the event offsets in CSR form (factors, indptr), indptr an intp array
+rising from 0 to factors.size.  It checks what outside data can still
+reach, each row's offsets and exposure and the (p, R) shapes, rates and
+improper cases, at once, and the first failing (row, c) in row-major order
 raises.  The exact rows get their polynomials from ``poly_from_factors``
 and their mixtures in the flat layout of the ``BaselineMixtures`` it
 returns, with log Gamma(k + s0) / Gamma(1 + s0) built once per distinct
-s0.  A fit keeps that result as its baseline.  The stage,
-``increment_posteriors(ds, bounds, betas, prior)``, places the times of a
-stack of r datasets in their intervals once, sums the exposures and sorts
-the event offsets of its r m rows, in (dataset, interval) order, from that
-one partition, and calls the kernel once.
+s0.  A fit keeps that result as its baseline.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .poly_coeffs import poly_from_factors
 
 __all__ = [
     "EXACT_MAX_FACTORS",
-    "increment_posterior",
     "increment_posteriors",
 ]
 
@@ -122,7 +123,8 @@ def interval_summaries(ds, edges, keys) -> np.ndarray:
     sums = np.bincount(keys, weights=times - edges.ravel()[keys], minlength=edges.size)
     counts = np.bincount(keys, minlength=edges.size).reshape(edges.shape)[:, :-1]
     beyond = ds.n - np.cumsum(counts, axis=1)  # t <= s_j in 1..j
-    return sums.reshape(edges.shape)[:, :-1] + beyond * (edges[:, 1:] - edges[:, :-1])
+    with np.errstate(over="ignore"):  # an exposure of inf fails in the kernel
+        return sums.reshape(edges.shape)[:, :-1] + beyond * (edges[:, 1:] - edges[:, :-1])
 
 
 def event_offsets_by_interval(ds, edges, keys, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -160,19 +162,16 @@ def _first_failure(js, exposures, widths, b, indptr, zeros, prior):
     offset and its posterior rate, and the first failing (row, c), in
     row-major order, as (row * p + q, its error), else None.  A row's own
     numbers fail before any c's, in this order: a non-finite offset, a
-    negative one, a j outside the prior's m increments, and an exposure not
-    finite and >= 0 or a width not finite and > 0."""
-    m, c = prior.m, prior.c.reshape(-1, 1)
-    outside = (js < 1) | (js > m)
-    # the first failing offset by each of two checks, then the first failing row by two more
+    negative one, and an exposure that overflows."""
+    c = prior.c.reshape(-1, 1)
+    # the first failing offset by each of two checks, then the first failing row
     firsts = [np.flatnonzero(mask)[:1] for mask in (
-        ~np.isfinite(b), b < 0.0, outside,
-        ~((0.0 <= exposures) & (exposures < math.inf) & (0.0 < widths) & (widths < math.inf)),
+        ~np.isfinite(b), b < 0.0, ~(exposures < math.inf),
     )]
     rows = [np.searchsorted(indptr, at, side="right") - 1 for at in firsts[:2]] + firsts[2:]
     rows = [int(at[0]) if at.size else js.size for at in rows]
     row = min(rows)
-    alpha = prior.increments[np.where(outside, 0, js - 1)]
+    alpha = prior.increments[js - 1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # fails below
         shape0 = c * alpha + zeros
         rate = exposures / widths + c
@@ -192,12 +191,10 @@ def _first_failure(js, exposures, widths, b, indptr, zeros, prior):
         return shape0, rate, (int(bad[0]), exc)
     if row == js.size:
         return shape0, rate, None
-    j = js[row]
     return shape0, rate, (row * c.size, (
         OutOfRange("factor offsets must be finite"),
         NonNegativityViolation("factor offsets must be >= 0"),
-        DimensionMismatch(f"interval {j} outside the prior's {m} increments"),
-        OutOfRange(f"interval {j}: needs a finite exposure >= 0 and width > 0"),
+        OutOfRange(f"interval {js[row]}: the exposure overflows"),
     )[rows.index(row)])
 
 
@@ -272,32 +269,18 @@ def increment_posterior(js, exposures, widths, factors, indptr, prior):
 
     Row i is interval js[i], of exposure exposures[i] and width widths[i],
     and its events' offsets beta'z are ``factors[indptr[i]:indptr[i + 1]]``,
-    the partition's CSR form.  A row of more than EXACT_MAX_FACTORS events
+    the partition's CSR form.  The arrays are the stage's, taken as built
+    (see the module docstring).  A row of more than EXACT_MAX_FACTORS events
     gets its moments by quadrature and an empty mixture; any other gets the
     Gamma mixture of the product of (a + beta'z) over its events.  The first
     (row, c) that fails, in row-major order, raises.
     """
-    try:
-        sized = len(exposures) == len(widths) == len(indptr) - 1 == len(js) >= 1
-    except TypeError:  # one of them is no sequence
-        sized = False
-    if not (sized and isinstance(prior, GammaProcessPrior)):
-        raise DimensionMismatch("need sequences of one j, exposure and width a row and R + 1 "
-                                "row offsets, at least one row, and one GammaProcessPrior")
-    b = _reals(factors, "factor offsets", 1)
-    exposures, widths = _reals(exposures, "exposures", 1), _reals(widths, "widths", 1)
-    js, indptr = _reals(js, "interval index", 1, None), _reals(indptr, "row offsets", 1, None)
-    if js.dtype.kind not in "iu":
-        raise DimensionMismatch(f"interval index must be an integer, got {js.dtype}")
-    if not (indptr.dtype.kind in "iu" and indptr[0] == 0 and indptr[-1] == b.size
-            and (indptr[1:] >= indptr[:-1]).all()):
-        raise DimensionMismatch("row offsets must be integers rising from 0 to the offsets' count")
-    p, count, indptr = prior.c.size, js.size, indptr.astype(np.intp)
+    p, count = prior.c.size, js.size
     sizes, bounds = np.diff(indptr), indptr.tolist()
     # a zero offset is a factor a: one more unit of prior shape, not a live term
-    zero_at = np.searchsorted(indptr, np.flatnonzero(b == 0.0), side="right") - 1
+    zero_at = np.searchsorted(indptr, np.flatnonzero(factors == 0.0), side="right") - 1
     zeros = np.bincount(zero_at, minlength=count)
-    shape0, rate, failure = _first_failure(js, exposures, widths, b, indptr, zeros, prior)
+    shape0, rate, failure = _first_failure(js, exposures, widths, factors, indptr, zeros, prior)
     # (row, c) entries from row-major index ``limit`` on are not read, nor
     # rows from ``needed`` on
     limit = failure[0] if failure else count * p
@@ -309,7 +292,7 @@ def increment_posterior(js, exposures, widths, factors, indptr, prior):
     spans = lengths[exact]
     log_d = np.empty(spans.sum())  # the exact rows' live (last n) log coefficients, end to end
     for i, n, end in zip(exact.tolist(), spans.tolist(), np.cumsum(spans).tolist()):
-        log_d[end - n : end] = poly_from_factors(b[bounds[i] : bounds[i + 1]]).log_abs[-n:]
+        log_d[end - n : end] = poly_from_factors(factors[bounds[i] : bounds[i + 1]]).log_abs[-n:]
     log_scale = np.reshape([
         [math.log(w) + math.log(c) for c in cs]
         for w, cs in zip(widths[exact].tolist(), rate[:, exact].T.tolist())
@@ -317,7 +300,7 @@ def increment_posterior(js, exposures, widths, factors, indptr, prior):
     *moments, log_w, shapes = _mixtures(log_d, spans, shape0[:, exact], rate[:, exact], log_scale)
     mean[:, exact], variance[:, exact] = moments
     for i in np.flatnonzero(lengths[:needed] == 0).tolist():
-        offsets = b[bounds[i] : bounds[i + 1]]
+        offsets = factors[bounds[i] : bounds[i + 1]]
         positive, width = offsets[offsets > 0.0], widths[i].item()
         for q in range(min(p, limit - i * p)):
             try:

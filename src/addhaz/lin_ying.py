@@ -155,10 +155,16 @@ def ly_solve(stats: LYStatistics) -> LYEstimate:
     eigs, vecs, singular = _decompose(stats.v2)
     if np.any(singular):
         raise SingularDesign("integrated design matrix V2 is singular or near-singular")
+    return _solve(stats.v1, stats.v3, stats.n, eigs, vecs)
+
+
+def _solve(v1, v3, n, eigs, vecs) -> LYEstimate:
+    """``ly_solve`` past the singularity test, from the eigendecomposition
+    (eigs, vecs) of each nonsingular V2 of the stack."""
     with np.errstate(over="ignore", invalid="ignore"):
         v2_inv = (vecs / eigs[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-        m = (v2_inv @ stats.v1[..., None])[..., 0]
-        d = v2_inv @ stats.v3 @ v2_inv / stats.n
+        m = (v2_inv @ v1[..., None])[..., 0]
+        d = v2_inv @ v3 @ v2_inv / n
         d = (d + np.swapaxes(d, -1, -2)) / 2.0
     if not np.all(np.isfinite(d)):
         raise SingularCovariance("sandwich covariance has non-finite entries")

@@ -25,11 +25,6 @@ to exactly 1, so a row with one positive offset keeps the log path's bits.
 Log path.  Any other row may hold coefficients beyond the range of a double.
 It runs the recursion on log values with ``np.logaddexp``, one whole-length
 pass per factor between two buffers (see ``_log_domain``).
-
-The offsets may be any 1-d array-like of reals, copied once as float64 by
-``data_model._reals``; what numpy cannot read so (ragged rows, text, a
-generator) raises DimensionMismatch.  By ``data_model._finite``, NaN and +-inf
-then raise OutOfRange, and only then does a negative offset raise NonNegativityViolation.
 """
 
 from __future__ import annotations
@@ -40,11 +35,6 @@ from functools import reduce
 
 import numpy as np
 
-from .data_model import _finite, _reals
-from .errors import DimensionMismatch, OutOfRange
-
-__all__ = ["PolyCoefficients", "poly_from_factors"]
-
 _LINEAR_RANGE = 700.0  # on R + N log 2; the normal doubles span (e^-708.4, e^709.8)
 
 
@@ -54,34 +44,14 @@ class PolyCoefficients:
 
     log_abs: np.ndarray
 
-    def __post_init__(self):
-        log_abs = _reals(self.log_abs, "log_abs", 1)  # a copy, frozen below
-        if log_abs.size == 0:
-            raise DimensionMismatch("log_abs must be a non-empty 1-d array")
-        if not np.maximum.reduce(log_abs) < math.inf:  # NaN included; -inf is a zero
-            raise OutOfRange("log coefficients must be below +inf")
-        log_abs.setflags(write=False)
-        object.__setattr__(self, "log_abs", log_abs)
-
     @property
     def degree(self) -> int:
         return self.log_abs.size - 1
 
 
-def _built(log_abs: np.ndarray) -> PolyCoefficients:
-    """The kernel's array, finite by construction but for its leading -infs,
-    one per zero offset, as coefficients frozen in place: no copy and no
-    second check."""
-    poly = object.__new__(PolyCoefficients)
-    log_abs.setflags(write=False)
-    object.__setattr__(poly, "log_abs", log_abs)
-    return poly
-
-
-def poly_from_factors(offsets) -> PolyCoefficients:
-    """Multiply out prod_i (a + b_i) over a 1-d array-like of offsets b_i,
-    each finite and >= 0."""
-    b = _finite(_reals(offsets, "factor offsets", 1), "factor offsets")  # a new array
+def poly_from_factors(b: np.ndarray) -> PolyCoefficients:
+    """Multiply out prod_i (a + b_i) over a 1-d float array of offsets b_i,
+    each finite and >= 0, as the increment kernel has checked them."""
     n, positive = b.size, b[b > 0.0]
     zeros = n - positive.size  # the leading zero coefficients, one per zero offset
     # sorted(), not np.partition, whose first call adds about 0.3 MB of RSS
@@ -89,7 +59,7 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     log_scale = math.log(scale)
     spread = np.add.reduce(np.abs(np.log(positive) - log_scale))
     if spread + n * math.log(2.0) > _LINEAR_RANGE:
-        return _built(_log_domain(b))
+        return PolyCoefficients(_log_domain(b))
     # step j multiplies factor j * blocks + i into block i; the padding is 0
     blocks = max(1, round(math.sqrt(n)))
     width = -(-n // blocks)
@@ -109,7 +79,7 @@ def poly_from_factors(offsets) -> PolyCoefficients:
     log_d = np.full(n + 1, -math.inf)  # the guard keeps the others positive and normal
     powers = np.arange(n - zeros, -1.0, -1.0)
     log_d[zeros:] = np.log(d[blocks * width - n + zeros :]) + powers * log_scale
-    return _built(log_d)
+    return PolyCoefficients(log_d)
 
 
 def _log_domain(b: np.ndarray) -> np.ndarray:

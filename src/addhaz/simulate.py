@@ -40,7 +40,7 @@ from .errors import (
     OutOfRange,
 )
 from .hybrid_beta import beta_mode, hpd_interval, pseudo_posterior, sigma_hat
-from .lin_ying import LYEstimate, LYStatistics, _decompose, compute_statistics, ly_solve
+from .lin_ying import LYEstimate, _decompose, _solve, compute_statistics
 
 __all__ = [
     "SimConfig",
@@ -187,11 +187,12 @@ def _chunks(cfg: SimConfig):
         for i in range(r):
             stats = compute_statistics(chunk[i])
             v1[i], v2[i], v3[i] = stats.v1, stats.v2, stats.v3
-        keep = ~_decompose(v2)[2]
-        if not keep.all():
-            chunk, v1, v2, v3 = chunk[keep], v1[keep], v2[keep], v3[keep]
-        if keep.any():
-            yield chunk, ly_solve(LYStatistics(v1, v2, v3, cfg.n))
+        eigs, vecs, singular = _decompose(v2)
+        if singular.any():
+            keep = ~singular
+            chunk, v1, v3, eigs, vecs = chunk[keep], v1[keep], v3[keep], eigs[keep], vecs[keep]
+        if eigs.size:
+            yield chunk, _solve(v1, v3, cfg.n, eigs, vecs)
 
 
 def _cell_stats(estimates, spreads, axis: int) -> np.ndarray:

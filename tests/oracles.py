@@ -143,11 +143,16 @@ def each_member(kernel):
     return over_members
 
 
-def csr(rows):
-    """(factors, indptr) of a list of offset rows: the partition's form, in
-    which the kernel reads them."""
+def kernel(js, exposures, widths, rows, prior):
+    """``increment_posterior`` on R rows given as sequences, in the arrays the
+    stage builds: intp interval numbers, float exposures and widths, and the
+    rows' float offsets end to end with intp row offsets (its CSR form)."""
     factors = np.concatenate([np.asarray(row, dtype=float) for row in rows])
-    return factors, np.cumsum([0] + [len(row) for row in rows])
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.intp)
+    return increment_posterior(
+        np.array(js, dtype=np.intp), np.array(exposures, dtype=float),
+        np.array(widths, dtype=float), factors, indptr, prior,
+    )
 
 
 @each_member
@@ -155,13 +160,7 @@ def one_interval(j, exposure, width, offsets, prior) -> Posterior:
     """The kernel's batch of one: interval j under one prior, from its
     event offsets; the mixture up to EXACT_MAX_FACTORS of them, else
     quadrature and no mixture."""
-    try:
-        size = len(offsets)
-    except TypeError:  # no sequence: the kernel rejects the offsets first
-        size = 0
-    return posteriors(
-        increment_posterior([j], [exposure], [width], offsets, [0, size], prior)
-    )[0][0]
+    return posteriors(kernel([j], [exposure], [width], [offsets], prior))[0][0]
 
 
 def _on_one_path(limit):
@@ -182,14 +181,15 @@ def mixture_posterior(j, exposure, width, offsets, prior) -> Posterior:
     a concatenated log-rising sum: the reference that ``increment_posterior``
     is held to bit for bit in all but its mean and variance, for rows of
     valid numbers."""
-    poly = poly_from_factors(offsets)
-    dead = int(np.argmax(poly.log_abs > -math.inf))
+    offsets = np.asarray(offsets, dtype=float)
     shape0, rate, failure = _first_failure(
-        np.array([j]), np.array([exposure]), np.array([width]), np.asarray(offsets, dtype=float),
-        np.array([0, poly.degree]), np.array([dead]), prior,
+        np.array([j]), np.array([exposure]), np.array([width]), offsets,
+        np.array([0, offsets.size]), np.array([np.count_nonzero(offsets == 0.0)]), prior,
     )
     if failure:
         raise failure[1]
+    poly = poly_from_factors(offsets)
+    dead = int(np.argmax(poly.log_abs > -math.inf))
     shape0, rate = shape0.item(), rate.item()
     log_d = poly.log_abs[dead:]
     k = np.arange(log_d.size)

@@ -13,6 +13,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from addhaz import baseline_posterior
 from addhaz.baseline_posterior import (
     EXACT_MAX_FACTORS,
     _row_intervals,
@@ -36,11 +38,10 @@ from addhaz.errors import (
 from addhaz.poly_coeffs import poly_from_factors
 
 from oracles import (
-    by_quadrature,
-    csr,
     interval_exposures,
     interval_offsets,
     interval_widths,
+    kernel,
     members,
     mixture_moments,
     mixture_posterior,
@@ -292,56 +293,36 @@ def test_improper_posterior_cases():
     mean_q, var_q = quadrature_moments([0.0, 2.0], 0.0, 1.0, 2.0, 1.0)
     assert post.mean == pytest.approx(mean_q, rel=1e-6)
     assert post.variance == pytest.approx(var_q, rel=1e-6)
-    # an interval the prior has no increment for
-    proper = GammaProcessPrior([1.0], c=1.0)
-    with pytest.raises(DimensionMismatch, match="outside the prior"):
-        one_interval(0, 2.0, 1.0, [1.0], proper)
-    # an index that is no integer, on either path
-    for j in (1.0, "1"):
-        with pytest.raises(DimensionMismatch, match="interval index"):
-            one_interval(j, 2.0, 1.0, [1.0], proper)
-        with pytest.raises(DimensionMismatch, match="interval index"):
-            by_quadrature(j, 2.0, 1.0, [1.0], proper)
 
 
 def test_batch_raises_the_first_failure_interval_by_interval():
     # interval 1's moments overflow under c = 5e-324 at exposure 0 before
-    # interval 2's zero width is read under the first c; the one-interval
-    # call meets the same error first
-    tiny, proper = GammaProcessPrior([1.0, 1.0], 5e-324), GammaProcessPrior([1.0, 1.0], 1.0)
+    # interval 2's overflowing exposure is read under the first c; the
+    # one-interval call meets the same error first
+    tiny = GammaProcessPrior([1.0, 1.0], 5e-324)
     with pytest.raises(OutOfRange, match="interval 1: .*moments overflow"):
-        increment_posterior([1, 2], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0, 1, 2],
-                            GammaProcessPrior([1.0, 1.0], [1.0, 5e-324]))
+        kernel([1, 2], [0.0, math.inf], [1.0, 1.0], [[1.0], [1.0]],
+               GammaProcessPrior([1.0, 1.0], [1.0, 5e-324]))
     with pytest.raises(OutOfRange, match="interval 1: .*moments overflow"):
         one_interval(1, 0.0, 1.0, [1.0], tiny)
-    for args in (
-        ([1, 2], [1.0], [1.0], [1.0], [0, 1], proper),  # unequal lengths
-        ([], [], [], [], [0], proper),  # no interval
-        ([1], [1.0], [1.0], [1.0], [0, 1], [proper]),  # a list of priors, not one stack
-        ([1], [1.0], [1.0], [1.0], [0, 1], None),  # no prior
-        (1, 0.5, 1.0, [1.0], [0, 1], proper),  # one interval's numbers, not sequences of them
-    ):
-        with pytest.raises(DimensionMismatch, match="need sequences"):
-            increment_posterior(*args)
 
 
 def test_chunk_raises_the_first_failure_row_by_row():
     # one event of offset 1 a row: a positive constant coefficient
-    one = [1.0] * 3, [0, 1, 2, 3]
+    one = [[1.0]] * 3
     # (row 1, c 2) and (row 2, c 1) both fail; row 1 comes first: the tiny c
     # takes row 1's shape c alpha_1 to 0, and the huge c row 2's rate c_2 to inf
-    args = [1, 2], [1.0, 1e308], [1.0, 1.0], [1.0, 1.0], [0, 1, 2]
+    args = [1, 2], [1.0, 1e308], [1.0, 1.0], [[1.0], [1.0]]
     with pytest.raises(OutOfRange, match="interval 1: .*underflows to 0"):
-        increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], [1e308, 5e-324]))
+        kernel(*args, GammaProcessPrior([1e-10, 1.0], [1e308, 5e-324]))
     with pytest.raises(OutOfRange, match="interval 2: .*rate c_j overflows"):
-        increment_posterior(*args, GammaProcessPrior([1e-10, 1.0], 1e308))
-    # a prior failure on row 1 beats row 3's zero width, read before any c
+        kernel(*args, GammaProcessPrior([1e-10, 1.0], 1e308))
+    # a prior failure on row 1 beats row 3's overflowing exposure, read before any c
+    exposures = [1.0, 1.0, math.inf]
     with pytest.raises(ImproperPosterior, match="interval 1: "):
-        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], *one,
-                            GammaProcessPrior([0.0, 1.0, 1.0], 1.0))
-    with pytest.raises(OutOfRange, match="interval 3: needs a finite exposure"):
-        increment_posterior([1, 2, 3], [1.0] * 3, [1.0, 1.0, 0.0], *one,
-                            GammaProcessPrior([1.0, 1.0, 1.0], 1.0))
+        kernel([1, 2, 3], exposures, [1.0] * 3, one, GammaProcessPrior([0.0, 1.0, 1.0], 1.0))
+    with pytest.raises(OutOfRange, match="^interval 3: the exposure overflows$"):
+        kernel([1, 2, 3], exposures, [1.0] * 3, one, GammaProcessPrior([1.0, 1.0, 1.0], 1.0))
     # three datasets on the grid (1, 2]: the first has only zero offsets in
     # interval 2, so alpha_2 = 0 is proper there; the second has no event
     # in it, which is improper; the third's beta'z is NaN, which the
@@ -388,33 +369,26 @@ def test_chunk_raises_the_first_failure_row_by_row():
 
 
 def test_kernel_reads_the_partitions_csr_offsets():
-    # row i's offsets are factors[indptr[i]:indptr[i + 1]]: any 1-d reals, and
-    # integer row offsets that rise from 0 to their count
+    # row i's offsets are factors[indptr[i]:indptr[i + 1]]
     prior = GammaProcessPrior([1.0, 1.0], 1.0)
-    args = [1, 2], [1.0, 1.0], [1.0, 1.0]
-    want = posteriors(increment_posterior(*args, [1.0, 2.0, 0.5], [0, 1, 3], prior))
-    got = increment_posterior(*args, (1, 2, 0.5), np.array([0, 1, 3], dtype=np.uint8), prior)
-    assert posteriors(got) == want
-    for indptr in ([1, 1, 3], [0, 1, 2], [0, 4, 3], [0.0, 1.0, 3.0], [False, True, True]):
-        with pytest.raises(DimensionMismatch, match="row offsets"):
-            increment_posterior(*args, [1.0, 2.0, 0.5], indptr, prior)
-    with pytest.raises(DimensionMismatch, match="factor offsets"):
-        increment_posterior(*args, [[1.0, 2.0, 0.5]], [0, 1, 3], prior)
+    args, rows = ([1, 2], [1.0, 1.0], [1.0, 1.0]), [[1.0], [2.0, 0.5]]
+    (got,) = posteriors(kernel(*args, rows, prior))
+    assert got == tuple(one_interval(*row, prior) for row in zip(*args, rows))
     # each row's own numbers, row by row: its offsets (a non-finite one
-    # before a negative one), then its j, then its exposure and width
+    # before a negative one), then its exposure
     nan, inf = math.nan, math.inf
-    for js, factors, error, message in (
-        ([3, 1], [1.0, nan], DimensionMismatch, "interval 3 outside"),
-        ([1, 3], [1.0, nan], OutOfRange, "factor offsets must be finite"),
-        ([3, 1], [-1.0, 1.0], NonNegativityViolation, "factor offsets must be >= 0"),
-        ([1, 1], [-1.0, inf], NonNegativityViolation, "factor offsets must be >= 0"),
-        ([1, 3], [1.0, -1.0, inf], OutOfRange, "factor offsets must be finite"),
+    for js, rows, error, message in (
+        ([1, 2], [[1.0], [nan]], OutOfRange, "factor offsets must be finite"),
+        ([2, 1], [[-1.0], [1.0]], NonNegativityViolation, "factor offsets must be >= 0"),
+        ([1, 1], [[-1.0], [inf]], NonNegativityViolation, "factor offsets must be >= 0"),
+        ([1, 2], [[1.0], [-1.0, inf]], OutOfRange, "factor offsets must be finite"),
     ):
-        indptr = [0, 1, len(factors)]
         with pytest.raises(error, match=message):
-            increment_posterior(js, [1.0, 1.0], [1.0, 1.0], factors, indptr, prior)
-    with pytest.raises(OutOfRange, match="interval 1: needs a finite exposure"):
-        increment_posterior([1, 3], [nan, 1.0], [1.0, 1.0], [1.0, 1.0], [0, 1, 2], prior)
+            kernel(js, [1.0, 1.0], [1.0, 1.0], rows, prior)
+    with pytest.raises(OutOfRange, match="^interval 1: the exposure overflows$"):
+        kernel([1, 2], [inf, 1.0], [1.0, 1.0], [[1.0], [nan]], prior)
+    with pytest.raises(OutOfRange, match="factor offsets must be finite"):
+        kernel([1, 2], [inf, 1.0], [1.0, 1.0], [[nan], [1.0]], prior)
 
 
 def test_partition_rejects_bounds_a_grid_would_not_take():
@@ -433,6 +407,69 @@ def test_partition_rejects_bounds_a_grid_would_not_take():
     # only the prior's m bounds are read
     increment_posteriors(ds, [1.0, math.nan], [[1.0]], GammaProcessPrior([1.0], 1.0))
     assert interval_exposures(ds, TimeGrid((1.0,), 2.0)).tolist() == [2.5, 1.5]
+
+
+def test_an_overflowing_exposure_is_typed_at_the_stage():
+    # two times past s_2 = 1e308 each add its full width to interval 2's
+    # exposure, whose sum overflows; no numpy warning escapes untyped
+    ds = SurvivalDataset([0.5, 1.7e308, 1.7e308], [True, True, False], [[1.0]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="^interval 2: the exposure overflows$"):
+            increment_posteriors(ds, [1.0, 1e308], [[1.0]], GammaProcessPrior([1.0, 1.0], 1.0))
+
+
+# subnormal, small, large and near-largest doubles, for bounds and times
+EXTREMES = (5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 1e300, 1.7e308,
+            1.7976931348623157e308)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 4),
+    n=st.integers(1, 30),
+    m=st.integers(1, 4),
+    shared=st.booleans(),
+)
+def test_partition_hands_the_kernel_what_it_trusts(seed, r, n, m, shared):
+    # the kernel checks no shape, dtype, interval number or width: the
+    # partition's arrays must hold them on any stack the stage accepts,
+    # with bounds and times drawn among the extremes, times of 0 and times
+    # on a bound; the stage then returns or raises a typed error, unwarned
+    rng = np.random.default_rng(seed)
+
+    def draw_bounds():
+        pool = np.unique(np.r_[EXTREMES, rng.uniform(0.0, 4.0, 4),
+                               np.exp(rng.uniform(-700.0, 700.0, 4))])
+        return np.sort(rng.choice(pool[pool > 0.0], m, replace=False))
+
+    bounds = draw_bounds() if shared else np.array([draw_bounds() for _ in range(r)])
+    pool = np.r_[0.0, np.ravel(bounds), EXTREMES, rng.uniform(0.0, 4.0, n)]
+    times = rng.choice(pool, (r, n))
+    events = rng.random((r, n)) < 0.7
+    events[:, 0] = True
+    z = rng.exponential(size=(r, n, 2))
+    z[rng.random((r, n, 2)) < 0.3] = 0.0
+    ds, betas = SurvivalDataset(times, events, z), rng.uniform(0.0, 2.0, (r, 2))
+    prior = GammaProcessPrior(np.ones(m), 1.0)
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(baseline_posterior, "increment_posterior",
+                               lambda *args: seen.append(args)):
+            increment_posteriors(ds, bounds, betas, prior)
+        try:
+            increment_posteriors(ds, bounds, betas, prior)
+        except AddhazError:
+            pass
+    ((js, exposures, widths, factors, indptr, _),) = seen
+    assert js.dtype.kind == "i" and js.shape == (r * m,) and ((1 <= js) & (js <= m)).all()
+    assert indptr.dtype == np.intp and indptr.shape == (r * m + 1,)
+    assert indptr[0] == 0 and indptr[-1] == factors.size and (np.diff(indptr) >= 0).all()
+    assert factors.dtype == np.float64 and factors.ndim == 1
+    assert widths.dtype == np.float64 and ((0.0 < widths) & (widths < math.inf)).all()
+    assert exposures.dtype == np.float64 and (exposures >= 0.0).all()  # NaN fails too
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -495,7 +532,7 @@ def test_each_row_of_a_batch_is_its_own_call_at_every_span(longest):
     rows = [rng.uniform(0.1, 2.0, n) for n in (1, longest, 3, 0, 3, longest)]
     prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0, 1.5], [0.5, 4.0])
     args = [1, 2, 3, 4, 5, 5], [2.0, 1.5, 0.7, 0.3, 0.9, 1.1], [0.5, 0.5, 0.25, 0.25, 0.4, 0.4]
-    batch = increment_posterior(*args, *csr(rows), prior)
+    batch = kernel(*args, rows, prior)
     columns = [one_interval(*interval, prior) for interval in zip(*args, rows)]
     assert posteriors(batch) == list(zip(*columns))
 
@@ -513,7 +550,8 @@ def test_kernel_temporaries_stay_a_small_multiple_of_its_mixtures(sizes, p):
     rows = [rng.uniform(0.1, 2.0, n) for n in sizes]
     m = len(rows)
     prior = GammaProcessPrior(rng.uniform(0.5, 2.0, m), np.geomspace(0.1, 10.0, p))
-    args = np.arange(1, m + 1), 2.0 * np.array(sizes, dtype=float), np.full(m, 0.5), *csr(rows)
+    args = (np.arange(1, m + 1), 2.0 * np.array(sizes, dtype=float), np.full(m, 0.5),
+            np.concatenate(rows), np.cumsum([0, *sizes], dtype=np.intp))
     tracemalloc.start()
     try:
         post = increment_posterior(*args, prior)
@@ -853,7 +891,7 @@ def test_stage_is_its_scalar_calls_interval_by_interval(
     ]
     if exact:
         js, row_exposures, row_widths, rows = map(list, zip(*exact))
-        batch = increment_posterior(js, row_exposures, row_widths, *csr(rows), prior)
+        batch = kernel(js, row_exposures, row_widths, rows, prior)
         for row, member in zip(posteriors(batch), members(prior)):
             assert list(row) == [one_interval(*interval, member) for interval in exact]
 

@@ -25,7 +25,6 @@ from addhaz.hybrid_beta import (
     HpdInterval, hpd_interval, pseudo_posterior, sigma_hat, significance_flag
 )
 from addhaz.lin_ying import LYEstimate, compute_statistics
-from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
 from addhaz.simulate import SimConfig, run_baseline_experiment, run_beta_experiment
 from addhaz.errors import (
     DegenerateGrid,
@@ -37,10 +36,10 @@ from addhaz.errors import (
 )
 from oracles import (
     Posterior,
+    by_mixture,
     by_quadrature,
     interval_exposures,
     interval_offsets,
-    one_interval,
     validate_dataset,
     write_dataset_csv,
 )
@@ -449,8 +448,6 @@ NOT_REALS = {
     "numeric c text": lambda: GammaProcessPrior([1.0, 2.0], "2"),
     "prior text": lambda: BetaPrior(["1"], [["1"]]),
     "t_final text": lambda: TimeGrid((), "1"),
-    "offset text": lambda: poly_from_factors(["1", "2"]),
-    "log coefficient text": lambda: PolyCoefficients(["0"]),
     "fractions": lambda: SurvivalDataset([Fraction(1, 2)], [True], [[1.0]]),
     "decimals": lambda: GammaProcessPrior([Decimal("1")], 1.0),
     "none": lambda: TimeGrid((), None),
@@ -462,8 +459,6 @@ NOT_REALS = {
     "scalar cuts": lambda: TimeGrid(0.5, 1.0),
     "two-d coverage": lambda: hpd_interval(_posterior(), [0.9]),
     "two-d shape": lambda: GammaProcessPrior.from_shape([[1.0, 2.0]], 1.0),
-    "exposure text": lambda: one_interval(1, "2.0", 1.0, [1.0], GammaProcessPrior([1.0], 1.0)),
-    "width list": lambda: by_quadrature(1, 2.0, [1.0], [1.0], GammaProcessPrior([1.0], 1.0)),
     "interval coverage text": lambda: sigma_hat(HpdInterval(np.zeros(1), np.ones(1), "0.9")),
     "interval end text": lambda: significance_flag(HpdInterval(["0.1"], [1.0], 0.9)),
     "interval ends of two shapes": lambda: sigma_hat(HpdInterval(np.zeros(2), np.ones(3), 0.9)),
@@ -491,7 +486,7 @@ DOMAIN = {
     "prior mean": lambda v: BetaPrior([0.5, v], np.eye(2)),
     "prior increments": lambda v: GammaProcessPrior([1.0, v], 1.0),
     "confidence parameter c": lambda v: GammaProcessPrior([1.0], v),
-    "offsets": lambda v: poly_from_factors([1.0, v]),
+    "offsets": lambda v: by_mixture(1, 2.0, 1.0, [1.0, v], GammaProcessPrior([1.0], 1.0)),
     "quadrature offsets": lambda v: by_quadrature(
         1, 2.0, 1.0, [1.0, v], GammaProcessPrior([1.0], 1.0)
     ),

@@ -14,11 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addhaz import poly_coeffs
-from addhaz.errors import DimensionMismatch, NonNegativityViolation, OutOfRange
-from addhaz.poly_coeffs import PolyCoefficients, poly_from_factors
+from addhaz import baseline_posterior, poly_coeffs
+from addhaz.data_model import GammaProcessPrior
+from addhaz.errors import NonNegativityViolation, OutOfRange
+from addhaz.poly_coeffs import poly_from_factors
 
-from oracles import poly_by_slices, poly_eval_log
+from oracles import one_interval, poly_by_slices, poly_eval_log
+
+
+def from_list(offsets):
+    """The polynomial of a list of offsets, as the float array the kernel hands over."""
+    return poly_from_factors(np.array(offsets, dtype=float))
 
 
 def exact_coefficients(offsets):
@@ -33,7 +39,7 @@ def exact_coefficients(offsets):
 
 
 def test_empty_product_is_constant_one():
-    poly = poly_from_factors([])
+    poly = from_list([])
     assert poly.degree == 0
     assert poly.log_abs[0] == 0.0
     assert np.exp(poly.log_abs)[0] == 1.0
@@ -41,25 +47,25 @@ def test_empty_product_is_constant_one():
 
 
 def test_single_factor_is_monomial():
-    poly = poly_from_factors([2.5])
+    poly = from_list([2.5])
     np.testing.assert_allclose(np.exp(poly.log_abs), [2.5, 1.0])
 
 
 def test_two_factor_hand_expansion():
     # (a+1)(a+2) = a^2 + 3a + 2
-    poly = poly_from_factors([1.0, 2.0])
+    poly = from_list([1.0, 2.0])
     np.testing.assert_allclose(np.exp(poly.log_abs), [2.0, 3.0, 1.0])
 
 
 def test_zero_offset_shifts_coefficients():
     # multiplying by (a + 0) turns P(a) into a*P(a)
-    poly = poly_from_factors([1.0, 2.0, 0.0])
+    poly = from_list([1.0, 2.0, 0.0])
     assert poly.log_abs[0] == -math.inf
     np.testing.assert_allclose(np.exp(poly.log_abs), [0.0, 2.0, 3.0, 1.0])
 
 
 def test_all_zero_offsets_leave_pure_power():
-    poly = poly_from_factors([0.0, 0.0, 0.0])
+    poly = from_list([0.0, 0.0, 0.0])
     np.testing.assert_allclose(np.exp(poly.log_abs), [0.0, 0.0, 0.0, 1.0])
     assert poly_eval_log(poly, 0.0) == -math.inf
     assert poly_eval_log(poly, 2.0) == pytest.approx(3 * math.log(2.0))
@@ -127,20 +133,19 @@ def test_two_buffer_recursion_keeps_the_sliced_recursions_bits(seed, n, zero_sha
     zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     log_span=st.sampled_from([1.0, 10.0, 690.0]),
 )
-def test_kernel_hands_over_what_the_public_constructor_builds(seed, n, zero_share, log_span):
-    # the kernel's coefficients skip the constructor's copy and check; their
-    # leading zeros are one per zero offset, which the increment kernel
-    # counts from the offsets, and every other one is finite; both paths of
-    # the guard
+def test_polynomial_has_one_leading_zero_per_zero_offset(seed, n, zero_share, log_span):
+    # the increment kernel counts a row's leading zero coefficients from its
+    # offsets and keeps the rest as finite: one -inf per zero offset, and
+    # every other coefficient finite, on both paths of the guard; the
+    # offsets are read, never written
     rng = np.random.default_rng(seed)
     offsets = np.exp(rng.uniform(-log_span, log_span, size=n))
     offsets[rng.random(n) < zero_share] = 0.0
+    held = offsets.copy()
     got = poly_from_factors(offsets)
-    want = PolyCoefficients(got.log_abs)
-    assert got.log_abs.tobytes() == want.log_abs.tobytes()
     dead = np.count_nonzero(offsets == 0.0)
     assert np.all(got.log_abs[:dead] == -math.inf) and np.all(np.isfinite(got.log_abs[dead:]))
-    assert not got.log_abs.flags.writeable
+    assert offsets.tobytes() == held.tobytes()
 
 
 def _log_exact(offsets):
@@ -197,7 +202,7 @@ def test_one_positive_offset_keeps_the_log_paths_bits():
     for offset in (1e-300, 3.7e-5, 1.0, 2.5, 1e300):
         for zeros in range(4):
             offsets = [0.0] * zeros + [offset] + [0.0] * (3 - zeros)
-            got, want = poly_from_factors(offsets), poly_by_slices(offsets)
+            got, want = from_list(offsets), poly_by_slices(offsets)
             assert got.log_abs.tobytes() == want.log_abs.tobytes()
 
 
@@ -213,7 +218,7 @@ def test_eval_log_matches_factored_form_200_factors():
 
 
 def test_eval_constant_term_at_zero():
-    poly = poly_from_factors([1.0, 2.0])
+    poly = from_list([1.0, 2.0])
     assert poly_eval_log(poly, 0.0) == pytest.approx(math.log(2.0))
     assert poly_eval_log(poly, 1.0) == pytest.approx(math.log(6.0))
 
@@ -230,60 +235,21 @@ def test_insertion_order_irrelevant():
 
 def test_degree_counts_multiplications():
     for i in range(18):
-        assert poly_from_factors([1.5] * i).degree == i
+        assert from_list([1.5] * i).degree == i
 
 
 def test_negative_or_infinite_offset_rejected():
-    # every offset is checked, wherever it sits in the sequence
+    # every offset is checked by the increment kernel before any polynomial
+    # is built, wherever it sits in the row
+    prior = GammaProcessPrior([1.0], 1.0)
     for bad, error in (
         (-0.5, NonNegativityViolation), (math.inf, OutOfRange), (math.nan, OutOfRange)
     ):
-        with pytest.raises(error):
-            poly_from_factors([bad])
-        with pytest.raises(error):
-            poly_from_factors([1.0, 2.0, bad])
+        with mock.patch.object(baseline_posterior, "poly_from_factors") as built:
+            with pytest.raises(error):
+                one_interval(1, 2.0, 1.0, [bad], prior)
+            with pytest.raises(error):
+                one_interval(1, 2.0, 1.0, [1.0, 2.0, bad], prior)
+        assert built.call_count == 0
     with pytest.raises(ValueError):
-        poly_eval_log(poly_from_factors([]), -1.0)
-
-
-def test_coefficient_container_is_immutable():
-    poly = poly_from_factors([1.0])
-    with pytest.raises((ValueError, RuntimeError)):
-        poly.log_abs[0] = 0.0
-    with pytest.raises(DimensionMismatch):
-        PolyCoefficients(np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        PolyCoefficients(np.zeros(0))
-
-
-def test_non_finite_log_coefficients_rejected():
-    # NaN and +inf are no coefficient; -inf is a zero one.  A NaN in front
-    # once passed for a zero coefficient, and increment_posterior returned
-    # the posterior of the polynomial a with no error
-    for bad in (math.nan, math.inf):
-        with pytest.raises(OutOfRange):
-            PolyCoefficients(np.array([bad, 0.0]))
-        with pytest.raises(OutOfRange):
-            PolyCoefficients(np.array([0.0, 1.0, bad]))
-    assert PolyCoefficients(np.array([-math.inf, 0.0])).degree == 1
-
-
-def test_offsets_of_any_real_array_like_give_the_same_bits():
-    values = [3.0, 1.0, 4.0, 1.0, 5.0, 0.0, 2.0, 6.0]
-    want = poly_from_factors(np.array(values)).log_abs.tobytes()
-    held = np.array(values)
-    view = held[:]
-    view.setflags(write=False)
-    for offsets in (values, tuple(values), held, np.array(values, dtype=np.int64), view):
-        assert poly_from_factors(offsets).log_abs.tobytes() == want
-    # the caller's array is read, never written or frozen
-    assert held.tolist() == values and held.flags.writeable
-
-
-def test_coefficients_leave_the_callers_array_writable():
-    log_abs = np.array([0.0, -1.0])
-    held = PolyCoefficients(log_abs).log_abs
-    with pytest.raises(ValueError):
-        held[0] = 1.0
-    log_abs[0] = 5.0
-    assert held[0] == 0.0
+        poly_eval_log(from_list([]), -1.0)
