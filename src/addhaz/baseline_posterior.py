@@ -141,10 +141,7 @@ def event_offsets_by_interval(ds, edges, keys, betas) -> tuple[np.ndarray, np.nd
     betas = _reals(betas, "beta")
     if betas.shape != (r, ds.k):
         raise DimensionMismatch("beta dimension does not match the dataset")
-    # each member's own (n, k) @ (k,) product: a stacked one may round otherwise
-    offsets = np.empty((r, ds.n))
-    for z, beta, out in zip(ds.covariates.reshape(r, ds.n, ds.k), betas, offsets):
-        np.matmul(z, beta, out=out)
+    offsets = np.matmul(ds.covariates.reshape(r, ds.n, ds.k), betas[:, :, None])[..., 0]
     events = ds.events.ravel() & (keys % (m + 1) != m)  # inside the m intervals
     at = keys[events]
     # in row order within each row; keys of one or two bytes take a radix sort
@@ -205,8 +202,7 @@ def _mixtures(log_d, lengths, shape0, rate, log_scale):
     normalized log weights and shapes s0 + k of the live components, (p, N)
     in row order.  Every live log coefficient is finite, and so is every
     log weight.  The temporaries are a few (p, N) arrays."""
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    starts = np.cumsum(lengths) - lengths
     k_int = np.arange(log_d.size) - np.repeat(starts, lengths)  # each component's k in its row
     k = k_int.astype(float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # in rows read below
@@ -236,29 +232,21 @@ def _mixtures(log_d, lengths, shape0, rate, log_scale):
         np.multiply(k, np.repeat(log_scale, lengths, axis=-1), out=w[1])
         log_w += np.subtract(log_d, w[1], out=w[1])
         top = np.maximum.reduceat(log_w, starts, axis=-1)
-        # w and w k, each mixture summed over its own contiguous slice, as a
-        # lone row is: a segmented or BLAS sum rounds otherwise
         np.exp(np.subtract(log_w, np.repeat(top, lengths, axis=-1), out=w[0]), out=w[0])
         np.multiply(w[0], k, out=w[1])
-        rows = list(zip(starts.tolist(), ends.tolist()))
-        sums = np.empty((3, *shape0.shape))
-        for i, (a, z) in enumerate(rows):
-            np.add.reduce(w[..., a:z], axis=-1, out=sums[:2, :, i])
-        totals = sums[0]
+        totals, k_sums = np.add.reduceat(w, starts, axis=-1)
         log_total = np.array([math.log(t) for t in totals.ravel().tolist()]).reshape(totals.shape)
         log_w -= np.repeat(top + log_total, lengths, axis=-1)
         # the moments of the shape s0 + k are taken in k, since s0 + k rounds k
         # away once s0 is far above 2^53
-        k_mean = sums[1] / totals
+        k_mean = k_sums / totals
         dev = np.subtract(k, np.repeat(k_mean, lengths, axis=-1), out=w[1])
         dev *= dev
         dev *= w[0]
-        for i, (a, z) in enumerate(rows):
-            np.add.reduce(dev[:, a:z], axis=-1, out=sums[2, :, i])
         shape_mean = shape0 + k_mean
         # the variance is divided by the rate twice, so that no c_j^2 overflows
         mean = shape_mean / rate
-        variance = (sums[2] / totals + shape_mean) / rate / rate
+        variance = (np.add.reduceat(dev, starts, axis=-1) / totals + shape_mean) / rate / rate
     del w, dev  # freed before the shapes are built, to keep the peak down
     return mean, variance, log_w, np.repeat(shape0, lengths, axis=-1) + k
 

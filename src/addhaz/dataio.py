@@ -173,7 +173,7 @@ def read_dataset_csv(path, *, allow_signed: bool = False):
     return SurvivalDataset(times, events, covs, allow_signed=allow_signed), names
 
 
-def _cohort_covariates(raw: np.ndarray, row_line) -> list[list[float]]:
+def _cohort_covariates(raw: np.ndarray, row_line) -> np.ndarray:
     """The four standard transforms of the (n, 3) AFE, YFE, EXP columns;
     ``row_line(i)`` gives row i's file line for the error message."""
     afe, yfe, exposure = raw.T
@@ -183,11 +183,9 @@ def _cohort_covariates(raw: np.ndarray, row_line) -> list[list[float]]:
         what = "AFE must exceed 10" if afe[i] <= 10.0 else "EXP must be >= 0"
         raise DatasetFormatError(f"row {row_line(i)}: {what}")
     decade = (yfe - 1915.0) / 10.0
-    # math.log, not np.log: the vectorized log may differ in the last ulp
-    return [
-        [math.log(a - 10.0), d, -(d * d), math.log(e + 1.0)]
-        for a, d, e in zip(afe.tolist(), decade.tolist(), exposure.tolist())
-    ]
+    return np.column_stack(
+        [np.log(afe - 10.0), decade, -(decade * decade), np.log(exposure + 1.0)]
+    )
 
 
 def read_transformed_cohort_csv(path):

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -479,9 +479,12 @@ def test_partition_hands_the_kernel_what_it_trusts(seed, r, n, m, shared):
     n=st.integers(1, 80),
     m=st.integers(1, 4),
 )
+@example(seed=39, r=3, n=10_000, m=3)
 def test_stacked_partition_is_each_member_alone_bit_for_bit(seed, r, n, m):
     # k = 4 and zero covariates drawn often; tied times, times of 0, on a
-    # boundary and beyond s_m; on one shared grid, (m,), and on a grid a member, (r, m)
+    # boundary and beyond s_m; on one shared grid, (m,), and on a grid a member, (r, m).
+    # The stack's one beta'z product meets each member's own at n = 10,000
+    # rows too, far above the sizes drawn
     rng = np.random.default_rng(seed)
 
     def draw_bounds():
@@ -535,6 +538,28 @@ def test_each_row_of_a_batch_is_its_own_call_at_every_span(longest):
     batch = kernel(*args, rows, prior)
     columns = [one_interval(*interval, prior) for interval in zip(*args, rows)]
     assert posteriors(batch) == list(zip(*columns))
+
+
+def test_batch_moments_meet_the_reference_at_every_span():
+    # one kernel call whose exact rows hold 127, 1, 128, 129 and 1000 live
+    # components, the last two sharing one j.  Under c = 0.5 the first row's
+    # last k and the third's and fourth's k = 0 carry weight, so that a term
+    # left out of a row's sum or a segment boundary off by one shows in the
+    # moments.  The summation order is not pinned: the goldens compare at
+    # rtol 1e-12
+    rng = np.random.default_rng(39)
+    rows = [np.exp(rng.uniform(math.log(1e-2), math.log(1e2), n)) for n in (126, 0, 127, 128, 999)]
+    js, widths = [2, 1, 3, 4, 4], [0.5, 0.5, 0.25, 0.4, 0.4]
+    exposures = [0.0, 2.0, 4000.0, 1e4, 50.0]
+    prior = GammaProcessPrior([1.0, 3.0, 0.5, 2.0], [0.5, 4.0, 30.0])
+    post = kernel(js, exposures, widths, rows, prior)
+    for q, c in enumerate(prior.c.tolist()):
+        for i, (j, exposure, width, offsets) in enumerate(zip(js, exposures, widths, rows)):
+            log_d, shape0 = poly_from_factors(offsets).log_abs, c * prior.increments[j - 1]
+            reference = mixture_moments(log_d, shape0, width, exposure / width + c)
+            np.testing.assert_allclose(
+                (post.mean[q, i], post.variance[q, i]), reference, rtol=1e-13, atol=0.0
+            )
 
 
 @pytest.mark.parametrize(
